@@ -98,20 +98,22 @@ func runCluster(opts clusterOpts, stop <-chan struct{}) error {
 	}
 
 	// In chaos mode the agents dial a fault-injecting proxy instead of
-	// the daemon directly. The kill budget floor stays well above the
-	// handshake size so registration itself always survives.
+	// the daemon directly. Fault points are byte counts, sized for this
+	// traffic (≈ 100 B per 10-PI indicators frame, 25 B per action): a
+	// kill every 60–450 ticks per connection. The kill budget floor stays
+	// well above the 41-byte handshake so registration always survives.
 	dialAddr := opts.daemon
 	var px *faultnet.Proxy
 	if opts.chaos {
 		px, err = faultnet.New("127.0.0.1:0", opts.daemon, faultnet.Config{
 			Seed:           opts.chaosSeed,
-			KillAfterMin:   32 << 10,
-			KillAfterMax:   256 << 10,
-			StallEvery:     128 << 10,
+			KillAfterMin:   6 << 10,
+			KillAfterMax:   44 << 10,
+			StallEvery:     22 << 10,
 			StallFor:       500 * time.Millisecond,
 			LatencyMax:     2 * time.Millisecond,
 			PartitionProb:  0.2,
-			PartitionAfter: 16 << 10,
+			PartitionAfter: 1 << 10,
 		})
 		if err != nil {
 			return fmt.Errorf("chaos proxy for %s: %w", opts.daemon, err)

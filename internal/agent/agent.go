@@ -26,7 +26,9 @@ import (
 )
 
 // FrameSink receives reassembled cluster frames: the concatenated PI
-// vectors of all nodes for one sampling tick.
+// vectors of all nodes for one sampling tick. The daemon calls it from
+// its own goroutines, one frame at a time, in the order the frames were
+// resolved; the frame is the sink's to keep.
 type FrameSink func(tick int64, frame []float64)
 
 // DaemonOpts tunes the daemon's fault-tolerance behavior. The zero
@@ -104,10 +106,24 @@ type TransportStats struct {
 	PendingTicks     int   `json:"pending_ticks"`     // gauge: ticks currently mid-assembly
 }
 
-// pendingTick tracks one tick's frame assembly.
+// pendingTick tracks one tick's frame assembly: which nodes reported
+// (a bitset, one bit per node) and how many.
 type pendingTick struct {
-	nodes   map[int]bool
+	got     []uint64
+	n       int
 	firstAt time.Time
+}
+
+// mark records node's report; a repeat does not count twice.
+func (p *pendingTick) mark(node int) {
+	if w, bit := node/64, uint64(1)<<(node%64); p.got[w]&bit == 0 {
+		p.got[w] |= bit
+		p.n++
+	}
+}
+
+func (p *pendingTick) has(node int) bool {
+	return p.got[node/64]&(1<<(node%64)) != 0
 }
 
 // Daemon is the Interface Daemon: the single writer in front of the
@@ -122,14 +138,21 @@ type Daemon struct {
 
 	mu       sync.Mutex
 	decoders map[int]*wire.DiffDecoder
-	epochs   map[int]uint64    // current session epoch per node
-	owners   map[int]net.Conn  // the connection that most recently registered each node
-	latest   map[int][]float64 // most recent full PI vector per node
+	epochs   map[int]uint64   // current session epoch per node
+	owners   map[int]net.Conn // the connection that most recently registered each node
+	latest   []float64        // most recent full PI vector of every node, in frame layout
+	reported []bool           // whether latest holds anything a node ever sent
 	seen     map[int64]*pendingTick
+	spare    []*pendingTick        // resolved ticks, cleared for reuse
 	controls map[int]net.Conn      // control-agent connections by node
 	conns    map[net.Conn]struct{} // every live connection (monitor + control)
 	stats    TransportStats
 	closed   bool
+	outbox   []emission // frames resolved under mu, awaiting delivery
+
+	// emitMu serializes frame delivery, so the sink sees frames in the
+	// order they were resolved whichever goroutine resolved them.
+	emitMu sync.Mutex
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -164,7 +187,8 @@ func NewDaemonOpts(addr string, nodes, pisPerNode int, onFrame FrameSink, onChan
 		decoders:   make(map[int]*wire.DiffDecoder),
 		epochs:     make(map[int]uint64),
 		owners:     make(map[int]net.Conn),
-		latest:     make(map[int][]float64),
+		latest:     make([]float64, nodes*pisPerNode),
+		reported:   make([]bool, nodes),
 		seen:       make(map[int64]*pendingTick),
 		controls:   make(map[int]net.Conn),
 		conns:      make(map[net.Conn]struct{}),
@@ -231,9 +255,10 @@ func (d *Daemon) serveConn(conn net.Conn) {
 	}()
 	// First message must be Hello — under the same liveness deadline,
 	// so a connection that never registers cannot pin a goroutine.
+	rd, wr := wire.NewReader(conn), wire.NewWriter(conn)
 	d.setReadDeadline(conn)
-	env, err := wire.ReadMsg(conn)
-	if err != nil || env.Type != wire.MsgHello || env.Hello == nil {
+	env, err := rd.Read()
+	if err != nil || env.Type != wire.MsgHello {
 		if isTimeout(err) {
 			d.mu.Lock()
 			d.stats.Evictions++
@@ -241,12 +266,20 @@ func (d *Daemon) serveConn(conn net.Conn) {
 		}
 		return
 	}
-	h := env.Hello
-	if h.NumPIs != d.pisPerNode || h.NodeID < 0 || h.NodeID >= d.nodes {
-		wire.WriteMsg(conn, &wire.Envelope{Type: wire.MsgAck, Ack: &wire.Ack{
-			NodeID: h.NodeID, OK: false,
-			Error: fmt.Sprintf("bad registration: node %d, %d PIs", h.NodeID, h.NumPIs),
+	h := *env.Hello // the Reader reuses env on the next Read
+	refuse := func(format string, args ...any) {
+		wr.Write(&wire.Envelope{Type: wire.MsgAck, Ack: &wire.Ack{
+			NodeID: h.NodeID, OK: false, Error: fmt.Sprintf(format, args...),
 		}})
+	}
+	if h.Proto != wire.ProtoVersion {
+		// Checked first: a peer on another version sent nothing else
+		// this daemon can interpret.
+		refuse("protocol version %d, daemon speaks %d", h.Proto, wire.ProtoVersion)
+		return
+	}
+	if h.NumPIs != d.pisPerNode || h.NodeID < 0 || h.NodeID >= d.nodes {
+		refuse("bad registration: node %d, %d PIs", h.NodeID, h.NumPIs)
 		return
 	}
 	d.mu.Lock()
@@ -255,10 +288,7 @@ func (d *Daemon) serveConn(conn net.Conn) {
 		// registered: accepting it would let a zombie connection feed
 		// differential state into current frames.
 		d.mu.Unlock()
-		wire.WriteMsg(conn, &wire.Envelope{Type: wire.MsgAck, Ack: &wire.Ack{
-			NodeID: h.NodeID, OK: false,
-			Error: fmt.Sprintf("stale epoch %d for node %d", h.Epoch, h.NodeID),
-		}})
+		refuse("stale epoch %d for node %d", h.Epoch, h.NodeID)
 		return
 	}
 	// Fresh session: swap in a clean DiffDecoder keyed by the new epoch.
@@ -276,11 +306,11 @@ func (d *Daemon) serveConn(conn net.Conn) {
 		d.stats.Reconnects++
 	}
 	d.mu.Unlock()
-	wire.WriteMsg(conn, &wire.Envelope{Type: wire.MsgAck, Ack: &wire.Ack{NodeID: h.NodeID, OK: true}})
+	wr.Write(&wire.Envelope{Type: wire.MsgAck, Ack: &wire.Ack{NodeID: h.NodeID, OK: true}})
 
 	for {
 		d.setReadDeadline(conn)
-		env, err := wire.ReadMsg(conn)
+		env, err := rd.Read()
 		if err != nil {
 			d.mu.Lock()
 			if isTimeout(err) && !d.closed {
@@ -301,7 +331,7 @@ func (d *Daemon) serveConn(conn net.Conn) {
 			d.stats.Heartbeats++
 			d.mu.Unlock()
 		case wire.MsgWorkloadChange:
-			if d.onChange != nil && env.WorkloadChange != nil {
+			if d.onChange != nil {
 				d.onChange(env.WorkloadChange.Tick, env.WorkloadChange.Name)
 			}
 		}
@@ -319,11 +349,32 @@ type emission struct {
 	frame []float64
 }
 
-func (d *Daemon) handleIndicators(msg *wire.Indicators, from net.Conn) {
-	if msg == nil {
+// unlockAndDeliver releases mu and hands the frames queued in outbox to
+// the sink, oldest first. The sink never runs under mu, and a frame
+// resolved later — by the sweeper, by another connection — is never
+// delivered earlier: whoever holds emitMu delivers everything queued so
+// far, in order.
+func (d *Daemon) unlockAndDeliver() {
+	queued := len(d.outbox) > 0
+	d.mu.Unlock()
+	if !queued {
 		return
 	}
-	var out []emission
+	d.emitMu.Lock()
+	defer d.emitMu.Unlock()
+	d.mu.Lock()
+	batch := d.outbox
+	d.outbox = nil
+	d.mu.Unlock()
+	for _, e := range batch {
+		d.onFrame(e.tick, e.frame)
+	}
+}
+
+// handleIndicators merges one node's message into the node's vector and
+// the tick's assembly. msg is the connection Reader's storage: nothing
+// here may keep it past the call.
+func (d *Daemon) handleIndicators(msg *wire.Indicators, from net.Conn) {
 	d.mu.Lock()
 	if msg.NodeID < 0 || msg.NodeID >= d.nodes {
 		d.mu.Unlock()
@@ -339,19 +390,15 @@ func (d *Daemon) handleIndicators(msg *wire.Indicators, from net.Conn) {
 		return
 	}
 	dec := d.decoders[msg.NodeID]
-	if dec == nil {
+	if dec == nil || dec.Merge(msg) != nil {
 		d.mu.Unlock()
 		return
 	}
-	full, err := dec.Apply(msg)
-	if err != nil {
-		d.mu.Unlock()
-		return
-	}
-	d.latest[msg.NodeID] = full
+	copy(d.latest[msg.NodeID*d.pisPerNode:], dec.Current())
+	d.reported[msg.NodeID] = true
 	p := d.seen[msg.Tick]
 	if p == nil {
-		p = &pendingTick{nodes: make(map[int]bool), firstAt: time.Now()}
+		p = d.newPendingLocked()
 		d.seen[msg.Tick] = p
 		d.stats.TicksStarted++
 		// Bound the assembly map: a node that died mid-tick must not
@@ -365,29 +412,44 @@ func (d *Daemon) handleIndicators(msg *wire.Indicators, from net.Conn) {
 				}
 			}
 			if frame, ok := d.resolveLocked(oldest); ok {
-				out = append(out, emission{oldest, frame})
+				d.outbox = append(d.outbox, emission{oldest, frame})
 			}
 		}
 	}
-	p.nodes[msg.NodeID] = true
-	if len(p.nodes) == d.nodes {
-		delete(d.seen, msg.Tick)
+	p.mark(msg.NodeID)
+	if p.n == d.nodes {
+		d.releaseLocked(msg.Tick, p)
 		d.stats.CompleteFrames++
-		out = append(out, emission{msg.Tick, d.buildFrameLocked()})
+		d.outbox = append(d.outbox, emission{msg.Tick, d.buildFrameLocked()})
 	}
-	d.mu.Unlock()
-	for _, e := range out {
-		d.onFrame(e.tick, e.frame)
-	}
+	d.unlockAndDeliver()
 }
 
-// buildFrameLocked concatenates every node's latest full vector.
-func (d *Daemon) buildFrameLocked() []float64 {
-	frame := make([]float64, d.nodes*d.pisPerNode)
-	for n := 0; n < d.nodes; n++ {
-		copy(frame[n*d.pisPerNode:(n+1)*d.pisPerNode], d.latest[n])
+// newPendingLocked returns a cleared pendingTick stamped now, reusing a
+// resolved one when there is one.
+func (d *Daemon) newPendingLocked() *pendingTick {
+	var p *pendingTick
+	if n := len(d.spare); n > 0 {
+		p, d.spare = d.spare[n-1], d.spare[:n-1]
+	} else {
+		p = &pendingTick{got: make([]uint64, (d.nodes+63)/64)}
 	}
-	return frame
+	p.firstAt = time.Now()
+	return p
+}
+
+// releaseLocked takes a resolved tick out of the assembly map and clears
+// it for reuse.
+func (d *Daemon) releaseLocked(tick int64, p *pendingTick) {
+	delete(d.seen, tick)
+	clear(p.got)
+	p.n = 0
+	d.spare = append(d.spare, p)
+}
+
+// buildFrameLocked snapshots every node's latest full vector.
+func (d *Daemon) buildFrameLocked() []float64 {
+	return append([]float64(nil), d.latest...)
 }
 
 // resolveLocked finalizes an incomplete tick: gap-fill it from latest
@@ -399,19 +461,14 @@ func (d *Daemon) resolveLocked(tick int64) ([]float64, bool) {
 	if p == nil {
 		return nil, false
 	}
-	delete(d.seen, tick)
-	missing := 0
+	missing := d.nodes - p.n
 	fillable := !d.opts.DropIncomplete
-	for n := 0; n < d.nodes; n++ {
-		if !p.nodes[n] {
-			missing++
-			if d.latest[n] == nil {
-				// Nothing ever received from this node: a gap-filled
-				// slot would be fabricated, not stale. Drop instead.
-				fillable = false
-			}
-		}
+	for n := 0; n < d.nodes && fillable; n++ {
+		// Nothing ever received from a missing node: a gap-filled slot
+		// would be fabricated, not stale. Drop instead.
+		fillable = p.has(n) || d.reported[n]
 	}
+	d.releaseLocked(tick, p)
 	if !fillable {
 		d.stats.DroppedTicks++
 		return nil, false
@@ -448,16 +505,12 @@ func (d *Daemon) sweep(now time.Time) {
 		}
 	}
 	sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
-	var out []emission
 	for _, tick := range expired {
 		if frame, ok := d.resolveLocked(tick); ok {
-			out = append(out, emission{tick, frame})
+			d.outbox = append(d.outbox, emission{tick, frame})
 		}
 	}
-	d.mu.Unlock()
-	for _, e := range out {
-		d.onFrame(e.tick, e.frame)
-	}
+	d.unlockAndDeliver()
 }
 
 // BroadcastAction sends the parameter vector to every connected Control
@@ -466,9 +519,13 @@ func (d *Daemon) sweep(now time.Time) {
 // wedge the broadcast path forever; a deadlined or failed write closes
 // and deregisters that agent and the drop is counted.
 func (d *Daemon) BroadcastAction(tick int64, id int, values []float64) int {
-	env := &wire.Envelope{Type: wire.MsgAction, Action: &wire.Action{
-		Tick: tick, ID: id, Values: append([]float64(nil), values...),
-	}}
+	// Encoded once; every control agent is sent the same bytes.
+	frame, err := wire.Encode(&wire.Envelope{Type: wire.MsgAction, Action: &wire.Action{
+		Tick: tick, ID: id, Values: values,
+	}})
+	if err != nil {
+		return 0 // too large to frame: nothing is attempted, no stream is touched
+	}
 	type target struct {
 		node int
 		conn net.Conn
@@ -483,7 +540,7 @@ func (d *Daemon) BroadcastAction(tick int64, id int, values []float64) int {
 	sent := 0
 	for _, tg := range targets {
 		tg.conn.SetWriteDeadline(time.Now().Add(d.opts.BroadcastTimeout))
-		err := wire.WriteMsg(tg.conn, env)
+		_, err := tg.conn.Write(frame)
 		d.mu.Lock()
 		if err == nil {
 			d.stats.ActionsSent++

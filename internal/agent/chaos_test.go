@@ -87,15 +87,19 @@ func TestChaosSoak(t *testing.T) {
 	}
 	defer d.Close()
 
+	// Fault points are byte counts, so they are scaled to the messages:
+	// a 4-PI indicators frame is 46 B and a heartbeat 7 B (a tenth of the
+	// gob+flate frames these thresholds were first set against), which
+	// puts a kill every 13–44 messages on each connection.
 	p, err := faultnet.New("127.0.0.1:0", d.Addr(), faultnet.Config{
 		Seed:           20170614, // CAPES submission era; any seed replays
-		KillAfterMin:   6 << 10,
-		KillAfterMax:   20 << 10,
-		StallEvery:     24 << 10,
+		KillAfterMin:   600,
+		KillAfterMax:   2000,
+		StallEvery:     2400,
 		StallFor:       200 * time.Millisecond, // > liveness: forces eviction
 		LatencyMax:     2 * time.Millisecond,
 		PartitionProb:  0.3,
-		PartitionAfter: 4 << 10,
+		PartitionAfter: 256,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -155,11 +159,20 @@ func TestChaosSoak(t *testing.T) {
 	}
 
 	sendWG.Wait()
-	// Quiesce: let the sweeper resolve every pending tick, then drain
-	// the broadcast pipe so no action write is mid-flight when we
-	// snapshot the counters.
-	waitFor(t, func() bool { return d.TransportStats().PendingTicks == 0 }, "pending ticks drain")
+	// Quiesce: let the sweeper resolve every pending tick and the sink
+	// receive every resolved frame (a tick leaves the pending set before
+	// its frame is delivered), then drain the broadcast pipe so no action
+	// write is mid-flight when we snapshot the counters.
+	waitFor(t, func() bool {
+		st := d.TransportStats()
+		frameMu.Lock()
+		delivered := frames
+		frameMu.Unlock()
+		return st.PendingTicks == 0 && delivered == st.CompleteFrames+st.PartialFrames
+	}, "pending ticks drain and their frames reach the sink")
+	frameMu.Lock() // the last sink call may still be in its send
 	close(frameCh)
+	frameMu.Unlock()
 	bcastWG.Wait()
 
 	st := d.TransportStats()
@@ -183,21 +196,23 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatalf("emitted %d frames but stats say %d complete + %d partial", emitted, st.CompleteFrames, st.PartialFrames)
 	}
 
-	// The chaos actually happened and the loop survived it.
+	// The chaos actually happened — an unloaded run sees a kill every
+	// 7 ticks; a third of that is the floor — and the loop survived it.
+	minFaults := totalTicks / 20
 	pst := p.Stats()
-	if pst.Kills == 0 {
-		t.Fatalf("faultnet injected no kills: %+v", pst)
+	if pst.Kills < minFaults {
+		t.Fatalf("faultnet injected %d kills, want ≥ %d: %+v", pst.Kills, minFaults, pst)
 	}
-	if st.Reconnects == 0 {
-		t.Fatalf("no reconnects observed: daemon %+v proxy %+v", st, pst)
+	if st.Reconnects < minFaults {
+		t.Fatalf("%d reconnects observed, want ≥ %d: daemon %+v proxy %+v", st.Reconnects, minFaults, st, pst)
 	}
 	var agentReconnects int64
 	for _, a := range agents {
 		agentReconnects += a.Reconnects()
 		a.Close()
 	}
-	if agentReconnects == 0 {
-		t.Fatal("no agent ever reconnected")
+	if agentReconnects < minFaults {
+		t.Fatalf("agents reconnected %d times, want ≥ %d", agentReconnects, minFaults)
 	}
 	if emitted < totalTicks/4 {
 		t.Fatalf("control loop starved: %d frames emitted over %d ticks (stats %+v, proxy %+v, %d sends skipped)",

@@ -103,8 +103,10 @@ type NodeAgent struct {
 	drained chan struct{} // closed when the supervisor exits (peer done)
 
 	mu         sync.Mutex
-	conn       net.Conn // nil while reconnecting
+	conn       net.Conn     // nil while reconnecting
+	w          *wire.Writer // on conn; its buffer is reused by every send
 	enc        *wire.DiffEncoder
+	ind        wire.Indicators // the message enc fills each tick, reused
 	epoch      uint64
 	closed     bool
 	failed     error // terminal failure; sends return it
@@ -138,7 +140,7 @@ func DialOpts(addr string, nodeID, numPIs int, role string, opts Opts) (*NodeAge
 	if err != nil {
 		return nil, err
 	}
-	a.conn = conn
+	a.conn, a.w = conn, wire.NewWriter(conn)
 	a.epoch = 1
 	a.enc = wire.NewDiffEncoder(nodeID, numPIs)
 	go a.supervise(conn)
@@ -168,12 +170,13 @@ func (a *NodeAgent) handshake(epoch uint64) (net.Conn, error) {
 		return nil, err
 	}
 	conn.SetDeadline(time.Time{})
-	if ack.Type != wire.MsgAck || ack.Ack == nil || !ack.Ack.OK {
+	if ack.Type != wire.MsgAck {
 		conn.Close()
-		if ack.Ack != nil {
-			return nil, permanentError{fmt.Errorf("agent: registration rejected: %s", ack.Ack.Error)}
-		}
 		return nil, permanentError{fmt.Errorf("agent: registration rejected")}
+	}
+	if !ack.Ack.OK {
+		conn.Close()
+		return nil, permanentError{fmt.Errorf("agent: registration rejected: %s", ack.Ack.Error)}
 	}
 	return conn, nil
 }
@@ -192,7 +195,7 @@ func (a *NodeAgent) supervise(conn net.Conn) {
 			return
 		}
 		if a.conn == conn {
-			a.conn = nil
+			a.conn, a.w = nil, nil
 		}
 		a.mu.Unlock()
 		conn.Close()
@@ -212,14 +215,17 @@ func (a *NodeAgent) supervise(conn net.Conn) {
 
 // readLoop delivers actions from one connection until it errors.
 func (a *NodeAgent) readLoop(conn net.Conn) {
+	rd := wire.NewReader(conn)
 	for {
-		env, err := wire.ReadMsg(conn)
+		env, err := rd.Read()
 		if err != nil {
 			return
 		}
-		if env.Type == wire.MsgAction && env.Action != nil {
+		if env.Type == wire.MsgAction {
+			act := *env.Action
+			act.Values = append([]float64(nil), act.Values...) // rd reuses its own
 			select {
-			case a.actions <- *env.Action:
+			case a.actions <- act:
 			default: // drop if the consumer is stuck; next action supersedes
 			}
 		}
@@ -277,7 +283,7 @@ func (a *NodeAgent) adopt(conn net.Conn, epoch uint64) bool {
 	if a.closed {
 		return false
 	}
-	a.conn = conn
+	a.conn, a.w = conn, wire.NewWriter(conn)
 	a.epoch = epoch
 	a.enc = wire.NewDiffEncoder(a.nodeID, a.numPIs)
 	a.reconnects++
@@ -322,59 +328,58 @@ func (a *NodeAgent) heartbeatLoop() {
 				a.mu.Unlock()
 				return
 			}
-			conn := a.conn
-			if conn == nil {
-				a.mu.Unlock()
-				continue
-			}
-			env := &wire.Envelope{Type: wire.MsgHeartbeat, Heartbeat: &wire.Heartbeat{
-				NodeID: a.nodeID, Epoch: a.epoch,
-			}}
-			conn.SetWriteDeadline(time.Now().Add(a.opts.WriteTimeout))
-			err := wire.WriteMsg(conn, env)
-			if err != nil {
-				a.conn = nil
+			if a.conn != nil {
+				// Not counted in TrafficStats (that is the monitoring
+				// traffic); a failed write kicks the reconnect by itself.
+				a.writeLocked(&wire.Envelope{Type: wire.MsgHeartbeat, Heartbeat: &wire.Heartbeat{
+					NodeID: a.nodeID, Epoch: a.epoch,
+				}})
 			}
 			a.mu.Unlock()
-			if err != nil {
-				conn.Close() // wakes the supervisor's readLoop into a redial
-			}
 		}
 	}
 }
 
-// send frames and writes one envelope on the live connection, kicking a
-// reconnect when the write fails.
+// liveLocked reports why the agent cannot send right now, nil if it can.
+func (a *NodeAgent) liveLocked() error {
+	switch {
+	case a.closed:
+		return ErrClosed
+	case a.failed != nil:
+		return a.failed
+	case a.conn == nil:
+		return ErrReconnecting
+	}
+	return nil
+}
+
+// writeLocked frames env onto the live connection under the write
+// deadline and returns the frame's size. A failed write drops the
+// connection, which wakes the supervisor's readLoop into a redial.
+func (a *NodeAgent) writeLocked(env *wire.Envelope) (int, error) {
+	a.conn.SetWriteDeadline(time.Now().Add(a.opts.WriteTimeout))
+	n, err := a.w.Write(env)
+	if err != nil {
+		a.conn.Close()
+		a.conn, a.w = nil, nil
+		return 0, fmt.Errorf("%w: %v", ErrReconnecting, err)
+	}
+	return n, nil
+}
+
+// send writes one envelope on the live connection and counts it.
 func (a *NodeAgent) send(env *wire.Envelope) error {
-	buf, err := wire.Encode(env)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if err := a.liveLocked(); err != nil {
+		return err
+	}
+	n, err := a.writeLocked(env)
 	if err != nil {
 		return err
 	}
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		return ErrClosed
-	}
-	if a.failed != nil {
-		err := a.failed
-		a.mu.Unlock()
-		return err
-	}
-	conn := a.conn
-	if conn == nil {
-		a.mu.Unlock()
-		return ErrReconnecting
-	}
-	conn.SetWriteDeadline(time.Now().Add(a.opts.WriteTimeout))
-	if _, err := conn.Write(buf); err != nil {
-		a.conn = nil
-		a.mu.Unlock()
-		conn.Close() // wakes the supervisor's readLoop into a redial
-		return fmt.Errorf("%w: %v", ErrReconnecting, err)
-	}
-	a.sentBytes += int64(len(buf))
+	a.sentBytes += int64(n)
 	a.sentMsgs++
-	a.mu.Unlock()
 	return nil
 }
 
@@ -383,43 +388,22 @@ func (a *NodeAgent) send(env *wire.Envelope) error {
 // background reconnect the fresh encoder re-sends the full vector.
 func (a *NodeAgent) SendIndicators(tick int64, pis []float64) error {
 	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		return ErrClosed
-	}
-	if a.failed != nil {
-		err := a.failed
-		a.mu.Unlock()
+	defer a.mu.Unlock()
+	if err := a.liveLocked(); err != nil {
 		return err
-	}
-	if a.conn == nil {
-		a.mu.Unlock()
-		return ErrReconnecting
 	}
 	// Encode under the lock: the encoder's prev-state must stay in
 	// lockstep with the connection it was created for.
-	msg, err := a.enc.Encode(tick, pis)
-	if err != nil {
-		a.mu.Unlock()
+	if err := a.enc.EncodeInto(&a.ind, tick, pis); err != nil {
 		return err
 	}
-	msg.Epoch = a.epoch
-	conn := a.conn
-	buf, err := wire.Encode(&wire.Envelope{Type: wire.MsgIndicators, Indicators: msg})
+	a.ind.Epoch = a.epoch
+	n, err := a.writeLocked(&wire.Envelope{Type: wire.MsgIndicators, Indicators: &a.ind})
 	if err != nil {
-		a.mu.Unlock()
 		return err
 	}
-	conn.SetWriteDeadline(time.Now().Add(a.opts.WriteTimeout))
-	if _, err := conn.Write(buf); err != nil {
-		a.conn = nil
-		a.mu.Unlock()
-		conn.Close() // wakes the supervisor's readLoop into a redial
-		return fmt.Errorf("%w: %v", ErrReconnecting, err)
-	}
-	a.sentBytes += int64(len(buf))
+	a.sentBytes += int64(n)
 	a.sentMsgs++
-	a.mu.Unlock()
 	return nil
 }
 
@@ -483,7 +467,7 @@ func (a *NodeAgent) Close() error {
 	}
 	a.closed = true
 	conn := a.conn
-	a.conn = nil
+	a.conn, a.w = nil, nil
 	a.mu.Unlock()
 	close(a.done)
 	if conn == nil {

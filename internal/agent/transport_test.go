@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -448,5 +449,103 @@ func TestLivenessEvictsSilentAgent(t *testing.T) {
 	}
 	if d.TransportStats().Heartbeats < 2 {
 		t.Fatalf("heartbeats = %d", d.TransportStats().Heartbeats)
+	}
+}
+
+// TestDaemonRefusesOtherProtocolVersion: nothing but the version check
+// stands between a peer speaking another wire format and a daemon
+// misreading its frames, so a Hello with any other ProtoVersion is
+// refused by name — which NodeAgent turns into a permanent failure
+// rather than a redial loop — and registers nothing.
+func TestDaemonRefusesOtherProtocolVersion(t *testing.T) {
+	d, err := NewDaemon("127.0.0.1:0", 1, 2, func(int64, []float64) {}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for _, proto := range []int{0, wire.ProtoVersion - 1, wire.ProtoVersion + 1} {
+		conn, err := net.Dial("tcp", d.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := wire.WriteMsg(conn, &wire.Envelope{Type: wire.MsgHello, Hello: &wire.Hello{
+			NodeID: 0, Role: "monitor+control", NumPIs: 2, Epoch: 1, Proto: proto,
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		ack, err := wire.ReadMsg(conn)
+		if err != nil || ack.Type != wire.MsgAck || ack.Ack.OK || !strings.Contains(ack.Ack.Error, "protocol version") {
+			t.Fatalf("proto %d: want a protocol-version refusal, got %+v err %v", proto, ack, err)
+		}
+		if _, err := wire.ReadMsg(conn); err == nil {
+			t.Fatalf("proto %d: daemon kept the connection open after refusing it", proto)
+		}
+	}
+	if st := d.TransportStats(); st.Hellos != 0 || d.NumControlAgents() != 0 {
+		t.Fatalf("refused peers were registered: %+v, %d control agents", st, d.NumControlAgents())
+	}
+}
+
+// TestFramesDeliveredInResolutionOrder: frames reach the sink one at a
+// time, in the order the daemon resolved them, even when different
+// goroutines resolved them. Here a connection goroutine is still inside
+// the sink with tick 1 when the sweeper gap-fills tick 2: tick 2 must
+// wait its turn, not run beside (or ahead of) tick 1.
+func TestFramesDeliveredInResolutionOrder(t *testing.T) {
+	var mu sync.Mutex
+	var entered []int64
+	release := make(chan struct{})
+	d, err := NewDaemonOpts("127.0.0.1:0", 2, 1, func(tick int64, f []float64) {
+		mu.Lock()
+		entered = append(entered, tick)
+		mu.Unlock()
+		if tick == 1 {
+			<-release
+		}
+	}, nil, DaemonOpts{PartialFrameTimeout: 20 * time.Millisecond, SweepInterval: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock() // before Close, which waits for the goroutine in the sink
+	seen := func() []int64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]int64(nil), entered...)
+	}
+	var agents [2]*NodeAgent
+	for n := range agents {
+		if agents[n], err = DialOpts(d.Addr(), n, 1, "monitor", fastOpts()); err != nil {
+			t.Fatal(err)
+		}
+		defer agents[n].Close()
+	}
+	// Node 1 reports tick 1 last, so it is node 1's connection goroutine
+	// that completes the frame and sits in the sink; node 0's stays free.
+	if err := agents[0].SendIndicators(1, []float64{1}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return d.TransportStats().TicksStarted == 1 }, "tick 1 pending")
+	if err := agents[1].SendIndicators(1, []float64{1}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return len(seen()) == 1 }, "tick 1 in the sink")
+	// Node 0 alone reports tick 2; the sweeper resolves it while the
+	// sink is still busy with tick 1.
+	if err := agents[0].SendIndicators(2, []float64{2}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return d.TransportStats().PartialFrames == 1 }, "tick 2 gap-filled")
+	time.Sleep(30 * time.Millisecond)
+	if got := seen(); len(got) != 1 {
+		t.Fatalf("sink entered for %v while still busy with tick 1", got)
+	}
+	unblock()
+	waitFor(t, func() bool { return len(seen()) == 2 }, "tick 2 delivered")
+	if got := seen(); got[0] != 1 || got[1] != 2 {
+		t.Fatalf("delivery order %v, want [1 2]", got)
 	}
 }

@@ -176,8 +176,9 @@ type leaderPeer struct {
 	rank   int
 	epoch  uint64
 	conn   net.Conn
-	wmu    sync.Mutex // serializes writes (broadcast vs. future uses)
-	misses int        // consecutive collect rounds without a frame
+	wmu    sync.Mutex   // serializes writes (broadcast vs. future uses)
+	wr     *wire.Writer // under wmu
+	misses int          // consecutive collect rounds without a frame
 }
 
 // newClusterLeader binds the listen socket, publishes the initial
@@ -232,13 +233,14 @@ func (l *clusterLeader) acceptLoop() {
 func (l *clusterLeader) handshake(conn net.Conn) {
 	defer l.wg.Done()
 	_ = conn.SetDeadline(time.Now().Add(clusterHandshakeTimeout))
-	env, err := wire.ReadMsg(conn)
-	if err != nil || env.Type != wire.MsgHello || env.Hello == nil {
+	rd := wire.NewReader(conn)
+	env, err := rd.Read()
+	if err != nil || env.Type != wire.MsgHello {
 		conn.Close()
 		return
 	}
-	h := env.Hello
-	if h.Role != trainerRole || h.NodeID < 1 {
+	h := *env.Hello // rd reuses env on the next Read
+	if h.Proto != wire.ProtoVersion || h.Role != trainerRole || h.NodeID < 1 {
 		conn.Close()
 		return
 	}
@@ -261,7 +263,8 @@ func (l *clusterLeader) handshake(conn net.Conn) {
 	}
 	// Encode the welcome under l.mu: the snapshot buffers are reused
 	// across broadcasts, so the bytes must be captured before the next
-	// broadcast overwrites them.
+	// broadcast overwrites them. (A one-off buffer, garbage after the
+	// write: joins are rare and nothing this size should stay live.)
 	buf, encErr := wire.Encode(&wire.Envelope{Type: wire.MsgParamBcast, ParamBcast: &wire.ParamBcast{
 		Step:   l.snapStep,
 		Sync:   true,
@@ -279,7 +282,7 @@ func (l *clusterLeader) handshake(conn net.Conn) {
 		return
 	}
 	_ = conn.SetDeadline(time.Time{})
-	p := &leaderPeer{rank: h.NodeID, epoch: h.Epoch, conn: conn}
+	p := &leaderPeer{rank: h.NodeID, epoch: h.Epoch, conn: conn, wr: wire.NewWriter(conn)}
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -302,27 +305,24 @@ func (l *clusterLeader) handshake(conn net.Conn) {
 	l.mu.Unlock()
 	l.wakeup()
 	l.wg.Add(1)
-	go l.readFrames(p)
+	go l.readFrames(p, rd)
 }
 
 // readFrames drains one follower connection, parking valid gradient
 // frames for collect. Frame validity is keyed on the delivering
 // connection's epoch, so frames written before a drop can never count
 // toward a post-rejoin step.
-func (l *clusterLeader) readFrames(p *leaderPeer) {
+func (l *clusterLeader) readFrames(p *leaderPeer, rd *wire.Reader) {
 	defer l.wg.Done()
 	for {
-		env, err := wire.ReadMsg(p.conn)
+		env, err := rd.Read()
 		if err != nil {
 			l.dropPeer(p)
 			return
 		}
 		switch env.Type {
 		case wire.MsgGradFrame:
-			fr := env.GradFrame
-			if fr == nil {
-				continue
-			}
+			fr := env.GradFrame // freshly allocated by the Reader: safe to park
 			l.mu.Lock()
 			if l.peers[p.rank] != p || fr.Epoch != p.epoch || fr.Rank != p.rank {
 				l.stats.FramesStale++
@@ -428,8 +428,11 @@ func (l *clusterLeader) noteStep(accepted, pass, workers int) {
 // broadcast refreshes the published snapshot and fans the post-step
 // parameters out to every registered follower. Steady-state broadcasts
 // omit the target arena — followers replicate the update rule locally.
-// The envelope is encoded once; per-peer writes carry their own
-// deadlines so one stalled follower cannot wedge the tick longer than
+// Each peer's Writer streams the frame straight from the snapshot, so no
+// frame-sized buffer exists on the leader; that is safe outside l.mu
+// because only the engine's tick thread (this caller, and resync) ever
+// rewrites the snapshot. Per-peer writes carry their own deadlines so
+// one stalled follower cannot wedge the tick longer than
 // clusterWriteTimeout.
 func (l *clusterLeader) broadcast(step int64, loss float64, params, target []EnginePrecision) {
 	l.mu.Lock()
@@ -437,26 +440,23 @@ func (l *clusterLeader) broadcast(step int64, loss float64, params, target []Eng
 	l.snapLoss = loss
 	l.snapParams = nn.ExportFlat(l.snapParams, params)
 	l.snapTarget = nn.ExportFlat(l.snapTarget, target)
-	buf, err := wire.Encode(&wire.Envelope{Type: wire.MsgParamBcast, ParamBcast: &wire.ParamBcast{
+	env := wire.Envelope{Type: wire.MsgParamBcast, ParamBcast: &wire.ParamBcast{
 		Step:   step,
 		Loss:   loss,
 		Params: l.snapParams,
-	}})
+	}}
 	targets := make([]*leaderPeer, 0, len(l.peers))
 	for _, p := range l.peers {
 		targets = append(targets, p)
 	}
-	if err == nil && len(targets) > 0 {
+	if len(targets) > 0 {
 		l.stats.Broadcasts++
 	}
 	l.mu.Unlock()
-	if err != nil {
-		return
-	}
 	for _, p := range targets {
 		p.wmu.Lock()
 		_ = p.conn.SetWriteDeadline(time.Now().Add(clusterWriteTimeout))
-		_, werr := p.conn.Write(buf)
+		_, werr := p.wr.Write(&env)
 		_ = p.conn.SetWriteDeadline(time.Time{})
 		p.wmu.Unlock()
 		if werr != nil {
@@ -533,6 +533,8 @@ var errClusterBackoff = errors.New("capes: cluster dial backing off")
 type clusterFollower struct {
 	cfg      ClusterConfig
 	conn     net.Conn
+	rd       *wire.Reader // on conn
+	wr       *wire.Writer // on conn
 	epoch    uint64
 	synced   bool
 	nextDial int64 // earliest tick for the next dial attempt
@@ -550,7 +552,7 @@ func newClusterFollower(cfg ClusterConfig) *clusterFollower {
 func (f *clusterFollower) drop() {
 	if f.conn != nil {
 		f.conn.Close()
-		f.conn = nil
+		f.conn, f.rd, f.wr = nil, nil, nil
 	}
 	f.synced = false
 }
@@ -575,10 +577,10 @@ func (f *clusterFollower) ensureSynced(a *rl.Agent[EnginePrecision], now int64, 
 		}
 		f.epoch++
 		f.stats.Reconnects++
-		f.conn = conn
+		f.conn, f.rd, f.wr = conn, wire.NewReader(conn), wire.NewWriter(conn)
 		f.synced = false
 		_ = conn.SetWriteDeadline(time.Now().Add(clusterHandshakeTimeout))
-		err = wire.WriteMsg(conn, &wire.Envelope{Type: wire.MsgHello, Hello: &wire.Hello{
+		_, err = f.wr.Write(&wire.Envelope{Type: wire.MsgHello, Hello: &wire.Hello{
 			NodeID: f.cfg.Rank,
 			Role:   trainerRole,
 			Epoch:  f.epoch,
@@ -594,14 +596,14 @@ func (f *clusterFollower) ensureSynced(a *rl.Agent[EnginePrecision], now int64, 
 	}
 	_ = f.conn.SetReadDeadline(time.Now().Add(f.cfg.SyncTimeout))
 	for {
-		env, err := wire.ReadMsg(f.conn)
+		env, err := f.rd.Read()
 		if err != nil {
 			f.drop()
 			f.nextDial = now + redialBackoffTicks
 			f.stats.SyncFailures++
 			return err
 		}
-		if env.Type != wire.MsgParamBcast || env.ParamBcast == nil || !env.ParamBcast.Sync {
+		if env.Type != wire.MsgParamBcast || !env.ParamBcast.Sync {
 			continue
 		}
 		b := env.ParamBcast
@@ -620,7 +622,7 @@ func (f *clusterFollower) ensureSynced(a *rl.Agent[EnginePrecision], now int64, 
 // pushFrame sends one gradient frame to the leader.
 func (f *clusterFollower) pushFrame(fr *wire.GradFrame) error {
 	_ = f.conn.SetWriteDeadline(time.Now().Add(clusterWriteTimeout))
-	err := wire.WriteMsg(f.conn, &wire.Envelope{Type: wire.MsgGradFrame, GradFrame: fr})
+	_, err := f.wr.Write(&wire.Envelope{Type: wire.MsgGradFrame, GradFrame: fr})
 	_ = f.conn.SetWriteDeadline(time.Time{})
 	if err != nil {
 		f.drop()
@@ -637,13 +639,13 @@ func (f *clusterFollower) pushFrame(fr *wire.GradFrame) error {
 func (f *clusterFollower) awaitBroadcast(a *rl.Agent[EnginePrecision]) error {
 	_ = f.conn.SetReadDeadline(time.Now().Add(f.cfg.SyncTimeout))
 	for {
-		env, err := wire.ReadMsg(f.conn)
+		env, err := f.rd.Read()
 		if err != nil {
 			f.stats.BcastMisses++
 			f.drop()
 			return err
 		}
-		if env.Type != wire.MsgParamBcast || env.ParamBcast == nil {
+		if env.Type != wire.MsgParamBcast {
 			continue
 		}
 		b := env.ParamBcast

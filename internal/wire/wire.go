@@ -1,29 +1,56 @@
 // Package wire implements the CAPES network protocol between Monitoring
-// Agents, the Interface Daemon and Control Agents (§3.3): length-prefixed
-// frames over TCP carrying gob-encoded messages, with two bandwidth
-// optimizations the paper calls out — a differential encoding that only
-// transmits performance indicators whose values changed since the
-// previous sampling tick, and flate compression of every payload.
+// Agents, the Interface Daemon and Control Agents (§3.3) and the cluster
+// gradient plane: length-prefixed binary frames over TCP, with the
+// bandwidth optimization the paper calls out — a differential encoding
+// that only transmits performance indicators whose values changed since
+// the previous sampling tick.
+//
+// Wire format (protocol version 4), one frame per message:
+//
+//	frame   := u32 length (big-endian) | u8 MsgType | body
+//	           length counts the type byte and the body: 1..MaxFrameBytes
+//	varint  := zig-zag LEB128 (encoding/binary) — every int / int64 field
+//	uvarint := LEB128 — uint64 fields and element counts
+//	f64/f32 := raw IEEE-754 bits, little-endian (bit-exact: NaN payloads, −0)
+//	string  := uvarint n | n bytes
+//	bool    := u8, 0 or 1
+//
+//	Hello          varint Proto | varint NodeID | string Role | varint NumPIs | string Hostname | uvarint Epoch
+//	Indicators     varint NodeID | varint Tick | uvarint Epoch | uvarint n | n × varint index delta | n × f64
+//	Action         varint Tick | varint ID | uvarint n | n × f64
+//	Ack            varint NodeID | varint Tick | bool OK | string Error
+//	WorkloadChange varint Tick | string Name
+//	Heartbeat      varint NodeID | uvarint Epoch
+//	GradFrame      varint Rank | uvarint Epoch | varint Step | varint BatchN | f64 Loss | uvarint n | n × f32
+//	ParamBcast     varint Step | bool Sync | f64 Loss | uvarint np | uvarint nt | np × f32 | nt × f32
+//
+// Indicators.Indices travel as deltas from the previous index (from 0
+// for the first), so the ascending runs DiffEncoder produces cost one
+// byte each: a steady-state message is ≈ 9 B per changed PI plus a
+// ≈ 10 B header. An empty slice and a nil slice both encode as count 0
+// and decode as nil.
+//
+// There is no compression and no self-describing layer, so a decoded
+// message cannot be larger than a small multiple of its frame (the worst
+// case is a one-byte index delta decoding to an eight-byte int): every
+// count is checked against the bytes left in the frame before anything
+// is allocated, trailing bytes are an error, and MaxFrameBytes is the
+// only size bound a reader needs.
+//
+// Versions do not interoperate: a Hello leads with the sender's
+// ProtoVersion and both the Interface Daemon and the cluster leader
+// refuse a peer that speaks another one. That leading field is the one
+// part of the layout later versions must keep.
 package wire
 
 import (
-	"bytes"
-	"compress/flate"
-	"encoding/binary"
-	"encoding/gob"
-	"errors"
 	"fmt"
-	"io"
 )
 
-// ProtoVersion is the wire protocol revision this package speaks.
-// Version 2 added session epochs (Hello.Epoch, Indicators.Epoch) and
-// heartbeats. Version 3 added the cluster gradient plane (GradFrame /
-// ParamBcast) for data-parallel co-training. Gob tolerates
-// unknown/missing fields, so older peers interoperate on the messages
-// they know: a v1 Hello arrives with Epoch 0, a v2 peer simply never
-// speaks the trainer role that carries the v3 messages.
-const ProtoVersion = 3
+// ProtoVersion is the wire protocol revision this package speaks; see
+// the package comment for the layout. Versions 1–3 were gob+flate
+// streams and are not understood.
+const ProtoVersion = 4
 
 // MsgType discriminates protocol messages.
 type MsgType int
@@ -73,10 +100,11 @@ type Hello struct {
 	// Epoch is the agent's session epoch: it starts at 1 on the first
 	// connection and increments on every reconnect. The daemon keys its
 	// DiffDecoder on it so differential state from a previous connection
-	// can never contaminate frames assembled after a reconnect. Legacy
-	// (v1) agents send 0.
+	// can never contaminate frames assembled after a reconnect.
 	Epoch uint64
-	// Proto is the sender's ProtoVersion (0 for legacy v1 agents).
+	// Proto is the sender's ProtoVersion. A receiver that speaks another
+	// version refuses the registration; a Hello decoded from such a peer
+	// carries only this field.
 	Proto int
 }
 
@@ -194,106 +222,6 @@ type Envelope struct {
 	ParamBcast     *ParamBcast
 }
 
-// Encode serializes an envelope: gob → flate → 4-byte big-endian length
-// prefix. Returns the framed bytes.
-func Encode(env *Envelope) ([]byte, error) {
-	var gobBuf bytes.Buffer
-	if err := gob.NewEncoder(&gobBuf).Encode(env); err != nil {
-		return nil, fmt.Errorf("wire: encode: %w", err)
-	}
-	var zBuf bytes.Buffer
-	zw, err := flate.NewWriter(&zBuf, flate.BestSpeed)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := zw.Write(gobBuf.Bytes()); err != nil {
-		return nil, err
-	}
-	if err := zw.Close(); err != nil {
-		return nil, err
-	}
-	out := make([]byte, 4+zBuf.Len())
-	binary.BigEndian.PutUint32(out[:4], uint32(zBuf.Len()))
-	copy(out[4:], zBuf.Bytes())
-	return out, nil
-}
-
-// MaxFrameBytes bounds a single protocol frame (defense against corrupt
-// length prefixes).
-const MaxFrameBytes = 16 << 20
-
-// MaxDecodedBytes bounds the decompressed size of one frame.
-// MaxFrameBytes only limits the compressed payload; flate expands
-// highly redundant input ~1000×, so a 16 MB compressed bomb could
-// otherwise force multi-GB allocations inside gob. The cap is far
-// above any legitimate message (per-node indicator diffs are hundreds
-// of bytes; even a million-value action vector gobs to ~9 MB).
-const MaxDecodedBytes = 32 << 20
-
-// ErrDecodedTooLarge reports a frame whose decompressed stream exceeds
-// MaxDecodedBytes — a corrupt or hostile peer, not a framing glitch.
-var ErrDecodedTooLarge = errors.New("wire: decoded payload exceeds MaxDecodedBytes")
-
-// cappedReader stops feeding gob once the budget is spent. gob rewrites
-// reader errors on some paths, so the overrun is recorded in tripped
-// and ReadMsg checks it after a failed decode rather than trusting the
-// error chain.
-type cappedReader struct {
-	r       io.Reader
-	n       int64
-	tripped bool
-}
-
-func (c *cappedReader) Read(p []byte) (int, error) {
-	if c.n <= 0 {
-		c.tripped = true
-		return 0, ErrDecodedTooLarge
-	}
-	if int64(len(p)) > c.n {
-		p = p[:c.n]
-	}
-	n, err := c.r.Read(p)
-	c.n -= int64(n)
-	return n, err
-}
-
-// WriteMsg frames and writes an envelope to w.
-func WriteMsg(w io.Writer, env *Envelope) error {
-	buf, err := Encode(env)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
-// ReadMsg reads one framed envelope from r.
-func ReadMsg(r io.Reader) (*Envelope, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n == 0 || n > MaxFrameBytes {
-		return nil, fmt.Errorf("wire: invalid frame length %d", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	zr := flate.NewReader(bytes.NewReader(payload))
-	defer zr.Close()
-	cr := &cappedReader{r: zr, n: MaxDecodedBytes}
-	var env Envelope
-	if err := gob.NewDecoder(cr).Decode(&env); err != nil {
-		if cr.tripped {
-			return nil, fmt.Errorf("wire: decode: %w", ErrDecodedTooLarge)
-		}
-		return nil, fmt.Errorf("wire: decode: %w", err)
-	}
-	return &env, nil
-}
-
 // DiffEncoder produces differential Indicators messages: it remembers the
 // previous tick's values and emits only changed slots. "We use a
 // differential communication protocol designed to only send out a
@@ -312,10 +240,26 @@ func NewDiffEncoder(nodeID, numPIs int) *DiffEncoder {
 
 // Encode builds the differential message for this tick's full PI vector.
 func (d *DiffEncoder) Encode(tick int64, pis []float64) (*Indicators, error) {
-	if len(pis) != len(d.prev) {
-		return nil, fmt.Errorf("wire: diff encoder got %d PIs, want %d", len(pis), len(d.prev))
+	msg := new(Indicators)
+	if err := d.EncodeInto(msg, tick, pis); err != nil {
+		return nil, err
 	}
-	msg := &Indicators{NodeID: d.nodeID, Tick: tick}
+	return msg, nil
+}
+
+// EncodeInto is Encode into a message the caller owns, reusing the
+// capacity of its Indices and Values; Epoch is left for the caller.
+func (d *DiffEncoder) EncodeInto(msg *Indicators, tick int64, pis []float64) error {
+	if len(pis) != len(d.prev) {
+		return fmt.Errorf("wire: diff encoder got %d PIs, want %d", len(pis), len(d.prev))
+	}
+	if cap(msg.Indices) < len(pis) || cap(msg.Values) < len(pis) {
+		// Room for a full vector up front: no append growth, ever.
+		msg.Indices = make([]int, 0, len(pis))
+		msg.Values = make([]float64, 0, len(pis))
+	}
+	msg.NodeID, msg.Tick = d.nodeID, tick
+	msg.Indices, msg.Values = msg.Indices[:0], msg.Values[:0]
 	for i, v := range pis {
 		if d.first || v != d.prev[i] {
 			msg.Indices = append(msg.Indices, i)
@@ -324,7 +268,7 @@ func (d *DiffEncoder) Encode(tick int64, pis []float64) (*Indicators, error) {
 	}
 	copy(d.prev, pis)
 	d.first = false
-	return msg, nil
+	return nil
 }
 
 // DiffDecoder reconstructs full PI vectors from differential messages.
@@ -337,27 +281,32 @@ func NewDiffDecoder(numPIs int) *DiffDecoder {
 	return &DiffDecoder{cur: make([]float64, numPIs)}
 }
 
+// Merge applies a differential message to the decoder's vector. A
+// message that fails validation leaves the vector untouched.
+func (d *DiffDecoder) Merge(msg *Indicators) error {
+	if len(msg.Indices) != len(msg.Values) {
+		return fmt.Errorf("wire: indices/values length mismatch")
+	}
+	for _, idx := range msg.Indices {
+		if idx < 0 || idx >= len(d.cur) {
+			return fmt.Errorf("wire: PI index %d out of range", idx)
+		}
+	}
+	for k, idx := range msg.Indices {
+		d.cur[idx] = msg.Values[k]
+	}
+	return nil
+}
+
+// Current returns the decoder's full vector as of the last Merge. It is
+// the decoder's own storage: read-only, and valid until the next Merge.
+func (d *DiffDecoder) Current() []float64 { return d.cur }
+
 // Apply merges a differential message and returns a copy of the full
 // vector.
 func (d *DiffDecoder) Apply(msg *Indicators) ([]float64, error) {
-	if len(msg.Indices) != len(msg.Values) {
-		return nil, fmt.Errorf("wire: indices/values length mismatch")
-	}
-	for k, idx := range msg.Indices {
-		if idx < 0 || idx >= len(d.cur) {
-			return nil, fmt.Errorf("wire: PI index %d out of range", idx)
-		}
-		d.cur[idx] = msg.Values[k]
+	if err := d.Merge(msg); err != nil {
+		return nil, err
 	}
 	return append([]float64(nil), d.cur...), nil
-}
-
-// MessageBytes returns the framed wire size of an envelope — the Table 2
-// "average message size per client" measurement hook.
-func MessageBytes(env *Envelope) (int, error) {
-	buf, err := Encode(env)
-	if err != nil {
-		return 0, err
-	}
-	return len(buf), nil
 }

@@ -2,9 +2,7 @@ package wire
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
-	"errors"
 	"io"
 	"math/rand"
 	"net"
@@ -14,7 +12,7 @@ import (
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	envs := []*Envelope{
-		{Type: MsgHello, Hello: &Hello{NodeID: 3, Role: "monitor", NumPIs: 10, Hostname: "client-3"}},
+		{Type: MsgHello, Hello: &Hello{NodeID: 3, Role: "monitor", NumPIs: 10, Hostname: "client-3", Proto: ProtoVersion}},
 		{Type: MsgIndicators, Indicators: &Indicators{NodeID: 1, Tick: 42, Indices: []int{0, 5}, Values: []float64{1.5, -2}}},
 		{Type: MsgAction, Action: &Action{Tick: 7, Values: []float64{8, 20000}, ID: 2}},
 		{Type: MsgAck, Ack: &Ack{NodeID: 2, Tick: 7, OK: false, Error: "boom"}},
@@ -92,52 +90,74 @@ func TestHeartbeatAndEpochRoundTrip(t *testing.T) {
 	}
 }
 
-// frameBomb builds a legally-framed payload that flate-inflates into a
-// gob stream claiming one enormous message followed by zeros — a few
-// hundred KB on the wire, hundreds of MB decoded.
-func frameBomb(t *testing.T, claimedLen uint32, decodedSize int) []byte {
-	t.Helper()
-	var z bytes.Buffer
-	zw, err := flate.NewWriter(&z, flate.BestCompression)
+// A frame whose count field promises far more elements than the frame
+// has bytes for must be refused before anything is allocated for them.
+func TestReadMsgRejectsOversizedCount(t *testing.T) {
+	const claimed = 1 << 30
+	action := binary.AppendUvarint([]byte{0, 0, 0, 0, byte(MsgAction), 2, 4}, claimed) // tick 1, id 2
+	action = relen(append(action, make([]byte, 20-len(action))...))
+
+	grads := []byte{0, 0, 0, 0, byte(MsgGradFrame), 2, 1, 2, 2} // rank, epoch, step, batch
+	grads = append(grads, make([]byte, 8)...)                   // loss
+	grads = relen(append(binary.AppendUvarint(grads, claimed), 0, 0, 0, 0))
+
+	for name, frame := range map[string][]byte{"action": action, "grad-frame": grads} {
+		var err error
+		got := allocatedBytes(func() { _, err = ReadMsg(bytes.NewReader(frame)) })
+		if err == nil {
+			t.Fatalf("%s: a %d-byte frame claiming 2^30 values must be rejected", name, len(frame))
+		}
+		if got > 64<<10 {
+			t.Fatalf("%s: rejected frame still allocated %d bytes", name, got)
+		}
+	}
+}
+
+func TestReadMsgRejectsMalformedFrames(t *testing.T) {
+	valid, err := Encode(&Envelope{Type: MsgAck, Ack: &Ack{NodeID: 1, Tick: 2, OK: true, Error: "x"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// gob message framing: uvarint byte-count prefix (0xFC = "4 bytes
-	// follow", big-endian) then the message body.
-	header := []byte{0xFC, byte(claimedLen >> 24), byte(claimedLen >> 16), byte(claimedLen >> 8), byte(claimedLen)}
-	if _, err := zw.Write(header); err != nil {
-		t.Fatal(err)
+	cases := map[string][]byte{
+		"unknown type 0":  {0, 0, 0, 1, 0},
+		"unknown type 9":  {0, 0, 0, 2, 9, 0},
+		"trailing byte":   relen(append(bytes.Clone(valid), 0)),
+		"truncated field": relen(bytes.Clone(valid[:len(valid)-1])),
+		"bool out of range": func() []byte {
+			b := bytes.Clone(valid)
+			b[7] = 2
+			return b
+		}(),
 	}
-	zeros := make([]byte, 64<<10)
-	for written := 0; written < decodedSize; written += len(zeros) {
-		if _, err := zw.Write(zeros); err != nil {
-			t.Fatal(err)
+	for name, frame := range cases {
+		if env, err := ReadMsg(bytes.NewReader(frame)); err == nil {
+			t.Errorf("%s: accepted as %+v", name, env)
 		}
 	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
+	if _, err := Encode(&Envelope{Type: MsgType(42)}); err == nil {
+		t.Error("encoding an unknown message type must fail")
 	}
-	if z.Len() > MaxFrameBytes {
-		t.Fatalf("bomb compressed to %d bytes, not under MaxFrameBytes", z.Len())
+	if _, err := Encode(&Envelope{Type: MsgAction}); err == nil {
+		t.Error("encoding an envelope without its body must fail")
 	}
-	frame := make([]byte, 4+z.Len())
-	binary.BigEndian.PutUint32(frame[:4], uint32(z.Len()))
-	copy(frame[4:], z.Bytes())
-	return frame
+	if _, err := Encode(&Envelope{Type: MsgIndicators, Indicators: &Indicators{Indices: []int{1}}}); err == nil {
+		t.Error("encoding mismatched indices/values must fail")
+	}
 }
 
-func TestReadMsgRejectsDecompressionBomb(t *testing.T) {
-	// A gob message claiming 64 MB (2× MaxDecodedBytes), backed by
-	// 64 MB of zeros that compress to ~64 KB: ReadMsg must stop at
-	// MaxDecodedBytes and fail with ErrDecodedTooLarge instead of
-	// ballooning inside gob.
-	frame := frameBomb(t, 64<<20, 64<<20)
-	_, err := ReadMsg(bytes.NewReader(frame))
-	if err == nil {
-		t.Fatal("decompression bomb must be rejected")
+// A Hello from another protocol version decodes to just that version —
+// whatever follows is that version's business — so the receiver can
+// refuse it by name.
+func TestHelloFromOtherVersionCarriesOnlyProto(t *testing.T) {
+	frame := []byte{0, 0, 0, 0, byte(MsgHello)}
+	frame = binary.AppendVarint(frame, ProtoVersion+1)
+	frame = relen(append(frame, "some later layout"...))
+	env, err := ReadMsg(bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !errors.Is(err, ErrDecodedTooLarge) {
-		t.Fatalf("err = %v, want ErrDecodedTooLarge", err)
+	if env.Type != MsgHello || *env.Hello != (Hello{Proto: ProtoVersion + 1}) {
+		t.Fatalf("hello = %+v", env.Hello)
 	}
 }
 
@@ -238,8 +258,9 @@ func TestDiffDecoderRejectsBadIndices(t *testing.T) {
 	}
 }
 
-// The differential protocol plus compression must keep steady-state
-// messages small — the Table 2 claim (~186 B per client per second).
+// The differential protocol must keep steady-state messages small — the
+// Table 2 claim (~186 B per client per second): ≈ 9 B per changed PI
+// (one delta byte, eight value bytes) on a ≈ 10 B header.
 func TestMessageSizeSmallInSteadyState(t *testing.T) {
 	enc := NewDiffEncoder(0, 44) // the paper's 44 PIs per client
 	pis := make([]float64, 44)
@@ -257,8 +278,8 @@ func TestMessageSizeSmallInSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n > 600 {
-		t.Fatalf("steady-state message is %d bytes; differential encoding not effective", n)
+	if changed := len(msg.Indices); changed == 0 || changed > 6 || n > 12+9*changed {
+		t.Fatalf("steady-state message with %d changed PIs is %d bytes, want ≤ %d", changed, n, 12+9*changed)
 	}
 	// And far smaller than a naive full-vector message.
 	full := &Indicators{NodeID: 0, Tick: 2}
@@ -267,8 +288,8 @@ func TestMessageSizeSmallInSteadyState(t *testing.T) {
 		full.Values = append(full.Values, v)
 	}
 	fn, _ := MessageBytes(&Envelope{Type: MsgIndicators, Indicators: full})
-	if n >= fn {
-		t.Fatalf("diff message %d B not smaller than full %d B", n, fn)
+	if fn > 12+9*44 || n*4 >= fn {
+		t.Fatalf("diff message %d B vs full 44-PI message %d B", n, fn)
 	}
 }
 
