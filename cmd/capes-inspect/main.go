@@ -113,7 +113,7 @@ func inspectModel(path string, m *nn.MLP[float64]) {
 	fmt.Printf("  parameters:    %d (%.2f MB in memory)\n",
 		m.NumParams(), float64(m.NumParams()*elemSize)/1e6)
 	if fi, err := os.Stat(path); err == nil {
-		fmt.Printf("  on disk:       %.2f MB (compressed)\n", float64(fi.Size())/1e6)
+		fmt.Printf("  on disk:       %.2f MB\n", float64(fi.Size())/1e6)
 	}
 	if err := m.CheckFinite(); err != nil {
 		fmt.Printf("  WARNING:       %v\n", err)

@@ -226,8 +226,8 @@ func (l *clusterLeader) acceptLoop() {
 	}
 }
 
-// handshake validates a follower hello, serves the welcome sync and
-// registers the peer. A rank that is already registered is superseded
+// handshake validates a follower hello, registers the peer and serves
+// the welcome sync. A rank that is already registered is superseded
 // only by a strictly higher epoch — the rejoin path; an equal-or-lower
 // epoch is a duplicate rank or a replayed connection and is refused.
 func (l *clusterLeader) handshake(conn net.Conn) {
@@ -257,7 +257,6 @@ func (l *clusterLeader) handshake(conn net.Conn) {
 			return
 		}
 		old.conn.Close()
-		delete(l.peers, h.NodeID)
 		delete(l.frames, h.NodeID)
 		l.stats.Evictions++
 	}
@@ -272,37 +271,30 @@ func (l *clusterLeader) handshake(conn net.Conn) {
 		Params: l.snapParams,
 		Target: l.snapTarget,
 	}})
-	l.mu.Unlock()
 	if encErr != nil {
-		conn.Close()
-		return
-	}
-	if _, err := conn.Write(buf); err != nil {
-		conn.Close()
-		return
-	}
-	_ = conn.SetDeadline(time.Time{})
-	p := &leaderPeer{rank: h.NodeID, epoch: h.Epoch, conn: conn, wr: wire.NewWriter(conn)}
-	l.mu.Lock()
-	if l.closed {
+		delete(l.peers, h.NodeID)
 		l.mu.Unlock()
 		conn.Close()
 		return
 	}
-	if cur := l.peers[h.NodeID]; cur != nil {
-		// A concurrent handshake for the same rank landed while the
-		// welcome sync was in flight; the higher epoch wins.
-		if cur.epoch >= h.Epoch {
-			l.mu.Unlock()
-			conn.Close()
-			return
-		}
-		cur.conn.Close()
-		l.stats.Evictions++
-	}
+	// Register before the welcome goes out, holding the peer's write lock
+	// until it has. A follower that has read its welcome is then already a
+	// peer collect waits for — ClusterSync's contract; were it registered
+	// after the write, the leader could run steps ahead of a follower that
+	// believes itself joined, and each would sit out the other's timeout —
+	// and a broadcast to it queues behind the welcome.
+	p := &leaderPeer{rank: h.NodeID, epoch: h.Epoch, conn: conn, wr: wire.NewWriter(conn)}
+	p.wmu.Lock()
 	l.peers[h.NodeID] = p
 	l.stats.Syncs++
 	l.mu.Unlock()
+	_, err = conn.Write(buf)
+	_ = conn.SetDeadline(time.Time{})
+	p.wmu.Unlock()
+	if err != nil {
+		l.dropPeer(p)
+		return
+	}
 	l.wakeup()
 	l.wg.Add(1)
 	go l.readFrames(p, rd)

@@ -166,6 +166,10 @@ func TestClusterGoldenTrajectory(t *testing.T) {
 		if err := followers[i].ClusterSync(); err != nil {
 			t.Fatal(err)
 		}
+		// A follower that holds its welcome is one the leader waits for.
+		if got := leader.Stats().Cluster.Followers; got != i+1 {
+			t.Fatalf("ClusterSync returned with %d of %d followers registered", got, i+1)
+		}
 	}
 
 	runs := make([]clusterRun, 3)

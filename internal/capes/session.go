@@ -50,16 +50,15 @@ const (
 // and must not be silently ignored.
 var ErrNoSession = errors.New("capes: no saved session")
 
-// manifestVersion is the current manifest schema. Version 2 added the
-// loss/TD-error telemetry and action counters; version 1 manifests
-// restore with those fields zero.
+// manifestVersion is the manifest schema; RestoreSession refuses any
+// other.
 const manifestVersion = 2
 
 // sessionManifest is the checkpoint manifest. Fields consumed on
 // restore: FrameWidth/NumActions gate compatibility, CurrentValues
 // restores the engine's view of the applied parameters, TrainSteps
 // restores the agent's global step counter (hard-update phase, EWMA
-// seeding and the divergence-scan schedule all key off it), and the v2
+// seeding and the divergence-scan schedule all key off it), and the
 // telemetry fields keep Stats/history monotonic across a resume.
 type sessionManifest struct {
 	Version       int       `json:"version"`
@@ -230,6 +229,9 @@ func (e *Engine) RestoreSession(dir string) error {
 	if err := json.Unmarshal(buf, &m); err != nil {
 		return fmt.Errorf("capes: bad session manifest: %w", err)
 	}
+	if m.Version != manifestVersion {
+		return fmt.Errorf("capes: session manifest version %d, this build reads %d", m.Version, manifestVersion)
+	}
 	if m.FrameWidth != e.cfg.FrameWidth {
 		return fmt.Errorf("capes: session frame width %d, engine %d", m.FrameWidth, e.cfg.FrameWidth)
 	}
@@ -241,9 +243,8 @@ func (e *Engine) RestoreSession(dir string) error {
 			len(m.CurrentValues), len(e.cfg.Space.Tunables))
 	}
 	// The loader converts from whatever precision the checkpoint was
-	// written at: a float64 checkpoint from an older session narrows
-	// into the float32 engine (one rounding per parameter), a float32
-	// checkpoint restores bit-exactly.
+	// written at: a float64 checkpoint narrows into the float32 engine
+	// (one rounding per parameter), a float32 one restores bit-exactly.
 	model, err := nn.LoadFile[EnginePrecision](filepath.Join(dir, modelFile))
 	if err != nil {
 		return fmt.Errorf("capes: load model: %w", err)
@@ -346,12 +347,10 @@ func loadReplaySnapshot(path string, want replay.Config) (*replay.DB, error) {
 			got.FrameWidth, got.StackTicks, want.FrameWidth, want.StackTicks)
 	}
 	if got != want {
-		// The snapshot was taken under different retention settings —
-		// e.g. a pre-ring checkpoint whose Capacity counted frames
-		// where the ring's window counts ticks, or an operator who
-		// changed ReplayCapacity between runs. The engine's current
-		// configuration is authoritative: re-home the records into a
-		// ring sized for it (float32 values round-trip exactly).
+		// The snapshot was taken under different retention settings (an
+		// operator changed ReplayCapacity between runs). The engine's
+		// current configuration is authoritative: re-home the records
+		// into a ring sized for it (float32 values round-trip exactly).
 		fresh, err := replay.New(want)
 		if err != nil {
 			return nil, err

@@ -1,10 +1,15 @@
 package capes
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"io/fs"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"capes/internal/replay"
@@ -57,9 +62,12 @@ func copyDir(t *testing.T, src, dst string) {
 }
 
 // TestCheckpointCorruptFilesFailCleanly truncates and garbage-fills each
-// checkpoint file in turn, asserting restore reports a hard error (never
-// ErrNoSession — the checkpoint exists, it is damaged) and leaves the
-// engine untouched and still able to train.
+// checkpoint file in turn, and flips one bit inside the float payload of
+// the model and of the replay snapshot (damage that leaves the file
+// well-formed: only the checksum can tell). Restore must report a hard
+// error (never ErrNoSession — the checkpoint exists, it is damaged) and
+// leave the engine's agent, ring, history and current values exactly as
+// they were, still able to train.
 func TestCheckpointCorruptFilesFailCleanly(t *testing.T) {
 	src, tick := checkpointEngine(t, nil)
 	defer src.Stop()
@@ -68,51 +76,101 @@ func TestCheckpointCorruptFilesFailCleanly(t *testing.T) {
 	if err := src.SaveSession(golden); err != nil {
 		t.Fatal(err)
 	}
+	// Where the float payloads sit: the last bytes before each file's
+	// 4-byte checksum trailer.
+	payload := map[string]int{
+		modelFile:  4 * src.Agent().Online.NumParams(),
+		replayFile: 4 * src.DB().Config().FrameWidth * src.DB().Len(),
+	}
+	rng := rand.New(rand.NewSource(20260930))
 
 	corruptions := []struct {
 		name string
-		mut  func(path string) error
+		mut  func(path string, buf []byte) []byte
 	}{
-		{"truncate", func(path string) error {
-			buf, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(path, buf[:len(buf)/3], 0o644)
-		}},
-		{"garbage", func(path string) error {
-			return os.WriteFile(path, []byte("\x00\xffnot a checkpoint\x13\x37"), 0o644)
+		{"truncate", func(_ string, buf []byte) []byte { return buf[:len(buf)/3] }},
+		{"garbage", func(string, []byte) []byte { return []byte("\x00\xffnot a checkpoint\x13\x37") }},
+		{"bitflip", func(path string, buf []byte) []byte {
+			n := payload[filepath.Base(path)]
+			buf[len(buf)-4-n+rng.Intn(n)] ^= 1 << rng.Intn(8)
+			return buf
 		}},
 	}
 	for _, file := range []string{modelFile, replayFile, manifestFile, historyFile} {
 		for _, c := range corruptions {
+			if c.name == "bitflip" && payload[file] == 0 {
+				continue // the JSON files have no float payload
+			}
 			t.Run(file+"/"+c.name, func(t *testing.T) {
 				dir := filepath.Join(t.TempDir(), "ckpt")
 				copyDir(t, golden, dir)
-				if err := c.mut(filepath.Join(dir, file)); err != nil {
+				path := filepath.Join(dir, file)
+				buf, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, c.mut(path, buf), 0o644); err != nil {
 					t.Fatal(err)
 				}
 				eng, etick := checkpointEngine(t, nil)
 				defer eng.Stop()
-				before := eng.Stats()
-				err := eng.RestoreSession(dir)
+				runTicks(eng, etick, 1, 60)
+				agent, db, before := eng.Agent(), eng.DB(), eng.Stats()
+				params := append([]EnginePrecision(nil), agent.Online.FlatParams()...)
+				history, current := len(eng.History()), eng.CurrentValues()
+
+				err = eng.RestoreSession(dir)
 				if err == nil {
 					t.Fatal("restore of a corrupt checkpoint must fail")
 				}
 				if errors.Is(err, ErrNoSession) {
 					t.Fatalf("corrupt checkpoint misreported as absent: %v", err)
 				}
-				// No half-applied restore: the engine still looks
-				// exactly like a fresh one and still trains.
+				// No half-applied restore.
 				after := eng.Stats()
-				if after.TrainSteps != before.TrainSteps || after.ReplayRecords != before.ReplayRecords {
+				if eng.Agent() != agent || eng.DB() != db ||
+					after.TrainSteps != before.TrainSteps || after.ReplayRecords != before.ReplayRecords ||
+					len(eng.History()) != history || !slices.Equal(eng.CurrentValues(), current) ||
+					!slices.Equal(agent.Online.FlatParams(), params) {
 					t.Fatalf("failed restore mutated the engine: %+v vs %+v", after, before)
 				}
-				runTicks(eng, etick, 1, 40)
-				if eng.Stats().TrainSteps == 0 {
+				runTicks(eng, etick, 61, 100)
+				if eng.Stats().TrainSteps <= before.TrainSteps {
 					t.Fatal("engine cannot train after a failed restore")
 				}
 			})
+		}
+	}
+}
+
+// TestRestoreRejectsOtherManifestVersion: a manifest of another schema is
+// a hard error, not a restore with whichever fields happen to parse.
+func TestRestoreRejectsOtherManifestVersion(t *testing.T) {
+	src, tick := checkpointEngine(t, nil)
+	defer src.Stop()
+	runTicks(src, tick, 1, 100)
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	if err := src.SaveSession(dir); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, manifestFile)
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, version := range []string{`"version": 1`, `"version": 3`, `"versionless": 0`} {
+		old := fmt.Sprintf(`"version": %d`, manifestVersion)
+		if !bytes.Contains(buf, []byte(old)) {
+			t.Fatalf("manifest has no %s: %s", old, buf)
+		}
+		if err := os.WriteFile(path, bytes.Replace(buf, []byte(old), []byte(version), 1), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		eng, _ := checkpointEngine(t, nil)
+		err := eng.RestoreSession(dir)
+		eng.Stop()
+		if err == nil || errors.Is(err, ErrNoSession) || !strings.Contains(err.Error(), "manifest version") {
+			t.Fatalf("%s: got %v, want a manifest version error", version, err)
 		}
 	}
 }

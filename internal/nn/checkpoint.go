@@ -1,51 +1,48 @@
 package nn
 
 import (
-	"bytes"
-	"compress/flate"
-	"encoding/gob"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
-	"sync"
 
 	"capes/internal/tensor"
+	"capes/internal/wire"
 )
-
-// newZeroRand returns a deterministic RNG for models whose weights are
-// about to be overwritten (checkpoint load, Clone).
-func newZeroRand() *rand.Rand { return rand.New(rand.NewSource(0)) }
 
 // Checkpointing. The CAPES artifact "automatically checkpoints and stores
 // the trained model when being stopped, and loads the saved model when
-// being started next time" (§A.4). We serialize the MLP topology and
-// parameters with encoding/gob behind flate compression.
+// being started next time" (§A.4). A checkpoint is the MLP topology and
+// the flat parameter arena as raw little-endian floats, in the file
+// framing of internal/wire (magic, version, checksum trailer):
 //
-// The format is precision-tagged: version 2 records whether the arena
-// was float32 or float64 and stores it natively (a float32 model costs
-// half the bytes on disk). Load[E] restores into any precision —
-// same-precision round trips are bit-exact, float32→float64 widening is
-// exact, and float64→float32 rounds each parameter once (the standard
-// narrowing restore for resuming an old float64 session on the float32
-// engine). Version-1 checkpoints (per-tensor float64 slices, no tag)
-// remain readable.
-
-// checkpointFile is the on-disk gob structure.
-type checkpointFile struct {
-	Magic      string
-	Version    int
-	Sizes      []int
-	Activation int
-	Precision  string      // v2: "float32" or "float64"
-	Flat64     []float64   // v2: the flat parameter arena at float64
-	Flat32     []float32   // v2: the flat parameter arena at float32
-	Weights    [][]float64 // v1 layout, aligned with Params(); read-only
-}
+//	offset  size  field
+//	0       8     magic "CAPESDNN"
+//	8       4     u32 format version (3)
+//	12      4     u32 precision p: bytes per parameter, 4 (float32) or 8 (float64)
+//	16      4     i32 hidden activation (Activation)
+//	20      4     u32 L, the number of layer widths
+//	24      8     u64 N, the number of parameters
+//	32      4·L   u32 layer widths: input, hidden..., output
+//	32+4·L  p·N   the parameter arena, layer by layer (weights, then bias)
+//	…       4     u32 CRC-32C of every byte before it
+//
+// The arena is stored at the model's own precision and Load[E] restores
+// into any: same-precision round trips are bit-exact (NaN payloads and −0
+// included), float32→float64 widening is exact, and float64→float32
+// rounds each parameter once. Load checks N against the layer widths and
+// the file's length against N before it allocates, and verifies the
+// checksum before it returns. There is one format and no compression
+// (see internal/wire/file.go): versions 1 and 2 were gob+flate streams
+// and are not read — load and re-save them with the release that wrote
+// them first.
 
 const (
-	checkpointMagic   = "CAPES-DNN"
-	checkpointVersion = 2
+	checkpointMagic   = "CAPESDNN"
+	checkpointVersion = 3
+
+	checkpointFixedLen  = 32      // the header up to the layer widths
+	maxCheckpointLayers = 1 << 10 // layer widths in a header
+	maxCheckpointWidth  = 1 << 24 // units per layer, far above any real network
 )
 
 // precisionName returns the checkpoint tag for the element type.
@@ -56,121 +53,154 @@ func precisionName[E tensor.Element]() string {
 	return "float64"
 }
 
-// flateWriters recycles compressors across checkpoint saves: a
-// flate.Writer is ~300 KiB of window state, worth keeping off the GC on
-// the periodic-checkpoint path.
-var flateWriters sync.Pool
+// convertChunk is how many values a cross-precision save or load stages
+// at a time (see eachChunk).
+const convertChunk = wire.BulkChunk / 8
 
-func getFlateWriter(w io.Writer) *flate.Writer {
-	if v := flateWriters.Get(); v != nil {
-		fw := v.(*flate.Writer)
-		fw.Reset(w)
-		return fw
-	}
-	fw, _ := flate.NewWriter(w, flate.BestSpeed) // only errors on bad level
-	return fw
-}
-
-// Save writes the model parameters to w, tagged with the model's
-// precision. The flat arena is handed to the encoder directly — no copy
-// of the weights is made — and the compressor is recycled, so the save
-// path's only per-call allocations are the encoder's own.
+// Save writes the model to w at the model's precision. The arena goes
+// out in bounded chunks straight from the model's memory: nothing the
+// size of the model is allocated.
 func (m *MLP[E]) Save(w io.Writer) error {
-	fw := getFlateWriter(w)
-	defer flateWriters.Put(fw)
-	cf := checkpointFile{
-		Magic:      checkpointMagic,
-		Version:    checkpointVersion,
-		Sizes:      m.Sizes,
-		Activation: int(m.Activation),
-		Precision:  precisionName[E](),
+	fw := wire.NewFileWriter(w, checkpointMagic, checkpointVersion)
+	fw.Uint32(uint32(m.storedPrecision()))
+	fw.Uint32(uint32(int32(m.Activation)))
+	fw.Uint32(uint32(len(m.Sizes)))
+	fw.Uint64(uint64(len(m.paramData)))
+	for _, s := range m.Sizes {
+		fw.Uint32(uint32(s))
 	}
 	switch d := any(m.paramData).(type) {
-	case []float64:
-		cf.Flat64 = d
 	case []float32:
-		cf.Flat32 = d
-	default:
-		// Named element type: stage through a reusable float64 scratch
-		// (widening, so still lossless).
-		if m.saveScratch == nil {
-			m.saveScratch = make([]float64, len(m.paramData))
+		fw.Float32s(d)
+	case []float64:
+		fw.Float64s(d)
+	default: // a named element type: widened, which loses nothing
+		eachChunk(m.paramData, func(part []E, scratch []float64) {
+			tensor.Convert(scratch, part)
+			fw.Float64s(scratch)
+		})
+	}
+	if err := fw.Close(); err != nil {
+		return fmt.Errorf("nn: write checkpoint: %w", err)
+	}
+	return nil
+}
+
+// storedPrecision is the bytes per parameter Save writes: a float32 arena
+// as it is, anything else as float64.
+func (m *MLP[E]) storedPrecision() int {
+	if _, ok := any(m.paramData).([]float32); ok {
+		return 4
+	}
+	return 8
+}
+
+// eachChunk walks arena in convertChunk pieces, handing fn each piece
+// with an equally long scratch of the file's element type: a
+// cross-precision save or load stages that much and no more.
+func eachChunk[E, S tensor.Element](arena []E, fn func(part []E, scratch []S)) {
+	scratch := make([]S, min(len(arena), convertChunk))
+	for len(arena) > 0 {
+		k := min(len(arena), len(scratch))
+		fn(arena[:k], scratch[:k])
+		arena = arena[k:]
+	}
+}
+
+// checkpointHeader is what precedes the arena.
+type checkpointHeader struct {
+	precision  int // bytes per stored parameter
+	activation Activation
+	sizes      []int
+}
+
+// readCheckpointHeader opens a checkpoint on r and validates everything
+// its header claims: after it, the arena the header describes is exactly
+// what the file has left.
+func readCheckpointHeader(r io.Reader) (*wire.FileReader, checkpointHeader, error) {
+	var h checkpointHeader
+	fr, err := wire.NewFileReader(r, checkpointMagic, checkpointVersion)
+	if err != nil {
+		return nil, h, fmt.Errorf("nn: read checkpoint: %w", err)
+	}
+	h.precision = int(fr.Uint32())
+	h.activation = Activation(int32(fr.Uint32()))
+	layers, params := fr.Uint32(), fr.Uint64()
+	if err := fr.Err(); err != nil {
+		return nil, h, fmt.Errorf("nn: read checkpoint: %w", err)
+	}
+	if h.precision != 4 && h.precision != 8 {
+		return nil, h, fmt.Errorf("nn: checkpoint precision tag %d is neither 4 nor 8", h.precision)
+	}
+	if h.activation < ActNone || h.activation > ActReLU {
+		return nil, h, fmt.Errorf("nn: checkpoint has unknown activation %d", int(h.activation))
+	}
+	if layers < 2 || layers > maxCheckpointLayers || int64(layers)*4 > fr.Remaining() {
+		return nil, h, fmt.Errorf("nn: checkpoint claims %d layer widths with %d bytes left", layers, fr.Remaining())
+	}
+	h.sizes = make([]int, layers)
+	for i := range h.sizes {
+		h.sizes[i] = int(fr.Uint32())
+		if h.sizes[i] < 1 || h.sizes[i] > maxCheckpointWidth {
+			return nil, h, fmt.Errorf("nn: checkpoint layer width %d outside [1, %d]", h.sizes[i], maxCheckpointWidth)
 		}
-		tensor.Convert(m.saveScratch, m.paramData)
-		cf.Precision, cf.Flat64 = "float64", m.saveScratch
 	}
-	if err := gob.NewEncoder(fw).Encode(cf); err != nil {
-		return fmt.Errorf("nn: encode checkpoint: %w", err)
+	// Widths ≤ 2²⁴ and ≤ 2¹⁰ of them keep arenaLen below 2⁵⁹.
+	need := arenaLen(h.sizes)
+	if params != uint64(need) {
+		return nil, h, fmt.Errorf("nn: checkpoint has %d parameters, layers %v need %d", params, h.sizes, need)
 	}
-	return fw.Close()
+	if want := int64(need) * int64(h.precision); fr.Remaining() != want {
+		return nil, h, fmt.Errorf("nn: checkpoint arena needs %d bytes, file has %d", want, fr.Remaining())
+	}
+	return fr, h, nil
 }
 
 // Load reads a checkpoint from r and returns the model reconstructed at
 // precision E, converting from the stored precision if they differ.
 func Load[E tensor.Element](r io.Reader) (*MLP[E], error) {
-	cf, err := decodeCheckpoint(r)
+	fr, h, err := readCheckpointHeader(r)
 	if err != nil {
 		return nil, err
 	}
-	m := NewMLP[E](newZeroRand(), Activation(cf.Activation), cf.Sizes...)
+	m := NewMLP[E](nil, h.activation, h.sizes...)
+	d32, is32 := any(m.paramData).([]float32)
+	d64, is64 := any(m.paramData).([]float64)
 	switch {
-	case cf.Version == 1:
-		ps := m.Params()
-		if len(ps) != len(cf.Weights) {
-			return nil, fmt.Errorf("nn: checkpoint has %d tensors, model needs %d", len(cf.Weights), len(ps))
-		}
-		for i, p := range ps {
-			if len(cf.Weights[i]) != len(p.Data) {
-				return nil, fmt.Errorf("nn: checkpoint tensor %d has %d values, want %d", i, len(cf.Weights[i]), len(p.Data))
-			}
-			tensor.Convert(p.Data, cf.Weights[i])
-		}
-	case cf.Precision == "float64":
-		if len(cf.Flat64) != len(m.paramData) {
-			return nil, fmt.Errorf("nn: checkpoint has %d parameters, model needs %d", len(cf.Flat64), len(m.paramData))
-		}
-		tensor.Convert(m.paramData, cf.Flat64)
-	case cf.Precision == "float32":
-		if len(cf.Flat32) != len(m.paramData) {
-			return nil, fmt.Errorf("nn: checkpoint has %d parameters, model needs %d", len(cf.Flat32), len(m.paramData))
-		}
-		tensor.Convert(m.paramData, cf.Flat32)
+	case h.precision == 4 && is32:
+		fr.Float32s(d32)
+	case h.precision == 8 && is64:
+		fr.Float64s(d64)
+	case h.precision == 4:
+		eachChunk(m.paramData, func(part []E, scratch []float32) {
+			fr.Float32s(scratch)
+			tensor.Convert(part, scratch)
+		})
 	default:
-		return nil, fmt.Errorf("nn: unknown checkpoint precision %q", cf.Precision)
+		eachChunk(m.paramData, func(part []E, scratch []float64) {
+			fr.Float64s(scratch)
+			tensor.Convert(part, scratch)
+		})
+	}
+	if err := fr.Close(); err != nil {
+		return nil, fmt.Errorf("nn: read checkpoint: %w", err)
 	}
 	return m, nil
 }
 
-// decodeCheckpoint reads and validates the envelope shared by Load and
-// CheckpointInfo.
-func decodeCheckpoint(r io.Reader) (*checkpointFile, error) {
-	fr := flate.NewReader(r)
-	defer fr.Close()
-	var cf checkpointFile
-	if err := gob.NewDecoder(fr).Decode(&cf); err != nil {
-		return nil, fmt.Errorf("nn: decode checkpoint: %w", err)
-	}
-	if cf.Magic != checkpointMagic {
-		return nil, fmt.Errorf("nn: not a CAPES checkpoint (magic %q)", cf.Magic)
-	}
-	if cf.Version != 1 && cf.Version != checkpointVersion {
-		return nil, fmt.Errorf("nn: unsupported checkpoint version %d", cf.Version)
-	}
-	if cf.Version == 1 {
-		cf.Precision = "float64" // untagged legacy files are float64
-	}
-	return &cf, nil
-}
-
 // CheckpointInfo reports a checkpoint's precision tag and layer sizes
-// without instantiating a model (capes-inspect uses it so operators can
-// see what precision a session was trained at).
+// from its header alone, without reading the arena or verifying the
+// checksum (capes-inspect uses it so operators can see what precision a
+// session was trained at).
 func CheckpointInfo(r io.Reader) (precision string, sizes []int, err error) {
-	cf, err := decodeCheckpoint(r)
+	_, h, err := readCheckpointHeader(r)
 	if err != nil {
 		return "", nil, err
 	}
-	return cf.Precision, cf.Sizes, nil
+	if h.precision == 4 {
+		return "float32", h.sizes, nil
+	}
+	return "float64", h.sizes, nil
 }
 
 // CheckpointInfoFile is CheckpointInfo reading from a file.
@@ -185,21 +215,7 @@ func CheckpointInfoFile(path string) (precision string, sizes []int, err error) 
 
 // SaveFile writes a checkpoint to path (atomically via a temp file).
 func (m *MLP[E]) SaveFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := m.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return wire.WriteFileAtomic(path, m.Save)
 }
 
 // LoadFile reads a checkpoint from path at precision E.
@@ -215,9 +231,5 @@ func LoadFile[E tensor.Element](path string) (*MLP[E], error) {
 // CheckpointBytes returns the serialized size of the model, used for the
 // Table 2 "size of the DNN model" row alongside the in-memory Bytes().
 func (m *MLP[E]) CheckpointBytes() (int, error) {
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		return 0, err
-	}
-	return buf.Len(), nil
+	return checkpointFixedLen + 4*len(m.Sizes) + m.storedPrecision()*len(m.paramData) + 4, nil
 }

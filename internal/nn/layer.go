@@ -25,7 +25,9 @@
 // MLP's parameters, gradients, and the optimizer's moments each live in
 // one contiguous backing slice (see mlp.go), so whole-model passes such
 // as Adam, gradient clipping, and target-network updates are single
-// (optionally pool-sharded) sweeps over flat memory.
+// (optionally pool-sharded) sweeps over flat memory. That arena is also
+// what a checkpoint is: checkpoint.go has the byte layout of the file and
+// the checks Load makes before it allocates.
 package nn
 
 import (
@@ -78,7 +80,8 @@ func NewDense[E tensor.Element](in, out int, rng *rand.Rand) *Dense[E] {
 // newDenseArena builds a Dense whose parameters and gradients are views
 // into caller-provided backing slices of length in*out+out (weights
 // first, then bias). NewMLP passes segments of its contiguous arenas so
-// a whole network's parameters are one allocation.
+// a whole network's parameters are one allocation. A nil rng skips the
+// weight initialisation.
 func newDenseArena[E tensor.Element](in, out int, act Activation, params, grads []E, rng *rand.Rand) *Dense[E] {
 	if len(params) != in*out+out || len(grads) != in*out+out {
 		panic(fmt.Sprintf("nn: dense arena got %d/%d values for %d×%d+%d", len(params), len(grads), in, out, out))
@@ -93,7 +96,9 @@ func newDenseArena[E tensor.Element](in, out int, act Activation, params, grads 
 		GradW: tensor.FromSlice(in, out, grads[:wN:wN]),
 		GradB: grads[wN : wN+out : wN+out],
 	}
-	d.W.XavierFill(rng, in, out)
+	if rng != nil {
+		d.W.XavierFill(rng, in, out)
+	}
 	d.pviews = [2]*tensor.Matrix[E]{d.W, tensor.FromSlice(1, out, d.B)}
 	d.gviews = [2]*tensor.Matrix[E]{d.GradW, tensor.FromSlice(1, out, d.GradB)}
 	return d

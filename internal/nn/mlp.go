@@ -56,8 +56,6 @@ type MLP[E tensor.Element] struct {
 	gradData  []E // flat gradient arena
 
 	vecIn tensor.Matrix[E] // reusable 1×in header for the vector paths
-
-	saveScratch []float64 // reusable checkpoint staging (named element types only)
 }
 
 // arenaLen returns the flat parameter count for the given layer widths.
@@ -72,7 +70,8 @@ func arenaLen(sizes []int) int {
 // NewMLP builds an MLP with the given layer widths. The CAPES network is
 // NewMLP[E](rng, ActTanh, in, in, in, nActions): two hidden layers the
 // same size as the input (Table 1 "number of hidden layers"=2, "hidden
-// layer size"=input size).
+// layer size"=input size). A nil rng leaves the weights zero, for a model
+// whose parameters are about to be overwritten (checkpoint load, Clone).
 func NewMLP[E tensor.Element](rng *rand.Rand, act Activation, sizes ...int) *MLP[E] {
 	if len(sizes) < 2 {
 		panic("nn: MLP needs at least input and output sizes")
@@ -182,8 +181,7 @@ func (m *MLP[E]) Precision() string { return precisionName[E]() }
 // Clone returns a deep copy with identical weights (used to spawn the
 // target network from the online network).
 func (m *MLP[E]) Clone() *MLP[E] {
-	// Build with a throwaway RNG, then overwrite parameters.
-	c := NewMLP[E](rand.New(rand.NewSource(0)), m.Activation, m.Sizes...)
+	c := NewMLP[E](nil, m.Activation, m.Sizes...)
 	c.CopyParamsFrom(m)
 	return c
 }

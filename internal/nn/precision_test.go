@@ -2,8 +2,6 @@ package nn
 
 import (
 	"bytes"
-	"compress/flate"
-	"encoding/gob"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -95,50 +93,6 @@ func TestCheckpointFloat32ToFloat64RestoreIsExact(t *testing.T) {
 	for i, v := range m32.FlatParams() {
 		if back[i] != v {
 			t.Fatalf("param %d lost in f32→f64→f32 round trip", i)
-		}
-	}
-}
-
-// TestCheckpointLegacyV1Read: version-1 files (per-tensor float64
-// slices, no precision tag) must load into either precision.
-func TestCheckpointLegacyV1Read(t *testing.T) {
-	// Re-create the v1 on-disk layout byte-compatibly: gob matches struct
-	// fields by name, so a local struct with the v1 fields suffices.
-	type legacyFile struct {
-		Magic      string
-		Version    int
-		Sizes      []int
-		Activation int
-		Weights    [][]float64
-	}
-	ref := NewMLP[float64](rand.New(rand.NewSource(10)), ActTanh, 4, 6, 3)
-	lf := legacyFile{Magic: "CAPES-DNN", Version: 1, Sizes: ref.Sizes, Activation: int(ActTanh)}
-	for _, p := range ref.Params() {
-		lf.Weights = append(lf.Weights, append([]float64(nil), p.Data...))
-	}
-	var buf bytes.Buffer
-	fw, _ := flate.NewWriter(&buf, flate.BestSpeed)
-	if err := gob.NewEncoder(fw).Encode(lf); err != nil {
-		t.Fatal(err)
-	}
-	fw.Close()
-
-	m64, err := Load[float64](bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("v1 → float64: %v", err)
-	}
-	for i, v := range ref.FlatParams() {
-		if m64.FlatParams()[i] != v {
-			t.Fatalf("v1 float64 restore differs at %d", i)
-		}
-	}
-	m32, err := Load[float32](bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("v1 → float32: %v", err)
-	}
-	for i, v := range ref.FlatParams() {
-		if m32.FlatParams()[i] != float32(v) {
-			t.Fatalf("v1 float32 restore differs at %d", i)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"bytes"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -172,4 +173,63 @@ func BenchmarkReplayMemory(b *testing.B) {
 			runtime.KeepAlive(actions)
 		}
 	})
+}
+
+// rigSnapshotDB is the ring of the repo benchmark's checkpoint-cycle
+// workload: 32768 ticks of 5 nodes × 10 PIs, an action on every tick.
+func rigSnapshotDB(b *testing.B) *DB {
+	b.Helper()
+	const ticks, width = 32768, 50
+	db, err := New(Config{FrameWidth: width, StackTicks: 10, MissingTolerance: 0.2, Capacity: ticks})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	f := make(Frame, width)
+	for t := int64(0); t < ticks; t++ {
+		for j := range f {
+			f[j] = rng.NormFloat64()
+		}
+		if err := db.PutFrame(t, f); err != nil {
+			b.Fatal(err)
+		}
+		db.PutAction(t, int(t)%5)
+	}
+	return db
+}
+
+// BenchmarkSnapshotSave serialises the benchmark-rig ring into a reused
+// in-memory buffer; file_B is the snapshot's size.
+func BenchmarkSnapshotSave(b *testing.B) {
+	db := rigSnapshotDB(b)
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil { // grows the buffer outside the timer
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := db.Save(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(buf.Len()), "file_B")
+}
+
+// BenchmarkSnapshotLoad rebuilds the benchmark-rig ring from memory.
+func BenchmarkSnapshotLoad(b *testing.B) {
+	var buf bytes.Buffer
+	if err := rigSnapshotDB(b).Save(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db, err := Load(bytes.NewReader(buf.Bytes()))
+		if err != nil || db.Len() != 32768 {
+			b.Fatalf("Load: %v", err)
+		}
+	}
+	b.ReportMetric(float64(buf.Len()), "file_B")
 }

@@ -12,23 +12,18 @@ import (
 )
 
 // Fuzz targets for the two decode/update paths an operator can feed
-// hostile or corrupted data into: the snapshot decoder (persist.go,
-// v1+v2 formats) and the sum-tree priority structure behind prioritized
-// sampling. Corpus seeds live under testdata/fuzz/<Target>/ (checked
-// in); CI additionally runs each target for a short wall-clock smoke.
+// hostile or corrupted data into: the snapshot decoder (persist.go) and
+// the sum-tree priority structure behind prioritized sampling. Corpus
+// seeds live under testdata/fuzz/<Target>/ (checked in); CI additionally
+// runs each target for a short wall-clock smoke.
 
-// fuzzSeedSnapshots builds representative snapshot byte strings: a v2
-// ring dump (dense, with actions), a v2 dump from a bounded window, and
-// a legacy v1 file synthesized through the v1 encoder shape.
-func fuzzSeedSnapshots(tb testing.TB) [][]byte {
+// fuzzSeedDBs builds two representative rings: a dense unbounded one and
+// the bounded window left after evictions, both with actions on every
+// other tick.
+func fuzzSeedDBs(tb testing.TB) []*DB {
 	tb.Helper()
-	var out [][]byte
-
 	mk := func(cfg Config, ticks int64) *DB {
-		db, err := New(cfg)
-		if err != nil {
-			tb.Fatal(err)
-		}
+		db := mustDB(tb, cfg)
 		for t := int64(0); t < ticks; t++ {
 			f := make(Frame, cfg.FrameWidth)
 			for j := range f {
@@ -43,22 +38,25 @@ func fuzzSeedSnapshots(tb testing.TB) [][]byte {
 		}
 		return db
 	}
-
-	var buf bytes.Buffer
-	if err := mk(Config{FrameWidth: 3, StackTicks: 2, MissingTolerance: 0.2}, 24).Save(&buf); err != nil {
-		tb.Fatal(err)
+	return []*DB{
+		mk(Config{FrameWidth: 3, StackTicks: 2, MissingTolerance: 0.2}, 24),
+		mk(Config{FrameWidth: 2, StackTicks: 3, Capacity: 8}, 40),
 	}
-	out = append(out, append([]byte(nil), buf.Bytes()...))
+}
 
-	buf.Reset()
-	if err := mk(Config{FrameWidth: 2, StackTicks: 3, Capacity: 8}, 40).Save(&buf); err != nil {
-		tb.Fatal(err)
+// fuzzSeedSnapshots are the in-code seeds: the two valid snapshots, then
+// one truncated, one whose tick count its length cannot back, and one
+// with a bad checksum.
+func fuzzSeedSnapshots(tb testing.TB) [][]byte {
+	tb.Helper()
+	var out [][]byte
+	for _, db := range fuzzSeedDBs(tb) {
+		out = append(out, snapshotBytes(tb, db))
 	}
-	out = append(out, append([]byte(nil), buf.Bytes()...))
-
-	out = append(out, legacyV1Snapshot(tb))
-	out = append(out, []byte("garbage that is not even flate"))
-	return out
+	dense := out[0]
+	badSum := append([]byte(nil), dense...)
+	badSum[len(badSum)-1] ^= 0xff
+	return append(out, dense[:len(dense)/2], patched(dense, offTicks, 1<<30), badSum)
 }
 
 func FuzzSnapshotLoad(f *testing.F) {
@@ -67,6 +65,11 @@ func FuzzSnapshotLoad(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db, err := Load(bytes.NewReader(data))
+		if err != nil && len(data) >= 4 {
+			// A mutation almost always breaks the checksum first; sealed
+			// again, it gets to the structural checks behind it.
+			db, err = Load(bytes.NewReader(reseal(append([]byte(nil), data...))))
+		}
 		if err != nil {
 			return // rejecting malformed input is the contract
 		}
@@ -195,9 +198,10 @@ func FuzzSumTree(f *testing.F) {
 	})
 }
 
-// TestWriteFuzzCorpusSeeds regenerates the checked-in corpus seeds that
-// hold full valid snapshots (testdata/fuzz/FuzzSnapshotLoad/valid-*).
-// Guarded so it only runs when explicitly requested:
+// TestWriteFuzzCorpusSeeds regenerates the checked-in corpus: the in-code
+// seeds (testdata/fuzz/FuzzSnapshotLoad/valid-*) and the malformed
+// snapshots of persist_test.go (…/seed-corpus-*). Guarded so it only runs
+// when explicitly requested:
 //
 //	REPLAY_WRITE_CORPUS=1 go test ./internal/replay -run WriteFuzzCorpus
 func TestWriteFuzzCorpusSeeds(t *testing.T) {
@@ -208,11 +212,17 @@ func TestWriteFuzzCorpusSeeds(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for i, seed := range fuzzSeedSnapshots(t) {
+	write := func(name string, seed []byte) {
 		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(seed)) + ")\n"
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("valid-%d", i)), []byte(body), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for i, seed := range fuzzSeedSnapshots(t) {
+		write(fmt.Sprintf("valid-%d", i), seed)
+	}
+	for i, c := range malformedSnapshots(t) {
+		write(fmt.Sprintf("seed-corpus-%d", i), c.file)
 	}
 }
 

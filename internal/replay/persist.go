@@ -1,58 +1,59 @@
 package replay
 
 import (
-	"bytes"
-	"compress/flate"
-	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"sort"
+
+	"capes/internal/wire"
 )
 
 // Snapshot persistence. The SQLite file of the original prototype gave the
 // Replay DB durability across daemon restarts (§A.4: "different sessions
 // can use different ... replay database locations"). We provide the same
-// capability as an explicit snapshot: gob-encoded tables behind flate.
+// capability as an explicit snapshot: the ring's occupied slots in tick
+// order, in the file framing of internal/wire (magic, version, checksum
+// trailer), every integer fixed-width little-endian:
 //
-// Version 2 writes the arena ring natively: one contiguous []float32
-// frame slab (occupied rows compacted in tick order) plus parallel
-// tick/flag/action arrays — no per-frame boxing, no float64 widening, so
-// a v2 snapshot is less than half the bytes of v1 before compression.
-// Version 1 files (per-tick [][]float64 frames) remain readable; their
-// values narrow to float32 on load exactly as a live PutFrame would.
+//	offset  size    field
+//	0       8       magic "CAPESRDB"
+//	8       4       u32 format version (3)
+//	12      8       u64 Config.FrameWidth W
+//	20      8       u64 Config.StackTicks
+//	28      8       f64 Config.MissingTolerance
+//	36      8       u64 Config.Capacity
+//	44      8       u64 evictions so far
+//	52      8       u64 stale writes so far
+//	60      8       u64 T, ticks holding a frame and/or an action
+//	68      8       u64 F, ticks holding a frame
+//	76      8       u64 A, ticks holding an action
+//	84      8·T     i64 the ticks, ascending
+//	…       T       u8  presence flags per tick (1 frame, 2 action, 3 both)
+//	…       4·A     i32 action ids, in tick order
+//	…       4·W·F   f32 frame rows, in tick order
+//	…       4       u32 CRC-32C of every byte before it
 //
-// Both versions decode through one struct: gob matches fields by name
-// and ignores absences in either direction, so the v1 fields simply stay
-// nil when decoding a v2 stream and vice versa.
-
-type snapshotFile struct {
-	Magic   string
-	Version int
-	Cfg     Config
-
-	// Version 1: one boxed float64 frame per tick.
-	Ticks   []int64
-	Frames  [][]float64
-	ATicks  []int64
-	Actions []int
-
-	// Version 2: the ring, compacted. V2Ticks lists every occupied tick
-	// ascending with its presence flags in V2Flags; ticks with slotFrame
-	// own the next FrameWidth values of V2Slab, ticks with slotAction own
-	// the next entry of V2Acts.
-	V2Ticks   []int64
-	V2Flags   []uint8
-	V2Slab    []float32
-	V2Acts    []int32
-	Evictions int64
-	Stale     int64
-}
+// Save streams rows out of the ring and Load streams them back into a
+// ring allocated once at its final size; neither holds a second copy of
+// the slab. Load compares the length the counts imply with the length of
+// the file before it allocates, validates ticks and flags before it sizes
+// the ring, and verifies the checksum before it returns. There is one
+// format and no compression (see internal/wire/file.go): versions 1 and 2
+// were gob+flate streams and are not read — load and re-save them with
+// the release that wrote them first.
 
 const (
-	snapshotMagic   = "CAPES-REPLAY"
-	snapshotVersion = 2
+	snapshotMagic   = "CAPESRDB"
+	snapshotVersion = 3
+
+	snapshotHeaderLen = 84
 )
+
+// maxLoadWidth bounds the values per frame and per stacked observation a
+// snapshot may declare; far above any real PI layout (the paper's is
+// 1760 × 10).
+const maxLoadWidth = 1 << 24
 
 // maxLoadSpan bounds the tick span a snapshot may claim relative to its
 // record count. The ring is dense over the window's tick span, so a
@@ -73,7 +74,7 @@ func checkLoadSpan(first, last int64, records int) error {
 
 // checkLoadCells bounds the ring allocation a snapshot implies —
 // span slots × FrameWidth floats — proportionally to the data the file
-// actually carries (dataLen: decoded frame values + tick entries). The
+// actually carries (dataLen: frame values + tick entries). The
 // ring allocates every slot's frame row whether or not a frame is
 // present, so without this a tiny file declaring a huge FrameWidth and
 // one action-only tick (no slab bytes to back it) would make Load
@@ -81,12 +82,10 @@ func checkLoadSpan(first, last int64, records int) error {
 // ≈ one slot of data per slot; factor 64 covers gappy windows.
 func checkLoadCells(first, last int64, width, dataLen int) error {
 	const (
-		maxLoadWidth = 1 << 24 // frame values per tick; far above any real PI layout
 		// maxLoadCells caps the slab outright: 2 GiB of float32 — above
 		// the paper-scale replay DB (70 h × 1760 PIs ≈ 0.45 G cells) —
-		// because the proportional rule below can be amplified by a
-		// highly compressible hostile file (dataLen measures decoded
-		// entries, and flate can decode GBs from MBs).
+		// because the proportional rule below still lets a large hostile
+		// file ask for 64 times its own size.
 		maxLoadCells = 1 << 29
 	)
 	if width <= 0 || width > maxLoadWidth {
@@ -106,249 +105,207 @@ func checkLoadCells(first, last int64, width, dataLen int) error {
 	return nil
 }
 
-// Save serializes the database to w in the version-2 format.
+// eachOccupiedLocked calls fn for every occupied slot in tick order.
+func (db *DB) eachOccupiedLocked(fn func(tick int64, slot int, flags uint8)) {
+	if db.slots == 0 {
+		return
+	}
+	for t := db.lo; t <= db.hi; t++ {
+		if s := db.slotOf(t); db.flags[s] != 0 {
+			fn(t, s, db.flags[s])
+		}
+	}
+}
+
+// occupancyLocked counts the ticks a snapshot lists, and those among them
+// holding a frame and an action.
+func (db *DB) occupancyLocked() (ticks, frames, acts uint64) {
+	db.eachOccupiedLocked(func(_ int64, _ int, f uint8) {
+		ticks++
+		if f&slotFrame != 0 {
+			frames++
+		}
+		if f&slotAction != 0 {
+			acts++
+		}
+	})
+	return ticks, frames, acts
+}
+
+// snapshotLen is the exact length of a snapshot with these counts.
+func snapshotLen(ticks, frames, acts, width uint64) uint64 {
+	return snapshotHeaderLen + 9*ticks + 4*acts + 4*width*frames + 4
+}
+
+// Save serializes the database to w.
 func (db *DB) Save(w io.Writer) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	fw, err := flate.NewWriter(w, flate.BestSpeed)
-	if err != nil {
-		return err
-	}
-	sf := snapshotFile{
-		Magic:     snapshotMagic,
-		Version:   snapshotVersion,
-		Cfg:       db.cfg,
-		Evictions: db.evictions,
-		Stale:     db.stale,
-	}
-	fw32 := db.cfg.FrameWidth
-	if db.slots > 0 {
-		for t := db.lo; t <= db.hi; t++ {
-			s := db.slotOf(t)
-			f := db.flags[s]
-			if f == 0 {
-				continue
-			}
-			sf.V2Ticks = append(sf.V2Ticks, t)
-			sf.V2Flags = append(sf.V2Flags, f)
-			if f&slotFrame != 0 {
-				sf.V2Slab = append(sf.V2Slab, db.slab[s*fw32:(s+1)*fw32]...)
-			}
-			if f&slotAction != 0 {
-				sf.V2Acts = append(sf.V2Acts, db.acts[s])
-			}
+	ticks, frames, acts := db.occupancyLocked()
+	fw := wire.NewFileWriter(w, snapshotMagic, snapshotVersion)
+	fw.Uint64(uint64(db.cfg.FrameWidth))
+	fw.Uint64(uint64(db.cfg.StackTicks))
+	fw.Uint64(math.Float64bits(db.cfg.MissingTolerance))
+	fw.Uint64(uint64(db.cfg.Capacity))
+	fw.Uint64(uint64(db.evictions))
+	fw.Uint64(uint64(db.stale))
+	fw.Uint64(ticks)
+	fw.Uint64(frames)
+	fw.Uint64(acts)
+	db.eachOccupiedLocked(func(t int64, _ int, _ uint8) { fw.Uint64(uint64(t)) })
+	db.eachOccupiedLocked(func(_ int64, _ int, f uint8) { fw.Byte(f) })
+	db.eachOccupiedLocked(func(_ int64, s int, f uint8) {
+		if f&slotAction != 0 {
+			fw.Uint32(uint32(db.acts[s]))
 		}
+	})
+	width := db.cfg.FrameWidth
+	db.eachOccupiedLocked(func(_ int64, s int, f uint8) {
+		if f&slotFrame != 0 {
+			fw.Float32s(db.slab[s*width : (s+1)*width])
+		}
+	})
+	if err := fw.Close(); err != nil {
+		return fmt.Errorf("replay: write snapshot: %w", err)
 	}
-	if err := gob.NewEncoder(fw).Encode(sf); err != nil {
-		return fmt.Errorf("replay: encode snapshot: %w", err)
-	}
-	return fw.Close()
+	return nil
 }
 
-// Load reconstructs a database from a snapshot written by Save (either
-// version). All structural claims of the file are validated before use,
-// so a truncated or corrupted snapshot returns an error rather than a
-// panic or an inconsistent database.
+// Load reconstructs a database from a snapshot written by Save. Every
+// structural claim of the file is validated before it is used, so a
+// truncated or corrupted snapshot returns an error rather than a panic,
+// an allocation the file cannot back, or an inconsistent database.
 func Load(r io.Reader) (*DB, error) {
-	fr := flate.NewReader(r)
-	defer fr.Close()
-	var sf snapshotFile
-	if err := gob.NewDecoder(fr).Decode(&sf); err != nil {
-		return nil, fmt.Errorf("replay: decode snapshot: %w", err)
+	fr, err := wire.NewFileReader(r, snapshotMagic, snapshotVersion)
+	if err != nil {
+		return nil, fmt.Errorf("replay: read snapshot: %w", err)
 	}
-	if sf.Magic != snapshotMagic {
-		return nil, fmt.Errorf("replay: not a replay snapshot (magic %q)", sf.Magic)
+	width, stack := fr.Uint64(), fr.Uint64()
+	tolerance := math.Float64frombits(fr.Uint64())
+	capacity, evictions, stale := fr.Uint64(), fr.Uint64(), fr.Uint64()
+	nTicks, nFrames, nActs := fr.Uint64(), fr.Uint64(), fr.Uint64()
+	if err := fr.Err(); err != nil {
+		return nil, fmt.Errorf("replay: read snapshot: %w", err)
 	}
-	switch sf.Version {
-	case 1:
-		return loadV1(&sf)
-	case 2:
-		return loadV2(&sf)
-	default:
-		return nil, fmt.Errorf("replay: unsupported snapshot version %d", sf.Version)
+	if max(width, stack, capacity) > math.MaxInt || max(evictions, stale) > math.MaxInt64 {
+		return nil, fmt.Errorf("replay: snapshot header field out of range")
 	}
-}
-
-// loadV1 replays a version-1 table dump through the public write path.
-// Ticks are sorted first: v1 files recorded map iteration order, and the
-// ring's retention window is order-sensitive for inconsistent dumps.
-//
-// v1's Capacity counted retained *frames* (the map store's unit); the
-// ring's counts *ticks*. A sparse-tick v1 file can therefore span more
-// ticks than its Capacity — replaying it through a Capacity-sized
-// window would silently evict the oldest frames, so the window is
-// widened to the file's span and every record loads. Callers that care
-// about the current retention policy (capes session restore) re-home
-// the records into their own configuration afterwards.
-func loadV1(sf *snapshotFile) (*DB, error) {
-	if len(sf.Ticks) != len(sf.Frames) {
-		return nil, fmt.Errorf("replay: snapshot has %d ticks for %d frames", len(sf.Ticks), len(sf.Frames))
-	}
-	if len(sf.ATicks) != len(sf.Actions) {
-		return nil, fmt.Errorf("replay: snapshot has %d action ticks for %d actions", len(sf.ATicks), len(sf.Actions))
-	}
-	type rec struct {
-		tick  int64
-		frame []float64
-	}
-	recs := make([]rec, len(sf.Ticks))
-	for i, t := range sf.Ticks {
-		recs[i] = rec{t, sf.Frames[i]}
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].tick < recs[j].tick })
-	cfg := sf.Cfg
-	if records := len(recs) + len(sf.ATicks); records > 0 {
-		first, last := int64(1<<62), int64(-1)
-		span := func(ticks []int64) {
-			for _, t := range ticks {
-				if t < first {
-					first = t
-				}
-				if t > last {
-					last = t
-				}
-			}
-		}
-		span(sf.Ticks)
-		span(sf.ATicks)
-		if err := checkLoadSpan(first, last, records); err != nil {
-			return nil, err
-		}
-		dataLen := len(sf.Ticks) + len(sf.ATicks)
-		for _, f := range sf.Frames {
-			dataLen += len(f)
-		}
-		if err := checkLoadCells(first, last, cfg.FrameWidth, dataLen); err != nil {
-			return nil, err
-		}
-		// Frames-unit → ticks-unit Capacity widening (see doc comment).
-		if ticksSpan := last - first + 1; cfg.Capacity > 0 && ticksSpan > int64(cfg.Capacity) {
-			cfg.Capacity = int(ticksSpan)
-		}
-	}
+	cfg := Config{FrameWidth: int(width), StackTicks: int(stack), MissingTolerance: tolerance, Capacity: int(capacity)}
 	db, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range recs {
-		if r.tick < 0 {
-			return nil, errNegativeTick
-		}
-		if err := db.PutFrame(r.tick, r.frame); err != nil {
-			return nil, err
-		}
+	// Nothing in the file backs StackTicks, and the first Observation on
+	// the loaded DB allocates FrameWidth × StackTicks values.
+	if stack > maxLoadWidth || width > maxLoadWidth/stack {
+		return nil, fmt.Errorf("replay: snapshot observation is %d × %d values, limit %d", width, stack, int64(maxLoadWidth))
 	}
-	order := make([]int, len(sf.ATicks))
-	for i := range order {
-		order[i] = i
+	// The counts must account for the rest of the file exactly. Each is
+	// first bounded by what is left, so the length they imply cannot
+	// overflow, and nothing is allocated for a count the file cannot back.
+	left := uint64(fr.Remaining())
+	fits := nTicks <= left/9 && nFrames <= nTicks && nActs <= nTicks &&
+		(nFrames == 0 || width <= left/4/nFrames)
+	if !fits || snapshotLen(nTicks, nFrames, nActs, width) != snapshotHeaderLen+left+4 {
+		return nil, fmt.Errorf("replay: snapshot claims %d ticks, %d frames of width %d and %d actions with %d bytes left",
+			nTicks, nFrames, width, nActs, left)
 	}
-	sort.Slice(order, func(i, j int) bool { return sf.ATicks[order[i]] < sf.ATicks[order[j]] })
-	// The old map store kept the action table independent of the frame
-	// window, so a v1 file can hold action ticks past the last frame
-	// (collector errors at the end of a run). Replaying those would
-	// advance the ring window and evict real frames; they also can
-	// never complete a transition (Algorithm 1 needs the frame at t),
-	// so they are dropped instead.
-	_, maxFrame := db.Bounds()
-	for _, i := range order {
-		if sf.ATicks[i] > maxFrame {
-			continue
-		}
-		db.PutAction(sf.ATicks[i], sf.Actions[i])
+	ticks := make([]int64, nTicks)
+	for i := range ticks {
+		ticks[i] = int64(fr.Uint64())
 	}
-	return db, nil
-}
-
-// loadV2 rebuilds the ring from the compacted slab.
-func loadV2(sf *snapshotFile) (*DB, error) {
-	db, err := New(sf.Cfg)
-	if err != nil {
+	flags := make([]uint8, nTicks)
+	for i := range flags {
+		flags[i] = fr.Byte()
+	}
+	acts := make([]int32, nActs)
+	for i := range acts {
+		acts[i] = int32(fr.Uint32())
+	}
+	if err := fr.Err(); err != nil {
+		return nil, fmt.Errorf("replay: read snapshot: %w", err)
+	}
+	if err := checkSnapshotTicks(cfg, ticks, flags, int(nFrames), int(nActs)); err != nil {
 		return nil, err
-	}
-	nFrames, nActs := 0, 0
-	if len(sf.V2Flags) != len(sf.V2Ticks) {
-		return nil, fmt.Errorf("replay: snapshot has %d flags for %d ticks", len(sf.V2Flags), len(sf.V2Ticks))
-	}
-	var prev int64 = -1
-	for i, t := range sf.V2Ticks {
-		if t < 0 || t <= prev {
-			return nil, fmt.Errorf("replay: snapshot ticks not ascending at %d", t)
-		}
-		prev = t
-		f := sf.V2Flags[i]
-		if f == 0 || f&^(slotFrame|slotAction) != 0 {
-			return nil, fmt.Errorf("replay: snapshot flag %#x invalid at tick %d", f, t)
-		}
-		if f&slotFrame != 0 {
-			nFrames++
-		}
-		if f&slotAction != 0 {
-			nActs++
-		}
-	}
-	if len(sf.V2Slab) != nFrames*sf.Cfg.FrameWidth {
-		return nil, fmt.Errorf("replay: snapshot slab holds %d values for %d frames of width %d",
-			len(sf.V2Slab), nFrames, sf.Cfg.FrameWidth)
-	}
-	if len(sf.V2Acts) != nActs {
-		return nil, fmt.Errorf("replay: snapshot has %d action values for %d action ticks", len(sf.V2Acts), nActs)
-	}
-	if n := len(sf.V2Ticks); n > 0 {
-		if err := checkLoadSpan(sf.V2Ticks[0], sf.V2Ticks[n-1], n); err != nil {
-			return nil, err
-		}
-		if err := checkLoadCells(sf.V2Ticks[0], sf.V2Ticks[n-1], sf.Cfg.FrameWidth, len(sf.V2Slab)+n); err != nil {
-			return nil, err
-		}
-		// A v2 file is written from a windowed ring, so its span can
-		// never exceed a bounded Capacity. Over-span means corruption;
-		// replaying it would silently evict records and desync the
-		// restored counters below.
-		if c := int64(sf.Cfg.Capacity); c > 0 && sf.V2Ticks[n-1]-sf.V2Ticks[0]+1 > c {
-			return nil, fmt.Errorf("replay: snapshot spans %d ticks, capacity %d",
-				sf.V2Ticks[n-1]-sf.V2Ticks[0]+1, c)
-		}
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	w := sf.Cfg.FrameWidth
-	fi, ai := 0, 0
-	for i, t := range sf.V2Ticks {
-		f := sf.V2Flags[i]
-		if f&slotFrame != 0 {
-			db.putRowLocked(t, sf.V2Slab[fi*w:(fi+1)*w])
-			fi++
+	if n := len(ticks); n > 0 {
+		// One allocation at the final size: the ticks below then land in
+		// their slots without the ring growing or the window evicting.
+		db.growLocked(ticks[n-1]-ticks[0]+1, 0, -1)
+	}
+	w, ai := cfg.FrameWidth, 0
+	for i, t := range ticks {
+		if flags[i]&slotFrame != 0 {
+			s, _ := db.ensureSlotLocked(t)
+			fr.Float32s(db.slab[s*w : (s+1)*w])
+			db.commitFrameLocked(t, s)
 		}
-		if f&slotAction != 0 {
-			db.putActionLocked(t, int(sf.V2Acts[ai]))
+		if flags[i]&slotAction != 0 {
+			db.putActionLocked(t, int(acts[ai]))
 			ai++
 		}
 	}
-	// Carry history counters across the restart; the replay above must
-	// not have dropped anything (ticks were validated ascending and
-	// in-window writes never evict more than the window allows).
-	db.evictions = sf.Evictions
-	db.stale = sf.Stale
+	if err := fr.Close(); err != nil {
+		return nil, fmt.Errorf("replay: read snapshot: %w", err)
+	}
+	// Carry history counters across the restart; the replay above dropped
+	// nothing (ticks were validated ascending and within the window).
+	db.evictions, db.stale = int64(evictions), int64(stale)
 	return db, nil
+}
+
+// checkSnapshotTicks validates a snapshot's tick table against its header:
+// ascending non-negative ticks, known flags that add up to the declared
+// frame and action counts, and a span that the record count, the data in
+// the file and a bounded Capacity all allow.
+func checkSnapshotTicks(cfg Config, ticks []int64, flags []uint8, nFrames, nActs int) error {
+	var prev int64 = -1
+	frames, acts := 0, 0
+	for i, t := range ticks {
+		if t <= prev {
+			return fmt.Errorf("replay: snapshot ticks not ascending at %d", t)
+		}
+		prev = t
+		f := flags[i]
+		if f == 0 || f&^(slotFrame|slotAction) != 0 {
+			return fmt.Errorf("replay: snapshot flag %#x invalid at tick %d", f, t)
+		}
+		if f&slotFrame != 0 {
+			frames++
+		}
+		if f&slotAction != 0 {
+			acts++
+		}
+	}
+	if frames != nFrames || acts != nActs {
+		return fmt.Errorf("replay: snapshot flags mark %d frames and %d actions, header says %d and %d",
+			frames, acts, nFrames, nActs)
+	}
+	n := len(ticks)
+	if n == 0 {
+		return nil
+	}
+	first, last := ticks[0], ticks[n-1]
+	if err := checkLoadSpan(first, last, n); err != nil {
+		return err
+	}
+	if err := checkLoadCells(first, last, cfg.FrameWidth, frames*cfg.FrameWidth+n); err != nil {
+		return err
+	}
+	// A snapshot is written from a windowed ring, so its span can never
+	// exceed a bounded Capacity. Over-span means corruption; replaying it
+	// would silently evict records and desync the restored counters.
+	if c := int64(cfg.Capacity); c > 0 && last-first+1 > c {
+		return fmt.Errorf("replay: snapshot spans %d ticks, capacity %d", last-first+1, c)
+	}
+	return nil
 }
 
 // SaveFile writes a snapshot atomically to path.
 func (db *DB) SaveFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := db.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return wire.WriteFileAtomic(path, db.Save)
 }
 
 // LoadFile reads a snapshot from path.
@@ -378,9 +335,8 @@ func (db *DB) MemoryBytes() int64 {
 // DiskBytes returns the serialized snapshot size (Table 2 "total size of
 // the Replay DB on disk").
 func (db *DB) DiskBytes() (int64, error) {
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		return 0, err
-	}
-	return int64(buf.Len()), nil
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	ticks, frames, acts := db.occupancyLocked()
+	return int64(snapshotLen(ticks, frames, acts, uint64(db.cfg.FrameWidth))), nil
 }

@@ -42,6 +42,12 @@
 // frames, so rewards (and any other float64 consumer of stored frames)
 // can differ from the pre-ring values by up to ~1e-7 relative — the
 // documented trade-off for halving replay memory.
+//
+// # Snapshots
+//
+// Save and Load persist the ring's occupied slots as one versioned
+// little-endian file under a CRC-32C trailer; persist.go has the byte
+// layout and the checks a loader makes before it allocates.
 package replay
 
 import (
@@ -126,7 +132,7 @@ func New(cfg Config) (*DB, error) {
 	if cfg.StackTicks <= 0 {
 		return nil, errors.New("replay: StackTicks must be positive")
 	}
-	if cfg.MissingTolerance < 0 || cfg.MissingTolerance >= 1 {
+	if !(cfg.MissingTolerance >= 0 && cfg.MissingTolerance < 1) { // NaN included
 		return nil, fmt.Errorf("replay: MissingTolerance %v out of [0,1)", cfg.MissingTolerance)
 	}
 	if cfg.Capacity < 0 {

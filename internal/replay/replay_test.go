@@ -9,7 +9,7 @@ import (
 	"testing/quick"
 )
 
-func mustDB(t *testing.T, cfg Config) *DB {
+func mustDB(t testing.TB, cfg Config) *DB {
 	t.Helper()
 	db, err := New(cfg)
 	if err != nil {
@@ -18,7 +18,7 @@ func mustDB(t *testing.T, cfg Config) *DB {
 	return db
 }
 
-func fill(t *testing.T, db *DB, from, to int64) {
+func fill(t testing.TB, db *DB, from, to int64) {
 	t.Helper()
 	w := db.Config().FrameWidth
 	for tick := from; tick <= to; tick++ {

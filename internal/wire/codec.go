@@ -15,11 +15,11 @@ import (
 const MaxFrameBytes = 16 << 20
 
 const (
-	// bulkChunk is how much of a float32 arena a Writer converts and
+	// BulkChunk is how much of a float32 arena a Writer converts and
 	// writes, and a Reader reads and converts, at a time: the arenas of
 	// GradFrame and ParamBcast go between the socket and the caller's
 	// []float32 through a buffer of this size, never a whole-frame one.
-	bulkChunk = 32 << 10
+	BulkChunk = 32 << 10
 	// maxBulkHead bounds the fields that precede the arenas in a
 	// GradFrame or ParamBcast body (five 10-byte varints and the loss).
 	maxBulkHead = 64
@@ -47,8 +47,8 @@ func appendFloat64(b []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
 
-// appendFloat64s appends the raw bits of f (no count) in one growth.
-func appendFloat64s(b []byte, f []float64) []byte {
+// AppendFloat64s appends the raw bits of f (no count) in one growth.
+func AppendFloat64s(b []byte, f []float64) []byte {
 	b = slices.Grow(b, 8*len(f))
 	for _, v := range f {
 		b = appendFloat64(b, v)
@@ -56,8 +56,8 @@ func appendFloat64s(b []byte, f []float64) []byte {
 	return b
 }
 
-// appendFloat32s appends the raw bits of f (no count) in one growth.
-func appendFloat32s(b []byte, f []float32) []byte {
+// AppendFloat32s appends the raw bits of f (no count) in one growth.
+func AppendFloat32s(b []byte, f []float32) []byte {
 	off := len(b)
 	b = slices.Grow(b, 4*len(f))[:off+4*len(f)]
 	for i, v := range f {
@@ -98,14 +98,14 @@ func appendHead(b []byte, env *Envelope) ([]byte, [2][]float32, error) {
 				b = binary.AppendVarint(b, int64(idx-prev))
 				prev = idx
 			}
-			return appendFloat64s(b, m.Values), bulk, nil
+			return AppendFloat64s(b, m.Values), bulk, nil
 		}
 	case MsgAction:
 		if m := env.Action; m != nil {
 			b = binary.AppendVarint(b, m.Tick)
 			b = binary.AppendVarint(b, int64(m.ID))
 			b = binary.AppendUvarint(b, uint64(len(m.Values)))
-			return appendFloat64s(b, m.Values), bulk, nil
+			return AppendFloat64s(b, m.Values), bulk, nil
 		}
 	case MsgAck:
 		if m := env.Ack; m != nil {
@@ -166,7 +166,7 @@ func Encode(env *Envelope) ([]byte, error) {
 		return nil, err
 	}
 	b = slices.Grow(b, 4*(len(bulk[0])+len(bulk[1])))
-	b = appendFloat32s(appendFloat32s(b, bulk[0]), bulk[1])
+	b = AppendFloat32s(AppendFloat32s(b, bulk[0]), bulk[1])
 	if err := finishFrame(b, len(b)); err != nil {
 		return nil, err
 	}
@@ -193,7 +193,7 @@ func MessageBytes(env *Envelope) (int, error) {
 // Writer frames messages onto one connection through a buffer it reuses:
 // steady-state writes allocate nothing. A message goes out in a single
 // Write call, except for the float32 arenas of GradFrame and ParamBcast,
-// which are converted and written bulkChunk bytes at a time straight
+// which are converted and written BulkChunk bytes at a time straight
 // from the caller's slices. Not safe for concurrent use.
 type Writer struct {
 	w   io.Writer
@@ -216,14 +216,14 @@ func (w *Writer) Write(env *Envelope) (int, error) {
 	}
 	for _, f := range bulk {
 		for len(f) > 0 {
-			if len(b)+4 > bulkChunk {
+			if len(b)+4 > BulkChunk {
 				if _, err := w.w.Write(b); err != nil {
 					return 0, err
 				}
 				b = b[:0]
 			}
-			k := min(len(f), (bulkChunk-len(b))/4)
-			b = appendFloat32s(b, f[:k])
+			k := min(len(f), (BulkChunk-len(b))/4)
+			b = AppendFloat32s(b, f[:k])
 			f = f[k:]
 		}
 	}
@@ -328,11 +328,25 @@ func (d *decoder) float64s(dst []float64, n int) []float64 {
 		return dst
 	}
 	dst = slices.Grow(dst, n)[:n]
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(d.b[8*i:]))
-	}
+	Float64s(dst, d.b)
 	d.b = d.b[8*n:]
 	return dst
+}
+
+// Float64s fills dst from the raw bits at the front of src, which holds
+// at least 8·len(dst) bytes: the inverse of AppendFloat64s.
+func Float64s(dst []float64, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+}
+
+// Float32s fills dst from the raw bits at the front of src, which holds
+// at least 4·len(dst) bytes: the inverse of AppendFloat32s.
+func Float32s(dst []float32, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	}
 }
 
 func (d *decoder) hello(m *Hello) {
@@ -367,7 +381,7 @@ func (d *decoder) indicators(m *Indicators) {
 // the Reader reuses: valid until the next Read, copy what must outlive
 // it. Steady-state reads of those messages allocate nothing. A GradFrame
 // or ParamBcast is allocated fresh and belongs to the caller; its arenas
-// are read bulkChunk bytes at a time directly into their final slices.
+// are read BulkChunk bytes at a time directly into their final slices.
 // Not safe for concurrent use.
 type Reader struct {
 	r   io.Reader
@@ -519,13 +533,11 @@ func (r *Reader) readBulk(typ MsgType, n int) (*Envelope, error) {
 		dst := make([]float32, c)
 		*arenas[i] = dst
 		for len(dst) > 0 {
-			chunk, err := r.need(min(4*len(dst), bulkChunk))
+			chunk, err := r.need(min(4*len(dst), BulkChunk))
 			if err != nil {
 				return nil, unexpectedEOF(err)
 			}
-			for j := 0; j < len(chunk); j += 4 {
-				dst[j/4] = math.Float32frombits(binary.LittleEndian.Uint32(chunk[j:]))
-			}
+			Float32s(dst[:len(chunk)/4], chunk)
 			dst = dst[len(chunk)/4:]
 			r.consume(len(chunk))
 		}

@@ -129,7 +129,7 @@ func (g gen) envelope(t MsgType) *Envelope {
 	env := &Envelope{Type: t}
 	// Arena lengths straddle the head read (maxBulkHead) and the chunk
 	// size, where the streaming reader and writer change buffers.
-	arena := []int{maxBulkHead / 4, bulkChunk / 4, 2*bulkChunk/4 + 1}
+	arena := []int{maxBulkHead / 4, BulkChunk / 4, 2*BulkChunk/4 + 1}
 	switch t {
 	case MsgHello:
 		env.Hello = &Hello{NodeID: int(g.int64()), Role: g.string(), NumPIs: int(g.int64()), Hostname: g.string(), Epoch: g.uint64(), Proto: ProtoVersion}
