@@ -100,6 +100,8 @@ ratio() {
 # deployed float32 precision and the float64 reference.
 check "BenchmarkTrainStep/obs256/f32"
 check "BenchmarkTrainStep/obs64/f32"
+# The repo benchmark's paper-rig-train network (500-500-500-5).
+check "BenchmarkTrainStep/obs500/f32"
 check "BenchmarkTrainStep/obs256/f64"
 check "BenchmarkSelectAction/f32"
 

@@ -149,25 +149,49 @@ func TestStepFlatMatchesStep(t *testing.T) {
 	}
 }
 
-// TestClipGradientsFlatMatchesMatrixClip checks the flat clip against the
-// per-matrix one on the same values.
-func TestClipGradientsFlatMatchesMatrixClip(t *testing.T) {
+// TestMLPBackwardSkipsInputGradient: an MLP's first layer computes no
+// ∂L/∂in — nothing reads it — and that must be invisible in every
+// parameter gradient. The reference is the same network with the skip
+// switched off, so each layer still runs its g·Wᵀ product; FlatGrads
+// must match bit for bit at the deployed precision and at float64.
+func TestMLPBackwardSkipsInputGradient(t *testing.T) {
+	t.Run("f32", testMLPBackwardSkipsInputGradient[float32])
+	t.Run("f64", testMLPBackwardSkipsInputGradient[float64])
+}
+
+func testMLPBackwardSkipsInputGradient[E tensor.Element](t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	m := NewMLP[float64](rng, ActTanh, 4, 4, 2)
+	m := NewMLP[E](rng, ActTanh, 37, 37, 21, 5)
 	ref := m.Clone()
-	for i := range m.FlatGrads() {
-		g := rng.Float64()*4 - 2
-		m.FlatGrads()[i] = g
-		ref.FlatGrads()[i] = g
+	ref.dense[0].noGradIn = false
+
+	in, gradOut := tensor.New[E](9, 37), tensor.New[E](9, 5)
+	for i := range in.Data {
+		in.Data[i] = E(rng.Float64()*2 - 1)
 	}
-	n1 := ClipGradients(ref.Grads(), 0.5)
-	n2 := ClipGradientsFlat(m.FlatGrads(), 0.5)
-	if d := n1 - n2; d < -1e-12 || d > 1e-12 {
-		t.Fatalf("pre-clip norms differ: %g vs %g", n1, n2)
+	for i := range gradOut.Data {
+		gradOut.Data[i] = E(rng.Float64()*2 - 1)
 	}
-	for i, v := range ref.FlatGrads() {
-		if d := v - m.FlatGrads()[i]; d < -1e-12 || d > 1e-12 {
-			t.Fatalf("clipped grad %d differs: %g vs %g", i, v, m.FlatGrads()[i])
+
+	m.Forward(in)
+	m.Backward(gradOut)
+	if first := m.dense[0]; first.cur.gradIn != nil {
+		t.Fatal("the first layer still holds ∂L/∂in scratch")
+	}
+
+	ref.Forward(in)
+	g := gradOut
+	for i := len(ref.dense) - 1; i >= 0; i-- {
+		if g = ref.dense[i].Backward(g); g == nil {
+			t.Fatalf("reference layer %d returned no ∂L/∂in", i)
+		}
+	}
+	if g.Rows != 9 || g.Cols != 37 {
+		t.Fatalf("reference ∂L/∂in is %dx%d, want 9x37", g.Rows, g.Cols)
+	}
+	for i, want := range ref.FlatGrads() {
+		if got := m.FlatGrads()[i]; got != want {
+			t.Fatalf("FlatGrads[%d] = %v, reference with every ∂L/∂in computed = %v", i, got, want)
 		}
 	}
 }

@@ -43,7 +43,7 @@ import (
 // the training-batch buffers it interleaves with.
 type denseScratch[E tensor.Element] struct {
 	out     *tensor.Matrix[E] // activated forward output
-	gradIn  *tensor.Matrix[E] // ∂L/∂input
+	gradIn  *tensor.Matrix[E] // ∂L/∂input; nil when the layer has noGradIn
 	gradPre *tensor.Matrix[E] // ∂L/∂(pre-activation); nil when Act == ActNone
 }
 
@@ -59,6 +59,12 @@ type Dense[E tensor.Element] struct {
 	// Gradients accumulated by Backward.
 	GradW *tensor.Matrix[E]
 	GradB []E
+
+	// noGradIn marks a layer whose ∂L/∂input nothing reads — an MLP's
+	// first layer, whose input is the observation batch. Backward then
+	// stops after GradW/GradB and returns nil: no g·Wᵀ product (as large
+	// as the layer's forward GEMM) and no scratch for its result.
+	noGradIn bool
 
 	// Parameter/gradient views handed out by Params/Grads, built once.
 	pviews [2]*tensor.Matrix[E]
@@ -113,7 +119,9 @@ func (d *Dense[E]) ensure(batch int) *denseScratch[E] {
 	}
 	if s.out == nil || s.out.Rows != batch {
 		s.out = tensor.New[E](batch, d.Out)
-		s.gradIn = tensor.New[E](batch, d.In)
+		if !d.noGradIn {
+			s.gradIn = tensor.New[E](batch, d.In)
+		}
 		if d.Act != ActNone {
 			s.gradPre = tensor.New[E](batch, d.Out)
 		}
@@ -136,16 +144,14 @@ func (d *Dense[E]) Forward(in *tensor.Matrix[E]) *tensor.Matrix[E] {
 	cols := d.Out
 	switch d.Act {
 	case ActTanh:
-		// The concrete float32 instantiation takes the FastTanh32 sweep
-		// (a few-ulp rational approximation, pure float32 pipeline);
-		// float64 stays on math.Tanh as the reference.
+		// The concrete float32 instantiation takes the BiasTanh32 sweep
+		// (FastTanh32, a few-ulp rational approximation in a pure
+		// float32 pipeline, on the active SIMD tier); float64 stays on
+		// math.Tanh as the reference.
 		if data, ok := any(s.out.Data).([]float32); ok {
 			bias := any(d.B).([]float32)
 			for r := 0; r < s.out.Rows; r++ {
-				row := data[r*cols : (r+1)*cols]
-				for j, b := range bias {
-					row[j] = tensor.FastTanh32(row[j] + b)
-				}
+				tensor.BiasTanh32(data[r*cols:(r+1)*cols], bias)
 			}
 			break
 		}
@@ -172,8 +178,9 @@ func (d *Dense[E]) Forward(in *tensor.Matrix[E]) *tensor.Matrix[E] {
 	return s.out
 }
 
-// Backward takes ∂L/∂out and returns ∂L/∂in, accumulating ∂L/∂W and
-// ∂L/∂b into GradW/GradB (overwriting them — one minibatch per step).
+// Backward takes ∂L/∂out and returns ∂L/∂in (nil for an MLP's first
+// layer, see noGradIn), accumulating ∂L/∂W and ∂L/∂b into GradW/GradB
+// (overwriting them — one minibatch per step).
 // The activation derivative is folded in with one fused sweep: tanh'
 // is recovered from the cached activated output as 1−y², ReLU' as the
 // sign of the output.
@@ -202,6 +209,9 @@ func (d *Dense[E]) Backward(gradOut *tensor.Matrix[E]) *tensor.Matrix[E] {
 	tensor.MulTransAInto(d.GradW, d.input, g)
 	// ∂L/∂b = column sums of g
 	g.ColSumsInto(d.GradB)
+	if d.noGradIn {
+		return nil
+	}
 	// ∂L/∂in = g · Wᵀ
 	tensor.MulTransBInto(s.gradIn, g, d.W)
 	return s.gradIn

@@ -62,50 +62,24 @@ func MSE[E tensor.Element](pred, target, gradOut *tensor.Matrix[E]) float64 {
 	return loss / n
 }
 
-// ClipGradients scales the gradient set so its global L2 norm does not
-// exceed maxNorm. DQN training can spike when the reward distribution
-// shifts; clipping keeps Adam steps bounded. Returns the pre-clip norm.
-func ClipGradients[E tensor.Element](grads []*tensor.Matrix[E], maxNorm float64) float64 {
-	var ss float64
-	for _, g := range grads {
-		ss += g.SumSquares()
-	}
-	norm := math.Sqrt(ss)
-	if maxNorm > 0 && norm > maxNorm {
-		scale := E(maxNorm / norm)
-		for _, g := range grads {
-			g.Scale(scale)
-		}
-	}
-	return norm
-}
-
 // FlatNorm returns the L2 norm of a flat gradient arena in one pass,
 // accumulated in float64 (a float32 accumulator could overflow exactly
 // when the norm matters most — mid-divergence). The training step uses
 // it to derive the global-norm clip scale that Adam.FusedStep applies
-// while reading gradients, so the arena itself is never rescaled.
+// while reading gradients, so the arena itself is never rescaled — the
+// engine's only clip path. The concrete float32 arena goes through
+// tensor.SumSquares32, whose lane-blocked float64 sum is the same bits
+// on every kernel tier; other element types sum sequentially.
 func FlatNorm[E tensor.Element](grads []E) float64 {
+	if g32, ok := any(grads).([]float32); ok {
+		return math.Sqrt(tensor.SumSquares32(g32))
+	}
 	var ss float64
 	for _, g := range grads {
 		f := float64(g)
 		ss += f * f
 	}
 	return math.Sqrt(ss)
-}
-
-// ClipGradientsFlat is ClipGradients over a flat gradient arena (see
-// MLP.FlatGrads): one pass for the norm, one conditional pass to scale.
-// Returns the pre-clip norm.
-func ClipGradientsFlat[E tensor.Element](grads []E, maxNorm float64) float64 {
-	norm := FlatNorm(grads)
-	if maxNorm > 0 && norm > maxNorm {
-		scale := E(maxNorm / norm)
-		for i := range grads {
-			grads[i] *= scale
-		}
-	}
-	return norm
 }
 
 // MaskedHuber is the Huber-loss variant of MaskedMSE: quadratic within

@@ -95,6 +95,9 @@ func NewMLP[E tensor.Element](rng *rand.Rand, act Activation, sizes ...int) *MLP
 		m.params = append(m.params, d.Params()...)
 		m.grads = append(m.grads, d.Grads()...)
 	}
+	// Backward discards the first layer's ∂L/∂in (nothing sits below the
+	// observation batch), so that layer never computes it.
+	m.dense[0].noGradIn = true
 	return m
 }
 

@@ -356,25 +356,35 @@ func TestSGDMomentumAccelerates(t *testing.T) {
 	}
 }
 
-func TestClipGradients(t *testing.T) {
-	g := tensor.FromSlice(1, 2, []float64{3, 4}) // norm 5
-	norm := ClipGradients([]*tensor.Matrix[float64]{g}, 1)
-	if math.Abs(norm-5) > 1e-12 {
-		t.Fatalf("pre-clip norm = %g", norm)
+// TestFlatNorm pins the clip norm on the hand-computed 3-4-5 triangle at
+// both precisions — the float32 arena takes tensor.SumSquares32's
+// lane-blocked sum, so the legs are also placed in different lanes and
+// in the ragged tail — and holds the two precisions together on an
+// arena-sized random gradient.
+func TestFlatNorm(t *testing.T) {
+	if got := FlatNorm([]float64{3, 4}); got != 5 {
+		t.Fatalf("FlatNorm(float64 3,4) = %g, want 5", got)
 	}
-	if math.Abs(g.NormL2()-1) > 1e-12 {
-		t.Fatalf("post-clip norm = %g", g.NormL2())
+	for _, g := range [][]float32{
+		{3, 4},
+		{3, 0, 0, 0, 0, 4, 0, 0},
+		{0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -4},
+	} {
+		if got := FlatNorm(g); got != 5 {
+			t.Fatalf("FlatNorm(float32 %v) = %g, want 5", g, got)
+		}
 	}
-	// No clipping when under the limit or maxNorm<=0.
-	g2 := tensor.FromSlice(1, 2, []float64{0.3, 0.4})
-	ClipGradients([]*tensor.Matrix[float64]{g2}, 1)
-	if math.Abs(g2.NormL2()-0.5) > 1e-12 {
-		t.Fatal("under-limit gradients must not be scaled")
+	if got := FlatNorm([]float32(nil)); got != 0 {
+		t.Fatalf("FlatNorm(empty) = %g, want 0", got)
 	}
-	g3 := tensor.FromSlice(1, 1, []float64{100})
-	ClipGradients([]*tensor.Matrix[float64]{g3}, 0)
-	if g3.At(0, 0) != 100 {
-		t.Fatal("maxNorm=0 must disable clipping")
+	rng := rand.New(rand.NewSource(37))
+	g32, g64 := make([]float32, 10_003), make([]float64, 10_003)
+	for i := range g32 {
+		g32[i] = float32(rng.NormFloat64())
+		g64[i] = float64(g32[i])
+	}
+	if a, b := FlatNorm(g32), FlatNorm(g64); math.Abs(a-b) > 1e-12*b {
+		t.Fatalf("FlatNorm float32 %v vs float64 %v on the same values", a, b)
 	}
 }
 
@@ -528,5 +538,26 @@ func TestMaskedHuberNumericalGradient(t *testing.T) {
 				t.Fatalf("huber grad %d[%d]: analytic %g vs numeric %g", pi, j, grads[pi].Data[j], numeric)
 			}
 		}
+	}
+}
+
+// BenchmarkFlatNorm measures the global gradient norm over the
+// paper-rig Q-network's arena (500-500-500-5: 503 505 float32
+// gradients) — one reduction per train step, ahead of the fused clip.
+func BenchmarkFlatNorm(b *testing.B) {
+	const n = 500*500*2 + 500*2 + 500*5 + 5
+	rng := rand.New(rand.NewSource(1))
+	grads := make([]float32, n)
+	for i := range grads {
+		grads[i] = float32(rng.NormFloat64())
+	}
+	b.ReportAllocs()
+	b.SetBytes(4 * n)
+	var norm float64
+	for i := 0; i < b.N; i++ {
+		norm += FlatNorm(grads)
+	}
+	if norm == 0 {
+		b.Fatal("zero norm")
 	}
 }

@@ -51,6 +51,9 @@ func BenchmarkTrainStep(b *testing.B) {
 		b.Run(name+"/f64", func(b *testing.B) { benchTrainStep[float64](b, w) })
 		b.Run(name+"/f32", func(b *testing.B) { benchTrainStep[float32](b, w) })
 	}
+	// The repo benchmark's paper-rig-train network: 5 nodes × 10 PIs ×
+	// 10 observation ticks, 500-500-500-5.
+	b.Run("obs500/f32", func(b *testing.B) { benchTrainStep[float32](b, 500) })
 }
 
 func benchTrainStep[E tensor.Element](b *testing.B, w int) {

@@ -8,8 +8,9 @@ import (
 
 // Runtime-dispatched SIMD kernel tiers.
 //
-// The vector primitives behind the matmul kernels and the fused Adam
-// sweep come in three tiers, selected once at process start:
+// The vector primitives behind the matmul kernels, the fused Adam
+// sweep, the bias+tanh activation sweep and the gradient-norm reduction
+// come in three tiers, selected once at process start:
 //
 //	scalar  portable Go loops (every architecture)
 //	sse     amd64 baseline: 4 float32 / 2 float64 lanes per XMM register
@@ -30,13 +31,14 @@ import (
 // scalar loops below. Every vector operation used is IEEE-exact
 // (mul/add/sub/sqrt/div are correctly rounded, and the AVX2 kernels
 // deliberately use separate VMULPS+VADDPS rather than FMA), so for the
-// elementwise primitives — the saxpy/daxpy family and the Adam sweep —
-// every tier produces bit-identical results element for element. Only
-// the dot-product reductions differ across tiers (wider accumulators
-// change the summation order), which the precision-scaled equivalence
-// tolerances already cover. Shard boundaries land mid-slice without
-// changing results for the same reason, so worker count never changes
-// results bit for bit on any tier.
+// elementwise primitives — the saxpy/daxpy family, the Adam sweep and
+// BiasTanh32 — every tier produces bit-identical results element for
+// element, and SumSquares32 does because its summation order is fixed
+// by definition. Only the dot-product reductions differ across tiers
+// (wider accumulators change the summation order), which the
+// precision-scaled equivalence tolerances already cover. Shard
+// boundaries land mid-slice without changing results for the same
+// reason, so worker count never changes results bit for bit on any tier.
 
 // Kernel tiers, in strictly increasing capability order.
 const (

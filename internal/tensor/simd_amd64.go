@@ -11,6 +11,8 @@ package tensor
 //	daxpy4/1     Go      daxpy4SSE2/daxpy1SSE2  (float64 stays on SSE2)
 //	ddot         Go      ddotSSE2               (float64 stays on SSE2)
 //	adamSweep*   Go      adamSweepSSE{,Soft}    adamSweepAVX2{,Soft}
+//	biasTanh32   Go      biasTanhSSE            biasTanhAVX2
+//	sumSquares8  Go      sumSquaresSSE          sumSquaresAVX2
 //
 // SSE2 is part of the amd64 baseline (GOAMD64=v1), so the sse tier
 // needs no feature detection; the avx2 tier is gated by the CPUID/
@@ -28,11 +30,14 @@ package tensor
 // (the action path's odd widths) work on every tier.
 //
 // Rounding contract: the vector bodies use only IEEE-exact operations —
-// MULPS/ADDPS/SUBPS/MULPD/ADDPD and, in the Adam sweep, SQRTPS/DIVPS —
-// and the AVX2 kernels deliberately issue separate multiply+add instead
-// of FMA. The axpy family and the Adam sweep therefore round identically
-// to the scalar loops element for element, on every tier, wherever the
-// vector/tail boundary falls; only the dot reductions (sdot/ddot) vary
+// MULPS/ADDPS/SUBPS/MULPD/ADDPD and, in the Adam and tanh sweeps,
+// SQRTPS/DIVPS — and the AVX2 kernels deliberately issue separate
+// multiply+add instead of FMA. The axpy family, the Adam sweep and the
+// bias+tanh sweep therefore round identically to the scalar loops
+// element for element, on every tier, wherever the vector/tail boundary
+// falls. sumSquares8 is a reduction that stays bit-identical too,
+// because its lane order is its definition (sumsquares32.go) rather
+// than a property of the tier. Only the dot reductions (sdot/ddot) vary
 // across tiers, by accumulator-order reassociation the equivalence
 // tolerances cover. float32(math.Sqrt(float64(x))) in the scalar loops
 // equals SQRTPS(x) bit for bit: float64's 53-bit mantissa exceeds the
@@ -240,6 +245,38 @@ func adamSweepSoft32(params, grads, fm, fv, target []float32, lrT, b1, omb1, b2,
 	}
 }
 
+// biasTanh32 runs the fused bias-add + FastTanh32 sweep over one row
+// (see BiasTanh32 in tanh32.go); len(bias) == len(row).
+func biasTanh32(row, bias []float32) {
+	j := 0
+	switch activeTier.Load() {
+	case tierAVX2:
+		if n8 := len(row) &^ 7; n8 > 0 {
+			biasTanhAVX2(row[:n8], bias)
+			j = n8
+		}
+	case tierSSE:
+		if n4 := len(row) &^ 3; n4 > 0 {
+			biasTanhSSE(row[:n4], bias)
+			j = n4
+		}
+	}
+	biasTanhScalar(row[j:], bias[j:])
+}
+
+// sumSquares8 writes SumSquares32's eight lane sums over x into acc;
+// len(x) must be a multiple of 8 (sumsquares32.go owns the tail).
+func sumSquares8(x []float32, acc *[8]float64) {
+	switch activeTier.Load() {
+	case tierAVX2:
+		sumSquaresAVX2(x, acc)
+	case tierSSE:
+		sumSquaresSSE(x, acc)
+	default:
+		sumSquaresScalar(x, acc)
+	}
+}
+
 // Assembly bodies. Slice lengths must be lane-aligned as described in
 // the header; the wrappers above are the only callers.
 
@@ -290,3 +327,15 @@ func adamSweepAVX2(params, grads, fm, fv []float32, lrT, b1, omb1, b2, omb2, eps
 
 //go:noescape
 func adamSweepSoftAVX2(params, grads, fm, fv, target []float32, lrT, b1, omb1, b2, omb2, eps, scale, al, omal float32)
+
+//go:noescape
+func biasTanhSSE(row, bias []float32)
+
+//go:noescape
+func biasTanhAVX2(row, bias []float32)
+
+//go:noescape
+func sumSquaresSSE(x []float32, acc *[8]float64)
+
+//go:noescape
+func sumSquaresAVX2(x []float32, acc *[8]float64)

@@ -50,3 +50,11 @@ func adamSweep32(params, grads, fm, fv []float32, lrT, b1, omb1, b2, omb2, eps, 
 func adamSweepSoft32(params, grads, fm, fv, target []float32, lrT, b1, omb1, b2, omb2, eps, scale, al, omal float32) {
 	adamSweepSoftScalar(params, grads, fm, fv, target, lrT, b1, omb1, b2, omb2, eps, scale, al, omal)
 }
+
+func biasTanh32(row, bias []float32) {
+	biasTanhScalar(row, bias)
+}
+
+func sumSquares8(x []float32, acc *[8]float64) {
+	sumSquaresScalar(x, acc)
+}

@@ -256,6 +256,134 @@ func TestAdamSweepBitIdenticalAcrossTiers(t *testing.T) {
 	})
 }
 
+// tanhEdgeInputs are the inputs where FastTanh32 changes branch or an
+// IEEE special case applies, each with its float32 neighbours on both
+// sides: the ±clamp saturation points, the ±0.0004 pass-through
+// boundary, ±0, the smallest and largest denormals, the largest finite
+// values, ±Inf and NaN.
+func tanhEdgeInputs() []float32 {
+	nan := float32(math.NaN())
+	inf := float32(math.Inf(1))
+	edges := []float32{
+		0, 7.90531110763549805, 0.0004, 1, 0.5,
+		math.SmallestNonzeroFloat32, 1.1754942e-38, 1e-20, math.MaxFloat32,
+	}
+	out := []float32{nan, -nan, inf, -inf, float32(math.Copysign(0, -1))}
+	for _, e := range edges {
+		for _, v := range []float32{e, math.Nextafter32(e, inf), math.Nextafter32(e, -inf)} {
+			out = append(out, v, -v)
+		}
+	}
+	return out
+}
+
+// TestBiasTanh32BitIdenticalAcrossTiers: the vector bodies evaluate
+// FastTanh32's clamp, pass-through and rational in the scalar
+// expression order with IEEE-exact operations, so BiasTanh32 must equal
+// the scalar FastTanh32(row[j]+bias[j]) loop bit for bit — NaN payloads
+// and the sign of zero included — on every tier, every length, and with
+// every edge input in every lane position.
+func TestBiasTanh32BitIdenticalAcrossTiers(t *testing.T) {
+	edges := tanhEdgeInputs()
+	lens := []int{500}
+	for n := 0; n <= 33; n++ {
+		lens = append(lens, n)
+	}
+	check := func(t *testing.T, row, bias []float32) {
+		t.Helper()
+		want := make([]float32, len(row))
+		for j := range row {
+			want[j] = FastTanh32(row[j] + bias[j])
+		}
+		in := append([]float32(nil), row...)
+		BiasTanh32(row, bias)
+		for j := range want {
+			if math.Float32bits(row[j]) != math.Float32bits(want[j]) {
+				t.Fatalf("n=%d lane %d: BiasTanh32(%g+%g) = %x, FastTanh32 = %x", len(row), j,
+					in[j], bias[j], math.Float32bits(row[j]), math.Float32bits(want[j]))
+			}
+		}
+	}
+	forEachTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(71))
+		for _, n := range lens {
+			// Pre-activations as the network produces them, then wide
+			// enough to saturate, then tiny enough to pass through.
+			for _, scale := range []float64{1, 12, 0.0005} {
+				row, bias := make([]float32, n), make([]float32, n)
+				for j := range row {
+					row[j] = float32(rng.NormFloat64() * scale)
+					bias[j] = float32(rng.NormFloat64() * scale * 0.1)
+				}
+				check(t, row, bias)
+			}
+			// Every edge input through every lane of this length, the
+			// other lanes ordinary; a zero bias keeps the edge exact.
+			for start := 0; start < len(edges) && n > 0; start += n {
+				row, bias := make([]float32, n), make([]float32, n)
+				for j := range row {
+					row[j] = edges[(start+j)%len(edges)]
+				}
+				check(t, row, bias)
+			}
+		}
+		// A bias longer than the row is read only up to len(row), and
+		// the element after the row is not written.
+		row, bias := randSlice32(rng, 20), randSlice32(rng, 24)
+		after := row[19]
+		BiasTanh32(row[:19], bias)
+		if row[19] != after {
+			t.Fatal("BiasTanh32 wrote past the row")
+		}
+	})
+}
+
+// TestSumSquares32BitIdenticalAcrossTiers: the sum is defined as eight
+// lane sums and one fixed tree, so every tier must return exactly the
+// bits of that definition written out naively, at every length; the
+// value must agree with the sequential float64 sum to rounding, stay
+// finite at the top of the float32 range, and propagate NaN.
+func TestSumSquares32BitIdenticalAcrossTiers(t *testing.T) {
+	lens := []int{500, 1000, 4099}
+	for n := 0; n <= 33; n++ {
+		lens = append(lens, n)
+	}
+	forEachTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(73))
+		for _, n := range lens {
+			unit, wide, huge := make([]float32, n), make([]float32, n), make([]float32, n)
+			for j := range unit {
+				unit[j] = float32(rng.NormFloat64())
+				wide[j] = float32(rng.NormFloat64() * math.Exp(rng.NormFloat64()*8))
+				huge[j] = math.MaxFloat32
+			}
+			for k, x := range [][]float32{unit, wide, huge} {
+				var s [8]float64
+				var seq float64
+				for j, v := range x {
+					sq := float64(v) * float64(v)
+					s[j%8] += sq
+					seq += sq
+				}
+				want := ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
+				got := SumSquares32(x)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("n=%d input %d: SumSquares32 = %x, lane-blocked definition = %x", n, k, math.Float64bits(got), math.Float64bits(want))
+				}
+				if math.IsInf(got, 0) || math.Abs(got-seq) > 1e-12*seq {
+					t.Fatalf("n=%d input %d: SumSquares32 = %g, sequential sum %g", n, k, got, seq)
+				}
+				if n > 0 {
+					x[n/2] = float32(math.NaN())
+					if !math.IsNaN(SumSquares32(x)) {
+						t.Fatalf("n=%d input %d: NaN at %d did not propagate", n, k, n/2)
+					}
+				}
+			}
+		}
+	})
+}
+
 // TestKernelEquivalenceAcrossTiers drives the full matmul kernels —
 // including the packed-panel layouts — against the float64 naive golden
 // references on every tier, at both concrete precisions, across ragged
@@ -336,4 +464,22 @@ func BenchmarkAdamSweep(b *testing.B) {
 			AdamSweepSoft32(params, grads, fm, fv, target, 1e-4, 0.9, 0.1, 0.999, 0.001, 1e-8, 1, 0.01, 0.99)
 		}
 	})
+}
+
+// BenchmarkBiasTanh32 measures the fused bias+tanh sweep over one
+// hidden layer's activations at the paper-rig shape (minibatch 32 ×
+// width 500) — the scalar FastTanh32 loop was 11 % of that train step.
+func BenchmarkBiasTanh32(b *testing.B) {
+	const rows, cols = 32, 500
+	rng := rand.New(rand.NewSource(1))
+	pre, bias := randSlice32(rng, rows*cols), randSlice32(rng, cols)
+	out := make([]float32, rows*cols)
+	b.ReportAllocs()
+	b.SetBytes(4 * rows * cols)
+	for i := 0; i < b.N; i++ {
+		copy(out, pre)
+		for r := 0; r < rows; r++ {
+			BiasTanh32(out[r*cols:(r+1)*cols], bias)
+		}
+	}
 }

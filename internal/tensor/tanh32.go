@@ -55,3 +55,23 @@ func FastTanh32(x float32) float32 {
 	q = x2*q + b0
 	return p / q
 }
+
+// BiasTanh32 is the fused bias-add + tanh sweep of a float32 Dense
+// layer: row[j] = FastTanh32(row[j] + bias[j]) for every j in row
+// (bias must be at least as long). It runs on the active SIMD tier and
+// is bit-identical to that scalar loop on every tier and for every
+// input — NaN, ±Inf, −0, denormals and ragged tails included — because
+// the vector bodies evaluate the same clamp, the same tiny-input
+// pass-through and the same rational with separate multiplies and adds
+// in FastTanh32's expression order (see simd_tanh_amd64.s).
+func BiasTanh32(row, bias []float32) {
+	biasTanh32(row, bias[:len(row)])
+}
+
+// biasTanhScalar is tier 0 of BiasTanh32 and the tail handler of the
+// vector tiers; len(bias) == len(row).
+func biasTanhScalar(row, bias []float32) {
+	for j, b := range bias {
+		row[j] = FastTanh32(row[j] + b)
+	}
+}
