@@ -128,6 +128,9 @@ check "BenchmarkEngineTick/serial/obs256"
 check "BenchmarkEngineTick/pipelined/obs256"
 check "BenchmarkSelectActionPublished/idle/f32"
 check "BenchmarkMulTransBInto/f32"
+# The paper rig's own forward GEMM (width 500: a 256- and a 244-wide
+# column block, so the tile kernel's 8-lane and 4-lane steps both run).
+check "BenchmarkMulInto/32x500x500/f32"
 
 # Host-independent: the pipelined tick must stay at or below the serial
 # tick within the same run (ratio is serial/pipelined; the tick is

@@ -23,8 +23,6 @@ type Adam[E tensor.Element] struct {
 
 	fm []E // flat first moments (StepFlat/FusedStep), aligned with the arena
 	fv []E // flat second moments
-
-	task fusedTask[E] // persistent sweep descriptor (pool sharding)
 }
 
 // NewAdam returns an Adam optimizer with the standard β/ε defaults. The
@@ -74,103 +72,6 @@ func (a *Adam[E]) StepFlat(params, grads []E) {
 	a.FusedStep(params, grads, 1, nil, 0)
 }
 
-// Fused-sweep target modes.
-const (
-	fusedNoTarget = iota // plain Adam step
-	fusedSoft            // + soft update: target = target(1−α) + p·α
-	fusedHard            // + hard update: target = p (double-buffer fill)
-)
-
-// fusedTask is the sharded form of the fused Adam/clip/update sweep: a
-// persistent descriptor handed to tensor.ParallelFor, so a multi-worker
-// sweep allocates nothing. Every element of the arena is touched by
-// exactly one shard and the update is element-independent, so results
-// are bit-identical at any worker count.
-type fusedTask[E tensor.Element] struct {
-	params, grads, fm, fv, target []E
-	lrT, b1, b2, eps, scale, al   E
-	mode                          int8
-}
-
-// RunRange implements tensor.Ranger over [lo, hi) of the flat arena.
-// Concrete float32 arenas (the deployed engine precision) route to the
-// SIMD-tier sweeps in tensor (SQRTPS/DIVPS are IEEE-exact, so every
-// tier matches the scalar loops below bit for bit — the sharded-
-// determinism contract is unchanged); named element types and float64
-// run the generic scalar loops.
-func (t *fusedTask[E]) RunRange(lo, hi int) {
-	if p32, ok := any(t.params).([]float32); ok {
-		t.runRange32(p32, lo, hi)
-		return
-	}
-	params, grads, fm, fv := t.params, t.grads, t.fm, t.fv
-	lrT, b1, b2, eps, scale := t.lrT, t.b1, t.b2, t.eps, t.scale
-	switch t.mode {
-	case fusedSoft:
-		target, alpha := t.target, t.al
-		for j := lo; j < hi; j++ {
-			gj := grads[j] * scale
-			mj := b1*fm[j] + (1-b1)*gj
-			vj := b2*fv[j] + (1-b2)*gj*gj
-			fm[j], fv[j] = mj, vj
-			p := params[j] - lrT*mj/(tensor.Sqrt(vj)+eps)
-			params[j] = p
-			target[j] = target[j]*(1-alpha) + p*alpha
-		}
-	case fusedHard:
-		target := t.target
-		for j := lo; j < hi; j++ {
-			gj := grads[j] * scale
-			mj := b1*fm[j] + (1-b1)*gj
-			vj := b2*fv[j] + (1-b2)*gj*gj
-			fm[j], fv[j] = mj, vj
-			p := params[j] - lrT*mj/(tensor.Sqrt(vj)+eps)
-			params[j] = p
-			target[j] = p
-		}
-	default:
-		for j := lo; j < hi; j++ {
-			gj := grads[j] * scale
-			mj := b1*fm[j] + (1-b1)*gj
-			vj := b2*fv[j] + (1-b2)*gj*gj
-			fm[j], fv[j] = mj, vj
-			params[j] -= lrT * mj / (tensor.Sqrt(vj) + eps)
-		}
-	}
-}
-
-// runRange32 is the concrete-float32 shard body: one call into the
-// tier-dispatched fused sweep per mode. The E→float32 conversions are
-// value-preserving (E is float32 here) and the 1−x complements round
-// exactly as the generic loops' inline (1-b1)/(1-b2)/(1-alpha).
-func (t *fusedTask[E]) runRange32(p32 []float32, lo, hi int) {
-	g32 := any(t.grads).([]float32)
-	fm32 := any(t.fm).([]float32)
-	fv32 := any(t.fv).([]float32)
-	lrT, b1, b2 := float32(t.lrT), float32(t.b1), float32(t.b2)
-	eps, scale := float32(t.eps), float32(t.scale)
-	switch t.mode {
-	case fusedSoft:
-		tg := any(t.target).([]float32)
-		al := float32(t.al)
-		tensor.AdamSweepSoft32(p32[lo:hi], g32[lo:hi], fm32[lo:hi], fv32[lo:hi], tg[lo:hi],
-			lrT, b1, 1-b1, b2, 1-b2, eps, scale, al, 1-al)
-	case fusedHard:
-		tg := any(t.target).([]float32)
-		tensor.AdamSweepHard32(p32[lo:hi], g32[lo:hi], fm32[lo:hi], fv32[lo:hi], tg[lo:hi],
-			lrT, b1, 1-b1, b2, 1-b2, eps, scale)
-	default:
-		tensor.AdamSweep32(p32[lo:hi], g32[lo:hi], fm32[lo:hi], fv32[lo:hi],
-			lrT, b1, 1-b1, b2, 1-b2, eps, scale)
-	}
-}
-
-// fusedShardChunk is the smallest arena block worth shipping to a pool
-// worker: below it the sweep is cheaper than the synchronization. It is
-// a var so the sharded/serial equivalence test can force sharding on
-// small arenas.
-var fusedShardChunk = 1 << 14
-
 // FusedStep is StepFlat with the rest of the per-step parameter traffic
 // folded into the same sweep: each gradient is scaled by gradScale as it
 // is read (global-norm clipping without a separate scale pass over the
@@ -182,10 +83,12 @@ var fusedShardChunk = 1 << 14
 // register). One pass touches all five streams (params, grads, both
 // moments, target) instead of three separate kernels re-reading them.
 //
-// Arenas at least two shard-chunks long are sharded across the tensor
-// worker pool (tensor.ParallelFor); the update is element-independent,
-// so sharding never changes results. The sweep allocates nothing in
-// steady state at any worker count.
+// The sweep runs over the whole arena in one call on the calling
+// goroutine and allocates nothing in steady state. Concrete float32
+// arenas (the deployed engine precision) route to the SIMD-tier sweeps
+// in tensor (SQRTPS/DIVPS are IEEE-exact, so every tier matches the
+// scalar loops below bit for bit); named element types and float64 run
+// the generic scalar loops.
 func (a *Adam[E]) FusedStep(params, grads []E, gradScale float64, target []E, alpha float64) {
 	if len(params) != len(grads) {
 		panic("nn: Adam params/grads length mismatch")
@@ -201,22 +104,42 @@ func (a *Adam[E]) FusedStep(params, grads []E, gradScale float64, target []E, al
 	}
 	a.step++
 	t := float64(a.step)
-	lrT := a.LR * math.Sqrt(1-math.Pow(a.Beta2, t)) / (1 - math.Pow(a.Beta1, t))
+	lrT := E(a.LR * math.Sqrt(1-math.Pow(a.Beta2, t)) / (1 - math.Pow(a.Beta1, t)))
+	b1, b2, eps, scale, al := E(a.Beta1), E(a.Beta2), E(a.Epsilon), E(gradScale), E(alpha)
+	fm, fv := a.fm, a.fv
 
-	task := &a.task
-	task.params, task.grads, task.fm, task.fv, task.target = params, grads, a.fm, a.fv, target
-	task.lrT, task.b1, task.b2, task.eps = E(lrT), E(a.Beta1), E(a.Beta2), E(a.Epsilon)
-	task.scale, task.al = E(gradScale), E(alpha)
-	switch {
-	case target == nil:
-		task.mode = fusedNoTarget
-	case alpha == 1:
-		task.mode = fusedHard
-	default:
-		task.mode = fusedSoft
+	if p32, ok := any(params).([]float32); ok {
+		// The E→float32 conversions are value-preserving (E is float32
+		// here) and the 1−x complements round exactly as the generic
+		// loops' inline (1-b1)/(1-b2)/(1-al).
+		g32, fm32, fv32 := any(grads).([]float32), any(fm).([]float32), any(fv).([]float32)
+		lrT, b1, b2, eps, scale := float32(lrT), float32(b1), float32(b2), float32(eps), float32(scale)
+		switch {
+		case target == nil:
+			tensor.AdamSweep32(p32, g32, fm32, fv32, lrT, b1, 1-b1, b2, 1-b2, eps, scale)
+		case alpha == 1:
+			tensor.AdamSweepHard32(p32, g32, fm32, fv32, any(target).([]float32), lrT, b1, 1-b1, b2, 1-b2, eps, scale)
+		default:
+			al := float32(al)
+			tensor.AdamSweepSoft32(p32, g32, fm32, fv32, any(target).([]float32), lrT, b1, 1-b1, b2, 1-b2, eps, scale, al, 1-al)
+		}
+		return
 	}
-	tensor.ParallelFor(len(params), fusedShardChunk, task)
-	task.params, task.grads, task.fm, task.fv, task.target = nil, nil, nil, nil, nil
+	for j, g := range grads {
+		gj := g * scale
+		mj := b1*fm[j] + (1-b1)*gj
+		vj := b2*fv[j] + (1-b2)*gj*gj
+		fm[j], fv[j] = mj, vj
+		p := params[j] - lrT*mj/(tensor.Sqrt(vj)+eps)
+		params[j] = p
+		switch {
+		case target == nil:
+		case alpha == 1:
+			target[j] = p
+		default:
+			target[j] = target[j]*(1-al) + p*al
+		}
+	}
 }
 
 // StepCount returns the number of updates applied so far.

@@ -180,6 +180,7 @@ func testMLPBackwardSkipsInputGradient[E tensor.Element](t *testing.T) {
 	}
 
 	ref.Forward(in)
+	ref.bindGrads() // the layers are driven directly, below MLP.Backward
 	g := gradOut
 	for i := len(ref.dense) - 1; i >= 0; i-- {
 		if g = ref.dense[i].Backward(g); g == nil {
@@ -192,6 +193,49 @@ func testMLPBackwardSkipsInputGradient[E tensor.Element](t *testing.T) {
 	for i, want := range ref.FlatGrads() {
 		if got := m.FlatGrads()[i]; got != want {
 			t.Fatalf("FlatGrads[%d] = %v, reference with every ∂L/∂in computed = %v", i, got, want)
+		}
+	}
+}
+
+// TestGradArenaAllocatedOnFirstUse: a network that only runs forward —
+// a Clone serving as target network or action mirror — must carry no
+// gradient arena, whichever forward path it takes and however its
+// parameters are rewritten; Backward, Grads and FlatGrads each bind one,
+// aligned with the parameters.
+func TestGradArenaAllocatedOnFirstUse(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	m := NewMLP[float32](rng, ActTanh, 6, 6, 3)
+	in := tensor.New[float32](4, 6)
+	for i := range in.Data {
+		in.Data[i] = float32(rng.Float64())
+	}
+
+	fwd := m.Clone()
+	fwd.Forward(in)
+	fwd.ForwardVec(in.Data[:6])
+	fwd.CopyParamsFrom(m)
+	fwd.SoftUpdateFrom(m, 0.5)
+	if err := fwd.CheckFinite(); err != nil {
+		t.Fatal(err)
+	}
+	if fwd.gradData != nil || fwd.grads != nil || fwd.dense[0].GradW != nil {
+		t.Fatal("a forward-only network allocated its gradient arena")
+	}
+
+	for name, touch := range map[string]func(*MLP[float32]){
+		"Backward":  func(n *MLP[float32]) { n.Forward(in); n.Backward(tensor.New[float32](4, 3)) },
+		"Grads":     func(n *MLP[float32]) { n.Grads() },
+		"FlatGrads": func(n *MLP[float32]) { n.FlatGrads() },
+	} {
+		n := m.Clone()
+		touch(n)
+		if len(n.FlatGrads()) != n.NumParams() || len(n.Grads()) != len(n.Params()) {
+			t.Fatalf("%s: gradient arena has %d values in %d views for %d parameters in %d",
+				name, len(n.FlatGrads()), len(n.Grads()), n.NumParams(), len(n.Params()))
+		}
+		n.FlatGrads()[n.NumParams()-1] = 7
+		if last := n.dense[len(n.dense)-1]; last.GradB[len(last.GradB)-1] != 7 {
+			t.Fatalf("%s: the layers' gradient views do not alias the arena", name)
 		}
 	}
 }

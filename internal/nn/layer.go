@@ -25,7 +25,7 @@
 // MLP's parameters, gradients, and the optimizer's moments each live in
 // one contiguous backing slice (see mlp.go), so whole-model passes such
 // as Adam, gradient clipping, and target-network updates are single
-// (optionally pool-sharded) sweeps over flat memory. That arena is also
+// sweeps over flat memory. That arena is also
 // what a checkpoint is: checkpoint.go has the byte layout of the file and
 // the checks Load makes before it allocates.
 package nn
@@ -85,29 +85,42 @@ func NewDense[E tensor.Element](in, out int, rng *rand.Rand) *Dense[E] {
 
 // newDenseArena builds a Dense whose parameters and gradients are views
 // into caller-provided backing slices of length in*out+out (weights
-// first, then bias). NewMLP passes segments of its contiguous arenas so
-// a whole network's parameters are one allocation. A nil rng skips the
-// weight initialisation.
+// first, then bias). NewMLP passes segments of its contiguous parameter
+// arena so a whole network's parameters are one allocation, and nil
+// grads: it binds them when the network first needs any (bindGrads). A
+// nil rng skips the weight initialisation.
 func newDenseArena[E tensor.Element](in, out int, act Activation, params, grads []E, rng *rand.Rand) *Dense[E] {
-	if len(params) != in*out+out || len(grads) != in*out+out {
-		panic(fmt.Sprintf("nn: dense arena got %d/%d values for %d×%d+%d", len(params), len(grads), in, out, out))
+	if len(params) != in*out+out {
+		panic(fmt.Sprintf("nn: dense arena got %d values for %d×%d+%d", len(params), in, out, out))
 	}
 	wN := in * out
 	d := &Dense[E]{
-		In:    in,
-		Out:   out,
-		Act:   act,
-		W:     tensor.FromSlice(in, out, params[:wN:wN]),
-		B:     params[wN : wN+out : wN+out],
-		GradW: tensor.FromSlice(in, out, grads[:wN:wN]),
-		GradB: grads[wN : wN+out : wN+out],
+		In:  in,
+		Out: out,
+		Act: act,
+		W:   tensor.FromSlice(in, out, params[:wN:wN]),
+		B:   params[wN : wN+out : wN+out],
 	}
 	if rng != nil {
 		d.W.XavierFill(rng, in, out)
 	}
 	d.pviews = [2]*tensor.Matrix[E]{d.W, tensor.FromSlice(1, out, d.B)}
-	d.gviews = [2]*tensor.Matrix[E]{d.GradW, tensor.FromSlice(1, out, d.GradB)}
+	if grads != nil {
+		d.bindGrads(grads)
+	}
 	return d
+}
+
+// bindGrads points GradW/GradB at a backing slice laid out like the
+// parameters (in*out weights, then out biases).
+func (d *Dense[E]) bindGrads(grads []E) {
+	wN := d.In * d.Out
+	if len(grads) != wN+d.Out {
+		panic(fmt.Sprintf("nn: dense gradient arena got %d values for %d×%d+%d", len(grads), d.In, d.Out, d.Out))
+	}
+	d.GradW = tensor.FromSlice(d.In, d.Out, grads[:wN:wN])
+	d.GradB = grads[wN : wN+d.Out : wN+d.Out]
+	d.gviews = [2]*tensor.Matrix[E]{d.GradW, tensor.FromSlice(1, d.Out, d.GradB)}
 }
 
 // ensure returns scratch buffers for the batch size, reallocating only

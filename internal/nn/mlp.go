@@ -43,17 +43,20 @@ func (a Activation) String() string {
 // second, laid out layer by layer (weights, then bias). FlatParams and
 // FlatGrads expose them so the optimizer, gradient clipping, and
 // target-network updates run as single passes over flat memory instead
-// of per-matrix loops.
+// of per-matrix loops. The gradient arena exists only once something
+// asks for it (Backward, Grads, FlatGrads): a network that only runs
+// forward — the target, the hard-update spare, the published action
+// mirrors — carries none.
 type MLP[E tensor.Element] struct {
 	Sizes      []int // layer widths: input, hidden..., output
 	Activation Activation
 
 	dense  []*Dense[E]         // the layers, in order
 	params []*tensor.Matrix[E] // cached per-matrix views into paramData
-	grads  []*tensor.Matrix[E] // cached per-matrix views into gradData
+	grads  []*tensor.Matrix[E] // cached per-matrix views into gradData; nil with it
 
 	paramData []E // flat parameter arena
-	gradData  []E // flat gradient arena
+	gradData  []E // flat gradient arena; nil until bindGrads
 
 	vecIn tensor.Matrix[E] // reusable 1×in header for the vector paths
 }
@@ -79,7 +82,6 @@ func NewMLP[E tensor.Element](rng *rand.Rand, act Activation, sizes ...int) *MLP
 	m := &MLP[E]{Sizes: append([]int(nil), sizes...), Activation: act}
 	total := arenaLen(sizes)
 	m.paramData = make([]E, total)
-	m.gradData = make([]E, total)
 	off := 0
 	for i := 0; i+1 < len(sizes); i++ {
 		in, out := sizes[i], sizes[i+1]
@@ -88,12 +90,10 @@ func NewMLP[E tensor.Element](rng *rand.Rand, act Activation, sizes ...int) *MLP
 			layerAct = ActNone
 		}
 		n := in*out + out
-		d := newDenseArena(in, out, layerAct,
-			m.paramData[off:off+n:off+n], m.gradData[off:off+n:off+n], rng)
+		d := newDenseArena(in, out, layerAct, m.paramData[off:off+n:off+n], nil, rng)
 		off += n
 		m.dense = append(m.dense, d)
 		m.params = append(m.params, d.Params()...)
-		m.grads = append(m.grads, d.Grads()...)
 	}
 	// Backward discards the first layer's ∂L/∂in (nothing sits below the
 	// observation batch), so that layer never computes it.
@@ -105,6 +105,22 @@ func NewMLP[E tensor.Element](rng *rand.Rand, act Activation, sizes ...int) *MLP
 // the same width as the input and a linear head with one output per action.
 func NewCAPESNetwork[E tensor.Element](rng *rand.Rand, inputSize, nActions int) *MLP[E] {
 	return NewMLP[E](rng, ActTanh, inputSize, inputSize, inputSize, nActions)
+}
+
+// bindGrads allocates the gradient arena on first use and points every
+// layer's GradW/GradB at its segment of it.
+func (m *MLP[E]) bindGrads() {
+	if m.gradData != nil {
+		return
+	}
+	m.gradData = make([]E, len(m.paramData))
+	off := 0
+	for _, d := range m.dense {
+		n := d.In*d.Out + d.Out
+		d.bindGrads(m.gradData[off : off+n : off+n])
+		off += n
+		m.grads = append(m.grads, d.Grads()...)
+	}
 }
 
 // InputSize returns the expected feature count.
@@ -147,6 +163,7 @@ func (m *MLP[E]) ForwardVecInto(dst, obs []E) []E {
 // Backward propagates ∂L/∂out back through the network, leaving parameter
 // gradients in each Dense layer (and hence in FlatGrads).
 func (m *MLP[E]) Backward(gradOut *tensor.Matrix[E]) {
+	m.bindGrads()
 	g := gradOut
 	for i := len(m.dense) - 1; i >= 0; i-- {
 		g = m.dense[i].Backward(g)
@@ -159,7 +176,10 @@ func (m *MLP[E]) Backward(gradOut *tensor.Matrix[E]) {
 func (m *MLP[E]) Params() []*tensor.Matrix[E] { return m.params }
 
 // Grads returns all gradient matrices aligned with Params.
-func (m *MLP[E]) Grads() []*tensor.Matrix[E] { return m.grads }
+func (m *MLP[E]) Grads() []*tensor.Matrix[E] {
+	m.bindGrads()
+	return m.grads
+}
 
 // FlatParams returns the network's parameters as one contiguous slice,
 // laid out layer by layer (weights row-major, then bias). It aliases the
@@ -167,7 +187,10 @@ func (m *MLP[E]) Grads() []*tensor.Matrix[E] { return m.grads }
 func (m *MLP[E]) FlatParams() []E { return m.paramData }
 
 // FlatGrads returns the gradient arena aligned with FlatParams.
-func (m *MLP[E]) FlatGrads() []E { return m.gradData }
+func (m *MLP[E]) FlatGrads() []E {
+	m.bindGrads()
+	return m.gradData
+}
 
 // NumParams returns the total trainable parameter count.
 func (m *MLP[E]) NumParams() int { return len(m.paramData) }

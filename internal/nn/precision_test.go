@@ -118,55 +118,41 @@ func TestCheckpointFileCrossPrecision(t *testing.T) {
 	}
 }
 
-// TestFusedStepShardedMatchesSerial pins the determinism contract of the
-// pool-sharded fused Adam sweep: the update is element-independent, so
-// any worker count and any shard size must produce bit-identical
-// parameters, moments and soft-updated targets.
-func TestFusedStepShardedMatchesSerial(t *testing.T) {
-	defer tensor.SetWorkers(0)
-	origChunk := fusedShardChunk
-	defer func() { fusedShardChunk = origChunk }()
-
-	const n = 40_000
+// TestFusedStepGenericMatchesFloat32Sweep: a named ~float32 element
+// type takes FusedStep's generic loop, concrete float32 the tier sweeps
+// in tensor; both evaluate one expression tree, so parameters, moments
+// and targets must agree bit for bit in all three target modes.
+func TestFusedStepGenericMatchesFloat32Sweep(t *testing.T) {
+	type named float32
+	const n = 1003
 	rng := rand.New(rand.NewSource(13))
-	mk := func() (params, target []float32) {
-		r := rand.New(rand.NewSource(14))
-		params = make([]float32, n)
-		target = make([]float32, n)
-		for i := range params {
-			params[i] = float32(r.NormFloat64())
-			target[i] = float32(r.NormFloat64())
-		}
-		return params, target
+	p32, t32, g32 := make([]float32, n), make([]float32, n), make([]float32, n)
+	pN, tN, gN := make([]named, n), make([]named, n), make([]named, n)
+	for i := range p32 {
+		p32[i], t32[i] = float32(rng.NormFloat64()), float32(rng.NormFloat64())
+		pN[i], tN[i] = named(p32[i]), named(t32[i])
 	}
-	pSerial, tSerial := mk()
-	pPar, tPar := mk()
-	optSerial := NewAdam[float32](1e-3)
-	optPar := NewAdam[float32](1e-3)
-	grads := make([]float32, n)
-
-	for step := 0; step < 5; step++ {
-		for i := range grads {
-			grads[i] = float32(rng.NormFloat64())
+	opt32, optN := NewAdam[float32](1e-3), NewAdam[named](1e-3)
+	for step := 0; step < 6; step++ {
+		for i := range g32 {
+			g32[i] = float32(rng.NormFloat64())
+			gN[i] = named(g32[i])
 		}
-		alpha := 0.01
-		if step == 3 {
-			alpha = 1 // exercise the fused hard-update mode too
+		switch step % 3 {
+		case 0:
+			opt32.FusedStep(p32, g32, 0.5, nil, 0)
+			optN.FusedStep(pN, gN, 0.5, nil, 0)
+		case 1:
+			opt32.FusedStep(p32, g32, 0.5, t32, 0.01)
+			optN.FusedStep(pN, gN, 0.5, tN, 0.01)
+		case 2:
+			opt32.FusedStep(p32, g32, 0.5, t32, 1)
+			optN.FusedStep(pN, gN, 0.5, tN, 1)
 		}
-		tensor.SetWorkers(1)
-		fusedShardChunk = n + 1 // force serial
-		optSerial.FusedStep(pSerial, grads, 0.5, tSerial, alpha)
-
-		tensor.SetWorkers(5)
-		fusedShardChunk = 1024 // force many shards
-		optPar.FusedStep(pPar, grads, 0.5, tPar, alpha)
-
-		for i := range pSerial {
-			if pSerial[i] != pPar[i] {
-				t.Fatalf("step %d: sharded params deviate at %d: %v vs %v", step, i, pSerial[i], pPar[i])
-			}
-			if tSerial[i] != tPar[i] {
-				t.Fatalf("step %d: sharded target deviates at %d", step, i)
+		for i := range p32 {
+			if p32[i] != float32(pN[i]) || t32[i] != float32(tN[i]) ||
+				opt32.fm[i] != float32(optN.fm[i]) || opt32.fv[i] != float32(optN.fv[i]) {
+				t.Fatalf("step %d: generic loop deviates from the float32 sweep at %d", step, i)
 			}
 		}
 	}

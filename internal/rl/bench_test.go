@@ -2,8 +2,10 @@ package rl
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"capes/internal/nn"
 	"capes/internal/replay"
 	"capes/internal/tensor"
 )
@@ -133,6 +135,38 @@ func TestTrainStepAllocFreeHardUpdate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("hard-update TrainStep allocates %v per step", allocs)
+	}
+}
+
+// TestTargetNetworksCarryNoGradients: only the online network is ever
+// differentiated, so after real train steps — soft updates, and hard
+// updates swapping target and spare — the target and the spare must
+// still have no gradient arena (0.5M dead float32s each at the rig
+// shape). The arena is nn's private field; reflection reads its nil-ness
+// without widening nn's API for one assertion.
+func TestTargetNetworksCarryNoGradients(t *testing.T) {
+	hasGrads := func(m *nn.MLP[float32]) bool {
+		return !reflect.ValueOf(m).Elem().FieldByName("gradData").IsNil()
+	}
+	for _, hardEvery := range []int64{0, 2} {
+		cfg := DefaultConfig()
+		cfg.HardUpdateEvery = hardEvery
+		agent, err := NewAgent[float32](cfg, nil, 64, 5, rand.New(rand.NewSource(9)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := makeBenchBatch[float32](rand.New(rand.NewSource(10)), cfg.MinibatchSize, 64, 5)
+		for i := 0; i < 5; i++ {
+			if _, err := agent.TrainStep(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !hasGrads(agent.Online) {
+			t.Fatal("the trained online network has no gradient arena")
+		}
+		if hasGrads(agent.Target) || (agent.spare != nil && hasGrads(agent.spare)) {
+			t.Fatalf("HardUpdateEvery=%d: a target network allocated a gradient arena", hardEvery)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package tensor
 
 // Exported float32 fused-Adam sweeps. nn's Adam.FusedStep routes its
-// concrete-float32 shards here so the moment/step/target update runs on
+// concrete-float32 arenas here so the moment/step/target update runs on
 // the active SIMD tier (SQRTPS/DIVPS on amd64) instead of scalar
 // sqrt/div — the sweep was ~11% of the float32 train step. All three
 // entry points are bit-identical to the scalar expression
@@ -11,9 +11,9 @@ package tensor
 //	v  = β₂·v + (1−β₂)·gj·gj
 //	p -= lrT·m/(√v+ε)
 //
-// at every tier and any shard boundary (see the rounding contract in
-// simd_amd64.go), so worker count and kernel tier never change training
-// trajectories. Callers pass 1−β₁, 1−β₂ (and 1−α) precomputed; all
+// at every tier and wherever the vector/tail boundary falls (see the
+// rounding contract in simd_amd64.go), so the kernel tier never changes
+// training trajectories. Callers pass 1−β₁, 1−β₂ (and 1−α) precomputed; all
 // slices must share one length. The generic (float64 / named-type)
 // sweep stays in nn — vectorizing the float64 optimizer is listed as a
 // PERF.md follow-up.

@@ -6,25 +6,31 @@ import (
 )
 
 // Matrix-multiplication kernels. Each public entry point (MulInto,
-// MulTransAInto, MulTransBInto) validates shapes, then dispatches to a
-// cache-blocked, 4-way-unrolled kernel — serially for small products,
-// sharded over the package worker pool (pool.go) for large ones. The
-// kernels are generic over the element type; concrete float32 and
-// float64 matrices route to the SIMD specializations in matmul32.go /
-// matmul64.go (tier-dispatched vector inner loops plus packed-panel
-// operand layout), while named element types keep the generic scalar
-// path below. The naive reference kernels the package started with are
-// kept at the bottom of this file — always at their instantiated
-// precision — and the property tests in matmul_test.go hold the
-// optimized kernels to float64 references within precision-scaled
-// reassociation tolerance on ragged shapes.
+// MulTransAInto, MulTransBInto) validates shapes, then runs a
+// cache-blocked, 4-way-unrolled kernel on the calling goroutine: one
+// product, one core. The package starts no goroutines — a fork-join
+// pool used to shard the rows of large products, bought the 32-row
+// train step nothing and cost the control loop its action latency
+// (PERF.md "One core by design"); concurrency lives one level up, one
+// capesd session per core. The kernels are generic over the element
+// type; concrete float32 and float64 matrices route to the SIMD
+// specializations in matmul32.go / matmul64.go (tier-dispatched vector
+// inner loops plus packed-panel operand layout), while named element
+// types keep the generic scalar path below. The naive reference kernels
+// the package started with are kept at the bottom of this file — always
+// at their instantiated precision — and the property tests in
+// matmul_test.go hold the optimized kernels to float64 references
+// within precision-scaled reassociation tolerance on ragged shapes.
 //
 // Blocking constants: a blockK×blockJ tile of the right-hand operand is
-// blockK*blockJ elements — 256 KiB at float64, 128 KiB at float32 —
-// sized to stay resident in L2 while every destination row in the shard
-// sweeps it; the destination row segment (blockJ elements) lives in L1.
+// blockK*blockJ elements — 32 KiB at float32, so L1-resident while
+// every destination row pair sweeps it, 64 KiB at float64 — and the
+// destination row segment (blockJ elements) lives in L1 beside it.
+// blockK must stay a multiple of 4: the kernels unroll k in quads, and
+// only then do the quads fall on the same k's whatever the tile size,
+// which is what keeps results independent of it bit for bit.
 const (
-	blockK = 128
+	blockK = 32
 	blockJ = 256
 )
 
@@ -34,21 +40,15 @@ const (
 // of b.Cols) and the vector inner loops stream unit-stride memory
 // whatever the caller's row pitch. Packing copies each tile element
 // once; it pays for itself only when enough destination rows reuse the
-// panel, so shards processing fewer than panelMinRows rows read b
-// directly. The pooled pointers keep parallel multiplications
-// allocation-free in steady state (one panel per in-flight shard).
+// panel, so products with fewer than panelMinRows rows read b directly.
+// The pooled pointers keep multiplications allocation-free in steady
+// state, one panel per call in flight (sessions multiply concurrently).
 const panelMinRows = 8
 
 var (
 	panelPool32 = sync.Pool{New: func() any { b := make([]float32, blockK*blockJ); return &b }}
 	panelPool64 = sync.Pool{New: func() any { b := make([]float64, blockK*blockJ); return &b }}
 )
-
-// parallelFlops is the multiply-accumulate count above which a product
-// is worth sharding across the worker pool. Products below it — notably
-// every 1×N action-path multiplication — run serially on the calling
-// goroutine with zero synchronization overhead.
-const parallelFlops = 1 << 17
 
 // MulInto computes dst = a·b. dst must be a.Rows × b.Cols and must not
 // alias a or b.
@@ -59,11 +59,7 @@ func MulInto[E Element](dst, a, b *Matrix[E]) {
 	if dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: Mul dst is %d×%d, want %d×%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
-	if a.Rows*a.Cols*b.Cols >= parallelFlops {
-		dispatch(mmMul, dst, a, b, a.Rows)
-		return
-	}
-	mulRows(dst, a, b, 0, a.Rows)
+	mulRows(dst, a, b)
 }
 
 // Mul returns a·b in a fresh matrix.
@@ -82,11 +78,7 @@ func MulTransAInto[E Element](dst, a, b *Matrix[E]) {
 	if dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MulTransA dst is %d×%d, want %d×%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
 	}
-	if a.Rows*a.Cols*b.Cols >= parallelFlops {
-		dispatch(mmMulTransA, dst, a, b, a.Cols)
-		return
-	}
-	mulTransARows(dst, a, b, 0, a.Cols)
+	mulTransARows(dst, a, b)
 }
 
 // MulTransBInto computes dst = a·bᵀ without materializing bᵀ.
@@ -98,34 +90,25 @@ func MulTransBInto[E Element](dst, a, b *Matrix[E]) {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MulTransB dst is %d×%d, want %d×%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
-	if a.Rows*a.Cols*b.Rows >= parallelFlops {
-		dispatch(mmMulTransB, dst, a, b, a.Rows)
-		return
-	}
-	mulTransBRows(dst, a, b, 0, a.Rows)
+	mulTransBRows(dst, a, b)
 }
 
-// mulRows computes rows [lo, hi) of dst = a·b: for each destination row,
+// mulRows computes dst = a·b: for each destination row,
 // accumulate a[i][k]·b[k][*] over k. Tiled over (k, j) so the active
 // block of b stays cache-resident across the row sweep, with the k loop
 // unrolled 4-wide so four rows of b stream against one load/store of the
 // destination segment.
-func mulRows[E Element](dst, a, b *Matrix[E], lo, hi int) {
+func mulRows[E Element](dst, a, b *Matrix[E]) {
 	if d, x, y, ok := asF32(dst, a, b); ok {
-		mulRowsF32(d, x, y, lo, hi)
+		mulRowsF32(d, x, y)
 		return
 	}
 	if d, x, y, ok := asF64(dst, a, b); ok {
-		mulRowsF64(d, x, y, lo, hi)
+		mulRowsF64(d, x, y)
 		return
 	}
-	n, kTot := b.Cols, a.Cols
-	for i := lo; i < hi; i++ {
-		drow := dst.Data[i*n : (i+1)*n]
-		for j := range drow {
-			drow[j] = 0
-		}
-	}
+	rows, n, kTot := a.Rows, b.Cols, a.Cols
+	dst.Zero()
 	for k0 := 0; k0 < kTot; k0 += blockK {
 		k1 := k0 + blockK
 		if k1 > kTot {
@@ -139,8 +122,8 @@ func mulRows[E Element](dst, a, b *Matrix[E], lo, hi int) {
 			// Register-block pairs of destination rows: each element
 			// of the streamed b tile feeds two accumulating rows, which
 			// halves the dominant b-tile read traffic.
-			i := lo
-			for ; i+2 <= hi; i += 2 {
+			i := 0
+			for ; i+2 <= rows; i += 2 {
 				arow0 := a.Data[i*kTot : (i+1)*kTot]
 				arow1 := a.Data[(i+1)*kTot : (i+2)*kTot]
 				drow0 := dst.Data[i*n+j0 : i*n+j1]
@@ -168,7 +151,7 @@ func mulRows[E Element](dst, a, b *Matrix[E], lo, hi int) {
 					}
 				}
 			}
-			for ; i < hi; i++ {
+			for ; i < rows; i++ {
 				arow := a.Data[i*kTot : (i+1)*kTot]
 				drow := dst.Data[i*n+j0 : i*n+j1]
 				k := k0
@@ -197,32 +180,27 @@ func mulRows[E Element](dst, a, b *Matrix[E], lo, hi int) {
 	}
 }
 
-// mulTransARows computes rows [lo, hi) of dst = aᵀ·b — row i of dst is
+// mulTransARows computes dst = aᵀ·b — row i of dst is
 // column i of a dotted against every column of b: dst[i][j] =
 // Σ_k a[k][i]·b[k][j]. k (the shared row index of a and b) is unrolled
 // 4-wide. The k extent here is a minibatch (≤ a few hundred rows), so b
 // fits in cache and no tiling is needed.
-func mulTransARows[E Element](dst, a, b *Matrix[E], lo, hi int) {
+func mulTransARows[E Element](dst, a, b *Matrix[E]) {
 	if d, x, y, ok := asF32(dst, a, b); ok {
-		mulTransAF32(d, x, y, lo, hi)
+		mulTransAF32(d, x, y)
 		return
 	}
 	if d, x, y, ok := asF64(dst, a, b); ok {
-		mulTransAF64(d, x, y, lo, hi)
+		mulTransAF64(d, x, y)
 		return
 	}
 	n, kTot, ac := b.Cols, a.Rows, a.Cols
-	for i := lo; i < hi; i++ {
-		drow := dst.Data[i*n : (i+1)*n]
-		for j := range drow {
-			drow[j] = 0
-		}
-	}
+	dst.Zero()
 	// Register-block pairs of destination rows (adjacent columns of a, so
 	// the strided a loads share cache lines): each streamed row of b
 	// feeds two accumulating destination rows.
-	i := lo
-	for ; i+2 <= hi; i += 2 {
+	i := 0
+	for ; i+2 <= ac; i += 2 {
 		drow0 := dst.Data[i*n : (i+1)*n]
 		drow1 := dst.Data[(i+1)*n : (i+2)*n]
 		k := 0
@@ -246,7 +224,7 @@ func mulTransARows[E Element](dst, a, b *Matrix[E], lo, hi int) {
 			}
 		}
 	}
-	for ; i < hi; i++ {
+	for ; i < ac; i++ {
 		drow := dst.Data[i*n : (i+1)*n]
 		k := 0
 		for ; k+4 <= kTot; k += 4 {
@@ -278,19 +256,19 @@ func mulTransARows[E Element](dst, a, b *Matrix[E], lo, hi int) {
 	}
 }
 
-// mulTransBRows computes rows [lo, hi) of dst = a·bᵀ — dot products
+// mulTransBRows computes dst = a·bᵀ — dot products
 // along the shared k axis. j (rows of b) is tiled so the active block of
 // b stays cache-resident while every row of a sweeps it, then processed
 // two at a time so each load of a feeds two dot products, with four
 // independent accumulators per product so the FPU pipelines overlap
 // instead of serializing on one sum.
-func mulTransBRows[E Element](dst, a, b *Matrix[E], lo, hi int) {
+func mulTransBRows[E Element](dst, a, b *Matrix[E]) {
 	if d, x, y, ok := asF32(dst, a, b); ok {
-		mulTransBF32(d, x, y, lo, hi)
+		mulTransBF32(d, x, y)
 		return
 	}
 	if d, x, y, ok := asF64(dst, a, b); ok {
-		mulTransBF64(d, x, y, lo, hi)
+		mulTransBF64(d, x, y)
 		return
 	}
 	kTot, dn := a.Cols, b.Rows
@@ -301,7 +279,7 @@ func mulTransBRows[E Element](dst, a, b *Matrix[E], lo, hi int) {
 		if j1 > dn {
 			j1 = dn
 		}
-		for i := lo; i < hi; i++ {
+		for i := 0; i < a.Rows; i++ {
 			arow := a.Data[i*kTot : (i+1)*kTot]
 			drow := dst.Data[i*dn : (i+1)*dn]
 			j := j0

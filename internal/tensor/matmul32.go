@@ -3,101 +3,69 @@ package tensor
 // float32 kernel specializations. The generic kernels in matmul.go
 // dispatch here when the element type is exactly float32 (named
 // ~float32 types keep the generic scalar path): same cache blocking,
-// same row sharding, but the innermost loops run on the tier-dispatched
-// vector primitives of simd_amd64.go (8 AVX2 / 4 SSE float32 lanes per
-// instruction, scalar elsewhere — the wrappers handle ragged tails).
-// Each row's arithmetic is independent of the shard layout and of
-// whether the operand tile was packed, so worker count still never
-// changes results bit for bit.
+// but the innermost loops run on the tier-dispatched vector primitives
+// of simd_amd64.go (8 AVX2 / 4 SSE float32 lanes per instruction,
+// scalar elsewhere — the wrappers handle ragged tails). Each element's
+// arithmetic is independent of the tile sizes, of the row pairing and
+// of whether the operand tile was packed.
 
 // mulRowsF32 is mulRows for float32: the (k-unrolled × j-segment) inner
 // update is a 4-operand AXPY over the destination segment. When b is
 // wider than one tile, the active blockK×blockJ tile is repacked once
 // per block into a contiguous panel (rows seg apart instead of b.Cols
-// apart) that every destination row in the shard then sweeps — the
-// vector kernels stream unit-stride panel rows that share cache lines
-// regardless of b's row pitch. Packing copies each tile element once
-// and is amortized over the hi-lo destination rows, so it is skipped
-// for thin shards (and unnecessary when n ≤ blockJ: whole rows of b are
-// already contiguous).
-func mulRowsF32(dst, a, b *Matrix[float32], lo, hi int) {
-	n, kTot := b.Cols, a.Cols
-	for i := lo; i < hi; i++ {
-		drow := dst.Data[i*n : (i+1)*n]
-		for j := range drow {
-			drow[j] = 0
-		}
-	}
+// apart) that every destination row then sweeps — the vector kernels
+// stream unit-stride panel rows that share cache lines regardless of
+// b's row pitch. Packing copies each tile element once and is amortized
+// over the destination rows, so it is skipped for thin products (and
+// unnecessary when n ≤ blockJ: whole rows of b are already contiguous).
+//
+// Rows are register-blocked in pairs — saxpy4x2 feeds two accumulating
+// rows from one load of the tile vectors, halving the dominant tile
+// read traffic — and one saxpy4x2Tile call covers every row pair and k
+// quad of the tile. What it leaves is small: the odd last row, and the
+// kTot % 4 single k's of the last k block (blockK is a multiple of 4).
+// Each element of dst accumulates its quads, then its singles, in
+// ascending k, whatever the tile sizes.
+func mulRowsF32(dst, a, b *Matrix[float32]) {
+	rows, n, kTot := a.Rows, b.Cols, a.Cols
+	dst.Zero()
 	var panel []float32
-	pack := n > blockJ && hi-lo >= panelMinRows
+	pack := n > blockJ && rows >= panelMinRows
 	if pack {
 		pp := panelPool32.Get().(*[]float32)
 		panel = *pp
 		defer panelPool32.Put(pp)
 	}
 	for k0 := 0; k0 < kTot; k0 += blockK {
-		k1 := min(k0+blockK, kTot)
-		kext := k1 - k0
+		kext := min(blockK, kTot-k0)
+		kq := kext &^ 3
+		at := a.Data[k0:]
 		for j0 := 0; j0 < n; j0 += blockJ {
-			j1 := min(j0+blockJ, n)
-			seg := j1 - j0
+			seg := min(blockJ, n-j0)
 			// bp holds the active tile: either the packed panel (row
 			// pitch seg) or a view into b itself (row pitch n).
 			bp, pitch := b.Data[k0*n+j0:], n
 			if pack {
 				for k := 0; k < kext; k++ {
-					copy(panel[k*seg:(k+1)*seg], b.Data[(k0+k)*n+j0:(k0+k)*n+j1])
+					copy(panel[k*seg:(k+1)*seg], bp[k*n:k*n+seg])
 				}
 				bp, pitch = panel, seg
 			}
-			// Register-block pairs of destination rows: saxpy4x2 feeds
-			// two accumulating rows from one load of the tile vectors,
-			// halving the dominant tile read traffic. Per-row rounding
-			// is unchanged, and shard chunks are even, so pairing is
-			// identical at any worker count.
-			i := lo
-			for ; i+2 <= hi; i += 2 {
-				arow0 := a.Data[i*kTot+k0 : i*kTot+k1]
-				arow1 := a.Data[(i+1)*kTot+k0 : (i+1)*kTot+k1]
-				drow0 := dst.Data[i*n+j0 : i*n+j1]
-				drow1 := dst.Data[(i+1)*n+j0 : (i+1)*n+j1]
-				k := 0
-				for ; k+4 <= kext; k += 4 {
-					b0 := bp[k*pitch : k*pitch+seg]
-					b1 := bp[(k+1)*pitch : (k+1)*pitch+seg]
-					b2 := bp[(k+2)*pitch : (k+2)*pitch+seg]
-					b3 := bp[(k+3)*pitch : (k+3)*pitch+seg]
-					saxpy4x2(drow0, drow1, b0, b1, b2, b3,
-						arow0[k], arow0[k+1], arow0[k+2], arow0[k+3],
-						arow1[k], arow1[k+1], arow1[k+2], arow1[k+3])
-				}
-				for ; k < kext; k++ {
-					brow := bp[k*pitch : k*pitch+seg]
-					if av := arow0[k]; av != 0 {
-						saxpy1(drow0, brow, av)
-					}
-					if av := arow1[k]; av != 0 {
-						saxpy1(drow1, brow, av)
-					}
+			d := dst.Data[j0:]
+			saxpy4x2Tile(d, n, at, kTot, 1, bp, pitch, rows/2, kq/4, seg, false)
+			if i := rows - 1; rows&1 != 0 {
+				arow, drow := at[i*kTot:], d[i*n:i*n+seg]
+				for k := 0; k < kq; k += 4 {
+					saxpy4(drow, bp[k*pitch:], bp[(k+1)*pitch:], bp[(k+2)*pitch:], bp[(k+3)*pitch:],
+						arow[k], arow[k+1], arow[k+2], arow[k+3])
 				}
 			}
-			for ; i < hi; i++ {
-				arow := a.Data[i*kTot+k0 : i*kTot+k1]
-				drow := dst.Data[i*n+j0 : i*n+j1]
-				k := 0
-				for ; k+4 <= kext; k += 4 {
-					b0 := bp[k*pitch : k*pitch+seg]
-					b1 := bp[(k+1)*pitch : (k+1)*pitch+seg]
-					b2 := bp[(k+2)*pitch : (k+2)*pitch+seg]
-					b3 := bp[(k+3)*pitch : (k+3)*pitch+seg]
-					saxpy4(drow, b0, b1, b2, b3, arow[k], arow[k+1], arow[k+2], arow[k+3])
-				}
-				for ; k < kext; k++ {
-					av := arow[k]
-					if av == 0 {
-						continue
+			for k := kq; k < kext; k++ {
+				brow := bp[k*pitch : k*pitch+seg]
+				for i := 0; i < rows; i++ {
+					if av := at[i*kTot+k]; av != 0 {
+						saxpy1(d[i*n:i*n+seg], brow, av)
 					}
-					saxpy1(drow, bp[k*pitch:k*pitch+seg], av)
 				}
 			}
 		}
@@ -107,81 +75,35 @@ func mulRowsF32(dst, a, b *Matrix[float32], lo, hi int) {
 // mulTransAF32 is mulTransARows for float32: each destination row is an
 // AXPY accumulation of b's rows weighted by one (strided) column of a.
 // b's rows are read whole and are already unit-stride, so no packing is
-// needed here.
-func mulTransAF32(dst, a, b *Matrix[float32], lo, hi int) {
+// needed here: b is the tile, cut into blockJ-wide column blocks so the
+// rows every destination pair sweeps stay L1-resident. Destination rows
+// pair adjacent columns of a (the strided a loads share cache lines);
+// a quad is skipped when its multipliers — all eight of a pair's, the
+// four of the odd last row's — are zero.
+func mulTransAF32(dst, a, b *Matrix[float32]) {
 	n, kTot, ac := b.Cols, a.Rows, a.Cols
-	// Register-block pairs of destination rows (adjacent columns of a,
-	// so the strided a loads share cache lines): saxpy4x2 streams each
-	// row of b once for both accumulating rows. Shard chunks are even,
-	// so pairing — and the all-zero quad skip, decided per pair — is
-	// identical at any worker count.
-	i := lo
-	for ; i+2 <= hi; i += 2 {
-		drow0 := dst.Data[i*n : (i+1)*n]
-		drow1 := dst.Data[(i+1)*n : (i+2)*n]
-		for j := range drow0 {
-			drow0[j] = 0
-		}
-		for j := range drow1 {
-			drow1[j] = 0
-		}
-		k := 0
-		for ; k+4 <= kTot; k += 4 {
-			a00 := a.Data[k*ac+i]
-			a01 := a.Data[(k+1)*ac+i]
-			a02 := a.Data[(k+2)*ac+i]
-			a03 := a.Data[(k+3)*ac+i]
-			a10 := a.Data[k*ac+i+1]
-			a11 := a.Data[(k+1)*ac+i+1]
-			a12 := a.Data[(k+2)*ac+i+1]
-			a13 := a.Data[(k+3)*ac+i+1]
-			if a00 == 0 && a01 == 0 && a02 == 0 && a03 == 0 &&
-				a10 == 0 && a11 == 0 && a12 == 0 && a13 == 0 {
-				continue
-			}
-			b0 := b.Data[k*n : (k+1)*n]
-			b1 := b.Data[(k+1)*n : (k+2)*n]
-			b2 := b.Data[(k+2)*n : (k+3)*n]
-			b3 := b.Data[(k+3)*n : (k+4)*n]
-			saxpy4x2(drow0, drow1, b0, b1, b2, b3,
-				a00, a01, a02, a03, a10, a11, a12, a13)
-		}
-		for ; k < kTot; k++ {
-			brow := b.Data[k*n : (k+1)*n]
-			if av := a.Data[k*ac+i]; av != 0 {
-				saxpy1(drow0, brow, av)
-			}
-			if av := a.Data[k*ac+i+1]; av != 0 {
-				saxpy1(drow1, brow, av)
-			}
-		}
+	dst.Zero()
+	kq := kTot &^ 3
+	for j0 := 0; j0 < n; j0 += blockJ {
+		seg := min(blockJ, n-j0)
+		saxpy4x2Tile(dst.Data[j0:], n, a.Data, 1, ac, b.Data[j0:], n, ac/2, kq/4, seg, true)
 	}
-	for ; i < hi; i++ {
+	if i := ac - 1; ac&1 != 0 {
 		drow := dst.Data[i*n : (i+1)*n]
-		for j := range drow {
-			drow[j] = 0
-		}
-		k := 0
-		for ; k+4 <= kTot; k += 4 {
-			a0 := a.Data[k*ac+i]
-			a1 := a.Data[(k+1)*ac+i]
-			a2 := a.Data[(k+2)*ac+i]
-			a3 := a.Data[(k+3)*ac+i]
+		for k := 0; k < kq; k += 4 {
+			a0, a1, a2, a3 := a.Data[k*ac+i], a.Data[(k+1)*ac+i], a.Data[(k+2)*ac+i], a.Data[(k+3)*ac+i]
 			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
 				continue
 			}
-			b0 := b.Data[k*n : (k+1)*n]
-			b1 := b.Data[(k+1)*n : (k+2)*n]
-			b2 := b.Data[(k+2)*n : (k+3)*n]
-			b3 := b.Data[(k+3)*n : (k+4)*n]
-			saxpy4(drow, b0, b1, b2, b3, a0, a1, a2, a3)
+			saxpy4(drow, b.Data[k*n:], b.Data[(k+1)*n:], b.Data[(k+2)*n:], b.Data[(k+3)*n:], a0, a1, a2, a3)
 		}
-		for ; k < kTot; k++ {
-			av := a.Data[k*ac+i]
-			if av == 0 {
-				continue
+	}
+	for k := kq; k < kTot; k++ {
+		brow := b.Data[k*n : (k+1)*n]
+		for i := 0; i < ac; i++ {
+			if av := a.Data[k*ac+i]; av != 0 {
+				saxpy1(dst.Data[i*n:(i+1)*n], brow, av)
 			}
-			saxpy1(drow, b.Data[k*n:(k+1)*n], av)
 		}
 	}
 }
@@ -190,12 +112,12 @@ func mulTransAF32(dst, a, b *Matrix[float32], lo, hi int) {
 // vector dot product along the shared k axis, with b tiled so the
 // active rows stay cache-resident. Both operand rows are already
 // unit-stride, so no packing is needed here either.
-func mulTransBF32(dst, a, b *Matrix[float32], lo, hi int) {
+func mulTransBF32(dst, a, b *Matrix[float32]) {
 	kTot, dn := a.Cols, b.Rows
 	const blockTB = 64
 	for j0 := 0; j0 < dn; j0 += blockTB {
 		j1 := min(j0+blockTB, dn)
-		for i := lo; i < hi; i++ {
+		for i := 0; i < a.Rows; i++ {
 			arow := a.Data[i*kTot : (i+1)*kTot]
 			drow := dst.Data[i*dn : (i+1)*dn]
 			// Pair adjacent output columns: sdot2 streams arow once for

@@ -7,21 +7,15 @@ package tensor
 // kernels in matmul.go dispatch here for concrete float64 matrices;
 // named ~float64 types keep the generic path. Per-row arithmetic is
 // identical to the generic kernels' unpaired rows (the same 4-wide
-// k-unroll expression), independent of shard layout and packing, so
-// worker count never changes results bit for bit.
+// k-unroll expression) and independent of packing.
 
 // mulRowsF64 is mulRows for float64 — see mulRowsF32 for the panel
 // scheme.
-func mulRowsF64(dst, a, b *Matrix[float64], lo, hi int) {
-	n, kTot := b.Cols, a.Cols
-	for i := lo; i < hi; i++ {
-		drow := dst.Data[i*n : (i+1)*n]
-		for j := range drow {
-			drow[j] = 0
-		}
-	}
+func mulRowsF64(dst, a, b *Matrix[float64]) {
+	rows, n, kTot := a.Rows, b.Cols, a.Cols
+	dst.Zero()
 	var panel []float64
-	pack := n > blockJ && hi-lo >= panelMinRows
+	pack := n > blockJ && rows >= panelMinRows
 	if pack {
 		pp := panelPool64.Get().(*[]float64)
 		panel = *pp
@@ -40,7 +34,7 @@ func mulRowsF64(dst, a, b *Matrix[float64], lo, hi int) {
 				}
 				bp, pitch = panel, seg
 			}
-			for i := lo; i < hi; i++ {
+			for i := 0; i < rows; i++ {
 				arow := a.Data[i*kTot+k0 : i*kTot+k1]
 				drow := dst.Data[i*n+j0 : i*n+j1]
 				k := 0
@@ -65,9 +59,9 @@ func mulRowsF64(dst, a, b *Matrix[float64], lo, hi int) {
 
 // mulTransAF64 is mulTransARows for float64 — AXPY accumulation of b's
 // (already unit-stride) rows weighted by one strided column of a.
-func mulTransAF64(dst, a, b *Matrix[float64], lo, hi int) {
+func mulTransAF64(dst, a, b *Matrix[float64]) {
 	n, kTot, ac := b.Cols, a.Rows, a.Cols
-	for i := lo; i < hi; i++ {
+	for i := 0; i < ac; i++ {
 		drow := dst.Data[i*n : (i+1)*n]
 		for j := range drow {
 			drow[j] = 0
@@ -99,12 +93,12 @@ func mulTransAF64(dst, a, b *Matrix[float64], lo, hi int) {
 
 // mulTransBF64 is mulTransBRows for float64 — tiled dot products along
 // the shared k axis.
-func mulTransBF64(dst, a, b *Matrix[float64], lo, hi int) {
+func mulTransBF64(dst, a, b *Matrix[float64]) {
 	kTot, dn := a.Cols, b.Rows
 	const blockTB = 64
 	for j0 := 0; j0 < dn; j0 += blockTB {
 		j1 := min(j0+blockTB, dn)
-		for i := lo; i < hi; i++ {
+		for i := 0; i < a.Rows; i++ {
 			arow := a.Data[i*kTot : (i+1)*kTot]
 			drow := dst.Data[i*dn : (i+1)*dn]
 			for j := j0; j < j1; j++ {

@@ -15,7 +15,7 @@ const tolEquiv = 1e-9
 
 // raggedShapes hits every remainder path: 1×N and N×1 products, sizes
 // straddling the unroll width (4) and the tile edges (blockK, blockJ),
-// and sizes large enough to cross the parallel threshold.
+// and the train-step shapes.
 var raggedShapes = [][3]int{
 	{1, 1, 1},
 	{1, 7, 1},
@@ -26,7 +26,7 @@ var raggedShapes = [][3]int{
 	{7, 9, 11},
 	{blockK - 1, blockK + 1, blockJ - 1},
 	{blockK + 3, blockK, blockJ + 5},
-	{32, 640, 640}, // the train-step forward shape (above parallelFlops)
+	{32, 640, 640}, // the train-step forward shape
 	{130, 67, 259},
 }
 
@@ -114,66 +114,32 @@ func TestMulIntoMatchesNaiveQuick(t *testing.T) {
 	}
 }
 
-// TestParallelKernelsMatchSerial forces a multi-worker pool — regardless
-// of GOMAXPROCS — and checks the sharded kernels against serial runs.
-// Under `go test -race` this doubles as the data-race check on the
-// worker pool.
-func TestParallelKernelsMatchSerial(t *testing.T) {
-	defer SetWorkers(0) // restore a GOMAXPROCS-sized pool via clamp path
-	rng := rand.New(rand.NewSource(14))
-	// Big enough to clear parallelFlops and minShardRows for all kernels.
-	shapes := [][3]int{{64, 64, 64}, {96, 130, 70}, {32, 640, 640}, {640, 32, 640}}
-	for _, s := range shapes {
-		r, k, c := s[0], s[1], s[2]
-		a := randomMatrix[float64](rng, r, k)
-		b := randomMatrix[float64](rng, k, c)
-		at := Transpose(a)
-		bt := Transpose(b)
-
-		SetWorkers(1)
-		serialMul, serialTA, serialTB := New[float64](r, c), New[float64](r, c), New[float64](r, c)
-		MulInto(serialMul, a, b)
-		MulTransAInto(serialTA, at, b)
-		MulTransBInto(serialTB, a, bt)
-
-		SetWorkers(4)
-		parMul, parTA, parTB := New[float64](r, c), New[float64](r, c), New[float64](r, c)
-		MulInto(parMul, a, b)
-		MulTransAInto(parTA, at, b)
-		MulTransBInto(parTB, a, bt)
-
-		// Identical shard-local arithmetic → bit-for-bit equality.
-		if !Equal(parMul, serialMul) {
-			t.Fatalf("parallel MulInto %v deviates from serial", s)
-		}
-		if !Equal(parTA, serialTA) {
-			t.Fatalf("parallel MulTransAInto %v deviates from serial", s)
-		}
-		if !Equal(parTB, serialTB) {
-			t.Fatalf("parallel MulTransBInto %v deviates from serial", s)
-		}
-	}
+// TestParallelKernelsConcurrentCallers runs MulInto from several
+// goroutines at once (the capesd scenario: one session per core training
+// in one process). The kernels share nothing but the panel pools, and b
+// is wide enough here that every call packs — run with -race to verify
+// no two callers ever hold the same panel.
+func TestParallelKernelsConcurrentCallers(t *testing.T) {
+	t.Run("float32", concurrentCallers[float32])
+	t.Run("float64", concurrentCallers[float64])
 }
 
-// TestParallelKernelsConcurrentCallers hammers the shared pool from many
-// goroutines at once (the capesd scenario: several sessions training in
-// one process). Run with -race to verify the job plumbing.
-func TestParallelKernelsConcurrentCallers(t *testing.T) {
-	SetWorkers(4)
-	defer SetWorkers(0)
-	const callers = 6
+func concurrentCallers[E Element](t *testing.T) {
+	const callers, rows, k, n = 4, 2 * panelMinRows, 3*blockK + 5, blockJ + 44
 	rng := rand.New(rand.NewSource(15))
-	a := randomMatrix[float64](rng, 64, 96)
-	b := randomMatrix[float64](rng, 96, 80)
-	want := New[float64](64, 80)
-	mulNaiveInto(want, a, b)
+	b := randomMatrix[E](rng, k, n)
 	done := make(chan error, callers)
 	for g := 0; g < callers; g++ {
+		// Each caller multiplies its own left operand, so a panel leaking
+		// between callers could not cancel out.
+		a := randomMatrix[E](rng, rows, k)
+		want := New[E](rows, n)
+		MulInto(want, a, b)
 		go func() {
-			dst := New[float64](64, 80)
+			dst := New[E](rows, n)
 			for i := 0; i < 50; i++ {
 				MulInto(dst, a, b)
-				if !ApproxEqual(dst, want, tolEquiv) {
+				if !Equal(dst, want) {
 					done <- errMismatch
 					return
 				}
@@ -188,50 +154,7 @@ func TestParallelKernelsConcurrentCallers(t *testing.T) {
 	}
 }
 
-// TestSetWorkersDuringKernels resizes the pool while multiplications
-// are in flight on other goroutines: submissions hold the pool read
-// lock, so a swap must never close a channel mid-send (which would
-// panic) or strand a queued row-block (which would deadlock the
-// caller's WaitGroup).
-func TestSetWorkersDuringKernels(t *testing.T) {
-	defer SetWorkers(0)
-	rng := rand.New(rand.NewSource(16))
-	a := randomMatrix[float64](rng, 64, 96)
-	b := randomMatrix[float64](rng, 96, 80)
-	want := New[float64](64, 80)
-	mulNaiveInto(want, a, b)
-	stop := make(chan struct{})
-	done := make(chan error, 2)
-	for g := 0; g < 2; g++ {
-		go func() {
-			dst := New[float64](64, 80)
-			for {
-				select {
-				case <-stop:
-					done <- nil
-					return
-				default:
-				}
-				MulInto(dst, a, b)
-				if !ApproxEqual(dst, want, tolEquiv) {
-					done <- errMismatch
-					return
-				}
-			}
-		}()
-	}
-	for _, w := range []int{1, 4, 2, 8, 1, 3} {
-		SetWorkers(w)
-	}
-	close(stop)
-	for g := 0; g < 2; g++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-var errMismatch = errorString("concurrent MulInto deviates from reference")
+var errMismatch = errorString("concurrent MulInto deviates from the serial result")
 
 type errorString string
 
@@ -262,9 +185,11 @@ func randomMatrix[E Element](rng *rand.Rand, r, c int) *Matrix[E] {
 // benchmark shapes: the CAPES train step multiplies batch×width by
 // width×width (hidden layers) and width×actions (head).
 func BenchmarkMulInto(b *testing.B) {
-	shapes := [][3]int{{64, 64, 64}, {256, 256, 256}, {32, 640, 640}}
+	shapes := [][3]int{{64, 64, 64}, {256, 256, 256}, {32, 640, 640}, {32, 500, 500}}
 	// The 32×640·640×640 entry is the minibatch train-forward shape
-	// (obsWidth 64, stack 10).
+	// (obsWidth 64, stack 10); 32×500·500×500 is the paper rig's own
+	// (5 nodes × 10 PIs × 10 ticks), whose second column block is 244
+	// wide — 8-lane steps and one 4-lane step.
 	for _, s := range shapes {
 		s := s
 		b.Run(sizeName(s[0], s[1], s[2])+"/f64", func(b *testing.B) {

@@ -3,7 +3,6 @@ package tensor
 import (
 	"math"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 )
 
@@ -69,106 +68,11 @@ func approxEqualWidened[E Element](got *Matrix[E], want *Matrix[float64], tol fl
 
 // TestKernelEquivalenceAcrossPrecisions is the cross-precision golden
 // test the float32 hot path rests on: both instantiations of the
-// blocked/unrolled/parallel kernels must match the float64 naive
-// references within precision-scaled tolerance across ragged shapes
-// (including shapes that cross the parallel threshold).
+// blocked/unrolled kernels must match the float64 naive references
+// within precision-scaled tolerance across ragged shapes.
 func TestKernelEquivalenceAcrossPrecisions(t *testing.T) {
 	t.Run("float32", func(t *testing.T) { checkKernelsAgainstGolden[float32](t, raggedShapes) })
 	t.Run("float64", func(t *testing.T) { checkKernelsAgainstGolden[float64](t, raggedShapes) })
-}
-
-// TestParallelKernelsMatchSerialFloat32 mirrors the float64 bit-for-bit
-// shard-determinism test at float32: even-sized shard blocks keep the
-// row-pairing aligned with a serial run, so worker count never changes
-// results at either precision.
-func TestParallelKernelsMatchSerialFloat32(t *testing.T) {
-	defer SetWorkers(0)
-	rng := rand.New(rand.NewSource(43))
-	shapes := [][3]int{{64, 64, 64}, {96, 130, 70}, {32, 640, 640}}
-	for _, s := range shapes {
-		r, k, c := s[0], s[1], s[2]
-		a := randomMatrix[float32](rng, r, k)
-		b := randomMatrix[float32](rng, k, c)
-		at := Transpose(a)
-		bt := Transpose(b)
-
-		SetWorkers(1)
-		serialMul, serialTA, serialTB := New[float32](r, c), New[float32](r, c), New[float32](r, c)
-		MulInto(serialMul, a, b)
-		MulTransAInto(serialTA, at, b)
-		MulTransBInto(serialTB, a, bt)
-
-		SetWorkers(4)
-		parMul, parTA, parTB := New[float32](r, c), New[float32](r, c), New[float32](r, c)
-		MulInto(parMul, a, b)
-		MulTransAInto(parTA, at, b)
-		MulTransBInto(parTB, a, bt)
-
-		if !Equal(parMul, serialMul) || !Equal(parTA, serialTA) || !Equal(parTB, serialTB) {
-			t.Fatalf("parallel float32 kernels deviate from serial on %v", s)
-		}
-	}
-}
-
-// countingRanger records how many times each index of [0, n) was
-// visited; ParallelFor must cover every index exactly once regardless of
-// worker count or chunking.
-type countingRanger struct {
-	hits []atomic.Int32
-}
-
-func (c *countingRanger) RunRange(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		c.hits[i].Add(1)
-	}
-}
-
-func TestParallelForCoversEveryIndexOnce(t *testing.T) {
-	defer SetWorkers(0)
-	for _, workers := range []int{1, 3, 8} {
-		SetWorkers(workers)
-		for _, n := range []int{0, 1, 7, 64, 1000, 4097} {
-			for _, minChunk := range []int{1, 8, 512} {
-				c := &countingRanger{hits: make([]atomic.Int32, n)}
-				ParallelFor(n, minChunk, c)
-				for i := range c.hits {
-					if got := c.hits[i].Load(); got != 1 {
-						t.Fatalf("workers=%d n=%d minChunk=%d: index %d visited %d times", workers, n, minChunk, i, got)
-					}
-				}
-			}
-		}
-	}
-}
-
-// sumRanger is a trivially shardable sweep used for the allocation test.
-type sumRanger struct {
-	data []float64
-	out  []float64
-}
-
-func (s *sumRanger) RunRange(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		s.out[i] = s.data[i] * 2
-	}
-}
-
-// TestParallelForAllocFree pins the allocation-free property of the
-// sharded sweep path: a persistent Ranger pointer plus pooled headers
-// means steady-state calls allocate nothing (the fused Adam sweep in
-// internal/nn depends on this for the zero-alloc train step).
-func TestParallelForAllocFree(t *testing.T) {
-	SetWorkers(4)
-	defer SetWorkers(0)
-	const n = 1 << 14
-	r := &sumRanger{data: make([]float64, n), out: make([]float64, n)}
-	ParallelFor(n, 1024, r) // warm the header pool
-	allocs := testing.AllocsPerRun(50, func() {
-		ParallelFor(n, 1024, r)
-	})
-	if allocs != 0 {
-		t.Fatalf("ParallelFor allocates %v per call in steady state", allocs)
-	}
 }
 
 // TestConvert checks the one sanctioned precision-conversion helper in

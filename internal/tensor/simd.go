@@ -36,9 +36,7 @@ import (
 // element, and SumSquares32 does because its summation order is fixed
 // by definition. Only the dot-product reductions differ across tiers
 // (wider accumulators change the summation order), which the
-// precision-scaled equivalence tolerances already cover. Shard
-// boundaries land mid-slice without changing results for the same
-// reason, so worker count never changes results bit for bit on any tier.
+// precision-scaled equivalence tolerances already cover.
 
 // Kernel tiers, in strictly increasing capability order.
 const (
@@ -118,6 +116,48 @@ func saxpy4Scalar(dst, x0, x1, x2, x3 []float32, a0, a1, a2, a3 float32) {
 func saxpy1Scalar(dst, x0 []float32, a0 float32) {
 	for j := range dst {
 		dst[j] += a0 * x0[j]
+	}
+}
+
+// saxpy4x2 runs saxpy4 for two destination rows against the same four
+// operand rows: the unit the blocked matmuls pair rows by. Each row
+// rounds exactly as a lone saxpy4 over it.
+func saxpy4x2(dst0, dst1, x0, x1, x2, x3 []float32, a00, a01, a02, a03, a10, a11, a12, a13 float32) {
+	saxpy4(dst0, x0, x1, x2, x3, a00, a01, a02, a03)
+	saxpy4(dst1, x0, x1, x2, x3, a10, a11, a12, a13)
+}
+
+// saxpy4x2TileCalls accumulates one operand tile into pairs of
+// destination rows: for every row pair p < pairs and k quad q < quads,
+// in that order, it runs
+//
+//	saxpy4x2(d[2p·dPitch:][:seg], d[(2p+1)·dPitch:][:seg],
+//	         b[4q·bPitch:][:seg] … b[(4q+3)·bPitch:][:seg],
+//	         a[2p·aRow + 4q·aK] … a[2p·aRow + (4q+3)·aK],
+//	         a[(2p+1)·aRow + 4q·aK] … a[(2p+1)·aRow + (4q+3)·aK])
+//
+// so each element of d sees its quads in ascending k. The a strides let
+// one routine serve a row-major left operand (aRow = its width, aK = 1)
+// and a transposed one (aRow = 1, aK = its width); skipZero drops quads
+// whose eight multipliers are all zero. This is saxpy4x2Tile on the
+// scalar and sse tiers, and the reference the tests hold the avx2 tile
+// body to.
+func saxpy4x2TileCalls(d []float32, dPitch int, a []float32, aRow, aK int, b []float32, bPitch, pairs, quads, seg int, skipZero bool) {
+	for p := 0; p < pairs; p++ {
+		d0 := d[2*p*dPitch:][:seg]
+		d1 := d[(2*p+1)*dPitch:][:seg]
+		a0, a1 := a[2*p*aRow:], a[(2*p+1)*aRow:]
+		for k := 0; k < 4*quads; k += 4 {
+			a00, a01, a02, a03 := a0[k*aK], a0[(k+1)*aK], a0[(k+2)*aK], a0[(k+3)*aK]
+			a10, a11, a12, a13 := a1[k*aK], a1[(k+1)*aK], a1[(k+2)*aK], a1[(k+3)*aK]
+			if skipZero && a00 == 0 && a01 == 0 && a02 == 0 && a03 == 0 &&
+				a10 == 0 && a11 == 0 && a12 == 0 && a13 == 0 {
+				continue
+			}
+			saxpy4x2(d0, d1,
+				b[k*bPitch:][:seg], b[(k+1)*bPitch:][:seg], b[(k+2)*bPitch:][:seg], b[(k+3)*bPitch:][:seg],
+				a00, a01, a02, a03, a10, a11, a12, a13)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ package tensor
 //
 //	routine      scalar  sse (XMM)              avx2 (YMM)
 //	saxpy4/1     Go      saxpy4SSE/saxpy1SSE    saxpy4AVX2/saxpy1AVX2
+//	saxpy4x2Tile Go loops over 2 × saxpy4       saxpy4x2TileAVX2 (loops in the body)
 //	sdot         Go      sdotSSE                sdotAVX2
 //	sdot2        Go      sdot2SSE               sdot2AVX2
 //	daxpy4/1     Go      daxpy4SSE2/daxpy1SSE2  (float64 stays on SSE2)
@@ -27,7 +28,9 @@ package tensor
 // length down (&^3, &^7, &^1), hand the aligned prefix to the assembly
 // and finish the remainder with the scalar loops from simd.go, so
 // callers never see an alignment requirement and len<lane-count slices
-// (the action path's odd widths) work on every tier.
+// (the action path's odd widths) work on every tier. saxpy4x2TileAVX2
+// alone takes any length: it finishes 8-lane steps with a 4-lane XMM
+// step and single-lane steps, so no width comes back to the Go loops.
 //
 // Rounding contract: the vector bodies use only IEEE-exact operations —
 // MULPS/ADDPS/SUBPS/MULPD/ADDPD and, in the Adam and tanh sweeps,
@@ -84,27 +87,25 @@ func saxpy1(dst, x0 []float32, a0 float32) {
 	}
 }
 
-// saxpy4x2 runs saxpy4 for two destination rows against the same four
-// operand rows. On the avx2 tier the operand vectors stay in registers
-// across both rows, halving the tile read traffic that bounds the
-// blocked matmuls; other tiers decompose into two saxpy4 calls. Either
-// way each row rounds exactly as a lone saxpy4 over it would, so the
-// row pairing in the callers never changes results.
-func saxpy4x2(dst0, dst1, x0, x1, x2, x3 []float32, a00, a01, a02, a03, a10, a11, a12, a13 float32) {
-	if activeTier.Load() == tierAVX2 {
-		j := 0
-		if n8 := len(dst0) &^ 7; n8 > 0 {
-			saxpy4x2AVX2(dst0[:n8], dst1, x0, x1, x2, x3, a00, a01, a02, a03, a10, a11, a12, a13)
-			j = n8
-		}
-		for ; j < len(dst0); j++ {
-			dst0[j] += a00*x0[j] + a01*x1[j] + a02*x2[j] + a03*x3[j]
-			dst1[j] += a10*x0[j] + a11*x1[j] + a12*x2[j] + a13*x3[j]
-		}
+// saxpy4x2Tile is saxpy4x2TileCalls (simd.go has the operand layout).
+// On the avx2 tier the row-pair and k-quad loops run inside one
+// assembly call — the call, slice and dispatch glue around a 256-wide
+// saxpy4x2 was a sixth of the train step, and around the 5-wide head
+// layer's most of its time.
+func saxpy4x2Tile(d []float32, dPitch int, a []float32, aRow, aK int, b []float32, bPitch, pairs, quads, seg int, skipZero bool) {
+	if activeTier.Load() != tierAVX2 {
+		saxpy4x2TileCalls(d, dPitch, a, aRow, aK, b, bPitch, pairs, quads, seg, skipZero)
 		return
 	}
-	saxpy4(dst0, x0, x1, x2, x3, a00, a01, a02, a03)
-	saxpy4(dst1, x0, x1, x2, x3, a10, a11, a12, a13)
+	if pairs <= 0 || quads <= 0 || seg <= 0 {
+		return
+	}
+	// The assembly indexes raw pointers: prove the last element of each
+	// operand it touches is in range first.
+	_ = d[(2*pairs-1)*dPitch+seg-1]
+	_ = a[(2*pairs-1)*aRow+(4*quads-1)*aK]
+	_ = b[(4*quads-1)*bPitch+seg-1]
+	saxpy4x2TileAVX2(&d[0], dPitch, &a[0], aRow, aK, &b[0], bPitch, pairs, quads, seg, skipZero)
 }
 
 // sdot returns Σ a[j]·b[j]; len(b) must be ≥ len(a). The reduction
@@ -305,7 +306,7 @@ func sdot2SSE(a, b0, b1 []float32) (s0, s1 float32)
 func sdot2AVX2(a, b0, b1 []float32) (s0, s1 float32)
 
 //go:noescape
-func saxpy4x2AVX2(dst0, dst1, x0, x1, x2, x3 []float32, a00, a01, a02, a03, a10, a11, a12, a13 float32)
+func saxpy4x2TileAVX2(d *float32, dPitch int, a *float32, aRow, aK int, b *float32, bPitch, pairs, quads, seg int, skipZero bool)
 
 //go:noescape
 func daxpy4SSE2(dst, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64)

@@ -179,61 +179,6 @@ sdotavx_fold:
 	MOVSS        X0, ret+48(FP)
 	RET
 
-// func saxpy4x2AVX2(dst0, dst1, x0, x1, x2, x3 []float32, a00, a01, a02, a03, a10, a11, a12, a13 float32)
-// Register-blocked pair of saxpy4s: the four operand-row vectors are
-// loaded once and feed both destination rows, halving the dominant
-// operand-tile read traffic in the blocked matmuls. Per-row arithmetic
-// and rounding are exactly saxpy4's. len(dst0) % 8 == 0.
-TEXT ·saxpy4x2AVX2(SB), NOSPLIT, $0-176
-	MOVQ dst0_base+0(FP), DI
-	MOVQ dst0_len+8(FP), CX
-	MOVQ dst1_base+24(FP), BX
-	MOVQ x0_base+48(FP), R8
-	MOVQ x1_base+72(FP), R9
-	MOVQ x2_base+96(FP), R10
-	MOVQ x3_base+120(FP), R11
-	VBROADCASTSS a00+144(FP), Y7
-	VBROADCASTSS a01+148(FP), Y8
-	VBROADCASTSS a02+152(FP), Y9
-	VBROADCASTSS a03+156(FP), Y10
-	VBROADCASTSS a10+160(FP), Y11
-	VBROADCASTSS a11+164(FP), Y12
-	VBROADCASTSS a12+168(FP), Y13
-	VBROADCASTSS a13+172(FP), Y14
-	XORQ AX, AX
-
-saxpy4x2avx_loop8:
-	CMPQ AX, CX
-	JGE  saxpy4x2avx_done
-	VMOVUPS (R8)(AX*4), Y0
-	VMOVUPS (R9)(AX*4), Y1
-	VMOVUPS (R10)(AX*4), Y2
-	VMOVUPS (R11)(AX*4), Y3
-	VMULPS  Y7, Y0, Y4
-	VMULPS  Y8, Y1, Y6
-	VADDPS  Y6, Y4, Y4
-	VMULPS  Y9, Y2, Y6
-	VADDPS  Y6, Y4, Y4
-	VMULPS  Y10, Y3, Y6
-	VADDPS  Y6, Y4, Y4
-	VADDPS  (DI)(AX*4), Y4, Y4
-	VMOVUPS Y4, (DI)(AX*4)
-	VMULPS  Y11, Y0, Y5
-	VMULPS  Y12, Y1, Y6
-	VADDPS  Y6, Y5, Y5
-	VMULPS  Y13, Y2, Y6
-	VADDPS  Y6, Y5, Y5
-	VMULPS  Y14, Y3, Y6
-	VADDPS  Y6, Y5, Y5
-	VADDPS  (BX)(AX*4), Y5, Y5
-	VMOVUPS Y5, (BX)(AX*4)
-	ADDQ    $8, AX
-	JMP     saxpy4x2avx_loop8
-
-saxpy4x2avx_done:
-	VZEROUPPER
-	RET
-
 // func sdot2AVX2(a, b0, b1 []float32) (s0, s1 float32)
 // Returns (sum(a[j]*b0[j]), sum(a[j]*b1[j])); len(a) % 8 == 0. The
 // shared left operand is loaded once per lane and feeds both columns;
@@ -307,4 +252,176 @@ sdot2avx_fold:
 	SHUFPS       $0x55, X7, X7
 	ADDSS        X7, X6
 	MOVSS        X6, s1+76(FP)
+	RET
+
+// func saxpy4x2TileAVX2(d *float32, dPitch int, a *float32, aRow, aK int, b *float32, bPitch, pairs, quads, seg int, skipZero bool)
+// One operand tile in one call: a register-blocked pair of saxpy4s —
+// the four operand-row vectors are loaded once and feed both destination
+// rows, halving the dominant tile read traffic — under the row-pair and
+// k-quad loops the Go callers used to run around it.
+//
+//	for p in [0, pairs), q in [0, quads):
+//	    d[2p·dPitch + j]     += quad(a[2p·aRow + 4q·aK ...],     b[4q·bPitch + j ...])
+//	    d[(2p+1)·dPitch + j] += quad(a[(2p+1)·aRow + 4q·aK ...], b[4q·bPitch + j ...])
+//	quad(a, b) = ((a[0]·b[0] + a[aK]·b[bPitch]) + a[2aK]·b[2bPitch]) + a[3aK]·b[3bPitch]
+//
+// for j in [0, seg); strides count elements. With skipZero a quad whose
+// eight multipliers are all ±0 is skipped, as mulTransAF32 always did.
+// Every element sees exactly the operations, in exactly the order, of
+// the per-call path. Requires pairs ≥ 1, quads ≥ 1 and seg ≥ 1:
+// columns run 8 lanes at a time, then 4 on XMM, then one at a time.
+// The stride arguments are scaled to bytes in place.
+TEXT ·saxpy4x2TileAVX2(SB), NOSPLIT, $0-81
+	MOVQ d+0(FP), DI
+	MOVQ a+16(FP), SI
+	MOVQ pairs+56(FP), R13
+	MOVQ seg+72(FP), CX
+	ANDQ $-8, CX
+	SHLQ $2, dPitch+8(FP)
+	SHLQ $2, aRow+24(FP)
+	SHLQ $2, aK+32(FP)
+	SHLQ $2, bPitch+48(FP)
+
+tile_pair:
+	MOVQ dPitch+8(FP), AX
+	LEAQ (DI)(AX*1), BX
+	MOVQ aRow+24(FP), AX
+	LEAQ (SI)(AX*1), DX
+	MOVQ b+40(FP), R8
+	MOVQ quads+64(FP), R12
+
+tile_quad:
+	MOVQ aK+32(FP), R9
+	LEAQ (SI)(R9*2), R10
+	LEAQ (DX)(R9*2), R11
+	CMPB skipZero+80(FP), $0
+	JEQ  tile_bcast
+	MOVL (SI), AX
+	ORL  (SI)(R9*1), AX
+	ORL  (R10), AX
+	ORL  (R10)(R9*1), AX
+	ORL  (DX), AX
+	ORL  (DX)(R9*1), AX
+	ORL  (R11), AX
+	ORL  (R11)(R9*1), AX
+	SHLL $1, AX
+	JZ   tile_nextquad
+
+tile_bcast:
+	VBROADCASTSS (SI), Y7
+	VBROADCASTSS (SI)(R9*1), Y8
+	VBROADCASTSS (R10), Y9
+	VBROADCASTSS (R10)(R9*1), Y10
+	VBROADCASTSS (DX), Y11
+	VBROADCASTSS (DX)(R9*1), Y12
+	VBROADCASTSS (R11), Y13
+	VBROADCASTSS (R11)(R9*1), Y14
+	MOVQ bPitch+48(FP), AX
+	LEAQ (R8)(AX*1), R9
+	LEAQ (R9)(AX*1), R10
+	LEAQ (R10)(AX*1), R11
+	XORQ AX, AX
+	TESTQ CX, CX
+	JZ   tile_tail4
+
+tile_loop8:
+	VMOVUPS (R8)(AX*4), Y0
+	VMOVUPS (R9)(AX*4), Y1
+	VMOVUPS (R10)(AX*4), Y2
+	VMOVUPS (R11)(AX*4), Y3
+	VMULPS  Y7, Y0, Y4
+	VMULPS  Y8, Y1, Y6
+	VADDPS  Y6, Y4, Y4
+	VMULPS  Y9, Y2, Y6
+	VADDPS  Y6, Y4, Y4
+	VMULPS  Y10, Y3, Y6
+	VADDPS  Y6, Y4, Y4
+	VADDPS  (DI)(AX*4), Y4, Y4
+	VMOVUPS Y4, (DI)(AX*4)
+	VMULPS  Y11, Y0, Y5
+	VMULPS  Y12, Y1, Y6
+	VADDPS  Y6, Y5, Y5
+	VMULPS  Y13, Y2, Y6
+	VADDPS  Y6, Y5, Y5
+	VMULPS  Y14, Y3, Y6
+	VADDPS  Y6, Y5, Y5
+	VADDPS  (BX)(AX*4), Y5, Y5
+	VMOVUPS Y5, (BX)(AX*4)
+	ADDQ    $8, AX
+	CMPQ    AX, CX
+	JLT     tile_loop8
+
+tile_tail4:
+	TESTQ $4, seg+72(FP)
+	JZ    tile_tail1
+	VMOVUPS (R8)(AX*4), X0
+	VMOVUPS (R9)(AX*4), X1
+	VMOVUPS (R10)(AX*4), X2
+	VMOVUPS (R11)(AX*4), X3
+	VMULPS  X7, X0, X4
+	VMULPS  X8, X1, X6
+	VADDPS  X6, X4, X4
+	VMULPS  X9, X2, X6
+	VADDPS  X6, X4, X4
+	VMULPS  X10, X3, X6
+	VADDPS  X6, X4, X4
+	VADDPS  (DI)(AX*4), X4, X4
+	VMOVUPS X4, (DI)(AX*4)
+	VMULPS  X11, X0, X5
+	VMULPS  X12, X1, X6
+	VADDPS  X6, X5, X5
+	VMULPS  X13, X2, X6
+	VADDPS  X6, X5, X5
+	VMULPS  X14, X3, X6
+	VADDPS  X6, X5, X5
+	VADDPS  (BX)(AX*4), X5, X5
+	VMOVUPS X5, (BX)(AX*4)
+	ADDQ    $4, AX
+
+tile_tail1:
+	CMPQ AX, seg+72(FP)
+	JGE  tile_nextquad
+	VMOVSS (R8)(AX*4), X0
+	VMOVSS (R9)(AX*4), X1
+	VMOVSS (R10)(AX*4), X2
+	VMOVSS (R11)(AX*4), X3
+	VMULSS X7, X0, X4
+	VMULSS X8, X1, X6
+	VADDSS X6, X4, X4
+	VMULSS X9, X2, X6
+	VADDSS X6, X4, X4
+	VMULSS X10, X3, X6
+	VADDSS X6, X4, X4
+	VADDSS (DI)(AX*4), X4, X4
+	VMOVSS X4, (DI)(AX*4)
+	VMULSS X11, X0, X5
+	VMULSS X12, X1, X6
+	VADDSS X6, X5, X5
+	VMULSS X13, X2, X6
+	VADDSS X6, X5, X5
+	VMULSS X14, X3, X6
+	VADDSS X6, X5, X5
+	VADDSS (BX)(AX*4), X5, X5
+	VMOVSS X5, (BX)(AX*4)
+	INCQ   AX
+	JMP    tile_tail1
+
+tile_nextquad:
+	MOVQ aK+32(FP), AX
+	LEAQ (SI)(AX*4), SI
+	LEAQ (DX)(AX*4), DX
+	MOVQ bPitch+48(FP), AX
+	LEAQ (R8)(AX*4), R8
+	DECQ R12
+	JNZ  tile_quad
+
+	MOVQ dPitch+8(FP), AX
+	LEAQ (DI)(AX*2), DI
+	MOVQ a+16(FP), SI
+	MOVQ aRow+24(FP), AX
+	LEAQ (SI)(AX*2), SI
+	MOVQ SI, a+16(FP)
+	DECQ R13
+	JNZ  tile_pair
+	VZEROUPPER
 	RET

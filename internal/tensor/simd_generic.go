@@ -18,9 +18,8 @@ func saxpy1(dst, x0 []float32, a0 float32) {
 	saxpy1Scalar(dst, x0, a0)
 }
 
-func saxpy4x2(dst0, dst1, x0, x1, x2, x3 []float32, a00, a01, a02, a03, a10, a11, a12, a13 float32) {
-	saxpy4Scalar(dst0, x0, x1, x2, x3, a00, a01, a02, a03)
-	saxpy4Scalar(dst1, x0, x1, x2, x3, a10, a11, a12, a13)
+func saxpy4x2Tile(d []float32, dPitch int, a []float32, aRow, aK int, b []float32, bPitch, pairs, quads, seg int, skipZero bool) {
+	saxpy4x2TileCalls(d, dPitch, a, aRow, aK, b, bPitch, pairs, quads, seg, skipZero)
 }
 
 func sdot(a, b []float32) float32 {

@@ -401,6 +401,195 @@ func TestKernelEquivalenceAcrossTiers(t *testing.T) {
 	})
 }
 
+// quadOrderMul is the float32 MulInto written out from its definition:
+// every element accumulates, from zero and in ascending k, one term per
+// k quad — ((a0·b0 + a1·b1) + a2·b2) + a3·b3, multiplies and adds
+// rounded separately — then one a·b term per leftover k with a != 0.
+func quadOrderMul(dst, a, b *Matrix[float32]) {
+	n, kTot := b.Cols, a.Cols
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Data[i*kTot : (i+1)*kTot]
+		for j := 0; j < n; j++ {
+			var acc float32
+			k := 0
+			for ; k+4 <= kTot; k += 4 {
+				acc += arow[k]*b.Data[k*n+j] + arow[k+1]*b.Data[(k+1)*n+j] + arow[k+2]*b.Data[(k+2)*n+j] + arow[k+3]*b.Data[(k+3)*n+j]
+			}
+			for ; k < kTot; k++ {
+				if arow[k] != 0 {
+					acc += arow[k] * b.Data[k*n+j]
+				}
+			}
+			dst.Data[i*n+j] = acc
+		}
+	}
+}
+
+// quadOrderMulTransA is the same for MulTransAInto (dst = aᵀ·b), which
+// also skips a quad whose multipliers are all zero: all eight of a
+// destination row pair (2p, 2p+1), the four of an odd last row.
+func quadOrderMulTransA(dst, a, b *Matrix[float32]) {
+	n, kTot, ac := b.Cols, a.Rows, a.Cols
+	zeroQuad := func(i, k int) bool {
+		return a.Data[k*ac+i] == 0 && a.Data[(k+1)*ac+i] == 0 && a.Data[(k+2)*ac+i] == 0 && a.Data[(k+3)*ac+i] == 0
+	}
+	for i := 0; i < ac; i++ {
+		mate := i ^ 1
+		for j := 0; j < n; j++ {
+			var acc float32
+			k := 0
+			for ; k+4 <= kTot; k += 4 {
+				if zeroQuad(i, k) && (mate >= ac || zeroQuad(mate, k)) {
+					continue
+				}
+				acc += a.Data[k*ac+i]*b.Data[k*n+j] + a.Data[(k+1)*ac+i]*b.Data[(k+1)*n+j] + a.Data[(k+2)*ac+i]*b.Data[(k+2)*n+j] + a.Data[(k+3)*ac+i]*b.Data[(k+3)*n+j]
+			}
+			for ; k < kTot; k++ {
+				if av := a.Data[k*ac+i]; av != 0 {
+					acc += av * b.Data[k*n+j]
+				}
+			}
+			dst.Data[i*n+j] = acc
+		}
+	}
+}
+
+// sameFloat32 is bit equality, except that any NaN equals any NaN:
+// which operand's payload an addition of two NaNs keeps is the
+// compiler's register choice in the Go loops, not part of the contract.
+func sameFloat32(x, y float32) bool {
+	return math.Float32bits(x) == math.Float32bits(y) || (x != x && y != y)
+}
+
+// tileEdgeValues are the operands the quad order must survive
+// unchanged: zeros of both signs (the skip tests), non-finite values
+// (what a skipped zero quad must not turn into NaN) and denormals.
+var tileEdgeValues = []float32{
+	0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+	math.SmallestNonzeroFloat32, -1e-40, math.MaxFloat32, 1, -1,
+}
+
+// tileOperand fills an r×c matrix with uniform values; sparse zeroes a
+// quarter of them and whole leading k quads (rows when byRow, columns
+// otherwise) so the zero-skip branches run, edges plants edge values.
+func tileOperand(rng *rand.Rand, r, c int, sparse, byRow, edges bool) *Matrix[float32] {
+	m := randomMatrix[float32](rng, r, c)
+	if sparse {
+		for i := range m.Data {
+			if rng.Intn(4) == 0 {
+				m.Data[i] = 0
+			}
+		}
+		for i := 0; i < r; i++ {
+			for j := 0; j < c; j++ {
+				if (byRow && i < 4) || (!byRow && j < 4) {
+					m.Data[i*c+j] = 0
+				}
+			}
+		}
+	}
+	if edges {
+		for i := 0; i < 1+len(m.Data)/16; i++ {
+			m.Data[rng.Intn(len(m.Data))] = tileEdgeValues[rng.Intn(len(tileEdgeValues))]
+		}
+	}
+	return m
+}
+
+// TestMulKernelsBitIdenticalToQuadOrder: the float32 MulInto and
+// MulTransAInto must equal their quad-order definitions bit for bit on
+// every tier — the avx2 tile body, the per-call saxpy4x2 path of the
+// other tiers, the 4-lane and single-lane steps, the odd row and the
+// leftover k's all land on one answer. Widths cover every column
+// remainder, one full and one 244-wide block (the rig's second) and a
+// packed two-block product; k covers every remainder up to one k block
+// and two ragged multiples of it.
+func TestMulKernelsBitIdenticalToQuadOrder(t *testing.T) {
+	widths := []int{244, blockJ, blockJ + 244}
+	for n := 1; n <= 33; n++ {
+		widths = append(widths, n)
+	}
+	depths := []int{2*blockK + 3, 3*blockK + 4}
+	for k := 1; k <= blockK; k++ {
+		depths = append(depths, k)
+	}
+	forEachTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(83))
+		for _, n := range widths {
+			for _, k := range depths {
+				rows := []int{1, 2, 5, panelMinRows}[rng.Intn(4)]
+				mode := rng.Intn(3) // plain, sparse, sparse with edge values
+				sparse, edges := mode > 0, mode > 1
+
+				a := tileOperand(rng, rows, k, sparse, false, edges)
+				b := tileOperand(rng, k, n, false, false, edges)
+				got, want := New[float32](rows, n), New[float32](rows, n)
+				MulInto(got, a, b)
+				quadOrderMul(want, a, b)
+				for i := range want.Data {
+					if !sameFloat32(got.Data[i], want.Data[i]) {
+						t.Fatalf("MulInto %dx%dx%d mode %d: element %d is %x, quad order gives %x", rows, k, n, mode, i,
+							math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
+					}
+				}
+
+				at := tileOperand(rng, k, rows, sparse, true, edges) // aᵀ·b shares dimension k
+				MulTransAInto(got, at, b)
+				quadOrderMulTransA(want, at, b)
+				for i := range want.Data {
+					if !sameFloat32(got.Data[i], want.Data[i]) {
+						t.Fatalf("MulTransAInto %dx%dx%d mode %d: element %d is %x, quad order gives %x", rows, k, n, mode, i,
+							math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestSaxpy4x2TileMatchesCalls holds the tile entry point to the
+// per-call path it replaced, directly: both operand layouts, strides
+// wider than the tile, both skip settings, and a guard column after
+// every destination row that must not be written.
+func TestSaxpy4x2TileMatchesCalls(t *testing.T) {
+	forEachTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(89))
+		for _, seg := range []int{1, 3, 4, 7, 8, 12, 13, 31, 244, 256} {
+			for _, quads := range []int{1, 2, 8} {
+				for _, pairs := range []int{1, 3} {
+					for _, transposed := range []bool{false, true} {
+						rows, k := 2*pairs, 4*quads
+						dPitch, bPitch := seg+1, seg+3
+						aRow, aK := k+2, 1
+						a := tileOperand(rng, rows, aRow, true, false, true)
+						if transposed {
+							aRow, aK = 1, rows+1
+							a = tileOperand(rng, k, aK, true, true, true)
+						}
+						b := tileOperand(rng, k, bPitch, false, false, true)
+						base := randSlice32(rng, rows*dPitch)
+						for _, skip := range []bool{false, true} {
+							got := append([]float32(nil), base...)
+							want := append([]float32(nil), base...)
+							saxpy4x2Tile(got, dPitch, a.Data, aRow, aK, b.Data, bPitch, pairs, quads, seg, skip)
+							saxpy4x2TileCalls(want, dPitch, a.Data, aRow, aK, b.Data, bPitch, pairs, quads, seg, skip)
+							for i := range want {
+								if !sameFloat32(got[i], want[i]) {
+									t.Fatalf("seg=%d quads=%d pairs=%d transposed=%v skip=%v: element %d is %x, per-call path gives %x",
+										seg, quads, pairs, transposed, skip, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+								}
+								if i%dPitch == seg && got[i] != base[i] {
+									t.Fatalf("seg=%d: tile wrote the guard column of row %d", seg, i/dPitch)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 // TestMulIntoPackedMatchesUnpacked pins the packing invariant: the
 // panel changes memory layout, never arithmetic. Products computed
 // through the packed path (enough rows to pack) must equal row-group

@@ -7,9 +7,8 @@ package tensor
 // the fixed tree ((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7)). Every tier
 // computes exactly that (the products are exact in float64, so the only
 // roundings are the adds, and their order is part of the definition),
-// so the result is bit-identical on scalar, sse and avx2, and — being
-// one unsharded pass — independent of worker count. Eight independent
-// add chains are also what takes the reduction off the single
+// so the result is bit-identical on scalar, sse and avx2. Eight
+// independent add chains are also what takes the reduction off the single
 // latency-bound chain a sequential float64 sum is.
 //
 // MaxFloat32² is far inside float64 range, so the sum is finite for any

@@ -48,7 +48,17 @@ func appendFloat64(b []byte, v float64) []byte {
 }
 
 // AppendFloat64s appends the raw bits of f (no count) in one growth.
+// Where memory already holds a float as its little-endian bits
+// (slab_le.go) that is one copy of the slab; elsewhere, and as the
+// reference the tests hold the copy to, a loop over the elements.
 func AppendFloat64s(b []byte, f []float64) []byte {
+	if raw, ok := float64Slab(f); ok {
+		return append(b, raw...)
+	}
+	return appendFloat64sLoop(b, f)
+}
+
+func appendFloat64sLoop(b []byte, f []float64) []byte {
 	b = slices.Grow(b, 8*len(f))
 	for _, v := range f {
 		b = appendFloat64(b, v)
@@ -56,8 +66,15 @@ func AppendFloat64s(b []byte, f []float64) []byte {
 	return b
 }
 
-// AppendFloat32s appends the raw bits of f (no count) in one growth.
+// AppendFloat32s is AppendFloat64s for float32.
 func AppendFloat32s(b []byte, f []float32) []byte {
+	if raw, ok := float32Slab(f); ok {
+		return append(b, raw...)
+	}
+	return appendFloat32sLoop(b, f)
+}
+
+func appendFloat32sLoop(b []byte, f []float32) []byte {
 	off := len(b)
 	b = slices.Grow(b, 4*len(f))[:off+4*len(f)]
 	for i, v := range f {
@@ -334,8 +351,17 @@ func (d *decoder) float64s(dst []float64, n int) []float64 {
 }
 
 // Float64s fills dst from the raw bits at the front of src, which holds
-// at least 8·len(dst) bytes: the inverse of AppendFloat64s.
+// at least 8·len(dst) bytes: the inverse of AppendFloat64s, and like it
+// one copy where the layouts agree.
 func Float64s(dst []float64, src []byte) {
+	if raw, ok := float64Slab(dst); ok {
+		copy(raw, src[:len(raw)])
+		return
+	}
+	float64sLoop(dst, src)
+}
+
+func float64sLoop(dst []float64, src []byte) {
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
@@ -344,6 +370,14 @@ func Float64s(dst []float64, src []byte) {
 // Float32s fills dst from the raw bits at the front of src, which holds
 // at least 4·len(dst) bytes: the inverse of AppendFloat32s.
 func Float32s(dst []float32, src []byte) {
+	if raw, ok := float32Slab(dst); ok {
+		copy(raw, src[:len(raw)])
+		return
+	}
+	float32sLoop(dst, src)
+}
+
+func float32sLoop(dst []float32, src []byte) {
 	for i := range dst {
 		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
 	}

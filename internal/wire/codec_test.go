@@ -289,3 +289,61 @@ func TestSteadyStateAllocs(t *testing.T) {
 		t.Errorf("Reader/indicators: %v allocs/op, want 0", n)
 	}
 }
+
+// TestFloatSlabsMatchLoop holds the bulk float converters to the
+// per-element loops they short-cut on little-endian targets: the same
+// bytes out and the same bits back for arbitrary bit patterns —
+// signalling and quiet NaNs with payloads, ±0, denormals, ±Inf — at
+// every length around the small sizes, appended behind an existing
+// prefix, and decoded from a source at an odd byte offset.
+func TestFloatSlabsMatchLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	special32 := []uint32{0x7fc00001, 0xffc12345, 0x7f800001, 0x7f800000, 0xff800000, 0x80000000, 1, 0x007fffff}
+	special64 := []uint64{0x7ff8000000000001, 0xfff8123456789abc, 0x7ff0000000000001, 0x7ff0000000000000,
+		0xfff0000000000000, 0x8000000000000000, 1, 0x000fffffffffffff}
+	for _, n := range []int{0, 1, 2, 3, 7, 8, 9, 64, 1001} {
+		f32, f64 := make([]float32, n), make([]float64, n)
+		for i := range f32 {
+			f32[i] = math.Float32frombits(rng.Uint32())
+			f64[i] = math.Float64frombits(rng.Uint64())
+			if i < len(special32) {
+				f32[i], f64[i] = math.Float32frombits(special32[i]), math.Float64frombits(special64[i])
+			}
+		}
+		prefix := []byte{0xAA, 0xBB, 0xCC}
+
+		got, want := AppendFloat32s(bytes.Clone(prefix), f32), appendFloat32sLoop(bytes.Clone(prefix), f32)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: AppendFloat32s differs from the per-element loop", n)
+		}
+		back, ref := make([]float32, n), make([]float32, n)
+		Float32s(back, got[len(prefix):]) // 3 bytes in: not 4-aligned
+		float32sLoop(ref, want[len(prefix):])
+		for i := range f32 {
+			if math.Float32bits(back[i]) != math.Float32bits(f32[i]) || math.Float32bits(ref[i]) != math.Float32bits(f32[i]) {
+				t.Fatalf("n=%d: float32 %d came back as %x / %x, sent %x", n, i,
+					math.Float32bits(back[i]), math.Float32bits(ref[i]), math.Float32bits(f32[i]))
+			}
+		}
+
+		got, want = AppendFloat64s(bytes.Clone(prefix), f64), appendFloat64sLoop(bytes.Clone(prefix), f64)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: AppendFloat64s differs from the per-element loop", n)
+		}
+		back64, ref64 := make([]float64, n), make([]float64, n)
+		Float64s(back64, got[len(prefix):])
+		float64sLoop(ref64, want[len(prefix):])
+		for i := range f64 {
+			if math.Float64bits(back64[i]) != math.Float64bits(f64[i]) || math.Float64bits(ref64[i]) != math.Float64bits(f64[i]) {
+				t.Fatalf("n=%d: float64 %d came back as %x / %x, sent %x", n, i,
+					math.Float64bits(back64[i]), math.Float64bits(ref64[i]), math.Float64bits(f64[i]))
+			}
+		}
+	}
+	// A source longer than dst is read only as far as dst reaches.
+	dst := []float32{1, 2}
+	Float32s(dst[:1], AppendFloat32s(nil, []float32{5, 6}))
+	if dst[0] != 5 || dst[1] != 2 {
+		t.Fatalf("Float32s wrote past dst: %v", dst)
+	}
+}
