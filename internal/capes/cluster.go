@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -16,27 +16,36 @@ import (
 
 // Cluster mode: data-parallel co-training of one CAPES session by N
 // processes. Every worker runs a full engine — its own collector, replay
-// ring and action path — but the optimizer runs only on the leader:
+// ring, action path and optimizer — and a train step is one gradient
+// exchange through the leader:
 //
-//	follower tick:  minibatch → ComputeGradients → GradFrame ↑ → await bcast
-//	leader tick:    minibatch → ComputeGradients → collect frames →
-//	                rank-ordered float64 reduce → ApplyGradients → ParamBcast ↓
+//	follower tick:  minibatch → ComputeGradients → GradFrame ↑ (its gradient arena, as it lies)
+//	                → mean GradFrame ↓ (read into the same arena) → ApplyGradients
+//	leader tick:    minibatch → ComputeGradients → collect the step's frames →
+//	                rank-ordered float64 reduce into its own gradient arena →
+//	                mean GradFrame ↓ to every follower → ApplyGradients
+//
+// Leader and followers step concurrently, through the same
+// rl.Agent.ApplyGradients → nn.Adam.FusedStep, on the same bits: the
+// update rule exists once. Parameters cross the wire only in the full
+// sync (wire.ParamBcast: θ, θ⁻, Adam's moments and step count, the global
+// step, the loss EWMA) a follower gets when it joins or rejoins.
 //
 // Determinism contract: the leader folds its own gradient first (rank 0)
-// and then each follower frame in ascending rank order into a float64
-// accumulator (see internal/nn/gradsync.go for why the mean is then
-// independent of grouping), so a fixed worker set and fixed seeds give a
-// bit-reproducible trajectory. Followers apply the broadcast parameters
-// verbatim and replicate the target-network rule locally — the same
-// float expressions as the leader's fused sweep — so every worker holds
-// bit-identical θ and θ⁻ after every step.
+// and then each follower frame in ascending rank order, in float64 (see
+// internal/nn/gradsync.go for why the mean is then independent of
+// grouping), so a fixed worker set and fixed seeds give a
+// bit-reproducible trajectory, and every worker holds bit-identical θ,
+// θ⁻ and optimizer state after every step.
 //
 // Fault tolerance rides the PR 6 epoch machinery: each follower
-// connection carries a session epoch that bumps on reconnect, the leader
+// connection carries a session epoch that bumps on reconnect, either side
 // keys frame validity on the epoch of the connection that delivered it,
-// and a rejoining follower is re-synced with a full parameter + target
-// welcome broadcast before it may contribute again — a dropped follower
-// can never splice a stale gradient into a post-rejoin step.
+// a follower that reads a mean for any step but its next has missed one
+// and drops the connection, and a rejoining follower is re-synced with a
+// full sync before it may contribute again — a dropped follower can
+// never splice a stale gradient into a post-rejoin step, nor step from a
+// state the leader did not have.
 
 // Cluster roles.
 const (
@@ -122,11 +131,11 @@ type ClusterStats struct {
 	Role      string
 	Rank      int    // follower rank (0 on the leader)
 	Epoch     uint64 // follower connection epoch
-	Synced    bool   // follower: connected and parameter-synced
+	Synced    bool   // follower: connected and holding a full sync
 	Followers int    // leader: currently registered followers
 
-	Syncs           int64 // welcome syncs served (leader) / absorbed (follower)
-	Broadcasts      int64 // param broadcasts sent (leader) / applied (follower)
+	Syncs           int64 // full syncs served (leader) / absorbed (follower)
+	Broadcasts      int64 // rounds whose mean gradient went to ≥ 1 follower (leader) / mean gradients read (follower)
 	FramesAccepted  int64 // gradient frames folded into a step (leader)
 	FramesPass      int64 // pass frames from cold followers (leader)
 	FramesStale     int64 // frames dropped for wrong step/epoch (leader)
@@ -137,68 +146,82 @@ type ClusterStats struct {
 	FramesSent      int64 // gradient frames pushed (follower)
 	Reconnects      int64 // successful dials (follower)
 	SyncFailures    int64 // dial/handshake/sync failures (follower)
-	BcastMisses     int64 // broadcast waits that failed or timed out (follower)
+	BcastMisses     int64 // waits for the mean gradient that failed, timed out or read a frame for another step (follower)
 }
 
 // ---------------------------------------------------------------------
 // Leader transport
 // ---------------------------------------------------------------------
 
-// clusterLeader accepts follower connections, serves welcome syncs from
-// a published parameter snapshot (so the accept path never touches the
-// engine lock), collects per-step gradient frames and fans broadcasts
-// back out. The engine's train tick calls collect/broadcast with e.mu
-// held; reader and accept goroutines only take l.mu.
+// clusterLeader accepts follower connections, serves full syncs from the
+// agent's live arenas, collects per-step gradient frames and fans the
+// mean gradient back out. The engine's train tick calls collect,
+// release and sendMean with e.mu held; accept, handshake and reader
+// goroutines take stateMu and mu but never e.mu, so Engine.Stop can join
+// them under the engine lock.
 type clusterLeader struct {
-	cfg ClusterConfig
-	ln  net.Listener
+	cfg     ClusterConfig
+	ln      net.Listener
+	nParams int
+
+	// stateMu orders a join against the round, so that a follower's full
+	// sync and the first mean gradient it is sent fit together: the tick
+	// thread holds it from picking a round's recipients until the step
+	// is applied (and around anything else that rewrites the arenas), a
+	// handshake while it captures the arenas and registers the peer.
+	// Taken before mu.
+	stateMu sync.Mutex
+	agent   *rl.Agent[EnginePrecision] // what a full sync is served from
 
 	mu     sync.Mutex
 	notify chan struct{} // cap 1: frame arrivals and peer changes
-	peers  map[int]*leaderPeer
-	frames map[int]*wire.GradFrame
+	peers  []*leaderPeer // ascending rank: the reduction order
+	free   [][]float32   // gradient arenas no frame is using
 	closed bool
+	stats  ClusterStats
 
-	// Published snapshot of the post-step parameters, refreshed on
-	// every broadcast (and on checkpoint restore): what a joining
-	// follower is synced from.
-	snapStep   int64
-	snapLoss   float64
-	snapParams []float32
-	snapTarget []float32
+	// Tick-thread scratch, reused every round.
+	timer  *time.Timer      // collect's timeout; stopped between rounds
+	round  []wire.GradFrame // collect's result
+	srcs   [][]float32      // the reduction's sources, rank order
+	sendTo []*leaderPeer    // sendMean's recipients
 
-	stats ClusterStats
-	wg    sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 // leaderPeer is one registered follower connection.
 type leaderPeer struct {
-	rank   int
-	epoch  uint64
-	conn   net.Conn
-	wmu    sync.Mutex   // serializes writes (broadcast vs. future uses)
-	wr     *wire.Writer // under wmu
-	misses int          // consecutive collect rounds without a frame
+	rank  int
+	epoch uint64
+	conn  net.Conn
+
+	wmu sync.Mutex     // serializes writes: the welcome, then mean gradients
+	wr  *wire.Writer   // under wmu
+	out wire.GradFrame // under wmu: the mean gradient as addressed to this peer
+	env wire.Envelope  // under wmu
+
+	// Under clusterLeader.mu:
+	misses int            // consecutive collect rounds without a frame
+	parked bool           // frame holds a frame collect has not taken yet
+	frame  wire.GradFrame // Grads is an arena from the leader's free list
 }
 
-// newClusterLeader binds the listen socket, publishes the initial
-// parameter snapshot and starts the accept loop.
-func newClusterLeader(cfg ClusterConfig, params, target []EnginePrecision, step int64) (*clusterLeader, error) {
+// newClusterLeader binds the listen socket and starts the accept loop.
+func newClusterLeader(cfg ClusterConfig, agent *rl.Agent[EnginePrecision]) (*clusterLeader, error) {
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
 		return nil, fmt.Errorf("capes: cluster listen: %w", err)
 	}
 	l := &clusterLeader{
-		cfg:    cfg,
-		ln:     ln,
-		notify: make(chan struct{}, 1),
-		peers:  make(map[int]*leaderPeer),
-		frames: make(map[int]*wire.GradFrame),
+		cfg:     cfg,
+		ln:      ln,
+		nParams: len(agent.Online.FlatParams()),
+		agent:   agent,
+		notify:  make(chan struct{}, 1),
+		timer:   time.NewTimer(time.Hour),
 	}
+	l.timer.Stop()
 	l.stats.Role = ClusterLeader
-	l.snapStep = step
-	l.snapParams = nn.ExportFlat(nil, params)
-	l.snapTarget = nn.ExportFlat(nil, target)
 	l.wg.Add(1)
 	go l.acceptLoop()
 	return l, nil
@@ -214,6 +237,47 @@ func (l *clusterLeader) wakeup() {
 	}
 }
 
+// peerLocked returns the registered peer of a rank and its position in
+// l.peers (where it would be inserted, if nil). l.mu held.
+func (l *clusterLeader) peerLocked(rank int) (*leaderPeer, int) {
+	i, ok := slices.BinarySearchFunc(l.peers, rank, func(p *leaderPeer, rank int) int { return p.rank - rank })
+	if !ok {
+		return nil, i
+	}
+	return l.peers[i], i
+}
+
+// recycleLocked puts an arena no frame is using any more back on the
+// free list (nil — a pass frame's — is nothing to put back). l.mu held.
+func (l *clusterLeader) recycleLocked(arena []float32) {
+	if arena != nil {
+		l.free = append(l.free, arena)
+	}
+}
+
+// unparkLocked discards a peer's parked frame, if any. l.mu held.
+func (l *clusterLeader) unparkLocked(p *leaderPeer) {
+	if p.parked {
+		l.recycleLocked(p.frame.Grads)
+		p.parked, p.frame = false, wire.GradFrame{}
+	}
+}
+
+// takeArena hands a reader the arena its next frame decodes into: one
+// off the free list, or — until every peer has had one — a new one.
+// Arenas change hands reader → parked frame → collect → tick → free
+// list and are never shared.
+func (l *clusterLeader) takeArena() []float32 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		a := l.free[n-1]
+		l.free = l.free[:n-1]
+		return a
+	}
+	return make([]float32, l.nParams)
+}
+
 func (l *clusterLeader) acceptLoop() {
 	defer l.wg.Done()
 	for {
@@ -227,9 +291,9 @@ func (l *clusterLeader) acceptLoop() {
 }
 
 // handshake validates a follower hello, registers the peer and serves
-// the welcome sync. A rank that is already registered is superseded
-// only by a strictly higher epoch — the rejoin path; an equal-or-lower
-// epoch is a duplicate rank or a replayed connection and is refused.
+// the full sync. A rank that is already registered is superseded only by
+// a strictly higher epoch — the rejoin path; an equal-or-lower epoch is a
+// duplicate rank or a replayed connection and is refused.
 func (l *clusterLeader) handshake(conn net.Conn) {
 	defer l.wg.Done()
 	_ = conn.SetDeadline(time.Now().Add(clusterHandshakeTimeout))
@@ -244,37 +308,37 @@ func (l *clusterLeader) handshake(conn net.Conn) {
 		conn.Close()
 		return
 	}
+	// Under stateMu the arenas are at a step boundary and no round is
+	// between picking its recipients and stepping: the state captured
+	// here and the first mean gradient this peer is sent belong together.
+	l.stateMu.Lock()
 	l.mu.Lock()
-	if l.closed {
+	refuse := func() {
 		l.mu.Unlock()
+		l.stateMu.Unlock()
 		conn.Close()
+	}
+	old, at := l.peerLocked(h.NodeID)
+	if l.closed || (old != nil && h.Epoch <= old.epoch) {
+		refuse()
 		return
 	}
-	if old := l.peers[h.NodeID]; old != nil {
-		if h.Epoch <= old.epoch {
-			l.mu.Unlock()
-			conn.Close()
-			return
-		}
-		old.conn.Close()
-		delete(l.frames, h.NodeID)
-		l.stats.Evictions++
-	}
-	// Encode the welcome under l.mu: the snapshot buffers are reused
-	// across broadcasts, so the bytes must be captured before the next
-	// broadcast overwrites them. (A one-off buffer, garbage after the
-	// write: joins are rare and nothing this size should stay live.)
+	// The sync is a one-off buffer, garbage after the write: joins are
+	// rare and nothing this size should stay live.
+	a := l.agent
+	m, v := a.Opt.FlatMoments()
 	buf, encErr := wire.Encode(&wire.Envelope{Type: wire.MsgParamBcast, ParamBcast: &wire.ParamBcast{
-		Step:   l.snapStep,
-		Sync:   true,
-		Loss:   l.snapLoss,
-		Params: l.snapParams,
-		Target: l.snapTarget,
+		Step:     a.Steps(),
+		Sync:     true,
+		Loss:     a.SmoothedLoss(),
+		AdamStep: int64(a.Opt.StepCount()),
+		Params:   a.Online.FlatParams(),
+		Target:   a.Target.FlatParams(),
+		M:        m,
+		V:        v,
 	}})
-	if encErr != nil {
-		delete(l.peers, h.NodeID)
-		l.mu.Unlock()
-		conn.Close()
+	if encErr != nil { // a model whose four arenas exceed wire.MaxFrameBytes
+		refuse()
 		return
 	}
 	// Register before the welcome goes out, holding the peer's write lock
@@ -282,12 +346,20 @@ func (l *clusterLeader) handshake(conn net.Conn) {
 	// peer collect waits for — ClusterSync's contract; were it registered
 	// after the write, the leader could run steps ahead of a follower that
 	// believes itself joined, and each would sit out the other's timeout —
-	// and a broadcast to it queues behind the welcome.
+	// and a mean gradient for it queues behind the welcome.
 	p := &leaderPeer{rank: h.NodeID, epoch: h.Epoch, conn: conn, wr: wire.NewWriter(conn)}
 	p.wmu.Lock()
-	l.peers[h.NodeID] = p
+	if old != nil {
+		old.conn.Close()
+		l.unparkLocked(old)
+		l.peers[at] = p
+		l.stats.Evictions++
+	} else {
+		l.peers = slices.Insert(l.peers, at, p)
+	}
 	l.stats.Syncs++
 	l.mu.Unlock()
+	l.stateMu.Unlock()
 	_, err = conn.Write(buf)
 	_ = conn.SetDeadline(time.Time{})
 	p.wmu.Unlock()
@@ -301,42 +373,57 @@ func (l *clusterLeader) handshake(conn net.Conn) {
 }
 
 // readFrames drains one follower connection, parking valid gradient
-// frames for collect. Frame validity is keyed on the delivering
-// connection's epoch, so frames written before a drop can never count
-// toward a post-rejoin step.
+// frames for collect. Each frame's arena is decoded into one the leader
+// recycles, taken only once the frame's header has arrived — by when the
+// tick has long given the previous one back, so a peer keeps one arena
+// in flight. Frame validity is keyed on the delivering connection's
+// epoch, so frames written before a drop can never count toward a
+// post-rejoin step.
 func (l *clusterLeader) readFrames(p *leaderPeer, rd *wire.Reader) {
 	defer l.wg.Done()
+	var lent []float32
+	rd.LendGrads(func(n int) []float32 {
+		if n != l.nParams {
+			return nil // refused: the connection drops
+		}
+		lent = l.takeArena()
+		return lent
+	})
 	for {
+		lent = nil
 		env, err := rd.Read()
 		if err != nil {
+			l.mu.Lock()
+			l.recycleLocked(lent)
+			l.mu.Unlock()
 			l.dropPeer(p)
 			return
 		}
-		switch env.Type {
-		case wire.MsgGradFrame:
-			fr := env.GradFrame // freshly allocated by the Reader: safe to park
-			l.mu.Lock()
-			if l.peers[p.rank] != p || fr.Epoch != p.epoch || fr.Rank != p.rank {
-				l.stats.FramesStale++
-				l.mu.Unlock()
-				continue
-			}
-			l.frames[p.rank] = fr
-			p.misses = 0
-			l.mu.Unlock()
-			l.wakeup()
-		default:
-			// Heartbeats and unknown messages keep the conn alive.
+		if env.Type != wire.MsgGradFrame {
+			continue // heartbeats and unknown messages keep the conn alive
 		}
+		fr := env.GradFrame // the Reader's: copied out below
+		l.mu.Lock()
+		if cur, _ := l.peerLocked(p.rank); cur != p || fr.Epoch != p.epoch || fr.Rank != p.rank {
+			l.stats.FramesStale++
+			l.recycleLocked(lent)
+			l.mu.Unlock()
+			continue
+		}
+		l.unparkLocked(p) // a frame nobody collected is superseded
+		p.frame, p.parked = *fr, true
+		p.misses = 0
+		l.mu.Unlock()
+		l.wakeup()
 	}
 }
 
 // dropPeer removes a dead follower (idempotent per connection).
 func (l *clusterLeader) dropPeer(p *leaderPeer) {
 	l.mu.Lock()
-	if l.peers[p.rank] == p {
-		delete(l.peers, p.rank)
-		delete(l.frames, p.rank)
+	if cur, at := l.peerLocked(p.rank); cur == p {
+		l.peers = slices.Delete(l.peers, at, at+1)
+		l.unparkLocked(p)
 		l.stats.Evictions++
 	}
 	l.mu.Unlock()
@@ -348,63 +435,72 @@ func (l *clusterLeader) dropPeer(p *leaderPeer) {
 // step, or the collect timeout fires. On timeout, absent followers
 // accrue a miss (eviction after maxCollectMisses) and the round proceeds
 // with whatever arrived. Frames for any other step are dropped as stale.
-// The result is sorted by rank — the deterministic reduction order.
-func (l *clusterLeader) collect(step int64) []*wire.GradFrame {
-	timer := time.NewTimer(l.cfg.CollectTimeout)
-	defer timer.Stop()
-	timedOut := false
+// The result is in rank order — the deterministic reduction order — and,
+// like the arenas in it, the caller's until release. Nothing is
+// allocated: the timer, armed only if the round has to wait, and the
+// result slice are the leader's.
+func (l *clusterLeader) collect(step int64) []wire.GradFrame {
+	armed, timedOut := false, false
 	l.mu.Lock()
 	for {
-		for rank, fr := range l.frames {
-			if fr.Step != step {
-				delete(l.frames, rank)
+		complete := true
+		for _, p := range l.peers {
+			if p.parked && p.frame.Step != step {
+				l.unparkLocked(p)
 				l.stats.FramesStale++
 			}
-		}
-		complete := true
-		for rank := range l.peers {
-			if _, ok := l.frames[rank]; !ok {
-				complete = false
-				break
-			}
+			complete = complete && p.parked
 		}
 		if complete || timedOut {
 			if !complete {
 				l.stats.CollectTimeouts++
-				for rank, p := range l.peers {
-					if _, ok := l.frames[rank]; ok {
-						continue
+				l.peers = slices.DeleteFunc(l.peers, func(p *leaderPeer) bool {
+					if p.parked {
+						return false
 					}
-					p.misses++
-					if p.misses >= maxCollectMisses {
-						delete(l.peers, rank)
-						l.stats.Evictions++
-						p.conn.Close()
+					if p.misses++; p.misses < maxCollectMisses {
+						return false
 					}
+					l.stats.Evictions++
+					p.conn.Close()
+					return true
+				})
+			}
+			l.round = l.round[:0]
+			for _, p := range l.peers {
+				if p.parked {
+					l.round = append(l.round, p.frame)
+					p.parked, p.frame = false, wire.GradFrame{}
 				}
 			}
-			out := make([]*wire.GradFrame, 0, len(l.frames))
-			for rank, fr := range l.frames {
-				out = append(out, fr)
-				delete(l.frames, rank)
-			}
 			l.mu.Unlock()
-			sort.Slice(out, func(i, j int) bool { return out[i].Rank < out[j].Rank })
-			return out
+			if armed {
+				l.timer.Stop() // go.mod ≥ 1.23: nothing stale is left in the channel
+			}
+			return l.round
 		}
 		l.mu.Unlock()
+		if !armed {
+			l.timer.Reset(l.cfg.CollectTimeout)
+			armed = true
+		}
 		select {
 		case <-l.notify:
-		case <-timer.C:
+		case <-l.timer.C:
 			timedOut = true
 		}
 		l.mu.Lock()
 	}
 }
 
-// noteStep records the fold accounting for one aggregation round.
-func (l *clusterLeader) noteStep(accepted, pass, workers int) {
+// release gives the arenas of a collected round back to the free list and
+// records the round's fold accounting.
+func (l *clusterLeader) release(frames []wire.GradFrame, accepted, pass, workers int) {
 	l.mu.Lock()
+	for i := range frames {
+		l.recycleLocked(frames[i].Grads)
+		frames[i].Grads = nil
+	}
 	l.stats.FramesAccepted += int64(accepted)
 	l.stats.FramesPass += int64(pass)
 	if workers > 0 {
@@ -417,39 +513,29 @@ func (l *clusterLeader) noteStep(accepted, pass, workers int) {
 	l.mu.Unlock()
 }
 
-// broadcast refreshes the published snapshot and fans the post-step
-// parameters out to every registered follower. Steady-state broadcasts
-// omit the target arena — followers replicate the update rule locally.
-// Each peer's Writer streams the frame straight from the snapshot, so no
-// frame-sized buffer exists on the leader; that is safe outside l.mu
-// because only the engine's tick thread (this caller, and resync) ever
-// rewrites the snapshot. Per-peer writes carry their own deadlines so
-// one stalled follower cannot wedge the tick longer than
-// clusterWriteTimeout.
-func (l *clusterLeader) broadcast(step int64, loss float64, params, target []EnginePrecision) {
+// sendMean fans the round's mean gradient (nil in a round no worker had
+// one for: a pass frame, so followers do not wait in vain) out to every
+// registered follower, each addressed with its own connection's epoch.
+// The caller holds stateMu and steps only after this returns; the frame
+// goes out as the gradient arena's own bytes, so no frame-sized buffer
+// exists on the leader. Per-peer writes carry their own deadlines so one
+// stalled follower cannot wedge the tick longer than clusterWriteTimeout.
+func (l *clusterLeader) sendMean(step int64, workers int, loss float64, mean []float32) {
 	l.mu.Lock()
-	l.snapStep = step
-	l.snapLoss = loss
-	l.snapParams = nn.ExportFlat(l.snapParams, params)
-	l.snapTarget = nn.ExportFlat(l.snapTarget, target)
-	env := wire.Envelope{Type: wire.MsgParamBcast, ParamBcast: &wire.ParamBcast{
-		Step:   step,
-		Loss:   loss,
-		Params: l.snapParams,
-	}}
-	targets := make([]*leaderPeer, 0, len(l.peers))
-	for _, p := range l.peers {
-		targets = append(targets, p)
-	}
-	if len(targets) > 0 {
+	l.sendTo = append(l.sendTo[:0], l.peers...)
+	if len(l.sendTo) > 0 {
 		l.stats.Broadcasts++
 	}
 	l.mu.Unlock()
-	for _, p := range targets {
+	for i, p := range l.sendTo {
+		l.sendTo[i] = nil
 		p.wmu.Lock()
+		p.out = wire.GradFrame{Epoch: p.epoch, Step: step, BatchN: workers, Loss: loss, Grads: mean}
+		p.env = wire.Envelope{Type: wire.MsgGradFrame, GradFrame: &p.out}
 		_ = p.conn.SetWriteDeadline(time.Now().Add(clusterWriteTimeout))
-		_, werr := p.wr.Write(&env)
+		_, werr := p.wr.Write(&p.env)
 		_ = p.conn.SetWriteDeadline(time.Time{})
+		p.out.Grads = nil
 		p.wmu.Unlock()
 		if werr != nil {
 			l.dropPeer(p)
@@ -457,24 +543,22 @@ func (l *clusterLeader) broadcast(step int64, loss float64, params, target []Eng
 	}
 }
 
-// resync republishes the snapshot (after a checkpoint restore rewound
-// the model) and drops every follower: each rejoins with a bumped epoch
-// and is welcome-synced from the restored parameters, so no follower
-// can keep training against the pre-restore trajectory.
-func (l *clusterLeader) resync(step int64, loss float64, params, target []EnginePrecision) {
+// resync points full syncs at the agent a checkpoint restore installed
+// and drops every follower: each rejoins with a bumped epoch and is
+// synced from the restored state, so no follower can keep training
+// against the pre-restore trajectory.
+func (l *clusterLeader) resync(agent *rl.Agent[EnginePrecision]) {
+	l.stateMu.Lock()
+	l.agent = agent
 	l.mu.Lock()
-	l.snapStep = step
-	l.snapLoss = loss
-	l.snapParams = nn.ExportFlat(l.snapParams, params)
-	l.snapTarget = nn.ExportFlat(l.snapTarget, target)
-	dropped := make([]*leaderPeer, 0, len(l.peers))
-	for _, p := range l.peers {
-		dropped = append(dropped, p)
+	dropped := l.peers
+	l.peers = nil
+	for _, p := range dropped {
+		l.unparkLocked(p)
 	}
-	l.peers = make(map[int]*leaderPeer)
-	l.frames = make(map[int]*wire.GradFrame)
 	l.stats.Evictions += int64(len(dropped))
 	l.mu.Unlock()
+	l.stateMu.Unlock()
 	for _, p := range dropped {
 		p.conn.Close()
 	}
@@ -490,10 +574,7 @@ func (l *clusterLeader) close() {
 		return
 	}
 	l.closed = true
-	peers := make([]*leaderPeer, 0, len(l.peers))
-	for _, p := range l.peers {
-		peers = append(peers, p)
-	}
+	peers := slices.Clone(l.peers)
 	l.mu.Unlock()
 	l.ln.Close()
 	for _, p := range peers {
@@ -531,7 +612,16 @@ type clusterFollower struct {
 	synced   bool
 	nextDial int64 // earliest tick for the next dial attempt
 	stats    ClusterStats
+
+	out  wire.GradFrame // the frame being pushed
+	env  wire.Envelope  // its envelope
+	lent []float32      // where rd decodes the next mean gradient: the agent's gradient arena
 }
+
+// lendGrads is what the follower's Readers decode gradient frames into
+// (wire.Reader.LendGrads): nil, refusing the frame, except while
+// awaitMean is waiting for one.
+func (f *clusterFollower) lendGrads(int) []float32 { return f.lent }
 
 func newClusterFollower(cfg ClusterConfig) *clusterFollower {
 	f := &clusterFollower{cfg: cfg}
@@ -551,8 +641,8 @@ func (f *clusterFollower) drop() {
 
 // ensureSynced dials the leader if needed (respecting the tick-based
 // redial backoff unless force is set), registers with a bumped epoch and
-// absorbs the welcome sync — parameters, target and the leader's global
-// step — into the agent.
+// absorbs the full sync — parameters, target, optimizer state and the
+// leader's global step — into the agent.
 func (f *clusterFollower) ensureSynced(a *rl.Agent[EnginePrecision], now int64, force bool) error {
 	if f.conn != nil && f.synced {
 		return nil
@@ -570,6 +660,7 @@ func (f *clusterFollower) ensureSynced(a *rl.Agent[EnginePrecision], now int64, 
 		f.epoch++
 		f.stats.Reconnects++
 		f.conn, f.rd, f.wr = conn, wire.NewReader(conn), wire.NewWriter(conn)
+		f.rd.LendGrads(f.lendGrads)
 		f.synced = false
 		_ = conn.SetWriteDeadline(time.Now().Add(clusterHandshakeTimeout))
 		_, err = f.wr.Write(&wire.Envelope{Type: wire.MsgHello, Hello: &wire.Hello{
@@ -599,7 +690,7 @@ func (f *clusterFollower) ensureSynced(a *rl.Agent[EnginePrecision], now int64, 
 			continue
 		}
 		b := env.ParamBcast
-		if err := a.ApplyParamBroadcast(b.Step, b.Params, b.Target, b.Loss); err != nil {
+		if err := a.ApplyParamBroadcast(b.Step, b.Params, b.Target, b.M, b.V, b.AdamStep, b.Loss); err != nil {
 			f.drop()
 			f.stats.SyncFailures++
 			return err
@@ -611,11 +702,13 @@ func (f *clusterFollower) ensureSynced(a *rl.Agent[EnginePrecision], now int64, 
 	}
 }
 
-// pushFrame sends one gradient frame to the leader.
-func (f *clusterFollower) pushFrame(fr *wire.GradFrame) error {
+// pushFrame sends f.out, this step's gradient frame, to the leader.
+func (f *clusterFollower) pushFrame() error {
+	f.env = wire.Envelope{Type: wire.MsgGradFrame, GradFrame: &f.out}
 	_ = f.conn.SetWriteDeadline(time.Now().Add(clusterWriteTimeout))
-	_, err := f.wr.Write(&wire.Envelope{Type: wire.MsgGradFrame, GradFrame: fr})
+	_, err := f.wr.Write(&f.env)
 	_ = f.conn.SetWriteDeadline(time.Time{})
+	f.out.Grads = nil
 	if err != nil {
 		f.drop()
 		return err
@@ -624,31 +717,36 @@ func (f *clusterFollower) pushFrame(fr *wire.GradFrame) error {
 	return nil
 }
 
-// awaitBroadcast blocks for the leader's post-step parameter broadcast
-// and applies it. Any failure — timeout, decode error, or a broadcast
-// the agent cannot apply without a full sync (ErrTargetStale) — drops
-// the connection; the next train tick rejoins through the welcome sync.
-func (f *clusterFollower) awaitBroadcast(a *rl.Agent[EnginePrecision]) error {
+// awaitMean blocks for the leader's mean gradient of the step after the
+// agent's current one and reads it straight into the agent's gradient
+// arena. Any failure — timeout, decode error, a frame from another
+// connection's epoch or for another step (the follower missed one: its
+// state is no longer the leader's) — drops the connection; the next
+// train tick rejoins through the full sync. The frame returned is the
+// Reader's, valid until its next Read.
+func (f *clusterFollower) awaitMean(a *rl.Agent[EnginePrecision]) (*wire.GradFrame, error) {
+	f.lent = a.Online.FlatGrads()
 	_ = f.conn.SetReadDeadline(time.Now().Add(f.cfg.SyncTimeout))
 	for {
 		env, err := f.rd.Read()
+		if err == nil {
+			if env.Type != wire.MsgGradFrame {
+				continue
+			}
+			if fr := env.GradFrame; fr.Rank != 0 || fr.Epoch != f.epoch || fr.Step != a.Steps()+1 || (fr.BatchN > 0) != (fr.Grads != nil) {
+				err = fmt.Errorf("capes: mean gradient rank %d epoch %d step %d (%d workers), want rank 0 epoch %d step %d",
+					fr.Rank, fr.Epoch, fr.Step, fr.BatchN, f.epoch, a.Steps()+1)
+			}
+		}
+		f.lent = nil
 		if err != nil {
 			f.stats.BcastMisses++
 			f.drop()
-			return err
-		}
-		if env.Type != wire.MsgParamBcast {
-			continue
-		}
-		b := env.ParamBcast
-		if err := a.ApplyParamBroadcast(b.Step, b.Params, b.Target, b.Loss); err != nil {
-			f.stats.BcastMisses++
-			f.drop()
-			return err
+			return nil, err
 		}
 		_ = f.conn.SetReadDeadline(time.Time{})
 		f.stats.Broadcasts++
-		return nil
+		return env.GradFrame, nil
 	}
 }
 
@@ -656,11 +754,11 @@ func (f *clusterFollower) awaitBroadcast(a *rl.Agent[EnginePrecision]) error {
 // Engine integration
 // ---------------------------------------------------------------------
 
-// startClusterLocked builds the role transport during NewEngine.
+// startCluster builds the role transport during NewEngine.
 func (e *Engine) startCluster(cc ClusterConfig) error {
 	switch cc.Role {
 	case ClusterLeader:
-		l, err := newClusterLeader(cc, e.agent.Online.FlatParams(), e.agent.Target.FlatParams(), e.agent.Steps())
+		l, err := newClusterLeader(cc, e.agent)
 		if err != nil {
 			return err
 		}
@@ -682,11 +780,10 @@ func (e *Engine) ClusterAddr() string {
 	return ""
 }
 
-// ClusterSync forces a follower to dial, register and parameter-sync
-// with the leader right now, bypassing the redial backoff. Session
-// managers call it at boot so the follower is registered before the
-// leader's first train tick; it is a no-op on leaders and non-cluster
-// engines.
+// ClusterSync forces a follower to dial, register and fully sync with
+// the leader right now, bypassing the redial backoff. Session managers
+// call it at boot so the follower is registered before the leader's
+// first train tick; it is a no-op on leaders and non-cluster engines.
 func (e *Engine) ClusterSync() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -708,94 +805,117 @@ func (e *Engine) closeClusterLocked() {
 }
 
 // resyncClusterLocked realigns the cluster after a checkpoint restore
-// rewound the agent (e.mu held): the leader republishes its snapshot
-// and evicts every follower (each rejoins against the restored
-// parameters with a bumped epoch); a follower drops its connection and
-// resyncs from the leader on its next train tick.
+// replaced the agent (e.mu held): the leader serves full syncs from the
+// restored agent and evicts every follower (each rejoins against it with
+// a bumped epoch); a follower drops its connection and resyncs from the
+// leader on its next train tick.
 func (e *Engine) resyncClusterLocked() {
 	if e.cluL != nil {
-		e.cluL.resync(e.agent.Steps(), e.agent.SmoothedLoss(), e.agent.Online.FlatParams(), e.agent.Target.FlatParams())
+		e.cluL.resync(e.agent)
 	}
 	if e.cluF != nil {
 		e.cluF.drop()
 	}
 }
 
+// clusterGradients is the first half of either role's train tick: draw
+// the minibatch and leave its gradient in the agent's gradient arena.
+// The leader passes its stateMu, held around the fault injector's
+// parameter poisoning — a rewrite of the arenas a join may be reading.
+func (e *Engine) clusterGradients(now int64, stateMu *sync.Mutex) (batchN int, loss float64, ok bool) {
+	if replay.ConstructMinibatchInto(e.db, e.rng, e.cfg.Hyper.MinibatchSize, e.rewardFn, &e.batch) != nil {
+		return 0, 0, false
+	}
+	if e.faults != nil && e.faults.takePoison(e.agent.Steps()+1) {
+		if stateMu != nil {
+			stateMu.Lock()
+		}
+		e.poisonParamsLocked()
+		if stateMu != nil {
+			stateMu.Unlock()
+		}
+	}
+	loss, ok = e.clusterRecompute(now)
+	return e.batch.N, loss, ok
+}
+
+// clusterRecompute runs the gradient pass on the minibatch already drawn.
+func (e *Engine) clusterRecompute(now int64) (loss float64, ok bool) {
+	loss, err := e.agent.ComputeGradients(&e.batch)
+	if err != nil {
+		e.trainErrors++
+		e.noteTrainFaultLocked(err, now)
+		return 0, false
+	}
+	return loss, true
+}
+
+// clusterApply is the second half: step on the mean gradient sitting in
+// the agent's gradient arena — the same call on every worker.
+func (e *Engine) clusterApply(now int64, meanLoss float64) {
+	if err := e.agent.ApplyGradients(meanLoss); err != nil {
+		e.trainErrors++
+		e.noteTrainFaultLocked(err, now)
+	} else if e.agent.Steps()%25 == 0 {
+		e.lossTrace = append(e.lossTrace, LossPoint{Tick: now, Loss: e.agent.SmoothedLoss()})
+	}
+}
+
 // clusterLeaderTick is the leader's train tick: compute the local
 // gradient (rank 0), collect follower frames for this step, reduce in
-// rank order, apply, broadcast. The engine lock is held throughout —
-// collect can block up to CollectTimeout, which is the price of a
-// strictly synchronous (and therefore deterministic) update schedule.
+// rank order into the local gradient arena, send the mean back, step.
+// The engine lock is held throughout — collect can block up to
+// CollectTimeout, which is the price of a strictly synchronous (and
+// therefore deterministic) update schedule.
 func (e *Engine) clusterLeaderTick(now int64) {
-	h := &e.cfg.Hyper
+	l := e.cluL
 	step := e.agent.Steps() + 1
-	localN := 0
-	localLoss := 0.0
-	if err := replay.ConstructMinibatchInto(e.db, e.rng, h.MinibatchSize, e.rewardFn, &e.batch); err == nil {
-		if e.faults != nil && e.faults.takePoison(step) {
-			e.poisonParamsLocked()
-		}
-		if loss, err := e.agent.ComputeGradients(&e.batch); err != nil {
-			e.trainErrors++
-			e.noteTrainFaultLocked(err, now)
-		} else {
-			localN = e.batch.N
-			localLoss = loss
-		}
-	}
-	frames := e.cluL.collect(step)
+	grads := e.agent.Online.FlatGrads()
+	_, localLoss, local := e.clusterGradients(now, &l.stateMu)
+	frames := l.collect(step)
 
-	if e.cluAcc == nil {
-		e.cluAcc = make([]float64, len(e.agent.Online.FlatGrads()))
-	}
-	for i := range e.cluAcc {
-		e.cluAcc[i] = 0
-	}
-	workers := 0
+	srcs := l.srcs[:0]
 	lossSum := 0.0
-	if localN > 0 {
-		nn.AccumulateFlat(e.cluAcc, e.agent.Online.FlatGrads())
-		workers++
-		lossSum += localLoss
+	if local {
+		srcs = append(srcs, grads)
+		lossSum = localLoss
 	}
 	accepted, pass := 0, 0
-	for _, fr := range frames {
-		if fr.BatchN == 0 || len(fr.Grads) == 0 {
+	for i := range frames {
+		if fr := &frames[i]; fr.BatchN > 0 && fr.Grads != nil {
+			srcs = append(srcs, fr.Grads)
+			lossSum += fr.Loss
+			accepted++
+		} else {
 			pass++
-			continue
 		}
-		if len(fr.Grads) != len(e.cluAcc) {
-			e.trainErrors++
-			continue
-		}
-		nn.AccumulateFlat(e.cluAcc, fr.Grads)
-		workers++
-		accepted++
-		lossSum += fr.Loss
 	}
-
+	workers := len(srcs)
 	meanLoss := 0.0
+	var mean []EnginePrecision
 	if workers > 0 {
-		nn.MeanInto(e.agent.Online.FlatGrads(), e.cluAcc, workers)
-		meanLoss = lossSum / float64(workers)
-		if err := e.agent.ApplyGradients(meanLoss); err != nil {
-			e.trainErrors++
-			e.noteTrainFaultLocked(err, now)
-		} else if e.agent.Steps()%25 == 0 {
-			e.lossTrace = append(e.lossTrace, LossPoint{Tick: now, Loss: e.agent.SmoothedLoss()})
-		}
+		nn.ReduceMean(grads, srcs)
+		mean, meanLoss = grads, lossSum/float64(workers)
 	}
-	e.cluL.noteStep(accepted, pass, workers)
-	// Broadcast even when no step was applied: followers block on the
-	// round's broadcast, and an idle round's parameters are unchanged
-	// bits (ApplyParamBroadcast treats same-step broadcasts as no-ops).
-	e.cluL.broadcast(e.agent.Steps(), meanLoss, e.agent.Online.FlatParams(), e.agent.Target.FlatParams())
+	clear(srcs)
+	l.srcs = srcs
+	l.release(frames, accepted, pass, workers)
+
+	// The mean goes out before the step, so followers step while the
+	// leader does; a round without any gradient still answers (a pass
+	// frame), because followers block on the round's reply.
+	l.stateMu.Lock()
+	l.sendMean(step, workers, meanLoss, mean)
+	if workers > 0 {
+		e.clusterApply(now, meanLoss)
+	}
+	l.stateMu.Unlock()
 }
 
 // clusterFollowerTick is the follower's train tick: compute the local
 // gradient, sync with the leader if needed, push the frame (a pass
-// frame when the replay ring cannot form a minibatch yet) and block for
-// the broadcast that carries the post-step parameters back.
+// frame when the replay ring cannot form a minibatch yet), block for the
+// mean gradient and step on it.
 //
 // The minibatch is drawn before — and regardless of — the connection
 // state: the rng stream stays tick-aligned with the leader's, so a
@@ -807,50 +927,26 @@ func (e *Engine) clusterLeaderTick(now int64) {
 // against pre-sync weights must never enter the reduction.
 func (e *Engine) clusterFollowerTick(now int64) {
 	f := e.cluF
-	h := &e.cfg.Hyper
-	batchN := 0
-	loss := 0.0
-	haveGrads := false
-	if err := replay.ConstructMinibatchInto(e.db, e.rng, h.MinibatchSize, e.rewardFn, &e.batch); err == nil {
-		if e.faults != nil && e.faults.takePoison(e.agent.Steps()+1) {
-			e.poisonParamsLocked()
-		}
-		if l, err := e.agent.ComputeGradients(&e.batch); err != nil {
-			e.trainErrors++
-			e.noteTrainFaultLocked(err, now)
-		} else {
-			batchN = e.batch.N
-			loss = l
-			haveGrads = true
-		}
-	}
+	batchN, loss, haveGrads := e.clusterGradients(now, nil)
 	wasSynced := f.conn != nil && f.synced
 	if err := f.ensureSynced(e.agent, now, false); err != nil {
 		return
 	}
 	if !wasSynced && haveGrads {
-		if l, err := e.agent.ComputeGradients(&e.batch); err != nil {
-			e.trainErrors++
-			e.noteTrainFaultLocked(err, now)
-			haveGrads = false
-		} else {
-			loss = l
-		}
+		loss, haveGrads = e.clusterRecompute(now)
 	}
-	fr := &wire.GradFrame{Rank: f.cfg.Rank, Epoch: f.epoch, Step: e.agent.Steps() + 1}
+	f.out = wire.GradFrame{Rank: f.cfg.Rank, Epoch: f.epoch, Step: e.agent.Steps() + 1}
 	if haveGrads {
-		fr.BatchN = batchN
-		fr.Loss = loss
-		e.cluWire = nn.ExportFlat(e.cluWire, e.agent.Online.FlatGrads())
-		fr.Grads = e.cluWire
+		f.out.BatchN, f.out.Loss, f.out.Grads = batchN, loss, e.agent.Online.FlatGrads()
 	}
-	if err := f.pushFrame(fr); err != nil {
+	if err := f.pushFrame(); err != nil {
 		return
 	}
-	if err := f.awaitBroadcast(e.agent); err != nil {
+	mean, err := f.awaitMean(e.agent)
+	if err != nil {
 		return
 	}
-	if s := e.agent.Steps(); s > 0 && s%25 == 0 {
-		e.lossTrace = append(e.lossTrace, LossPoint{Tick: now, Loss: e.agent.SmoothedLoss()})
+	if mean.BatchN > 0 {
+		e.clusterApply(now, mean.Loss)
 	}
 }

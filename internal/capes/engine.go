@@ -171,12 +171,9 @@ type Engine struct {
 	pipe *pipeline
 
 	// Cluster-mode state (see cluster.go): exactly one of cluL/cluF is
-	// non-nil in cluster mode. cluAcc is the leader's float64 reduction
-	// accumulator; cluWire is the follower's gradient export scratch.
-	cluL    *clusterLeader
-	cluF    *clusterFollower
-	cluAcc  []float64
-	cluWire []float32
+	// non-nil in cluster mode.
+	cluL *clusterLeader
+	cluF *clusterFollower
 }
 
 // ActionRecord is one applied action (kept in a bounded ring for

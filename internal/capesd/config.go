@@ -81,9 +81,10 @@ type SessionConfig struct {
 	// overrides every session: 1/true forces it on, 0/false off.
 	Pipeline bool `json:"pipeline,omitempty"`
 	// Cluster joins this session's DRL engine to a data-parallel
-	// co-training cluster (capes cluster mode): one leader applies the
-	// optimizer over gradients reduced in fixed rank order; followers
-	// stream gradients and receive parameter broadcasts. Mutually
+	// co-training cluster (capes cluster mode): followers stream their
+	// gradients to one leader, which reduces them in fixed rank order and
+	// sends the mean back; every worker then runs the same optimizer
+	// step. Mutually
 	// exclusive with pipeline; a cluster session ignores the
 	// CAPES_PIPELINE override.
 	Cluster *ClusterConfig `json:"cluster,omitempty"`
@@ -173,7 +174,7 @@ type ClusterConfig struct {
 	// CollectTimeoutMs bounds the leader's per-step wait for follower
 	// gradient frames (0 = engine default).
 	CollectTimeoutMs int `json:"collect_timeout_ms,omitempty"`
-	// SyncTimeoutMs bounds a follower's dial/sync/broadcast waits
+	// SyncTimeoutMs bounds a follower's dial, sync and mean-gradient waits
 	// (0 = engine default).
 	SyncTimeoutMs int `json:"sync_timeout_ms,omitempty"`
 }

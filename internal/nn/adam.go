@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
 	"capes/internal/tensor"
@@ -144,6 +145,35 @@ func (a *Adam[E]) FusedStep(params, grads []E, gradScale float64, target []E, al
 
 // StepCount returns the number of updates applied so far.
 func (a *Adam[E]) StepCount() int { return a.step }
+
+// FlatMoments returns the first and second moment arenas FusedStep keeps,
+// aligned with the parameter arena — with StepCount the optimizer's whole
+// state. Both are nil until the first flat step. The slices are the
+// optimizer's own: read-only to the caller.
+func (a *Adam[E]) FlatMoments() (m, v []E) { return a.fm, a.fv }
+
+// RestoreFlat replaces the flat optimizer state with a copy of another
+// optimizer's (a cluster worker taking over the leader's): its step count
+// and its moments, both empty for an optimizer that has not stepped.
+func (a *Adam[E]) RestoreFlat(step int, m, v []E) error {
+	if step < 0 || len(m) != len(v) || (len(m) == 0) != (step == 0) {
+		return fmt.Errorf("nn: Adam state of step %d with %d/%d moments", step, len(m), len(v))
+	}
+	if a.fm != nil && len(m) != 0 && len(m) != len(a.fm) {
+		return fmt.Errorf("nn: %d Adam moments for a %d-parameter optimizer", len(m), len(a.fm))
+	}
+	a.step = step
+	if len(m) == 0 {
+		a.fm, a.fv = nil, nil
+		return nil
+	}
+	if a.fm == nil {
+		a.fm, a.fv = make([]E, len(m)), make([]E, len(m))
+	}
+	copy(a.fm, m)
+	copy(a.fv, v)
+	return nil
+}
 
 // Reset clears the moment estimates and step counter.
 func (a *Adam[E]) Reset() {

@@ -8,12 +8,15 @@ import (
 
 // Gradient-arena exchange for data-parallel cluster training. The flat
 // param/grad arenas (see MLP.FlatParams/FlatGrads) make an all-reduce a
-// single contiguous []float32 exchange: followers export their gradient
-// arena onto the wire, the leader accumulates the frames in a fixed
-// follower-rank order into a float64 buffer, and the mean lands back in
-// the leader's gradient arena for the fused Adam sweep.
+// single contiguous []float32 exchange: followers put their gradient
+// arena on the wire as it lies, the leader reduces the frames in a fixed
+// rank order, in float64, into its own gradient arena, and the mean goes
+// back out for every worker's fused Adam sweep.
 //
-// The accumulator is float64 on purpose, and for two reasons:
+// The reduction contract, per element: start from +0.0, add each rank's
+// value widened to float64 in ascending rank order, divide by the worker
+// count, round once to the working precision. Float64 on purpose, and
+// for two reasons:
 //
 //   - determinism: float addition is not associative, so the reduction
 //     runs in rank order — but float64 goes further: sums of float32
@@ -24,6 +27,67 @@ import (
 //     through float64 exactly), which is what lets the cluster
 //     determinism suite diff an N-worker trajectory against the
 //     single-process golden run bit for bit.
+//
+// ReduceMean is that contract in one pass; AccumulateFlat into a zeroed
+// accumulator followed by a division is the same contract spelled out a
+// sweep at a time, kept as the reference ReduceMean is tested against.
+
+// reduceBlock is how many elements ReduceMean carries in float64 at a
+// time: 4 KiB of stack, so the partial sums stay in L1 however many
+// ranks are swept over them.
+const reduceBlock = 512
+
+// ReduceMean overwrites dst with the element-wise mean of srcs under the
+// reduction contract above, srcs in ascending rank order. A source may be
+// dst itself: the leader's own gradient is rank 0 and the mean lands
+// where it lay.
+func ReduceMean[E tensor.Element](dst []E, srcs [][]E) {
+	if len(srcs) == 0 {
+		panic("nn: mean over 0 workers")
+	}
+	for _, src := range srcs {
+		if len(src) != len(dst) {
+			panic(fmt.Sprintf("nn: reduce %d grads into %d-slot arena", len(src), len(dst)))
+		}
+	}
+	// Dividing by a power of two and multiplying by its (exact)
+	// reciprocal are the same correctly rounded value; for any other
+	// count only the division is the contract.
+	k := float64(len(srcs))
+	inv, pow2 := 1/k, len(srcs)&(len(srcs)-1) == 0
+	// All ranks but the last are summed into a block of float64 partial
+	// sums; the last rank's addition rides the sweep that divides and
+	// rounds. 0 + x is spelled out: the sum starts from +0.0, so a lone
+	// −0 comes out +0.
+	lead, last := srcs[:len(srcs)-1], srcs[len(srcs)-1]
+	var acc [reduceBlock]float64
+	for off := 0; off < len(dst); off += reduceBlock {
+		out := dst[off:min(off+reduceBlock, len(dst))]
+		sum := acc[:len(out)]
+		if len(lead) == 0 {
+			clear(sum)
+		} else {
+			for i, v := range lead[0][off:][:len(sum)] {
+				sum[i] = 0 + float64(v)
+			}
+			for _, src := range lead[1:] {
+				for i, v := range src[off:][:len(sum)] {
+					sum[i] += float64(v)
+				}
+			}
+		}
+		tail := last[off:][:len(sum)]
+		if pow2 {
+			for i, v := range sum {
+				out[i] = E((v + float64(tail[i])) * inv)
+			}
+		} else {
+			for i, v := range sum {
+				out[i] = E((v + float64(tail[i])) / k)
+			}
+		}
+	}
+}
 
 // AccumulateFlat adds src element-wise into the float64 accumulator.
 // Exact for float32 sources (each term widens losslessly).
@@ -36,26 +100,10 @@ func AccumulateFlat[E tensor.Element](acc []float64, src []E) {
 	}
 }
 
-// MeanInto writes acc[i]/n into dst, rounding once per element to the
-// working precision — the aggregated gradient the leader hands to
-// Adam.FusedStep.
-func MeanInto[E tensor.Element](dst []E, acc []float64, n int) {
-	if len(dst) != len(acc) {
-		panic(fmt.Sprintf("nn: mean of %d-slot accumulator into %d grads", len(acc), len(dst)))
-	}
-	if n <= 0 {
-		panic(fmt.Sprintf("nn: mean over %d workers", n))
-	}
-	inv := float64(n)
-	for i, v := range acc {
-		dst[i] = E(v / inv)
-	}
-}
-
-// ExportFlat converts a flat arena to the float32 wire representation
-// (the engine precision, so the deployed path is a straight copy; a
-// float64 reference agent rounds once per element). dst is resized as
-// needed and returned.
+// ExportFlat converts a flat arena to float32, the precision arenas have
+// on the wire (a straight copy at the engine precision; a float64
+// reference agent rounds once per element). dst is resized as needed and
+// returned.
 func ExportFlat[E tensor.Element](dst []float32, src []E) []float32 {
 	if cap(dst) < len(src) {
 		dst = make([]float32, len(src))
@@ -63,14 +111,4 @@ func ExportFlat[E tensor.Element](dst []float32, src []E) []float32 {
 	dst = dst[:len(src)]
 	tensor.Convert(dst, src)
 	return dst
-}
-
-// ImportFlat converts a float32 wire payload into a flat arena of the
-// working precision (exact: float32 widens losslessly into float64).
-func ImportFlat[E tensor.Element](dst []E, src []float32) error {
-	if len(dst) != len(src) {
-		return fmt.Errorf("nn: import %d wire values into %d-slot arena", len(src), len(dst))
-	}
-	tensor.Convert(dst, src)
-	return nil
 }

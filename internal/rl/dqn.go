@@ -1,7 +1,6 @@
 package rl
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -288,8 +287,8 @@ func (a *Agent[E]) ActionCounts() (random, calculated int64) {
 // minibatch loss — the "prediction error" plotted in Figure 5.
 //
 // TrainStep is exactly ComputeGradients followed by ApplyGradients; the
-// split exists for data-parallel cluster training, where followers stop
-// after the gradient pass and the leader applies an aggregated gradient
+// split exists for data-parallel cluster training, where every worker
+// exchanges its gradient between the two and applies the cluster's mean
 // instead of its local one. The composed path is bit-identical to the
 // historical single-method step.
 func (a *Agent[E]) TrainStep(b *replay.Batch[E]) (float64, error) {
@@ -305,7 +304,7 @@ func (a *Agent[E]) TrainStep(b *replay.Batch[E]) (float64, error) {
 // MLP.FlatGrads) and returning the minibatch loss. It performs no
 // optimizer step and advances no counters — cluster followers call it to
 // produce a gradient frame for the leader, and the leader calls it for
-// its own local contribution before aggregating.
+// its own local contribution before reducing.
 //
 // Divergence guards (audited for float32): the scalar loss is summed in
 // float64 and checked for NaN/±Inf on every call — a float32 network
@@ -366,8 +365,8 @@ func (a *Agent[E]) ComputeGradients(b *replay.Batch[E]) (float64, error) {
 // network's flat gradient arena: global-norm clip, fused Adam step,
 // target-network update, step counter, loss telemetry and the periodic
 // divergence scan. loss is the minibatch loss the gradient came from (a
-// cluster leader passes the worker-mean loss of the aggregated
-// gradient). TrainStep == ComputeGradients + ApplyGradients.
+// cluster worker passes the worker-mean loss of the mean gradient).
+// TrainStep == ComputeGradients + ApplyGradients.
 func (a *Agent[E]) ApplyGradients(loss float64) error {
 	// The optimizer pass fuses in the global-norm gradient clip (as a
 	// scale applied while gradients are read) and the target-network
@@ -466,9 +465,8 @@ func (a *Agent[E]) TDErrorEMA() float64 { return a.tdErrEWMA }
 func (a *Agent[E]) SetDoubleDQN(on bool) { a.cfg.DoubleDQN = on }
 
 // RestoreSteps sets the train-step counter, used when resuming a
-// checkpointed session (the manifest records Steps) or syncing a cluster
-// follower to the leader's global step. Everything phased off the
-// counter — the (steps+1)%HardUpdateEvery target-sync schedule, the
+// checkpointed session (the manifest records Steps). Everything phased
+// off the counter — the (steps+1)%HardUpdateEvery target-sync schedule, the
 // first-step EWMA seeding, the every-1000-steps divergence scan —
 // continues from n exactly as an uninterrupted run would.
 func (a *Agent[E]) RestoreSteps(n int64) error {
@@ -494,92 +492,36 @@ func (a *Agent[E]) RestoreTelemetry(lastLoss, lossEWMA, tdErrEWMA float64, rando
 	}
 }
 
-// ImportParams overwrites the online network's flat parameter arena
-// (cluster followers absorbing a leader broadcast).
-func (a *Agent[E]) ImportParams(src []E) error {
-	dst := a.Online.FlatParams()
-	if len(src) != len(dst) {
-		return fmt.Errorf("rl: import %d params into %d-param network", len(src), len(dst))
+// ApplyParamBroadcast absorbs a leader's full sync: everything a cluster
+// worker that steps for itself needs to continue the leader's trajectory
+// bit for bit. The online and target networks take params and target,
+// the optimizer takes the leader's moments m and v and its own step
+// count optStep (all empty for an optimizer that has not stepped — not
+// the same as step 0: a checkpoint restore keeps the global step and
+// starts the optimizer afresh), the step counter jumps to the leader's
+// global step — keeping the hard-update phase and the divergence-scan
+// schedule aligned — and the loss EWMA continues from the leader's.
+// From then on the worker applies the same mean gradients through the
+// same ApplyGradients as the leader; there is no second implementation
+// of the update rule to keep in step. Every length is checked before
+// anything is written.
+func (a *Agent[E]) ApplyParamBroadcast(step int64, params, target, m, v []E, optStep int64, lossEWMA float64) error {
+	n := len(a.Online.FlatParams())
+	if step < 0 || optStep < 0 {
+		return fmt.Errorf("rl: full sync for step %d, optimizer step %d", step, optStep)
 	}
-	copy(dst, src)
-	return nil
-}
-
-// ImportTarget overwrites the target network's flat parameter arena
-// (cluster follower full sync).
-func (a *Agent[E]) ImportTarget(src []E) error {
-	dst := a.Target.FlatParams()
-	if len(src) != len(dst) {
-		return fmt.Errorf("rl: import %d params into %d-param target", len(src), len(dst))
+	if len(params) != n || len(target) != n {
+		return fmt.Errorf("rl: full sync carries %d params and %d target values for a %d-param network", len(params), len(target), n)
 	}
-	copy(dst, src)
-	return nil
-}
-
-// ErrTargetStale reports that a parameter broadcast cannot be applied
-// without a full sync: the follower missed at least one step, so
-// replicating the leader's target-network update rule locally would
-// diverge from the leader's actual θ⁻. The caller should drop the
-// connection and rejoin (the leader's welcome sync carries θ⁻).
-var ErrTargetStale = errors.New("rl: target network stale, full sync required")
-
-// ApplyParamBroadcast absorbs one leader parameter broadcast: the online
-// network takes the broadcast parameters, the target network either
-// takes the explicit target (full sync) or replicates the leader's
-// update rule for this step, the step counter jumps to the leader's
-// post-apply global step, and loss telemetry folds in the worker-mean
-// loss. With target == nil the broadcast must be the immediate successor
-// of the follower's current step — a gap means the locally replicated
-// θ⁻ no longer matches the leader's, and ErrTargetStale asks for a
-// rejoin instead of silently training against a diverged target. A
-// broadcast for the follower's current step is an idle re-broadcast (the
-// leader had no gradients that round): the parameters are the same bits,
-// so only the online import runs and the telemetry stays untouched.
-//
-// The replicated update is bit-identical to the leader's fused sweep:
-// soft mode computes θ⁻(1−α) + θα with the same float expression the
-// sweep uses, and hard mode copies θ on exactly the steps the leader's
-// (steps+1)%HardUpdateEvery schedule fires.
-func (a *Agent[E]) ApplyParamBroadcast(step int64, params, target []E, loss float64) error {
-	if step < 0 {
-		return fmt.Errorf("rl: broadcast for negative step %d", step)
+	if len(m) != len(v) || (len(m) != 0 && len(m) != n) {
+		return fmt.Errorf("rl: full sync carries %d/%d optimizer moments for a %d-param network", len(m), len(v), n)
 	}
-	if target == nil && a.cfg.UseTargetNet {
-		if step == a.steps {
-			return a.ImportParams(params)
-		}
-		if step != a.steps+1 {
-			return fmt.Errorf("%w (have step %d, broadcast %d)", ErrTargetStale, a.steps, step)
-		}
-	}
-	if err := a.ImportParams(params); err != nil {
+	if err := a.Opt.RestoreFlat(int(optStep), m, v); err != nil {
 		return err
 	}
-	if target != nil {
-		if err := a.ImportTarget(target); err != nil {
-			return err
-		}
-	} else if a.cfg.UseTargetNet {
-		a.replicateTargetUpdate(step)
-	}
-	advanced := step > a.steps
+	copy(a.Online.FlatParams(), params)
+	copy(a.Target.FlatParams(), target)
 	a.steps = step
-	if advanced && step > 0 {
-		a.noteLoss(loss)
-	}
+	a.lossEWMA = lossEWMA
 	return nil
-}
-
-// replicateTargetUpdate applies the leader's target-network rule for the
-// given post-apply step, assuming the online network already holds the
-// leader's post-step parameters.
-func (a *Agent[E]) replicateTargetUpdate(step int64) {
-	switch {
-	case a.cfg.HardUpdateEvery == 0:
-		a.Target.SoftUpdateFrom(a.Online, a.cfg.TargetUpdateα)
-	case step%a.cfg.HardUpdateEvery == 0:
-		// The leader's sweep fills its spare buffer with the post-step θ
-		// and swaps; the flat copy lands on the same bits.
-		a.Target.CopyParamsFrom(a.Online)
-	}
 }

@@ -46,7 +46,8 @@ func benchMessages() []struct {
 		{"diff44", &Envelope{Type: MsgIndicators, Indicators: diff(44, 8)}},
 		{"action", &Envelope{Type: MsgAction, Action: &Action{Tick: 1000, ID: 3, Values: []float64{8, 20000}}}},
 		{"gradframe182k", &Envelope{Type: MsgGradFrame, GradFrame: &GradFrame{Rank: 1, Epoch: 1, Step: 1000, BatchN: 32, Loss: 0.1, Grads: arena()}}},
-		{"syncbcast182k", &Envelope{Type: MsgParamBcast, ParamBcast: &ParamBcast{Step: 1000, Sync: true, Loss: 0.1, Params: arena(), Target: arena()}}},
+		{"syncbcast182k", &Envelope{Type: MsgParamBcast, ParamBcast: &ParamBcast{Step: 1000, Sync: true, Loss: 0.1, AdamStep: 1000,
+			Params: arena(), Target: arena(), M: arena(), V: arena()}}},
 	}
 }
 
@@ -103,6 +104,24 @@ func BenchmarkDecode(b *testing.B) {
 		})
 		b.Run(m.name+"/reader", func(b *testing.B) {
 			r := NewReader(&replay{frame: frame})
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				env, err := r.Read()
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += int(env.Type)
+			}
+			b.ReportMetric(float64(len(frame)), "msg_B")
+		})
+		if m.env.Type != MsgGradFrame {
+			continue
+		}
+		// The gradient plane's way: the arena is lent, nothing is allocated.
+		b.Run(m.name+"/lent", func(b *testing.B) {
+			r := NewReader(&replay{frame: frame})
+			arena := make([]float32, len(m.env.GradFrame.Grads))
+			r.LendGrads(func(int) []float32 { return arena })
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				env, err := r.Read()

@@ -45,20 +45,24 @@ func TestGradFramePassRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParamBcastRoundTrip: the full sync carries its four arenas and both
+// counters; an optimizer that has not stepped has no moments, and they
+// come back nil.
 func TestParamBcastRoundTrip(t *testing.T) {
-	steady := &ParamBcast{Step: 55, Loss: 1.5, Params: []float32{1, 2, 3}}
-	got := roundTrip(t, &Envelope{Type: MsgParamBcast, ParamBcast: steady})
-	if got.Type != MsgParamBcast || !reflect.DeepEqual(got.ParamBcast, steady) {
-		t.Fatalf("steady bcast mutated: %+v", got.ParamBcast)
-	}
-	if got.ParamBcast.Sync || got.ParamBcast.Target != nil {
-		t.Fatal("steady bcast must not carry a target")
+	sync := &ParamBcast{Step: 56, Sync: true, Loss: 1.5, AdamStep: 40,
+		Params: []float32{1, 2}, Target: []float32{3, 4}, M: []float32{5, 6}, V: []float32{7, 8}}
+	got := roundTrip(t, &Envelope{Type: MsgParamBcast, ParamBcast: sync})
+	if got.Type != MsgParamBcast || !reflect.DeepEqual(got.ParamBcast, sync) {
+		t.Fatalf("sync bcast mutated: %+v", got.ParamBcast)
 	}
 
-	sync := &ParamBcast{Step: 56, Sync: true, Params: []float32{1, 2}, Target: []float32{3, 4}}
-	got = roundTrip(t, &Envelope{Type: MsgParamBcast, ParamBcast: sync})
-	if !reflect.DeepEqual(got.ParamBcast, sync) {
-		t.Fatalf("sync bcast mutated: %+v", got.ParamBcast)
+	fresh := &ParamBcast{Step: 55, Sync: true, Params: []float32{1, 2, 3}, Target: []float32{1, 2, 3}}
+	got = roundTrip(t, &Envelope{Type: MsgParamBcast, ParamBcast: fresh})
+	if !reflect.DeepEqual(got.ParamBcast, fresh) {
+		t.Fatalf("sync of a fresh optimizer mutated: %+v", got.ParamBcast)
+	}
+	if got.ParamBcast.M != nil || got.ParamBcast.V != nil || got.ParamBcast.AdamStep != 0 {
+		t.Fatalf("a fresh optimizer's sync must carry no moments: %+v", got.ParamBcast)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"slices"
 )
 
@@ -16,13 +17,16 @@ const MaxFrameBytes = 16 << 20
 
 const (
 	// BulkChunk is how much of a float32 arena a Writer converts and
-	// writes, and a Reader reads and converts, at a time: the arenas of
-	// GradFrame and ParamBcast go between the socket and the caller's
-	// []float32 through a buffer of this size, never a whole-frame one.
+	// writes, and a Reader reads and converts, at a time where a float
+	// slice is not already its wire bytes (slab_other.go): the arenas of
+	// GradFrame and ParamBcast then go between the socket and the
+	// caller's []float32 through a buffer of this size, never a
+	// whole-frame one. It is also the persistence layer's buffer size.
 	BulkChunk = 32 << 10
 	// maxBulkHead bounds the fields that precede the arenas in a
-	// GradFrame or ParamBcast body (five 10-byte varints and the loss).
-	maxBulkHead = 64
+	// GradFrame or ParamBcast body (at most six 10-byte varints, a bool
+	// and the loss).
+	maxBulkHead = 96
 	// retainBytes is the largest buffer a Writer or Reader keeps between
 	// messages; one oversized message does not pin its size forever.
 	retainBytes = 64 << 10
@@ -87,8 +91,8 @@ func appendFloat32sLoop(b []byte, f []float32) []byte {
 // float32 arenas of the two bulk messages; those it returns, for the
 // caller to append (Encode) or stream (Writer). The length prefix is
 // left zero until finishFrame knows the total.
-func appendHead(b []byte, env *Envelope) ([]byte, [2][]float32, error) {
-	var bulk [2][]float32
+func appendHead(b []byte, env *Envelope) ([]byte, [4][]float32, error) {
+	var bulk [4][]float32
 	b = append(b, 0, 0, 0, 0, byte(env.Type))
 	switch env.Type {
 	case MsgHello:
@@ -156,14 +160,26 @@ func appendHead(b []byte, env *Envelope) ([]byte, [2][]float32, error) {
 			b = binary.AppendVarint(b, m.Step)
 			b = appendBool(b, m.Sync)
 			b = appendFloat64(b, m.Loss)
-			b = binary.AppendUvarint(b, uint64(len(m.Params)))
-			bulk[0], bulk[1] = m.Params, m.Target
-			return binary.AppendUvarint(b, uint64(len(m.Target))), bulk, nil
+			b = binary.AppendVarint(b, m.AdamStep)
+			bulk = [4][]float32{m.Params, m.Target, m.M, m.V}
+			for _, f := range bulk {
+				b = binary.AppendUvarint(b, uint64(len(f)))
+			}
+			return b, bulk, nil
 		}
 	default:
 		return nil, bulk, fmt.Errorf("wire: encode: unknown message type %d", int(env.Type))
 	}
 	return nil, bulk, fmt.Errorf("wire: encode: %v envelope has no body", env.Type)
+}
+
+// bulkLen counts the values in a message's arenas.
+func bulkLen(bulk [4][]float32) int {
+	n := 0
+	for _, f := range bulk {
+		n += len(f)
+	}
+	return n
 }
 
 // finishFrame writes the length prefix of a frame that will be total
@@ -182,8 +198,10 @@ func Encode(env *Envelope) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	b = slices.Grow(b, 4*(len(bulk[0])+len(bulk[1])))
-	b = AppendFloat32s(AppendFloat32s(b, bulk[0]), bulk[1])
+	b = slices.Grow(b, 4*bulkLen(bulk))
+	for _, f := range bulk {
+		b = AppendFloat32s(b, f)
+	}
 	if err := finishFrame(b, len(b)); err != nil {
 		return nil, err
 	}
@@ -210,11 +228,17 @@ func MessageBytes(env *Envelope) (int, error) {
 // Writer frames messages onto one connection through a buffer it reuses:
 // steady-state writes allocate nothing. A message goes out in a single
 // Write call, except for the float32 arenas of GradFrame and ParamBcast,
-// which are converted and written BulkChunk bytes at a time straight
-// from the caller's slices. Not safe for concurrent use.
+// which never pass through the buffer as a whole: where a float slice is
+// already its wire bytes (slab_le.go) the header and the arenas go out as
+// they lie, in one vectored write (net.Buffers: one writev on a TCP
+// connection); elsewhere they are converted and written BulkChunk bytes
+// at a time. Not safe for concurrent use.
 type Writer struct {
 	w   io.Writer
 	buf []byte
+
+	vec   net.Buffers // the vectored write in flight, over vecAt
+	vecAt [5][]byte
 }
 
 // NewWriter returns a Writer on w.
@@ -227,29 +251,58 @@ func (w *Writer) Write(env *Envelope) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	total := len(b) + 4*(len(bulk[0])+len(bulk[1]))
+	total := len(b) + 4*bulkLen(bulk)
 	if err := finishFrame(b, total); err != nil {
 		return 0, err
 	}
-	for _, f := range bulk {
-		for len(f) > 0 {
-			if len(b)+4 > BulkChunk {
-				if _, err := w.w.Write(b); err != nil {
-					return 0, err
-				}
-				b = b[:0]
-			}
-			k := min(len(f), (BulkChunk-len(b))/4)
-			b = AppendFloat32s(b, f[:k])
-			f = f[k:]
-		}
+	switch {
+	case total == len(b):
+		_, err = w.w.Write(b)
+	case littleEndian:
+		err = w.writeSlabs(b, bulk)
+	default:
+		b, err = w.writeChunked(b, bulk)
 	}
-	_, err = w.w.Write(b)
 	w.buf = b[:0]
 	if cap(b) > retainBytes {
 		w.buf = nil
 	}
 	return total, err
+}
+
+// writeSlabs writes head and, behind it, the arenas as the bytes they
+// already are (little-endian targets only), in one vectored write.
+func (w *Writer) writeSlabs(head []byte, bulk [4][]float32) error {
+	w.vec = append(w.vecAt[:0], head)
+	for _, f := range bulk {
+		if raw, _ := float32Slab(f); len(raw) > 0 {
+			w.vec = append(w.vec, raw)
+		}
+	}
+	_, err := w.vec.WriteTo(w.w)
+	w.vec, w.vecAt = nil, [5][]byte{} // keep no reference to the caller's arenas
+	return err
+}
+
+// writeChunked is the portable bulk path and the reference the slab path
+// is tested against: the arenas are converted into the buffer behind
+// head and flushed whenever it reaches BulkChunk. It returns the buffer.
+func (w *Writer) writeChunked(b []byte, bulk [4][]float32) ([]byte, error) {
+	for _, f := range bulk {
+		for len(f) > 0 {
+			if len(b)+4 > BulkChunk {
+				if _, err := w.w.Write(b); err != nil {
+					return b, err
+				}
+				b = b[:0]
+			}
+			k := min(len(f), (BulkChunk-len(b))/4)
+			b = appendFloat32sLoop(b, f[:k])
+			f = f[k:]
+		}
+	}
+	_, err := w.w.Write(b)
+	return b, err
 }
 
 // ---------------------------------------------------------------------
@@ -414,14 +467,21 @@ func (d *decoder) indicators(m *Indicators) {
 // WorkloadChange or Heartbeat — and everything it points to — is storage
 // the Reader reuses: valid until the next Read, copy what must outlive
 // it. Steady-state reads of those messages allocate nothing. A GradFrame
-// or ParamBcast is allocated fresh and belongs to the caller; its arenas
-// are read BulkChunk bytes at a time directly into their final slices.
-// Not safe for concurrent use.
+// or ParamBcast is allocated fresh and belongs to the caller — unless
+// LendGrads is set, which makes a GradFrame one of the reused kind with
+// its arena in storage the caller lends. Arenas are read from the stream
+// directly into their final slices.
+//
+// An error is final: the stream may be mid-frame, so every later Read
+// returns the same error. Not safe for concurrent use.
 type Reader struct {
 	r   io.Reader
 	buf []byte // buf[pos:end] is read but not yet consumed
 	pos int
 	end int
+	err error // the first error Read returned
+
+	lend func(n int) []float32 // see LendGrads
 
 	env   Envelope
 	hello Hello
@@ -430,10 +490,23 @@ type Reader struct {
 	ack   Ack
 	wc    WorkloadChange
 	hb    Heartbeat
+	gf    GradFrame
 }
 
 // NewReader returns a Reader on r.
 func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
+
+// LendGrads makes every following GradFrame decode into storage the
+// caller lends instead of a fresh allocation. Once a frame's header has
+// been validated — its length against MaxFrameBytes, its value count
+// against the bytes the frame has left — lend is called with the count
+// n > 0 and returns the slice to fill. Its length must be n: anything
+// else refuses the frame (an error, like every other, that ends the
+// stream; nothing is reallocated and nothing written). A pass frame
+// (n == 0) asks for nothing. The envelope and GradFrame Read returns are
+// then the Reader's, valid until the next Read; Grads is the lent slice,
+// and whether it was filled completely is the error Read returns.
+func (r *Reader) LendGrads(lend func(n int) []float32) { r.lend = lend }
 
 // ReadMsg reads one framed envelope from r; the result is the caller's.
 func ReadMsg(r io.Reader) (*Envelope, error) {
@@ -477,6 +550,15 @@ func (r *Reader) consume(n int) {
 // Read reads the next message. A clean end of stream between frames is
 // io.EOF; one inside a frame is io.ErrUnexpectedEOF.
 func (r *Reader) Read() (*Envelope, error) {
+	if r.err != nil {
+		return nil, r.err
+	}
+	env, err := r.read()
+	r.err = err
+	return env, err
+}
+
+func (r *Reader) read() (*Envelope, error) {
 	hdr, err := r.need(5)
 	if err != nil {
 		return nil, err
@@ -539,44 +621,93 @@ func (r *Reader) readBulk(typ MsgType, n int) (*Envelope, error) {
 		return nil, unexpectedEOF(err)
 	}
 	d := decoder{b: head}
-	env := &Envelope{Type: typ}
-	var counts [2]uint64
-	var arenas [2]*[]float32
+	// Fresh and the caller's, unless a GradFrame's arena is lent: then
+	// the frame is the Reader's too, like the small messages.
+	env, lent := &r.env, typ == MsgGradFrame && r.lend != nil
+	if !lent {
+		env = new(Envelope)
+	}
+	*env = Envelope{Type: typ}
+	var counts [4]uint64
+	var arenas [4]*[]float32
 	if typ == MsgGradFrame {
-		m := &GradFrame{Rank: d.int(), Epoch: d.uvarint(), Step: d.varint(), BatchN: d.int(), Loss: d.float64()}
+		m := &r.gf
+		if !lent {
+			m = new(GradFrame)
+		}
+		*m = GradFrame{Rank: d.int(), Epoch: d.uvarint(), Step: d.varint(), BatchN: d.int(), Loss: d.float64()}
 		counts[0] = d.uvarint()
 		env.GradFrame, arenas[0] = m, &m.Grads
 	} else {
-		m := &ParamBcast{Step: d.varint(), Sync: d.bool(), Loss: d.float64()}
-		counts[0], counts[1] = d.uvarint(), d.uvarint()
-		env.ParamBcast, arenas[0], arenas[1] = m, &m.Params, &m.Target
+		m := &ParamBcast{Step: d.varint(), Sync: d.bool(), Loss: d.float64(), AdamStep: d.varint()}
+		arenas = [4]*[]float32{&m.Params, &m.Target, &m.M, &m.V}
+		for i := range counts {
+			counts[i] = d.uvarint()
+		}
+		env.ParamBcast = m
 	}
 	if d.err != nil {
 		return nil, fmt.Errorf("%w (%v)", d.err, typ)
 	}
 	fields := len(head) - len(d.b)
 	r.consume(fields)
-	rest := uint64(n - fields)
-	if counts[0] > rest/4 || counts[1] > rest/4 || 4*(counts[0]+counts[1]) != rest {
-		return nil, fmt.Errorf("wire: decode: %v claims %d+%d values in %d bytes", typ, counts[0], counts[1], rest)
+	rest, claimed := uint64(n-fields), uint64(0)
+	for _, c := range counts {
+		claimed += min(c, rest/4+1) // a count the frame cannot hold, capped: the sum cannot overflow
+	}
+	if 4*claimed != rest {
+		return nil, fmt.Errorf("wire: decode: %v claims %d values in %d bytes", typ, counts, rest)
 	}
 	for i, c := range counts {
 		if c == 0 {
 			continue
 		}
-		dst := make([]float32, c)
-		*arenas[i] = dst
-		for len(dst) > 0 {
-			chunk, err := r.need(min(4*len(dst), BulkChunk))
-			if err != nil {
-				return nil, unexpectedEOF(err)
+		var dst []float32
+		if lent {
+			if dst = r.lend(int(c)); len(dst) != int(c) {
+				return nil, fmt.Errorf("wire: decode: %v carries %d values, the lent arena holds %d", typ, c, len(dst))
 			}
-			Float32s(dst[:len(chunk)/4], chunk)
-			dst = dst[len(chunk)/4:]
-			r.consume(len(chunk))
+		} else {
+			dst = make([]float32, c)
+		}
+		*arenas[i] = dst
+		if littleEndian {
+			err = r.readSlab(dst)
+		} else {
+			err = r.readChunked(dst)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	return env, nil
+}
+
+// readSlab fills dst from the stream as the bytes it already is
+// (little-endian targets only): what the head read left in the buffer
+// first, the rest straight from the connection.
+func (r *Reader) readSlab(dst []float32) error {
+	raw, _ := float32Slab(dst)
+	k := copy(raw, r.buf[r.pos:r.end])
+	r.consume(k)
+	_, err := io.ReadFull(r.r, raw[k:])
+	return unexpectedEOF(err)
+}
+
+// readChunked is the portable way to fill dst, and the reference
+// readSlab is tested against: BulkChunk bytes at a time through the
+// buffer, converted element by element.
+func (r *Reader) readChunked(dst []float32) error {
+	for len(dst) > 0 {
+		chunk, err := r.need(min(4*len(dst), BulkChunk))
+		if err != nil {
+			return unexpectedEOF(err)
+		}
+		float32sLoop(dst[:len(chunk)/4], chunk)
+		dst = dst[len(chunk)/4:]
+		r.consume(len(chunk))
+	}
+	return nil
 }
 
 // unexpectedEOF maps an end of stream past a frame's header to

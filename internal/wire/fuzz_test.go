@@ -17,7 +17,8 @@ func sampleEnvelopes() []*Envelope {
 		{Type: MsgWorkloadChange, WorkloadChange: &WorkloadChange{Tick: 9, Name: "fileserver"}},
 		{Type: MsgHeartbeat, Heartbeat: &Heartbeat{NodeID: 4, Epoch: 3}},
 		{Type: MsgGradFrame, GradFrame: &GradFrame{Rank: 1, Epoch: 2, Step: 3, BatchN: 32, Loss: 0.5, Grads: make([]float32, 40)}},
-		{Type: MsgParamBcast, ParamBcast: &ParamBcast{Step: 4, Sync: true, Loss: 0.25, Params: []float32{1, 2, 3}, Target: []float32{4, 5, 6}}},
+		{Type: MsgParamBcast, ParamBcast: &ParamBcast{Step: 4, Sync: true, Loss: 0.25, AdamStep: 3,
+			Params: []float32{1, 2, 3}, Target: []float32{4, 5, 6}, M: []float32{7, 8, 9}, V: []float32{10, 11, 12}}},
 	}
 }
 
@@ -66,7 +67,12 @@ func FuzzReadMsg(f *testing.F) {
 	f.Add(relen(binary.AppendUvarint([]byte{0, 0, 0, 0, byte(MsgAction), 2, 4}, 1<<30)))
 	f.Add(relen(binary.AppendUvarint([]byte{0, 0, 0, 0, byte(MsgIndicators), 2, 2, 1}, 1<<63)))
 	f.Add(relen([]byte{0, 0, 0, 0, byte(MsgWorkloadChange), 2, 0x7f, 'x'}))
-	f.Add(relen(binary.AppendUvarint(binary.AppendUvarint([]byte{0, 0, 0, 0, byte(MsgParamBcast), 2, 1, 0, 0, 0, 0, 0, 0, 0, 0}, 1<<62), 1<<62)))
+	bcastHead := []byte{0, 0, 0, 0, byte(MsgParamBcast), 2 /* Step 1 */, 1 /* Sync */, 0, 0, 0, 0, 0, 0, 0, 0 /* Loss */, 2 /* AdamStep 1 */}
+	f.Add(relen(binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(bytes.Clone(bcastHead), 1<<62), 1<<62), 1<<62), 1<<62)))
+	// Four counts that each fit the frame and together do not; a count
+	// that fits with nothing behind it.
+	f.Add(relen(append(append(bytes.Clone(bcastHead), 2, 2, 2, 2), make([]byte, 8)...)))
+	f.Add(relen(append(bytes.Clone(bcastHead), 0, 0, 0, 1)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		bound := uint64(64 << 10) // slack for the Reader itself and runtime noise
@@ -93,6 +99,24 @@ func FuzzReadMsg(f *testing.F) {
 		}
 		if final, err := Encode(env2); err != nil || !bytes.Equal(final, again) {
 			t.Fatalf("re-encoding is not a fixed point: %x vs %x (%v)", final, again, err)
+		}
+		// A gradient frame decodes the same into an arena of exactly its
+		// size, and not at all into any other.
+		if gf := env.GradFrame; gf != nil && len(gf.Grads) > 0 {
+			for _, n := range []int{len(gf.Grads), len(gf.Grads) + 1, len(gf.Grads) - 1} {
+				arena := make([]float32, n)
+				r := NewReader(bytes.NewReader(data))
+				r.LendGrads(func(int) []float32 { return arena })
+				lent, err := r.Read()
+				if (err == nil) != (n == len(gf.Grads)) {
+					t.Fatalf("%d values into a lent arena of %d: %v", len(gf.Grads), n, err)
+				}
+				if err == nil {
+					if out, _ := Encode(lent); !bytes.Equal(out, again) {
+						t.Fatal("lent decode differs from the allocating one")
+					}
+				}
+			}
 		}
 	})
 }

@@ -9,7 +9,11 @@ import "unsafe"
 // significant byte first — so the bulk converters in codec.go copy the
 // slab whole instead of converting element by element. These two casts
 // are the package's only use of unsafe: each returns the bytes backing
-// f, aliasing it, for exactly len(f) elements.
+// f, aliasing it, for exactly len(f) elements. The same view lets a
+// Writer hand an arena to the socket, and a Reader fill one from it,
+// without a copy in between.
+
+const littleEndian = true
 
 func float32Slab(f []float32) ([]byte, bool) {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(f))), 4*len(f)), true

@@ -3,7 +3,10 @@
 package wire
 
 // Big-endian (or unlisted) targets have no slab view: the converters in
-// codec.go keep their per-element loops.
+// codec.go keep their per-element loops, and the bulk messages their
+// chunked path.
+
+const littleEndian = false
 
 func float32Slab([]float32) ([]byte, bool) { return nil, false }
 

@@ -5,7 +5,7 @@
 // that only transmits performance indicators whose values changed since
 // the previous sampling tick.
 //
-// Wire format (protocol version 4), one frame per message:
+// Wire format (protocol version 5), one frame per message:
 //
 //	frame   := u32 length (big-endian) | u8 MsgType | body
 //	           length counts the type byte and the body: 1..MaxFrameBytes
@@ -22,7 +22,17 @@
 //	WorkloadChange varint Tick | string Name
 //	Heartbeat      varint NodeID | uvarint Epoch
 //	GradFrame      varint Rank | uvarint Epoch | varint Step | varint BatchN | f64 Loss | uvarint n | n × f32
-//	ParamBcast     varint Step | bool Sync | f64 Loss | uvarint np | uvarint nt | np × f32 | nt × f32
+//	ParamBcast     varint Step | bool Sync | f64 Loss | varint AdamStep |
+//	               uvarint np | uvarint nt | uvarint nm | uvarint nv |
+//	               np × f32 (θ) | nt × f32 (θ⁻) | nm × f32 (Adam m) | nv × f32 (Adam v)
+//
+// A GradFrame travels both ways on the gradient plane: a follower's
+// gradient up (Rank ≥ 1), the leader's rank-ordered mean back (Rank 0,
+// BatchN = workers folded). Its arena and the four of a ParamBcast are
+// the only large payloads; on a little-endian target a Writer hands them
+// to the socket as the bytes they already are, behind the header in one
+// vectored write, and a Reader reads them from the socket straight into
+// their final slice — for a GradFrame one the caller lends (LendGrads).
 //
 // Indicators.Indices travel as deltas from the previous index (from 0
 // for the first), so the ascending runs DiffEncoder produces cost one
@@ -49,8 +59,9 @@ import (
 
 // ProtoVersion is the wire protocol revision this package speaks; see
 // the package comment for the layout. Versions 1–3 were gob+flate
-// streams and are not understood.
-const ProtoVersion = 4
+// streams; version 4 had a two-arena ParamBcast sent every step. Neither
+// is understood.
+const ProtoVersion = 5
 
 // MsgType discriminates protocol messages.
 type MsgType int
@@ -153,60 +164,69 @@ type WorkloadChange struct {
 	Name string
 }
 
-// GradFrame is one follower's gradient contribution to one global train
-// step of a data-parallel cluster session: the follower's flat gradient
-// arena (engine precision, float32) plus enough addressing for the
-// leader to aggregate deterministically and reject stale frames.
+// GradFrame is one worker's side of one global train step of a
+// data-parallel cluster session. Upstream (Rank ≥ 1) it is a follower's
+// flat gradient arena (engine precision, float32) plus enough addressing
+// for the leader to aggregate deterministically and reject stale frames;
+// downstream (Rank 0) it is the leader's rank-ordered mean of the step's
+// gradients, which every worker hands to the same optimizer step.
 type GradFrame struct {
-	// Rank is the follower's fixed cluster rank (≥ 1; the leader's own
-	// local gradient is rank 0). The leader reduces frames in ascending
-	// rank order — float addition is not associative, so the order is
-	// part of the trajectory's determinism contract.
+	// Rank is the sender's cluster rank: ≥ 1 for a follower, 0 for the
+	// leader (whose own gradient is folded first). The leader reduces
+	// frames in ascending rank order — float addition is not associative,
+	// so the order is part of the trajectory's determinism contract.
 	Rank int
 	// Epoch is the follower connection's session epoch (see Hello.Epoch):
-	// it bumps on every reconnect, and the leader drops frames whose
+	// it bumps on every reconnect, and either side drops frames whose
 	// epoch does not match the connection that delivered them — a
 	// follower that dropped mid-epoch can never splice a stale gradient
 	// into a post-rejoin step.
 	Epoch uint64
 	// Step is the global train step this gradient contributes to: the
-	// leader's post-apply step counter plus one. Frames for any other
-	// step are dropped as stale.
+	// sender's step counter plus one. The leader drops a frame for any
+	// other step as stale; a follower that reads a mean for any other
+	// step has missed one and rejoins through the full sync.
 	Step int64
-	// BatchN is the minibatch size behind the gradient; 0 marks a "pass"
-	// frame from a follower whose replay ring cannot form a minibatch
+	// BatchN is, upstream, the minibatch size behind the gradient, and
+	// downstream the number of workers folded into the mean. 0 marks a
+	// "pass" frame: a follower whose replay ring cannot form a minibatch
 	// yet (it keeps the leader's collect from stalling, contributing
-	// nothing to the reduction).
+	// nothing to the reduction), or a round in which no worker had a
+	// gradient and nobody steps.
 	BatchN int
-	// Loss is the follower's minibatch loss; the leader folds the
-	// worker-mean loss into its telemetry EWMAs.
+	// Loss is the sender's minibatch loss; downstream the worker-mean,
+	// which every worker folds into its telemetry EWMAs.
 	Loss float64
 	// Grads is the flat gradient arena (len == the model's NumParams);
 	// nil on a pass frame.
 	Grads []float32
 }
 
-// ParamBcast carries the leader's post-step parameters down to
-// followers. A steady-state broadcast carries only the online arena —
-// followers replicate the target-network update rule locally, bit for
-// bit. A sync broadcast (Sync == true, sent as the welcome on join and
-// rejoin) additionally carries the target arena and is the only way a
-// follower that missed steps can resume: its locally replicated θ⁻ is
-// stale the moment a broadcast gap appears.
+// ParamBcast is the full sync a follower gets when it joins or rejoins:
+// everything a worker that steps for itself needs to continue the
+// leader's trajectory bit for bit. It is not part of the steady-state
+// round.
 type ParamBcast struct {
-	// Step is the leader's post-apply global train step; followers set
-	// their step counter to it, keeping hard-update phase and the
-	// divergence-scan schedule aligned cluster-wide.
+	// Step is the leader's global train step; the follower sets its
+	// counter to it, keeping hard-update phase and the divergence-scan
+	// schedule aligned cluster-wide.
 	Step int64
-	// Sync marks a full welcome sync (Target present, counters
-	// authoritative) rather than a steady-state delta.
+	// Sync marks a full sync. Every ParamBcast this version sends is
+	// one; a follower ignores one that is not.
 	Sync bool
-	// Loss is the worker-mean minibatch loss of the step (telemetry).
+	// Loss is the leader's loss EWMA (telemetry continues from it).
 	Loss float64
-	// Params is the online network's flat parameter arena.
+	// AdamStep is the optimizer's own step count — the t of the bias
+	// correction. It differs from Step after a checkpoint restore, which
+	// starts the optimizer afresh.
+	AdamStep int64
+	// Params and Target are the online and target networks' flat arenas.
 	Params []float32
-	// Target is the target network's flat arena; nil unless Sync.
 	Target []float32
+	// M and V are Adam's first and second moments, aligned with Params;
+	// both nil while the optimizer has not stepped.
+	M []float32
+	V []float32
 }
 
 // Envelope wraps a message with its type for transport.
