@@ -123,7 +123,7 @@ ratio "BenchmarkReplayPut/ring" "BenchmarkReplayPut/map" 2.5
 # The pipelined control loop (PERF.md "Pipelined control loop"): one
 # full engine tick at the deployed obs256 shape in both modes, and the
 # published-snapshot action path. The backward gradient GEMM feeding
-# the tick (paired sdot2 kernels) is gated alongside.
+# the tick (the dot-tile kernels) is gated alongside.
 check "BenchmarkEngineTick/serial/obs256"
 check "BenchmarkEngineTick/pipelined/obs256"
 check "BenchmarkSelectActionPublished/idle/f32"
@@ -131,6 +131,11 @@ check "BenchmarkMulTransBInto/f32"
 # The paper rig's own forward GEMM (width 500: a 256- and a 244-wide
 # column block, so the tile kernel's 8-lane and 4-lane steps both run).
 check "BenchmarkMulInto/32x500x500/f32"
+# The rig's two ∂L/∂in products: a hidden layer's (the 2 × 2 dot tile,
+# depth 500 leaves a k % 8 tail of 4) and the 5-wide Q head's (the
+# saxpy1 chain over a packed bᵀ).
+check "BenchmarkMulTransBInto/32x500x500/f32"
+check "BenchmarkMulTransBInto/32x5x500/f32"
 
 # Host-independent: the pipelined tick must stay at or below the serial
 # tick within the same run (ratio is serial/pipelined; the tick is

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"capes/internal/faultnet"
+	"capes/internal/wire"
 )
 
 // TestChaosSoak drives a full cluster — 4 node agents, each a
@@ -87,15 +88,24 @@ func TestChaosSoak(t *testing.T) {
 	}
 	defer d.Close()
 
-	// Fault points are byte counts, so they are scaled to the messages:
-	// a 4-PI indicators frame is 46 B and a heartbeat 7 B (a tenth of the
-	// gob+flate frames these thresholds were first set against), which
-	// puts a kill every 13–44 messages on each connection.
+	// Fault points are byte counts, so they are derived from the message
+	// every tick sends — a full 4-PI indicators frame — which puts a kill
+	// every 13–44 messages on each connection and a stall every 52,
+	// whatever the codec. (Senders are paced by the sleep below, so how
+	// fast the host runs does not change how many bytes cross the proxy.)
+	msgBytes, err := wire.MessageBytes(&wire.Envelope{Type: wire.MsgIndicators, Indicators: &wire.Indicators{
+		NodeID: nodes - 1, Tick: totalTicks, Epoch: 1,
+		Indices: []int{0, 1, 2, 3}, Values: []float64{1e4 * float64(totalTicks), 1, 2, 3},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := int64(msgBytes)
 	p, err := faultnet.New("127.0.0.1:0", d.Addr(), faultnet.Config{
 		Seed:           20170614, // CAPES submission era; any seed replays
-		KillAfterMin:   600,
-		KillAfterMax:   2000,
-		StallEvery:     2400,
+		KillAfterMin:   13 * msg,
+		KillAfterMax:   44 * msg,
+		StallEvery:     52 * msg,
 		StallFor:       200 * time.Millisecond, // > liveness: forces eviction
 		LatencyMax:     2 * time.Millisecond,
 		PartitionProb:  0.3,

@@ -221,10 +221,12 @@ func TestClusterGoldenTrajectory(t *testing.T) {
 // welcome sync) without ever corrupting the leader's step sequence, and
 // the leader must keep stepping solo while the follower is down.
 func TestClusterChaosFollowerKillRejoin(t *testing.T) {
-	// Long enough for a dozen kills: the leader steps solo in about a
-	// millisecond while the follower is away, so most of the run passes
-	// with the link down.
-	const n = 1200
+	// Driven by kills, not ticks: the leader ticks until the proxy has
+	// killed the link minKills times and the follower has rejoined after
+	// each kill, so however fast a solo step runs on the host, the chaos
+	// engages. The tick cap and the deadline only end a run in which it
+	// never does, and that run fails loudly.
+	const minKills, tickCap, deadline = 4, 200_000, 60 * time.Second
 	leader, ltick := clusterEngine(t, &ClusterConfig{
 		Role:           ClusterLeader,
 		Listen:         "127.0.0.1:0",
@@ -232,13 +234,19 @@ func TestClusterChaosFollowerKillRejoin(t *testing.T) {
 	})
 	defer leader.Stop()
 
+	// The kill window is a byte count, so it is derived from this model's
+	// GradFrame: whatever the codec or the width, the link dies every
+	// 8–23 frames.
+	frameBytes, err := wire.MessageBytes(&wire.Envelope{Type: wire.MsgGradFrame, GradFrame: &wire.GradFrame{
+		Rank: 1, Epoch: 1, Step: 1, BatchN: 32, Loss: 1, Grads: make([]float32, len(leader.Agent().Online.FlatParams())),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	proxy, err := faultnet.New("127.0.0.1:0", leader.ClusterAddr(), faultnet.Config{
-		Seed: 11,
-		// Byte counts, scaled to the frame: this model's GradFrame is
-		// 439 B (1062 B as gob+flate, when these were 8–24 KiB), so the
-		// link dies every 8–23 frames.
-		KillAfterMin: 3400,
-		KillAfterMax: 10000,
+		Seed:         11,
+		KillAfterMin: int64(8 * frameBytes),
+		KillAfterMax: int64(23 * frameBytes),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -256,22 +264,48 @@ func TestClusterChaosFollowerKillRejoin(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The leader counts the welcome syncs it sends: the first join and
+	// one per rejoin. It reads only its own stats (the follower holds its
+	// engine lock while it waits on the leader's broadcast). The follower
+	// dials again only after absorbing its previous welcome, so once
+	// minKills+2 have gone out it holds minKills+1, whatever happens to
+	// the last one when the link is cut below.
+	engaged := func() bool {
+		cs := leader.Stats().Cluster
+		return proxy.Stats().Kills >= minKills && cs != nil && cs.Syncs >= minKills+2
+	}
 	var lrun, frun clusterRun
+	var n, kills int64 // leader ticks run, proxy kills while it ran
 	leaderDone := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		lrun = driveTicks(leader, ltick, n)
-		close(leaderDone)
+		defer close(leaderDone)
+		start := time.Now()
+		for *ltick = 1; *ltick <= tickCap; *ltick++ {
+			leader.Tick(*ltick)
+			n = *ltick
+			if n%16 == 0 && (engaged() || time.Since(start) > deadline) {
+				break
+			}
+		}
+		lrun.stats = leader.Stats()
+		lrun.steps = lrun.stats.TrainSteps
+		lrun.params = append([]EnginePrecision(nil), leader.Agent().Online.FlatParams()...)
+		kills = proxy.Stats().Kills
+		// Pull the cable: a follower waiting on a mean that will never
+		// come gives up now rather than after its SyncTimeout.
+		proxy.SetHold(true)
+		proxy.KillActive()
 	}()
 	go func() {
 		defer wg.Done()
 		// Once the leader stops ticking no more broadcasts arrive, so
-		// the follower's remaining ticks would each wait out a full
-		// SyncTimeout; stop instead — the assertions below only need
-		// the follower to have made progress, not to finish its range.
-		for *ftick = 1; *ftick <= n; *ftick++ {
+		// the follower's next tick would wait out a full SyncTimeout;
+		// stop instead — the assertions below only need the follower to
+		// have made progress, not to match the leader's tick count.
+		for *ftick = 1; ; *ftick++ {
 			select {
 			case <-leaderDone:
 				return
@@ -292,10 +326,14 @@ func TestClusterChaosFollowerKillRejoin(t *testing.T) {
 	frun.steps = frun.stats.TrainSteps
 	fa := follower.Agent()
 	frun.params = append([]EnginePrecision(nil), fa.Online.FlatParams()...)
+	if cs := lrun.stats.Cluster; kills < minKills || cs == nil || cs.Syncs < minKills+2 {
+		t.Fatalf("chaos did not engage in %d leader ticks (cap %d, deadline %v): %d kills, leader %+v, follower %+v",
+			n, tickCap, deadline, kills, cs, frun.stats.Cluster)
+	}
 	// Step-sequence integrity: the leader applies exactly one step per
 	// due train tick — kills, evictions and rejoins never stall or
 	// double-apply it — and every step is accounted solo or aggregated.
-	wantSteps := int64(n) - 16 + 1 // train ticks 16..n with TrainEvery 1
+	wantSteps := n - 16 + 1 // train ticks 16..n with TrainEvery 1
 	if lrun.steps != wantSteps {
 		t.Fatalf("leader applied %d steps, want %d", lrun.steps, wantSteps)
 	}
@@ -309,9 +347,8 @@ func TestClusterChaosFollowerKillRejoin(t *testing.T) {
 	if lrun.stats.TrainErrors != 0 {
 		t.Fatalf("leader hit %d train errors", lrun.stats.TrainErrors)
 	}
-	// An unloaded run sees 10–16 kills and 13–21 rejoins.
-	if got := proxy.Stats().Kills; got < 4 {
-		t.Fatalf("proxy killed the link %d times, want ≥ 4 — chaos did not engage", got)
+	if kills < 4 {
+		t.Fatalf("proxy killed the link %d times, want ≥ 4 — chaos did not engage", kills)
 	}
 	fs := frun.stats.Cluster
 	if fs == nil {

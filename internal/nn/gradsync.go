@@ -50,15 +50,9 @@ func ReduceMean[E tensor.Element](dst []E, srcs [][]E) {
 			panic(fmt.Sprintf("nn: reduce %d grads into %d-slot arena", len(src), len(dst)))
 		}
 	}
-	// Dividing by a power of two and multiplying by its (exact)
-	// reciprocal are the same correctly rounded value; for any other
-	// count only the division is the contract.
-	k := float64(len(srcs))
-	inv, pow2 := 1/k, len(srcs)&(len(srcs)-1) == 0
 	// All ranks but the last are summed into a block of float64 partial
 	// sums; the last rank's addition rides the sweep that divides and
-	// rounds. 0 + x is spelled out: the sum starts from +0.0, so a lone
-	// −0 comes out +0.
+	// rounds.
 	lead, last := srcs[:len(srcs)-1], srcs[len(srcs)-1]
 	var acc [reduceBlock]float64
 	for off := 0; off < len(dst); off += reduceBlock {
@@ -66,26 +60,52 @@ func ReduceMean[E tensor.Element](dst []E, srcs [][]E) {
 		sum := acc[:len(out)]
 		if len(lead) == 0 {
 			clear(sum)
-		} else {
-			for i, v := range lead[0][off:][:len(sum)] {
-				sum[i] = 0 + float64(v)
-			}
-			for _, src := range lead[1:] {
-				for i, v := range src[off:][:len(sum)] {
-					sum[i] += float64(v)
-				}
-			}
 		}
-		tail := last[off:][:len(sum)]
-		if pow2 {
-			for i, v := range sum {
-				out[i] = E((v + float64(tail[i])) * inv)
-			}
-		} else {
-			for i, v := range sum {
-				out[i] = E((v + float64(tail[i])) / k)
-			}
+		for r, src := range lead {
+			widenSum(sum, src[off:][:len(sum)], r == 0)
 		}
+		widenMean(out, sum, last[off:][:len(sum)], len(srcs))
+	}
+}
+
+// widenSum adds src into the partial sums, from +0.0 when first (0 + x
+// is spelled out: the sum starts from +0.0, so a lone −0 comes out +0).
+// float32 arenas run tensor's vector sweep, which is the same loop.
+func widenSum[E tensor.Element](sum []float64, src []E, first bool) {
+	if s32, ok := any(src).([]float32); ok {
+		tensor.WidenSum32(sum, s32, first)
+		return
+	}
+	if first {
+		for i, v := range src {
+			sum[i] = 0 + float64(v)
+		}
+		return
+	}
+	for i, v := range src {
+		sum[i] += float64(v)
+	}
+}
+
+// widenMean writes out = (sum + tail) / k, rounded once. Dividing by a
+// power of two and multiplying by its (exact) reciprocal are the same
+// correctly rounded value; for any other count only the division is the
+// contract. float32 arenas run tensor's vector sweep, which is the same
+// loop.
+func widenMean[E tensor.Element](out []E, sum []float64, tail []E, k int) {
+	if o32, ok := any(out).([]float32); ok {
+		tensor.WidenMean32(o32, sum, any(tail).([]float32), k)
+		return
+	}
+	if k&(k-1) == 0 {
+		inv := 1 / float64(k)
+		for i, v := range sum {
+			out[i] = E((v + float64(tail[i])) * inv)
+		}
+		return
+	}
+	for i, v := range sum {
+		out[i] = E((v + float64(tail[i])) / float64(k))
 	}
 }
 

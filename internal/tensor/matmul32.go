@@ -108,28 +108,55 @@ func mulTransAF32(dst, a, b *Matrix[float32]) {
 	}
 }
 
-// mulTransBF32 is mulTransBRows for float32: each output element is a
-// vector dot product along the shared k axis, with b tiled so the
-// active rows stay cache-resident. Both operand rows are already
-// unit-stride, so no packing is needed here either.
+// mulTransBF32 is mulTransBRows for float32: each output element is
+// bit for bit one lone sdot of an a row with a b row (the dot-order
+// contract in simd.go), on one of two tile-level paths.
+//
+// At depths of a vector or more, b is cut into blockTB-row column
+// blocks and one sdotTile call sweeps every row of a over a block — on
+// avx2 a 2 × 2 register tile in one assembly call, elsewhere sdot2
+// pairs. Both operand rows are unit-stride, so nothing is packed.
+//
+// Below the tier's vector width (the 5-wide Q head's ∂L/∂in), sdot is
+// the ascending chain of its products, which saxpy1 computes a whole
+// row at a time: bᵀ is packed into the pooled panel and each output row
+// is zeroed and accumulates k saxpy1s — rows·k calls where the per-dot
+// path made rows·dn.
 func mulTransBF32(dst, a, b *Matrix[float32]) {
 	kTot, dn := a.Cols, b.Rows
+	if kTot < sdotChainK() {
+		mulTransBChainF32(dst, a, b)
+		return
+	}
 	const blockTB = 64
 	for j0 := 0; j0 < dn; j0 += blockTB {
-		j1 := min(j0+blockTB, dn)
-		for i := 0; i < a.Rows; i++ {
-			arow := a.Data[i*kTot : (i+1)*kTot]
-			drow := dst.Data[i*dn : (i+1)*dn]
-			// Pair adjacent output columns: sdot2 streams arow once for
-			// both dot products, and each column rounds exactly as a lone
-			// sdot, so the pairing never changes results bit for bit.
-			j := j0
-			for ; j+2 <= j1; j += 2 {
-				drow[j], drow[j+1] = sdot2(arow,
-					b.Data[j*kTot:(j+1)*kTot], b.Data[(j+1)*kTot:(j+2)*kTot])
+		sdotTile(dst.Data[j0:], dn, a.Data, b.Data[j0*kTot:], kTot, a.Rows, min(blockTB, dn-j0))
+	}
+}
+
+// mulTransBChainF32 is mulTransBF32's shallow path. The panel holds
+// kTot × seg of bᵀ; products wider than it go a column segment at a time.
+func mulTransBChainF32(dst, a, b *Matrix[float32]) {
+	kTot, dn := a.Cols, b.Rows
+	pp := panelPool32.Get().(*[]float32)
+	defer panelPool32.Put(pp)
+	panel, segMax := *pp, dn
+	if kTot > 0 {
+		segMax = min(dn, len(panel)/kTot)
+	}
+	for j0 := 0; j0 < dn; j0 += segMax {
+		seg := min(segMax, dn-j0)
+		for j := 0; j < seg; j++ {
+			brow := b.Data[(j0+j)*kTot : (j0+j+1)*kTot]
+			for k, v := range brow {
+				panel[k*seg+j] = v
 			}
-			for ; j < j1; j++ {
-				drow[j] = sdot(arow, b.Data[j*kTot:(j+1)*kTot])
+		}
+		for i := 0; i < a.Rows; i++ {
+			drow := dst.Data[i*dn+j0 : i*dn+j0+seg]
+			clear(drow)
+			for k, av := range a.Data[i*kTot : (i+1)*kTot] {
+				saxpy1(drow, panel[k*seg:(k+1)*seg], av)
 			}
 		}
 	}

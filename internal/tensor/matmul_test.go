@@ -245,17 +245,24 @@ func BenchmarkMulTransAInto(b *testing.B) {
 }
 
 func BenchmarkMulTransBInto(b *testing.B) {
-	// gradIn shape: 32×640 · (640×640)ᵀ. The f32 variant exercises the
-	// paired sdot2 dot kernels.
-	b.Run("f64", func(b *testing.B) { benchMulTransB[float64](b) })
-	b.Run("f32", func(b *testing.B) { benchMulTransB[float32](b) })
+	// gradIn shape: 32×640 · (640×640)ᵀ, and the paper rig's two:
+	// 32×500 · (500×500)ᵀ through a hidden layer (the 2 × 2 dot tile on
+	// avx2) and 32×5 · (500×5)ᵀ through the Q head (the saxpy1 chain).
+	b.Run("f64", func(b *testing.B) { benchMulTransB[float64](b, 32, 640, 640) })
+	b.Run("f32", func(b *testing.B) { benchMulTransB[float32](b, 32, 640, 640) })
+	for _, s := range [][3]int{{32, 500, 500}, {32, 5, 500}} {
+		b.Run(sizeName(s[0], s[1], s[2])+"/f32", func(b *testing.B) {
+			benchMulTransB[float32](b, s[0], s[1], s[2])
+		})
+	}
 }
 
-func benchMulTransB[E Element](b *testing.B) {
+// benchMulTransB times dst (rows×dn) = a (rows×k) · bᵀ (b is dn×k).
+func benchMulTransB[E Element](b *testing.B, rows, k, dn int) {
 	rng := rand.New(rand.NewSource(1))
-	a := randomMatrix[E](rng, 32, 640)
-	m := randomMatrix[E](rng, 640, 640)
-	dst := New[E](32, 640)
+	a := randomMatrix[E](rng, rows, k)
+	m := randomMatrix[E](rng, dn, k)
+	dst := New[E](rows, dn)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

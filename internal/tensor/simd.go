@@ -37,6 +37,22 @@ import (
 // by definition. Only the dot-product reductions differ across tiers
 // (wider accumulators change the summation order), which the
 // precision-scaled equivalence tolerances already cover.
+//
+// Dot-order contract: within a tier, every float32 MulTransBInto output
+// is bit-identical to one lone sdot over its two rows, whichever kernel
+// computed it (sdot2, the avx2 tile body or the chain below). Below the
+// tier's vector width — k < 8 on avx2 and scalar, k < 4 on sse — sdot is
+// sdotScalar, and with k < 8 each of its four partial sums holds at most
+// one product, sᵢ = +0 + pᵢ. Its result ((s0 + s1) + s2) + s3, then + p4
+// … in ascending order, is then the plain chain ((+0 + p0) + p1) + … :
+// the two differ only where a partial sum turned a −0 product into +0,
+// and x + (+0) = x + (−0) for every x but −0, which the chain never holds
+// (it starts from +0 + p0 ≠ −0, and a sum is −0 only when both addends
+// are). That chain is what saxpy1 accumulates from a zeroed row, so
+// MulTransBInto runs k saxpy1s over a packed bᵀ there instead of one
+// short sdot per output. The argument needs every product rounded before
+// its addition; targets whose compiler may fuse a multiply-add (arm64's
+// FMADD) keep the per-call path (sdotChainK in simd_generic.go).
 
 // Kernel tiers, in strictly increasing capability order.
 const (
@@ -157,6 +173,23 @@ func saxpy4x2TileCalls(d []float32, dPitch int, a []float32, aRow, aK int, b []f
 			saxpy4x2(d0, d1,
 				b[k*bPitch:][:seg], b[(k+1)*bPitch:][:seg], b[(k+2)*bPitch:][:seg], b[(k+3)*bPitch:][:seg],
 				a00, a01, a02, a03, a10, a11, a12, a13)
+		}
+	}
+}
+
+// sdotTileCalls writes one column block of a·bᵀ: for i < rows and
+// j < cols, d[i·dPitch + j] = sdot(a[i·k:][:k], b[j·k:][:k]), adjacent
+// columns paired through sdot2. This is sdotTile on the scalar and sse
+// tiers, and on avx2 for depths below 8.
+func sdotTileCalls(d []float32, dPitch int, a, b []float32, k, rows, cols int) {
+	for i := 0; i < rows; i++ {
+		arow, drow := a[i*k:(i+1)*k], d[i*dPitch:]
+		j := 0
+		for ; j+2 <= cols; j += 2 {
+			drow[j], drow[j+1] = sdot2(arow, b[j*k:(j+1)*k], b[(j+1)*k:(j+2)*k])
+		}
+		if j < cols {
+			drow[j] = sdot(arow, b[j*k:(j+1)*k])
 		}
 	}
 }

@@ -8,12 +8,16 @@ package tensor
 //	saxpy4/1     Go      saxpy4SSE/saxpy1SSE    saxpy4AVX2/saxpy1AVX2
 //	saxpy4x2Tile Go loops over 2 × saxpy4       saxpy4x2TileAVX2 (loops in the body)
 //	sdot         Go      sdotSSE                sdotAVX2
-//	sdot2        Go      sdot2SSE               sdot2AVX2
+//	sdot2        Go      sdot2SSE               2 × sdot
+//	sdotTile     Go loops over sdot2            sdot2x2TileAVX2 (loops in the body;
+//	                                            k < 8 and odd edges on sdot)
 //	daxpy4/1     Go      daxpy4SSE2/daxpy1SSE2  (float64 stays on SSE2)
 //	ddot         Go      ddotSSE2               (float64 stays on SSE2)
 //	adamSweep*   Go      adamSweepSSE{,Soft}    adamSweepAVX2{,Soft}
 //	biasTanh32   Go      biasTanhSSE            biasTanhAVX2
 //	sumSquares8  Go      sumSquaresSSE          sumSquaresAVX2
+//	widenSum32   Go      widenSumSSE2           widenSumAVX2
+//	widenMean32  Go      widenMeanSSE2          widenMeanAVX2
 //
 // SSE2 is part of the amd64 baseline (GOAMD64=v1), so the sse tier
 // needs no feature detection; the avx2 tier is gated by the CPUID/
@@ -30,7 +34,9 @@ package tensor
 // callers never see an alignment requirement and len<lane-count slices
 // (the action path's odd widths) work on every tier. saxpy4x2TileAVX2
 // alone takes any length: it finishes 8-lane steps with a 4-lane XMM
-// step and single-lane steps, so no width comes back to the Go loops.
+// step and single-lane steps, so no width comes back to the Go loops;
+// sdot2x2TileAVX2 adds its own k % 8 leftovers, after the fold, in
+// sdot's order.
 //
 // Rounding contract: the vector bodies use only IEEE-exact operations —
 // MULPS/ADDPS/SUBPS/MULPD/ADDPD and, in the Adam and tanh sweeps,
@@ -135,21 +141,12 @@ func sdot(a, b []float32) float32 {
 
 // sdot2 computes sdot(a, b0) and sdot(a, b1) in one pass: the shared
 // left operand is loaded once per lane and feeds both columns, halving
-// the dominant a-row read traffic in the MulTransB kernels. Each column
+// the dominant a-row read traffic in sdotTileCalls. Each column
 // accumulates and folds in exactly sdot's per-tier order, so sdot2 is
-// bit-identical to two unpaired sdot calls on every tier.
+// bit-identical to two unpaired sdot calls on every tier. The avx2 tier
+// pairs inside sdot2x2TileAVX2 instead and runs two sdot calls here.
 func sdot2(a, b0, b1 []float32) (float32, float32) {
-	switch activeTier.Load() {
-	case tierAVX2:
-		if n8 := len(a) &^ 7; n8 > 0 {
-			s0, s1 := sdot2AVX2(a[:n8], b0, b1)
-			for j := n8; j < len(a); j++ {
-				s0 += a[j] * b0[j]
-				s1 += a[j] * b1[j]
-			}
-			return s0, s1
-		}
-	case tierSSE:
+	if activeTier.Load() == tierSSE {
 		if n4 := len(a) &^ 3; n4 > 0 {
 			s0, s1 := sdot2SSE(a[:n4], b0, b1)
 			for j := n4; j < len(a); j++ {
@@ -159,7 +156,46 @@ func sdot2(a, b0, b1 []float32) (float32, float32) {
 			return s0, s1
 		}
 	}
-	return sdotScalar(a, b0), sdotScalar(a, b1)
+	return sdot(a, b0), sdot(a, b1)
+}
+
+// sdotTile is sdotTileCalls (simd.go has the operand layout). On the
+// avx2 tier with k ≥ 8 every row pair × column pair runs inside one
+// assembly call, four dot products per pass; the odd last column and
+// the odd last row stay on sdot.
+func sdotTile(d []float32, dPitch int, a, b []float32, k, rows, cols int) {
+	if activeTier.Load() != tierAVX2 || k < 8 {
+		sdotTileCalls(d, dPitch, a, b, k, rows, cols)
+		return
+	}
+	pairs, cpairs := rows/2, cols/2
+	if pairs > 0 && cpairs > 0 {
+		// The assembly indexes raw pointers: prove the last element of
+		// each operand it touches is in range first.
+		_ = d[(2*pairs-1)*dPitch+2*cpairs-1]
+		_ = a[2*pairs*k-1]
+		_ = b[2*cpairs*k-1]
+		sdot2x2TileAVX2(&d[0], dPitch, &a[0], &b[0], k, pairs, cpairs)
+	}
+	if j := cols - 1; cols&1 != 0 {
+		for i := 0; i < 2*pairs; i++ {
+			d[i*dPitch+j] = sdot(a[i*k:(i+1)*k], b[j*k:(j+1)*k])
+		}
+	}
+	if i := rows - 1; rows&1 != 0 {
+		sdotTileCalls(d[i*dPitch:], dPitch, a[i*k:], b, k, 1, cols)
+	}
+}
+
+// sdotChainK is the depth below which sdot, on the active tier, is the
+// plain ascending chain ((+0 + p0) + p1) + … of its products (simd.go
+// has the argument): below one vector of lanes sdot falls through to
+// sdotScalar, whose four partial sums then hold one product each.
+func sdotChainK() int {
+	if activeTier.Load() == tierSSE {
+		return 4
+	}
+	return 8
 }
 
 // daxpy4 is saxpy4 at float64 (2 SSE2 lanes on the sse tier and above).
@@ -278,6 +314,38 @@ func sumSquares8(x []float32, acc *[8]float64) {
 	}
 }
 
+// widenSum32 runs WidenSum32's sweep (widen32.go); len(src) == len(acc).
+func widenSum32(acc []float64, src []float32, first bool) {
+	j := 0
+	if n4 := len(acc) &^ 3; n4 > 0 {
+		switch activeTier.Load() {
+		case tierAVX2:
+			widenSumAVX2(acc[:n4], src, first)
+			j = n4
+		case tierSSE:
+			widenSumSSE2(acc[:n4], src, first)
+			j = n4
+		}
+	}
+	widenSumScalar(acc[j:], src[j:], first)
+}
+
+// widenMean32 runs WidenMean32's sweep; acc and last are len(dst) long.
+func widenMean32(dst []float32, acc []float64, last []float32, scale float64, div bool) {
+	j := 0
+	if n4 := len(dst) &^ 3; n4 > 0 {
+		switch activeTier.Load() {
+		case tierAVX2:
+			widenMeanAVX2(dst[:n4], acc, last, scale, div)
+			j = n4
+		case tierSSE:
+			widenMeanSSE2(dst[:n4], acc, last, scale, div)
+			j = n4
+		}
+	}
+	widenMeanScalar(dst[j:], acc[j:], last[j:], scale, div)
+}
+
 // Assembly bodies. Slice lengths must be lane-aligned as described in
 // the header; the wrappers above are the only callers.
 
@@ -303,7 +371,7 @@ func sdotAVX2(a, b []float32) float32
 func sdot2SSE(a, b0, b1 []float32) (s0, s1 float32)
 
 //go:noescape
-func sdot2AVX2(a, b0, b1 []float32) (s0, s1 float32)
+func sdot2x2TileAVX2(d *float32, dPitch int, a, b *float32, k, pairs, cols int)
 
 //go:noescape
 func saxpy4x2TileAVX2(d *float32, dPitch int, a *float32, aRow, aK int, b *float32, bPitch, pairs, quads, seg int, skipZero bool)
@@ -340,3 +408,15 @@ func sumSquaresSSE(x []float32, acc *[8]float64)
 
 //go:noescape
 func sumSquaresAVX2(x []float32, acc *[8]float64)
+
+//go:noescape
+func widenSumSSE2(acc []float64, src []float32, first bool)
+
+//go:noescape
+func widenSumAVX2(acc []float64, src []float32, first bool)
+
+//go:noescape
+func widenMeanSSE2(dst []float32, acc []float64, last []float32, scale float64, div bool)
+
+//go:noescape
+func widenMeanAVX2(dst []float32, acc []float64, last []float32, scale float64, div bool)

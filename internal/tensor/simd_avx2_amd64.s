@@ -179,79 +179,170 @@ sdotavx_fold:
 	MOVSS        X0, ret+48(FP)
 	RET
 
-// func sdot2AVX2(a, b0, b1 []float32) (s0, s1 float32)
-// Returns (sum(a[j]*b0[j]), sum(a[j]*b1[j])); len(a) % 8 == 0. The
-// shared left operand is loaded once per lane and feeds both columns;
-// each column keeps sdotAVX2's exact two-accumulator order and fold, so
-// every result is bit-identical to an unpaired sdotAVX2 over it.
-TEXT ·sdot2AVX2(SB), NOSPLIT, $0-80
-	MOVQ a_base+0(FP), SI
-	MOVQ a_len+8(FP), CX
-	MOVQ b0_base+24(FP), DI
-	MOVQ b1_base+48(FP), BX
+// func sdot2x2TileAVX2(d *float32, dPitch int, a, b *float32, k, pairs, cols int)
+// One column block of a·bᵀ in one call, two rows × two columns per pass:
+//
+//	for p in [0, pairs), c in [0, cols), r in {0, 1}, s in {0, 1}:
+//	    d[(2p+r)·dPitch + 2c+s] = sdot(a[(2p+r)·k ...], b[(2c+s)·k ...])
+//
+// Rows of a and b are k elements apart; dPitch counts elements. Each
+// pass loads two a rows and two b rows once and feeds four dot products,
+// each in its own pair of YMM accumulators that keep sdotAVX2's order
+// exactly: 16-lane steps split even/odd, at most one 8-lane step into the
+// even accumulator, the same fold, then the k % 8 leftover products
+// added one at a time in ascending k, as the sdot wrapper adds them.
+// Every output is therefore bit-identical to a lone sdot over it.
+// Requires k ≥ 8, pairs ≥ 1 and cols ≥ 1 (cols counts column pairs).
+// dPitch is scaled to bytes in place.
+TEXT ·sdot2x2TileAVX2(SB), NOSPLIT, $0-56
+	MOVQ a+16(FP), SI
+	MOVQ k+32(FP), R13
+	MOVQ R13, CX
+	ANDQ $-8, CX
+	MOVQ R13, R10
+	ANDQ $-16, R10
+	SHLQ $2, R13
+	SHLQ $2, dPitch+8(FP)
+	MOVQ pairs+40(FP), R12
+
+dtile_pair:
+	LEAQ (SI)(R13*1), DX
+	MOVQ d+0(FP), DI
+	MOVQ dPitch+8(FP), AX
+	LEAQ (DI)(AX*1), BX
+	MOVQ b+24(FP), R8
+	LEAQ (R8)(R13*1), R9
+	MOVQ cols+48(FP), R11
+
+dtile_col:
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
 	VXORPS Y6, Y6, Y6
 	VXORPS Y7, Y7, Y7
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-16, DX
+	XORQ   AX, AX
+	TESTQ  R10, R10
+	JZ     dtile_tail8
 
-sdot2avx_loop16:
-	CMPQ AX, DX
-	JGE  sdot2avx_tail8
-	VMOVUPS (SI)(AX*4), Y2
-	VMOVUPS 32(SI)(AX*4), Y4
-	VMOVUPS (DI)(AX*4), Y3
-	VMULPS  Y3, Y2, Y3
-	VADDPS  Y3, Y0, Y0
-	VMOVUPS 32(DI)(AX*4), Y5
-	VMULPS  Y5, Y4, Y5
-	VADDPS  Y5, Y1, Y1
-	VMOVUPS (BX)(AX*4), Y8
-	VMULPS  Y8, Y2, Y8
-	VADDPS  Y8, Y6, Y6
-	VMOVUPS 32(BX)(AX*4), Y9
-	VMULPS  Y9, Y4, Y9
-	VADDPS  Y9, Y7, Y7
+dtile_loop16:
+	VMOVUPS (SI)(AX*4), Y8
+	VMOVUPS (DX)(AX*4), Y9
+	VMOVUPS (R8)(AX*4), Y10
+	VMOVUPS (R9)(AX*4), Y11
+	VMULPS  Y10, Y8, Y12
+	VADDPS  Y12, Y0, Y0
+	VMULPS  Y11, Y8, Y13
+	VADDPS  Y13, Y2, Y2
+	VMULPS  Y10, Y9, Y14
+	VADDPS  Y14, Y4, Y4
+	VMULPS  Y11, Y9, Y15
+	VADDPS  Y15, Y6, Y6
+	VMOVUPS 32(SI)(AX*4), Y8
+	VMOVUPS 32(DX)(AX*4), Y9
+	VMOVUPS 32(R8)(AX*4), Y10
+	VMOVUPS 32(R9)(AX*4), Y11
+	VMULPS  Y10, Y8, Y12
+	VADDPS  Y12, Y1, Y1
+	VMULPS  Y11, Y8, Y13
+	VADDPS  Y13, Y3, Y3
+	VMULPS  Y10, Y9, Y14
+	VADDPS  Y14, Y5, Y5
+	VMULPS  Y11, Y9, Y15
+	VADDPS  Y15, Y7, Y7
 	ADDQ    $16, AX
-	JMP     sdot2avx_loop16
+	CMPQ    AX, R10
+	JLT     dtile_loop16
 
-sdot2avx_tail8:
-	CMPQ AX, CX
-	JGE  sdot2avx_fold
-	VMOVUPS (SI)(AX*4), Y2
-	VMOVUPS (DI)(AX*4), Y3
-	VMULPS  Y3, Y2, Y3
-	VADDPS  Y3, Y0, Y0
-	VMOVUPS (BX)(AX*4), Y8
-	VMULPS  Y8, Y2, Y8
-	VADDPS  Y8, Y6, Y6
+dtile_tail8:
+	CMPQ    AX, CX
+	JGE     dtile_fold
+	VMOVUPS (SI)(AX*4), Y8
+	VMOVUPS (DX)(AX*4), Y9
+	VMOVUPS (R8)(AX*4), Y10
+	VMOVUPS (R9)(AX*4), Y11
+	VMULPS  Y10, Y8, Y12
+	VADDPS  Y12, Y0, Y0
+	VMULPS  Y11, Y8, Y13
+	VADDPS  Y13, Y2, Y2
+	VMULPS  Y10, Y9, Y14
+	VADDPS  Y14, Y4, Y4
+	VMULPS  Y11, Y9, Y15
+	VADDPS  Y15, Y6, Y6
 	ADDQ    $8, AX
-	JMP     sdot2avx_tail8
 
-sdot2avx_fold:
+dtile_fold:
+	// sdotAVX2's fold per output: even+odd, high half onto low, lanes
+	// 2,3 onto 0,1, lane 1 onto lane 0.
 	VADDPS       Y1, Y0, Y0
+	VADDPS       Y3, Y2, Y2
+	VADDPS       Y5, Y4, Y4
 	VADDPS       Y7, Y6, Y6
-	VEXTRACTF128 $1, Y0, X1
-	VEXTRACTF128 $1, Y6, X7
+	VEXTRACTF128 $1, Y0, X8
+	VEXTRACTF128 $1, Y2, X9
+	VEXTRACTF128 $1, Y4, X10
+	VEXTRACTF128 $1, Y6, X11
+	VADDPS       X8, X0, X0
+	VADDPS       X9, X2, X2
+	VADDPS       X10, X4, X4
+	VADDPS       X11, X6, X6
+	VMOVHLPS     X0, X0, X8
+	VMOVHLPS     X2, X2, X9
+	VMOVHLPS     X4, X4, X10
+	VMOVHLPS     X6, X6, X11
+	VADDPS       X8, X0, X0
+	VADDPS       X9, X2, X2
+	VADDPS       X10, X4, X4
+	VADDPS       X11, X6, X6
+	VSHUFPS      $0x55, X0, X0, X8
+	VSHUFPS      $0x55, X2, X2, X9
+	VSHUFPS      $0x55, X4, X4, X10
+	VSHUFPS      $0x55, X6, X6, X11
+	VADDSS       X8, X0, X0
+	VADDSS       X9, X2, X2
+	VADDSS       X10, X4, X4
+	VADDSS       X11, X6, X6
+
+dtile_tail1:
+	CMPQ   AX, k+32(FP)
+	JGE    dtile_store
+	VMOVSS (SI)(AX*4), X8
+	VMOVSS (DX)(AX*4), X9
+	VMOVSS (R8)(AX*4), X10
+	VMOVSS (R9)(AX*4), X11
+	VMULSS X10, X8, X12
+	VADDSS X12, X0, X0
+	VMULSS X11, X8, X13
+	VADDSS X13, X2, X2
+	VMULSS X10, X9, X14
+	VADDSS X14, X4, X4
+	VMULSS X11, X9, X15
+	VADDSS X15, X6, X6
+	INCQ   AX
+	JMP    dtile_tail1
+
+dtile_store:
+	VMOVSS X0, (DI)
+	VMOVSS X2, 4(DI)
+	VMOVSS X4, (BX)
+	VMOVSS X6, 4(BX)
+	ADDQ   $8, DI
+	ADDQ   $8, BX
+	LEAQ   (R8)(R13*2), R8
+	LEAQ   (R9)(R13*2), R9
+	DECQ   R11
+	JNZ    dtile_col
+
+	LEAQ (SI)(R13*2), SI
+	MOVQ dPitch+8(FP), AX
+	MOVQ d+0(FP), DI
+	LEAQ (DI)(AX*2), DI
+	MOVQ DI, d+0(FP)
+	DECQ R12
+	JNZ  dtile_pair
 	VZEROUPPER
-	ADDPS        X1, X0
-	MOVAPS       X0, X1
-	MOVHLPS      X0, X1
-	ADDPS        X1, X0
-	MOVAPS       X0, X1
-	SHUFPS       $0x55, X1, X1
-	ADDSS        X1, X0
-	MOVSS        X0, s0+72(FP)
-	ADDPS        X7, X6
-	MOVAPS       X6, X7
-	MOVHLPS      X6, X7
-	ADDPS        X7, X6
-	MOVAPS       X6, X7
-	SHUFPS       $0x55, X7, X7
-	ADDSS        X7, X6
-	MOVSS        X6, s1+76(FP)
 	RET
 
 // func saxpy4x2TileAVX2(d *float32, dPitch int, a *float32, aRow, aK int, b *float32, bPitch, pairs, quads, seg int, skipZero bool)

@@ -30,6 +30,17 @@ func sdot2(a, b0, b1 []float32) (float32, float32) {
 	return sdotScalar(a, b0), sdotScalar(a, b1)
 }
 
+func sdotTile(d []float32, dPitch int, a, b []float32, k, rows, cols int) {
+	sdotTileCalls(d, dPitch, a, b, k, rows, cols)
+}
+
+// sdotChainK is 0 here: the chain argument in simd.go needs every
+// product rounded before its addition, and targets such as arm64 may
+// fuse sdotScalar's and saxpy1Scalar's multiply-adds (FMADD) in
+// different places, so MulTransBInto keeps its per-call dot path at
+// every depth.
+func sdotChainK() int { return 0 }
+
 func daxpy4(dst, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64) {
 	daxpy4Scalar(dst, x0, x1, x2, x3, a0, a1, a2, a3)
 }
@@ -56,4 +67,12 @@ func biasTanh32(row, bias []float32) {
 
 func sumSquares8(x []float32, acc *[8]float64) {
 	sumSquaresScalar(x, acc)
+}
+
+func widenSum32(acc []float64, src []float32, first bool) {
+	widenSumScalar(acc, src, first)
+}
+
+func widenMean32(dst []float32, acc []float64, last []float32, scale float64, div bool) {
+	widenMeanScalar(dst, acc, last, scale, div)
 }

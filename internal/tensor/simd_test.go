@@ -384,6 +384,50 @@ func TestSumSquares32BitIdenticalAcrossTiers(t *testing.T) {
 	})
 }
 
+// TestWidenSweepsBitIdenticalAcrossTiers: the widening sum and the
+// rounding mean are correctly rounded element by element, so on every
+// tier and length, from +0.0 or accumulating, dividing or multiplying,
+// they must equal the Go loops bit for bit (NaN as NaN-ness), with dot
+// edge values in every lane.
+func TestWidenSweepsBitIdenticalAcrossTiers(t *testing.T) {
+	forEachTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(79))
+		for _, n := range append(simdLens, 512) {
+			src, last := randSlice32(rng, n), randSlice32(rng, n)
+			for i := range src {
+				if rng.Intn(3) == 0 {
+					src[i] = dotEdgeValues[rng.Intn(len(dotEdgeValues))]
+				}
+			}
+			base := randSlice64(rng, n)
+			for _, first := range []bool{true, false} {
+				got, want := append([]float64(nil), base...), append([]float64(nil), base...)
+				WidenSum32(got, src, first)
+				widenSumScalar(want, src, first)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(got[i] != got[i] && want[i] != want[i]) {
+						t.Fatalf("WidenSum32 n=%d first=%v: element %d is %v, want %v", n, first, i, got[i], want[i])
+					}
+				}
+				for _, k := range []int{1, 2, 3, 4, 5} {
+					out, ref := make([]float32, n), make([]float32, n)
+					WidenMean32(out, got, last, k)
+					if k&(k-1) == 0 {
+						widenMeanScalar(ref, got, last, 1/float64(k), false)
+					} else {
+						widenMeanScalar(ref, got, last, float64(k), true)
+					}
+					for i := range ref {
+						if !sameFloat32(out[i], ref[i]) {
+							t.Fatalf("WidenMean32 n=%d k=%d: element %d is %x, want %x", n, k, i, math.Float32bits(out[i]), math.Float32bits(ref[i]))
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 // TestKernelEquivalenceAcrossTiers drives the full matmul kernels —
 // including the packed-panel layouts — against the float64 naive golden
 // references on every tier, at both concrete precisions, across ragged
@@ -540,6 +584,58 @@ func TestMulKernelsBitIdenticalToQuadOrder(t *testing.T) {
 					if !sameFloat32(got.Data[i], want.Data[i]) {
 						t.Fatalf("MulTransAInto %dx%dx%d mode %d: element %d is %x, quad order gives %x", rows, k, n, mode, i,
 							math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
+					}
+				}
+			}
+		}
+	})
+}
+
+// dotEdgeValues are the operands a dot product must carry through any
+// kernel unchanged: zeros of both signs, NaN, infinities, denormals and
+// the largest finite values (whose products overflow).
+var dotEdgeValues = []float32{
+	0, float32(math.Copysign(0, -1)), float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+	math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-40, -1e-40, math.MaxFloat32, -math.MaxFloat32,
+}
+
+// TestMulTransBBitIdenticalToSdot: every float32 MulTransBInto output
+// must be, bit for bit, one lone sdot of its a row and b row on every
+// tier — the avx2 2 × 2 tile with its folds and k % 8 leftovers, its odd
+// edges, the sse and scalar sdot2 pairs, and the saxpy1 chain below the
+// tier's vector width (NaNs compared as NaN-ness). Depths cover every
+// value up to 33 and the rig's widths, rows cover 1, odd and even, and
+// the b row counts straddle the column block and end odd.
+func TestMulTransBBitIdenticalToSdot(t *testing.T) {
+	depths := []int{244, 256, 300, 500, 640}
+	for k := 1; k <= 33; k++ {
+		depths = append(depths, k)
+	}
+	forEachTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(97))
+		for _, k := range depths {
+			for _, rows := range []int{1, 2, 3, 7, 8} {
+				dn := []int{1, 2, 5, 63, 64, 65, 129, 500}[rng.Intn(8)]
+				for mode := 0; mode < 3; mode++ { // plain, ±0-sparse, edge values
+					a := tileOperand(rng, rows, k, mode > 0, false, false)
+					b := tileOperand(rng, dn, k, mode > 0, false, false)
+					if mode == 2 {
+						for _, m := range []*Matrix[float32]{a, b} {
+							for i := 0; i < 1+len(m.Data)/8; i++ {
+								m.Data[rng.Intn(len(m.Data))] = dotEdgeValues[rng.Intn(len(dotEdgeValues))]
+							}
+						}
+					}
+					got := New[float32](rows, dn)
+					MulTransBInto(got, a, b)
+					for i := 0; i < rows; i++ {
+						for j := 0; j < dn; j++ {
+							want := sdot(a.Data[i*k:(i+1)*k], b.Data[j*k:(j+1)*k])
+							if g := got.Data[i*dn+j]; !sameFloat32(g, want) {
+								t.Fatalf("%dx%d·(%dx%d)ᵀ mode %d: element (%d,%d) is %x, lone sdot gives %x",
+									rows, k, dn, k, mode, i, j, math.Float32bits(g), math.Float32bits(want))
+							}
+						}
 					}
 				}
 			}
