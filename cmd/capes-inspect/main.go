@@ -199,13 +199,8 @@ func inspectStats(w io.Writer, addr string) error {
 				fmt.Fprintf(w, "  last trip:     %s\n", sup.LastTripReason)
 			}
 		}
-		loop := "lockstep"
-		if s.Engine.Pipelined {
-			loop = fmt.Sprintf("pipelined, %d prefetched / %d misses",
-				s.Engine.PrefetchedBatches, s.Engine.PrefetchMisses)
-		}
-		fmt.Fprintf(w, "  engine:        %d train steps (%s), %d replay records, %d vetoes\n",
-			s.Engine.TrainSteps, loop, s.Engine.ReplayRecords, s.Engine.Vetoes)
+		fmt.Fprintf(w, "  engine:        %d train steps, %d replay records, %d vetoes\n",
+			s.Engine.TrainSteps, s.Engine.ReplayRecords, s.Engine.Vetoes)
 		fmt.Fprintf(w, "  agents:        %d hellos, %d reconnects, %d evictions, %d heartbeats\n",
 			tr.Hellos, tr.Reconnects, tr.Evictions, tr.Heartbeats)
 		fmt.Fprintf(w, "  frames:        %d complete, %d partial (%d gap-filled slots), %d dropped, %d pending\n",
@@ -257,7 +252,7 @@ func watchSession(w io.Writer, addr, name string, interval time.Duration, rounds
 		}
 		// Home + clear-to-end redraws in place instead of scrolling.
 		fmt.Fprint(w, "\x1b[H\x1b[2J")
-		capesd.RenderSessionChart(w, name, string(st.State), st.Engine.Pipelined, pts)
+		capesd.RenderSessionChart(w, name, string(st.State), pts)
 		fmt.Fprintf(w, "\n(watching %s every %s — Ctrl-C to stop)\n", addr, interval)
 	}
 	return nil

@@ -77,12 +77,11 @@ func TestStatsAndWatchAgainstLiveDaemon(t *testing.T) {
 		ObsTicks:     2,
 		Seed:         1,
 		HistoryEvery: 1,
-		Pipeline:     true,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Create(capesd.SessionConfig{
-		Name:         "lockstep",
+		Name:         "second",
 		Listen:       "127.0.0.1:0",
 		Clients:      1,
 		PIsPerClient: 4,
@@ -100,12 +99,11 @@ func TestStatsAndWatchAgainstLiveDaemon(t *testing.T) {
 	if err := inspectStats(&stats, addr); err != nil {
 		t.Fatal(err)
 	}
-	// -stats must tell the two control-loop modes apart per session.
-	if !strings.Contains(stats.String(), "(pipelined, ") {
-		t.Fatalf("stats output missing pipelined marker:\n%s", stats.String())
-	}
-	if !strings.Contains(stats.String(), "(lockstep)") {
-		t.Fatalf("stats output missing lockstep marker:\n%s", stats.String())
+	// -stats lists every session with its engine line.
+	for _, want := range []string{"\nprobe (", "\nsecond (", "  engine:        0 train steps, "} {
+		if !strings.Contains(stats.String(), want) {
+			t.Fatalf("stats output missing %q:\n%s", want, stats.String())
+		}
 	}
 	if err := inspectStats(io.Discard, "127.0.0.1:1"); err == nil {
 		t.Fatal("stats against a dead daemon must error")
@@ -115,12 +113,9 @@ func TestStatsAndWatchAgainstLiveDaemon(t *testing.T) {
 	if err := watchSession(&out, addr, "probe", time.Millisecond, 2); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "session probe") {
+	// The watch header carries the session state from SessionStats.
+	if !strings.Contains(out.String(), "session probe (running): ") {
 		t.Fatalf("watch frame missing header:\n%s", out.String())
-	}
-	// The watch header carries the pipelined marker from SessionStats.
-	if !strings.Contains(out.String(), ", pipelined)") {
-		t.Fatalf("watch frame missing pipelined marker:\n%s", out.String())
 	}
 	if err := watchSession(&out, addr, "ghost", time.Millisecond, 1); err == nil {
 		t.Fatal("watching an unknown session must error")

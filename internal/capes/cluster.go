@@ -856,8 +856,6 @@ func (e *Engine) clusterApply(now int64, meanLoss float64) {
 	if err := e.agent.ApplyGradients(meanLoss); err != nil {
 		e.trainErrors++
 		e.noteTrainFaultLocked(err, now)
-	} else if e.agent.Steps()%25 == 0 {
-		e.lossTrace = append(e.lossTrace, LossPoint{Tick: now, Loss: e.agent.SmoothedLoss()})
 	}
 }
 

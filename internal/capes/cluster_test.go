@@ -100,15 +100,6 @@ func TestClusterConfigValidation(t *testing.T) {
 			t.Fatalf("config %+v must fail validation", cc)
 		}
 	}
-	cfg, _ := smallConfig(t, true, true)
-	cfg.Pipeline = true
-	cfg.Cluster = &ClusterConfig{Role: ClusterLeader, Listen: "127.0.0.1:0"}
-	_, err := NewEngine(cfg,
-		func() (replay.Frame, error) { return replay.Frame{0, 0, 0}, nil },
-		func([]float64) error { return nil })
-	if err == nil {
-		t.Fatal("cluster+pipeline must be rejected")
-	}
 }
 
 // TestClusterSoloLeaderMatchesGolden: a leader with no followers runs

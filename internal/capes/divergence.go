@@ -157,9 +157,8 @@ func (e *Engine) noteRewardLocked(r float64) {
 }
 
 // maybeProbeLocked runs the explicit NaN/Inf parameter probe when due.
-// e.mu held AND the trainer idle (lockstep/cluster ticks, or a pipeline
-// join) — the probe reads the online arenas, which belong to the
-// trainer while a step is in flight.
+// e.mu held; the probe reads the online arenas, so it runs between
+// train steps.
 func (e *Engine) maybeProbeLocked(steps, now int64) {
 	if e.divGate || e.div.ProbeEverySteps <= 0 {
 		return
@@ -174,9 +173,8 @@ func (e *Engine) maybeProbeLocked(steps, now int64) {
 }
 
 // checkDivergenceLocked runs the windowed checks at the telemetry
-// cadence (they read the same harvested loss/steps the HistoryPoint
-// does, so they are safe in every engine mode); e.mu held, alloc-free
-// on the no-trip path.
+// cadence (they read the same loss/steps the HistoryPoint does); e.mu
+// held, alloc-free on the no-trip path.
 func (e *Engine) checkDivergenceLocked(steps int64, loss float64, now int64) {
 	if e.divGate || steps < e.div.MinSteps {
 		return

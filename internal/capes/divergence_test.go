@@ -11,7 +11,7 @@ import (
 
 // newDivEngine builds a training+tuning engine whose collector is keyed
 // off the tick counter it shares with drive() (tickFrame is the shared
-// deterministic workload from pipeline_test.go).
+// deterministic workload from engine_test.go).
 func newDivEngine(t *testing.T, mutate func(*Config)) (*Engine, *int64) {
 	t.Helper()
 	cfg, _ := smallConfig(t, true, true)

@@ -45,22 +45,11 @@ type Config struct {
 	Training bool
 	Tuning   bool
 
-	// Pipeline enables the two-stage control-loop pipeline (see
-	// pipeline.go): minibatch assembly overlaps the in-flight train step
-	// on worker goroutines, and the action path forwards through
-	// published parameter snapshots instead of the live online network,
-	// decoupling per-tick action latency from train-step latency. False
-	// preserves the lockstep schedule bit for bit (the golden
-	// trajectory); pipelined runs are seeded-deterministic too, but
-	// follow their own trajectory.
-	Pipeline bool
-
 	// Cluster enables data-parallel cluster training (see cluster.go):
 	// a leader engine aggregates gradient frames from follower engines
 	// in fixed rank order and broadcasts the post-step parameters back.
-	// Nil (or an empty Role) runs the engine standalone. Mutually
-	// exclusive with Pipeline — the cluster schedule is strictly
-	// synchronous by design.
+	// Nil (or an empty Role) runs the engine standalone. The cluster
+	// schedule is strictly synchronous by design.
 	Cluster *ClusterConfig
 
 	// HistoryEvery samples one training-telemetry HistoryPoint per this
@@ -75,12 +64,6 @@ type Config struct {
 	// applies the defaults — the guard itself is always on: a non-finite
 	// training fault trips it regardless of policy knobs.
 	Divergence *DivergencePolicy
-}
-
-// LossPoint is one sample of the training loss trace (Figure 5).
-type LossPoint struct {
-	Tick int64
-	Loss float64 // EWMA-smoothed prediction error
 }
 
 // EnginePrecision is the numeric element type of the deployed DQN path:
@@ -122,7 +105,6 @@ type Engine struct {
 	missedSamples int64
 	vetoes        int64
 	trainErrors   int64
-	lossTrace     []LossPoint
 	lastAction    int
 	actionCounts  []int64 // per action id
 	history       []ActionRecord
@@ -167,9 +149,6 @@ type Engine struct {
 	// supervisor chaos suite; see faults.go).
 	faults *FaultInjector
 
-	// pipe is the two-stage pipeline state (nil in lockstep mode).
-	pipe *pipeline
-
 	// Cluster-mode state (see cluster.go): exactly one of cluL/cluF is
 	// non-nil in cluster mode.
 	cluL *clusterLeader
@@ -206,9 +185,6 @@ func NewEngine(cfg Config, collector Collector, controller Controller) (*Engine,
 	if clustered {
 		if err := cfg.Cluster.Validate(); err != nil {
 			return nil, err
-		}
-		if cfg.Pipeline {
-			return nil, fmt.Errorf("capes: cluster and pipeline modes are mutually exclusive")
 		}
 	}
 	if controller == nil {
@@ -288,9 +264,6 @@ func NewEngine(cfg Config, collector Collector, controller Controller) (*Engine,
 		histEvery:    histEvery,
 		obsScratch:   make([]EnginePrecision, db.ObservationWidth()),
 	}
-	if cfg.Pipeline {
-		e.startPipeline()
-	}
 	if clustered {
 		if err := e.startCluster(cfg.Cluster.withDefaults()); err != nil {
 			return nil, err
@@ -311,11 +284,6 @@ func (e *Engine) Tick(now int64) {
 	if e.faults != nil {
 		// Deterministic fault hook (tests only): may panic or block.
 		e.faults.beforeTick(now)
-	}
-	if e.pipe != nil {
-		// Join any in-flight batch assembly before this tick writes to
-		// the ring (the join-before-write discipline of pipeline.go).
-		e.joinPrefetchLocked()
 	}
 	h := &e.cfg.Hyper
 
@@ -368,8 +336,6 @@ func (e *Engine) Tick(now int64) {
 		} else if e.cluF != nil {
 			e.clusterFollowerTick(now)
 			e.maybeProbeLocked(e.agent.Steps(), now)
-		} else if e.pipe != nil {
-			e.trainTickPipelined(now)
 		} else if err := replay.ConstructMinibatchInto(e.db, e.rng, h.MinibatchSize, e.rewardFn, &e.batch); err == nil {
 			if e.faults != nil && e.faults.takePoison(e.agent.Steps()+1) {
 				e.poisonParamsLocked()
@@ -379,44 +345,32 @@ func (e *Engine) Tick(now int64) {
 				e.noteTrainFaultLocked(err, now)
 			} else {
 				e.maybeProbeLocked(e.agent.Steps(), now)
-				if e.agent.Steps()%25 == 0 {
-					e.lossTrace = append(e.lossTrace, LossPoint{Tick: now, Loss: e.agent.SmoothedLoss()})
-				}
 			}
 		}
 	}
 
 	// Telemetry sample: one HistoryPoint per histEvery ticks, recorded
 	// last so this tick's training step is already reflected. Record is
-	// alloc-free, so the tick path stays 0 allocs/op. In pipelined mode
-	// the training counters come from the harvested caches — the agent's
-	// own fields belong to the trainer while a step is in flight.
+	// alloc-free, so the tick path stays 0 allocs/op.
 	if e.histEvery > 0 && now%e.histEvery == 0 {
 		random, calc := e.agent.ActionCounts()
 		eps := 0.0
 		if !e.exploit {
 			eps = e.agent.Epsilon.At(now)
 		}
-		var steps int64
-		var loss, tdErr float64
-		if e.pipe != nil {
-			steps, loss, tdErr = e.pipe.steps, e.pipe.lossEWMA, e.pipe.tdErrEWMA
-		} else {
-			steps, loss, tdErr = e.agent.Steps(), e.agent.SmoothedLoss(), e.agent.TDErrorEMA()
-		}
+		steps, loss := e.agent.Steps(), e.agent.SmoothedLoss()
 		e.hist.Record(HistoryPoint{
 			Tick:          now,
 			Reward:        e.lastReward,
 			Loss:          loss,
-			TDErrEMA:      tdErr,
+			TDErrEMA:      e.agent.TDErrorEMA(),
 			Epsilon:       eps,
 			TrainSteps:    steps,
 			RandomActions: random,
 			CalcActions:   calc,
 		})
-		// The windowed divergence checks ride the telemetry cadence:
-		// they read exactly the harvested loss/steps recorded above, so
-		// they are safe in every engine mode and alloc-free.
+		// The windowed divergence checks ride the telemetry cadence and
+		// read exactly the loss/steps recorded above; alloc-free.
 		e.checkDivergenceLocked(steps, loss, now)
 	}
 }
@@ -429,14 +383,6 @@ func (e *Engine) Tick(now int64) {
 func (e *Engine) chooseAction(now int64) int {
 	if err := replay.ObservationInto(e.db, e.obsScratch, now); err != nil {
 		return e.rng.Intn(e.cfg.Space.NumActions())
-	}
-	if e.pipe != nil {
-		// Pipelined: forward through the published parameter snapshot —
-		// a train step may be mutating the online arenas right now.
-		if e.exploit {
-			return e.agent.GreedyActionPublished(e.obsScratch)
-		}
-		return e.agent.SelectActionPublished(e.obsScratch, now)
 	}
 	if e.exploit {
 		return e.agent.GreedyAction(e.obsScratch)
@@ -512,12 +458,10 @@ func (e *Engine) SetActionHook(h ActionHook) {
 
 // Stop drains the engine: every subsequent Tick is a no-op, so agent
 // callbacks still in flight cannot race a final checkpoint or teardown.
-// In pipelined mode it also joins the in-flight stages and shuts the
-// worker goroutines down. Stop is idempotent.
+// Stop is idempotent.
 func (e *Engine) Stop() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.closePipelineLocked()
 	e.closeClusterLocked()
 	e.stopped = true
 }
@@ -568,13 +512,6 @@ func (e *Engine) DB() *replay.DB { return e.db }
 // Agent exposes the Q-learning agent (at the engine precision).
 func (e *Engine) Agent() *rl.Agent[EnginePrecision] { return e.agent }
 
-// LossTrace returns the recorded prediction-error series (Figure 5).
-func (e *Engine) LossTrace() []LossPoint {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]LossPoint(nil), e.lossTrace...)
-}
-
 // History returns a copy of the retained training-telemetry window,
 // oldest first.
 func (e *Engine) History() []HistoryPoint {
@@ -618,24 +555,18 @@ type Stats struct {
 	DivergenceReason string
 	DivergenceTrips  int64
 
-	// Pipeline health (see pipeline.go); all zero in lockstep mode.
-	Pipelined         bool  // engine runs the two-stage pipeline
-	PrefetchedBatches int64 // train ticks served from a completed prefetch
-	PrefetchMisses    int64 // train ticks that assembled their batch in line
-
 	// Cluster health (see cluster.go); nil outside cluster mode.
 	Cluster *ClusterStats
 }
 
-// Stats returns the engine's counters. It never joins the pipeline, so
-// in pipelined mode the training counters are the last harvested values
-// (at most one train step stale).
+// Stats returns the engine's counters.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	random, calc := e.agent.ActionCounts()
 	last := e.hist.Last()
 	s := Stats{
+		TrainSteps:    e.agent.Steps(),
 		MissedSamples: e.missedSamples,
 		Vetoes:        e.vetoes,
 		TrainErrors:   e.trainErrors,
@@ -654,14 +585,6 @@ func (e *Engine) Stats() Stats {
 	s.DivergenceReason = e.divReason
 	s.DivergenceTrips = e.divTrips
 	e.divMu.Unlock()
-	if e.pipe != nil {
-		s.TrainSteps = e.pipe.steps
-		s.Pipelined = true
-		s.PrefetchedBatches = e.pipe.prefetched
-		s.PrefetchMisses = e.pipe.misses
-	} else {
-		s.TrainSteps = e.agent.Steps()
-	}
 	if e.cluL != nil {
 		cs := e.cluL.statsSnapshot()
 		s.Cluster = &cs

@@ -3,13 +3,23 @@ package capes
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"capes/internal/replay"
 )
+
+// tickFrame is the deterministic synthetic workload the engine tests
+// feed both engines of a comparison: a pure function of the tick, so
+// two engines given the same seed see byte-identical inputs.
+func tickFrame(tick int64) replay.Frame {
+	v := float64(tick%97) / 97
+	return replay.Frame{math.Sin(v * 6), v, float64(tick % 5)}
+}
 
 // smallConfig builds a fast engine configuration for unit tests: a tiny
 // observation window so training steps cost microseconds.
@@ -148,7 +158,7 @@ func TestEngineWrongFrameWidthCounted(t *testing.T) {
 	}
 }
 
-func TestEngineTrainingProducesLossTrace(t *testing.T) {
+func TestEngineTrainingRecordsLossHistory(t *testing.T) {
 	cfg, _ := smallConfig(t, true, true)
 	eng, err := NewEngine(cfg,
 		func() (replay.Frame, error) { return replay.Frame{1, 2, 3}, nil },
@@ -163,8 +173,19 @@ func TestEngineTrainingProducesLossTrace(t *testing.T) {
 	if st.TrainSteps == 0 {
 		t.Fatal("no training steps executed")
 	}
-	if len(eng.LossTrace()) == 0 {
-		t.Fatal("no loss trace recorded")
+	// Figure 5's loss curve is the telemetry ring's points with
+	// TrainSteps > 0.
+	var trained int
+	for _, p := range eng.History() {
+		if p.TrainSteps > 0 {
+			trained++
+			if math.IsNaN(p.Loss) || math.IsInf(p.Loss, 0) {
+				t.Fatalf("non-finite loss %v at tick %d", p.Loss, p.Tick)
+			}
+		}
+	}
+	if trained == 0 {
+		t.Fatal("no trained telemetry sample recorded")
 	}
 	if st.TrainErrors != 0 {
 		t.Fatalf("training errors: %d", st.TrainErrors)
@@ -531,8 +552,8 @@ func TestEngineActionHookSeesAppliedActions(t *testing.T) {
 }
 
 // TestEngineConcurrentStatsAndCheckpoint is the session-manager
-// contract: readers and checkpoints may race agent-driven ticks. Run
-// with -race to make it meaningful.
+// contract: readers, checkpoints and mode toggles may race agent-driven
+// ticks. Run with -race to make it meaningful.
 func TestEngineConcurrentStatsAndCheckpoint(t *testing.T) {
 	cfg, _ := smallConfig(t, true, true)
 	eng, err := NewEngine(cfg,
@@ -557,7 +578,7 @@ func TestEngineConcurrentStatsAndCheckpoint(t *testing.T) {
 			eng.Stats()
 			eng.CurrentValues()
 			eng.ActionHistory()
-			eng.LossTrace()
+			eng.History()
 		}
 	}()
 	wg.Add(1)
@@ -570,7 +591,29 @@ func TestEngineConcurrentStatsAndCheckpoint(t *testing.T) {
 			}
 		}
 	}()
+	done := make(chan struct{})
+	var toggler sync.WaitGroup
+	toggler.Add(1)
+	go func() { // mode toggles, paced so they contend without starving the ticks
+		defer toggler.Done()
+		on := true
+		for {
+			eng.SetExploit(on)
+			eng.NotifyWorkloadChange(200) // fixed tick: the loop counter belongs to the ticker
+			on = !on
+			select {
+			case <-done:
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}()
 	wg.Wait()
+	close(done)
+	toggler.Wait()
+	if st := eng.Stats(); st.TrainSteps == 0 || st.TrainErrors != 0 {
+		t.Fatalf("engine ended unhealthy: %+v", st)
+	}
 	if err := eng.SaveSession(dir); err != nil {
 		t.Fatal(err)
 	}

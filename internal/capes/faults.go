@@ -42,8 +42,8 @@ func (f *FaultInjector) PanicAtTick(tick int64) {
 }
 
 // FreezeNextTick arms a one-shot tick freeze: the next Tick blocks at
-// its top — holding the engine lock, exactly like a wedged collector or
-// stuck prefetch would — until the returned release func is called.
+// its top — holding the engine lock, exactly like a wedged collector
+// would — until the returned release func is called.
 // release is idempotent and safe to call from any goroutine.
 func (f *FaultInjector) FreezeNextTick() (release func()) {
 	ch := make(chan struct{})

@@ -118,9 +118,6 @@ func recoverCheckpointDir(dir string) error {
 func (e *Engine) SaveSession(dir string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	// A pipelined engine may have a train step mutating the model and a
-	// prefetch reading the ring; join both so the snapshot is consistent.
-	e.quiesceLocked()
 	if err := recoverCheckpointDir(dir); err != nil {
 		return err
 	}
@@ -202,10 +199,6 @@ func (e *Engine) SaveSession(dir string) error {
 func (e *Engine) RestoreSession(dir string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	// Restore replaces the agent and possibly the DB wholesale; the
-	// pipeline must be idle across that, and any batch prefetched from
-	// the old DB discarded (resetPipelineLocked below).
-	e.quiesceLocked()
 	if err := recoverCheckpointDir(dir); err != nil {
 		return err
 	}
@@ -276,11 +269,6 @@ func (e *Engine) RestoreSession(dir string) error {
 	}
 
 	// Commit point: everything validated, replace engine state.
-	if e.pipe != nil {
-		// Publishing must be live before the trainer can ever touch the
-		// new agent, or the action path would read the online arenas.
-		agent.EnablePublishing()
-	}
 	e.agent = agent
 	if db != nil {
 		e.db = db
@@ -300,7 +288,6 @@ func (e *Engine) RestoreSession(dir string) error {
 	e.lastProbeStep = m.TrainSteps
 	e.rewardSeeded = false
 	e.rewardPeak = 0
-	e.resetPipelineLocked()
 	// A cluster engine realigns its peers: the leader republishes the
 	// restored parameters and evicts followers (they rejoin against
 	// them), a follower drops its connection and resyncs.

@@ -73,20 +73,11 @@ type SessionConfig struct {
 	Objective *ObjectiveConfig `json:"objective,omitempty"`
 	// RewardMode is "delta" (default) or "absolute".
 	RewardMode string `json:"reward_mode,omitempty"`
-	// Pipeline runs the engine's two-stage control loop: minibatch
-	// assembly overlaps the in-flight train step and actions are chosen
-	// from published parameter snapshots, so per-tick action latency no
-	// longer includes the train step. Off by default (the lockstep
-	// golden trajectory). The CAPES_PIPELINE environment variable
-	// overrides every session: 1/true forces it on, 0/false off.
-	Pipeline bool `json:"pipeline,omitempty"`
 	// Cluster joins this session's DRL engine to a data-parallel
 	// co-training cluster (capes cluster mode): followers stream their
 	// gradients to one leader, which reduces them in fixed rank order and
 	// sends the mean back; every worker then runs the same optimizer
-	// step. Mutually
-	// exclusive with pipeline; a cluster session ignores the
-	// CAPES_PIPELINE override.
+	// step.
 	Cluster *ClusterConfig `json:"cluster,omitempty"`
 
 	// Transport fault-tolerance knobs (zero = agent package defaults).
@@ -293,9 +284,6 @@ func (sc *SessionConfig) Validate() error {
 		}
 	}
 	if cc := sc.Cluster; cc != nil {
-		if sc.Pipeline {
-			return fmt.Errorf("session %s: cluster and pipeline modes are mutually exclusive", sc.Name)
-		}
 		ecc := cc.capes()
 		if err := ecc.Validate(); err != nil {
 			return fmt.Errorf("session %s: %w", sc.Name, err)
@@ -412,7 +400,6 @@ func (sc *SessionConfig) engineConfig() (capes.Config, error) {
 		Seed:         sc.Seed,
 		Training:     !sc.Exploit,
 		Tuning:       !sc.MonitorOnly,
-		Pipeline:     pipelineEnabled(sc.Pipeline),
 		HistoryEvery: sc.HistoryEvery,
 		HistoryCap:   sc.HistoryCap,
 	}
@@ -421,30 +408,10 @@ func (sc *SessionConfig) engineConfig() (capes.Config, error) {
 		cfg.Divergence = &d
 	}
 	if sc.Cluster != nil {
-		// Cluster mode and the pipelined loop are mutually exclusive;
-		// the cluster block wins over the CAPES_PIPELINE override so an
-		// operator flipping the process-wide knob cannot brick every
-		// cluster session.
-		cfg.Pipeline = false
 		ecc := sc.Cluster.capes()
 		cfg.Cluster = &ecc
 	}
 	return cfg, nil
-}
-
-// pipelineEnabled resolves the session's pipeline knob against the
-// CAPES_PIPELINE environment override (same spirit as CAPES_SIMD: an
-// operator can flip the whole process without touching configs — e.g.
-// force lockstep to reproduce a golden trajectory, or force the
-// pipeline on to measure it). Unrecognized values keep the config.
-func pipelineEnabled(configured bool) bool {
-	switch strings.ToLower(strings.TrimSpace(os.Getenv("CAPES_PIPELINE"))) {
-	case "1", "true", "on", "yes":
-		return true
-	case "0", "false", "off", "no":
-		return false
-	}
-	return configured
 }
 
 // throughputOffsets resolves the read/write PI offsets: the storesim

@@ -92,7 +92,7 @@ func TestLoadConfigRejections(t *testing.T) {
 		"leader sans listen":    `{"sessions": [{"name": "a", "clients": 1, "cluster": {"role": "leader"}}]}`,
 		"follower sans leader":  `{"sessions": [{"name": "a", "clients": 1, "cluster": {"role": "follower", "rank": 1}}]}`,
 		"follower sans rank":    `{"sessions": [{"name": "a", "clients": 1, "cluster": {"role": "follower", "leader": "x:1"}}]}`,
-		"cluster with pipeline": `{"sessions": [{"name": "a", "clients": 1, "pipeline": true, "cluster": {"role": "leader", "listen": ":0"}}]}`,
+		"removed pipeline knob": `{"sessions": [{"name": "a", "clients": 1, "pipeline": true}]}`,
 		"negative cluster knob": `{"sessions": [{"name": "a", "clients": 1, "cluster": {"role": "leader", "listen": ":0", "collect_timeout_ms": -5}}]}`,
 	}
 	for what, body := range cases {
@@ -161,15 +161,9 @@ func TestClusterConfigMapsToEngine(t *testing.T) {
 	if err := sc.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// The pipeline env override must not be able to brick a cluster
-	// session (the modes are mutually exclusive at the engine).
-	t.Setenv("CAPES_PIPELINE", "1")
 	cfg, err := sc.engineConfig()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cfg.Pipeline {
-		t.Fatal("cluster session let the pipeline override through")
 	}
 	cc := cfg.Cluster
 	if cc == nil || cc.Role != capes.ClusterFollower || cc.LeaderAddr != "127.0.0.1:7710" || cc.Rank != 2 {
@@ -225,46 +219,5 @@ func TestEngineConfigRejectsBadTunable(t *testing.T) {
 	sc = sc.withDefaults()
 	if _, err := sc.engineConfig(); err == nil {
 		t.Fatal("inverted tunable range accepted")
-	}
-}
-
-func TestPipelineKnobAndEnvOverride(t *testing.T) {
-	sc := SessionConfig{Name: "p", Clients: 1, Pipeline: true}
-	sc = sc.withDefaults()
-	ec, err := sc.engineConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ec.Pipeline {
-		t.Fatal("pipeline: true did not reach the engine config")
-	}
-	off := SessionConfig{Name: "q", Clients: 1}
-	off = off.withDefaults()
-	if ec, _ := off.engineConfig(); ec.Pipeline {
-		t.Fatal("pipeline must default to lockstep")
-	}
-
-	// CAPES_PIPELINE overrides the config in both directions; junk
-	// values leave it alone.
-	cases := []struct {
-		env        string
-		configured bool
-		want       bool
-	}{
-		{"1", false, true},
-		{"true", false, true},
-		{"ON", false, true},
-		{"0", true, false},
-		{"off", true, false},
-		{" False ", true, false},
-		{"maybe", true, true},
-		{"", true, true},
-		{"", false, false},
-	}
-	for _, c := range cases {
-		t.Setenv("CAPES_PIPELINE", c.env)
-		if got := pipelineEnabled(c.configured); got != c.want {
-			t.Errorf("CAPES_PIPELINE=%q configured=%v -> %v, want %v", c.env, c.configured, got, c.want)
-		}
 	}
 }

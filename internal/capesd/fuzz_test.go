@@ -1,12 +1,13 @@
 package capesd
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 )
 
 // FuzzSessionConfig throws arbitrary JSON at the session-config
-// pipeline an operator drives over the control plane: decode →
+// path an operator drives over the control plane: strict decode →
 // Validate → withDefaults → engineConfig. None of those stages may
 // panic, whatever the bytes — a panic here is a remote crash of the
 // whole daemon via POST /sessions. A config that survives Validate
@@ -29,8 +30,9 @@ func FuzzSessionConfig(f *testing.F) {
 		  "tunables": [{"name": "k", "min": 0, "max": 10, "step": 1, "default": 5}],
 		  "objective": {"type": "sum", "indices": [0, 1]}, "reward_mode": "absolute"}`,
 		`{"name": "cl", "clients": 1, "cluster": {"role": "leader", "listen": ":0"}}`,
+		// Invalid shapes the path must reject without panicking. The
+		// pipeline knob is gone, so the strict decoder refuses it.
 		`{"name": "pipe", "clients": 1, "pipeline": true}`,
-		// Invalid shapes the pipeline must reject without panicking.
 		`{"name": "bad", "clients": 1, "tick_deadline_ms": -1}`,
 		`{"name": "bad", "clients": 1, "supervise_every_ms": -2}`,
 		`{"name": "", "clients": 0}`,
@@ -47,7 +49,9 @@ func FuzzSessionConfig(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var sc SessionConfig
-		if err := json.Unmarshal(data, &sc); err != nil {
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields() // as POST /sessions and LoadConfig decode
+		if err := dec.Decode(&sc); err != nil {
 			return // rejected at decode, fine
 		}
 		if err := sc.Validate(); err != nil {

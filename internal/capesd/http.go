@@ -186,7 +186,7 @@ func (m *Manager) Handler() http.Handler {
 		withSession(m, w, r, func(s *Session) {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			w.WriteHeader(http.StatusOK)
-			RenderSessionChart(w, s.Name(), string(s.State()), s.Engine().Pipelined(), s.Engine().History())
+			RenderSessionChart(w, s.Name(), string(s.State()), s.Engine().History())
 		})
 	})
 	mux.HandleFunc("POST /sessions/{name}/pause", m.requireAuth(func(w http.ResponseWriter, r *http.Request) {

@@ -21,15 +21,10 @@ type HistoryResponse struct {
 // RenderSessionChart renders a session's training-telemetry curves —
 // reward, smoothed loss and exploration rate over ticks — as ASCII line
 // plots (internal/chart): the /sessions/{name}/chart payload and the
-// frame capes-inspect -watch redraws. pipelined marks sessions running
-// the two-stage control-loop pipeline in the header. Deterministic
-// output, sized for an 80-column terminal.
-func RenderSessionChart(w io.Writer, name, state string, pipelined bool, pts []capes.HistoryPoint) {
-	mode := ""
-	if pipelined {
-		mode = ", pipelined"
-	}
-	fmt.Fprintf(w, "session %s (%s%s): %d telemetry points\n", name, state, mode, len(pts))
+// frame capes-inspect -watch redraws. Deterministic output, sized for an
+// 80-column terminal.
+func RenderSessionChart(w io.Writer, name, state string, pts []capes.HistoryPoint) {
+	fmt.Fprintf(w, "session %s (%s): %d telemetry points\n", name, state, len(pts))
 	if len(pts) == 0 {
 		fmt.Fprintln(w, "  (no telemetry yet — the engine records every history_every ticks)")
 		return

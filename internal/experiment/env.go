@@ -168,6 +168,21 @@ func (o Options) doubleDQN() bool {
 	return o.Scale < 0.5
 }
 
+// historyCap is the engine's telemetry ring size in every environment.
+const historyCap = 1024
+
+// historyEvery resolves the telemetry cadence: the engine default of one
+// sample per 10 ticks, stretched just enough that a whole 12-hour
+// training session (Figure 5's loss curve) fits in the ring at any
+// Scale.
+func (o Options) historyEvery() int64 {
+	every := (o.Ticks(12) + historyCap - 1) / historyCap
+	if every < 10 {
+		every = 10
+	}
+	return every
+}
+
 // Env is one assembled evaluation environment.
 type Env struct {
 	Opts    Options
@@ -247,14 +262,16 @@ func NewEnv(o Options, gen workload.Generator) (*Env, error) {
 		collector = func() (replay.Frame, error) { return cluster.FullFrame(nil), nil }
 	}
 	cfg := capes.Config{
-		Hyper:      hyper,
-		Space:      space,
-		Objective:  scaled,
-		RewardMode: capes.RewardDelta,
-		FrameWidth: frameWidth,
-		Seed:       o.Seed + 7919,
-		Training:   true,
-		Tuning:     true,
+		Hyper:        hyper,
+		Space:        space,
+		Objective:    scaled,
+		RewardMode:   capes.RewardDelta,
+		FrameWidth:   frameWidth,
+		Seed:         o.Seed + 7919,
+		Training:     true,
+		Tuning:       true,
+		HistoryEvery: o.historyEvery(),
+		HistoryCap:   historyCap,
 	}
 	eng, err := capes.NewEngine(cfg, collector,
 		func(vals []float64) error {

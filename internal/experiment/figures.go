@@ -196,13 +196,17 @@ func RunFig5(o Options) (*Fig5Result, error) {
 		return nil, err
 	}
 	env.Train(12)
-	trace := env.Engine.LossTrace()
+	// The loss trace is the telemetry ring's trained samples; NewEnv
+	// sizes the ring so the whole session fits.
+	res := &Fig5Result{TrainSteps: env.Engine.Stats().TrainSteps}
+	for _, p := range env.Engine.History() {
+		if p.TrainSteps > 0 {
+			res.Series = append(res.Series, Fig5Point{Tick: p.Tick, Loss: p.Loss})
+		}
+	}
+	trace := res.Series
 	if len(trace) < 8 {
 		return nil, fmt.Errorf("experiment: loss trace too short (%d points)", len(trace))
-	}
-	res := &Fig5Result{TrainSteps: env.Engine.Stats().TrainSteps}
-	for _, p := range trace {
-		res.Series = append(res.Series, Fig5Point{Tick: p.Tick, Loss: p.Loss})
 	}
 	q := len(trace) / 4
 	var early, late float64

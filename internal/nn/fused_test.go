@@ -198,7 +198,7 @@ func testMLPBackwardSkipsInputGradient[E tensor.Element](t *testing.T) {
 }
 
 // TestGradArenaAllocatedOnFirstUse: a network that only runs forward —
-// a Clone serving as target network or action mirror — must carry no
+// a Clone serving as target network or hard-update spare — must carry no
 // gradient arena, whichever forward path it takes and however its
 // parameters are rewritten; Backward, Grads and FlatGrads each bind one,
 // aligned with the parameters.
@@ -214,7 +214,6 @@ func TestGradArenaAllocatedOnFirstUse(t *testing.T) {
 	fwd.Forward(in)
 	fwd.ForwardVec(in.Data[:6])
 	fwd.CopyParamsFrom(m)
-	fwd.SoftUpdateFrom(m, 0.5)
 	if err := fwd.CheckFinite(); err != nil {
 		t.Fatal(err)
 	}

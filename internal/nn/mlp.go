@@ -45,8 +45,7 @@ func (a Activation) String() string {
 // target-network updates run as single passes over flat memory instead
 // of per-matrix loops. The gradient arena exists only once something
 // asks for it (Backward, Grads, FlatGrads): a network that only runs
-// forward — the target, the hard-update spare, the published action
-// mirrors — carries none.
+// forward — the target and the hard-update spare — carries none.
 type MLP[E tensor.Element] struct {
 	Sizes      []int // layer widths: input, hidden..., output
 	Activation Activation
@@ -233,20 +232,6 @@ func ConvertParamsFrom[D, S tensor.Element](dst *MLP[D], src *MLP[S]) error {
 	}
 	tensor.Convert(dst.paramData, src.paramData)
 	return nil
-}
-
-// SoftUpdateFrom applies θ⁻ = θ⁻×(1−α) + θ×α — the target-network update
-// rule from Table 1 (α = 0.01) — as a single fused pass over the flat
-// parameter arenas.
-func (m *MLP[E]) SoftUpdateFrom(src *MLP[E], alpha float64) {
-	if len(m.paramData) != len(src.paramData) {
-		panic("nn: SoftUpdateFrom shape mismatch")
-	}
-	p, s := m.paramData, src.paramData
-	a := E(alpha)
-	for i, v := range s {
-		p[i] = p[i]*(1-a) + v*a
-	}
 }
 
 // CheckFinite returns an error if any parameter is NaN/Inf, scanning the

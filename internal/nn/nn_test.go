@@ -185,29 +185,6 @@ func TestCloneAndCopyParams(t *testing.T) {
 	}
 }
 
-func TestSoftUpdateMovesTowardSource(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	online := NewMLP[float64](rng, ActTanh, 2, 3, 2)
-	target := NewMLP[float64](rand.New(rand.NewSource(99)), ActTanh, 2, 3, 2)
-	before := target.Params()[0].At(0, 0)
-	src := online.Params()[0].At(0, 0)
-	target.SoftUpdateFrom(online, 0.1)
-	after := target.Params()[0].At(0, 0)
-	want := before*0.9 + src*0.1
-	if math.Abs(after-want) > 1e-12 {
-		t.Fatalf("soft update: got %g want %g", after, want)
-	}
-	// Many updates converge to the online parameters.
-	for i := 0; i < 500; i++ {
-		target.SoftUpdateFrom(online, 0.05)
-	}
-	for i, p := range target.Params() {
-		if !tensor.ApproxEqual(p, online.Params()[i], 1e-6) {
-			t.Fatalf("target param %d did not converge", i)
-		}
-	}
-}
-
 func TestForwardVecMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	m := NewMLP[float64](rng, ActTanh, 4, 5, 3)

@@ -3,19 +3,16 @@ package replay
 import (
 	"bytes"
 	"fmt"
-	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
 )
 
-// Fuzz targets for the two decode/update paths an operator can feed
-// hostile or corrupted data into: the snapshot decoder (persist.go) and
-// the sum-tree priority structure behind prioritized sampling. Corpus
-// seeds live under testdata/fuzz/<Target>/ (checked in); CI additionally
-// runs each target for a short wall-clock smoke.
+// Fuzz target for the decode path an operator can feed hostile or
+// corrupted data into: the snapshot decoder (persist.go). Corpus seeds
+// live under testdata/fuzz/FuzzSnapshotLoad/ (checked in); CI
+// additionally runs the target for a short wall-clock smoke.
 
 // fuzzSeedDBs builds two representative rings: a dense unbounded one and
 // the bounded window left after evictions, both with actions on every
@@ -123,81 +120,6 @@ func FuzzSnapshotLoad(f *testing.F) {
 	})
 }
 
-// FuzzSumTree drives the priority update path with an arbitrary op tape
-// (3 bytes per op: kind, index, weight/fraction) against a flat shadow
-// array, checking the tree's total, point reads and prefix-weight
-// sampling after every mutation. Weights are small integers so every
-// float64 sum is exact and comparisons need no tolerance.
-func FuzzSumTree(f *testing.F) {
-	f.Add([]byte{0, 1, 5, 0, 2, 3, 1, 0, 7})             // set/set/sample
-	f.Add([]byte{0, 0, 1, 2, 40, 0, 0, 200, 9, 1, 3, 3}) // growth past 200 leaves
-	f.Add([]byte{1, 0, 0})                               // sample empty (skipped)
-	f.Fuzz(func(t *testing.T, tape []byte) {
-		s := newSumTree(4)
-		shadow := make([]float64, s.cap)
-		total := func() float64 {
-			var sum float64
-			for _, w := range shadow {
-				sum += w
-			}
-			return sum
-		}
-		for i := 0; i+2 < len(tape); i += 3 {
-			kind, idx, val := tape[i]%3, int(tape[i+1]), float64(tape[i+2]%32)
-			switch kind {
-			case 0: // point update
-				if idx >= s.cap {
-					s.grow(idx + 1)
-					grown := make([]float64, s.cap)
-					copy(grown, shadow)
-					shadow = grown
-				}
-				s.Set(idx, val)
-				shadow[idx] = val
-			case 1: // prefix-weight sample
-				want := total()
-				if want <= 0 {
-					continue
-				}
-				u := (float64(idx) + float64(tape[i+2])/256) / 256 * want
-				if u >= want {
-					u = want * 0.999
-				}
-				leaf := s.Sample(u)
-				if leaf < 0 || leaf >= s.cap {
-					t.Fatalf("Sample(%v) = %d out of range %d", u, leaf, s.cap)
-				}
-				if shadow[leaf] <= 0 {
-					t.Fatalf("Sample(%v) landed on zero-weight leaf %d", u, leaf)
-				}
-				// u must fall inside the leaf's cumulative interval.
-				var before float64
-				for j := 0; j < leaf; j++ {
-					before += shadow[j]
-				}
-				if u < before || u >= before+shadow[leaf] {
-					t.Fatalf("Sample(%v) = leaf %d covering [%v,%v)", u, leaf, before, before+shadow[leaf])
-				}
-			case 2: // growth preserves weights
-				s.grow(idx + 1)
-				if s.cap > len(shadow) {
-					grown := make([]float64, s.cap)
-					copy(grown, shadow)
-					shadow = grown
-				}
-			}
-			if got, want := s.Total(), total(); got != want {
-				t.Fatalf("op %d: Total = %v, shadow sum %v", i/3, got, want)
-			}
-			for j, w := range shadow {
-				if s.Get(j) != w {
-					t.Fatalf("op %d: Get(%d) = %v, shadow %v", i/3, j, s.Get(j), w)
-				}
-			}
-		}
-	})
-}
-
 // TestWriteFuzzCorpusSeeds regenerates the checked-in corpus: the in-code
 // seeds (testdata/fuzz/FuzzSnapshotLoad/valid-*) and the malformed
 // snapshots of persist_test.go (…/seed-corpus-*). Guarded so it only runs
@@ -223,37 +145,5 @@ func TestWriteFuzzCorpusSeeds(t *testing.T) {
 	}
 	for i, c := range malformedSnapshots(t) {
 		write(fmt.Sprintf("seed-corpus-%d", i), c.file)
-	}
-}
-
-// TestSumTreeFuzzTapeReplay runs the sum-tree fuzz body over random
-// tapes in a regular test so the invariants execute on every `go test`
-// run, not only under -fuzz.
-func TestSumTreeFuzzTapeReplay(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	rounds := 200
-	if testing.Short() {
-		rounds = 40
-	}
-	for i := 0; i < rounds; i++ {
-		tape := make([]byte, 3*(1+rng.Intn(40)))
-		rng.Read(tape)
-		s := newSumTree(4)
-		for j := 0; j+2 < len(tape); j += 3 {
-			idx, val := int(tape[j+1]), float64(tape[j+2]%32)
-			if tape[j]%3 == 0 {
-				if idx >= s.cap {
-					s.grow(idx + 1)
-				}
-				s.Set(idx, val)
-			}
-		}
-		var sum float64
-		for j := 0; j < s.cap; j++ {
-			sum += s.Get(j)
-		}
-		if math.Abs(sum-s.Total()) != 0 {
-			t.Fatalf("tape %d: leaf sum %v != Total %v", i, sum, s.Total())
-		}
 	}
 }

@@ -598,44 +598,6 @@ func ConstructMinibatchInto[E tensor.Element](db *DB, rng *rand.Rand, n int, rf 
 	}
 	lo := db.minFrame + int64(db.cfg.StackTicks) - 1
 	hi := db.maxFrame - 1 // need s_{t+1}
-	return constructMinibatchLocked(db, rng, n, rf, b, lo, hi)
-}
-
-// SampleBounds returns the tick range [lo, hi] a minibatch draw would
-// sample from right now (the first tick with a full observation stack
-// behind it through the last tick with a successor frame). ok is false
-// while the DB cannot yet yield any transition. The pipelined engine
-// captures these at prefetch launch and passes them to
-// ConstructMinibatchPinnedInto so a batch assembled off the control
-// thread draws from exactly the window its schedule slot saw.
-func (db *DB) SampleBounds() (lo, hi int64, ok bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.count == 0 {
-		return 0, 0, false
-	}
-	lo = db.minFrame + int64(db.cfg.StackTicks) - 1
-	hi = db.maxFrame - 1
-	return lo, hi, hi >= lo
-}
-
-// ConstructMinibatchPinnedInto is ConstructMinibatchInto drawing
-// timestamps from an explicitly pinned [lo, hi] range (normally a prior
-// SampleBounds result) instead of the ring's live bounds — the
-// prefetch-safe handoff for batch assembly that overlaps ring writes:
-// however the ring has advanced since the bounds were captured, the
-// draw distribution stays the one the capturing tick saw. Ticks that
-// have since left the retention window simply fail their validity
-// checks and are redrawn.
-func ConstructMinibatchPinnedInto[E tensor.Element](db *DB, rng *rand.Rand, n int, rf RewardFunc, b *Batch[E], lo, hi int64) error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return constructMinibatchLocked(db, rng, n, rf, b, lo, hi)
-}
-
-// constructMinibatchLocked gathers n transitions with timestamps drawn
-// uniformly from [lo, hi]; db.mu must be held (read side suffices).
-func constructMinibatchLocked[E tensor.Element](db *DB, rng *rand.Rand, n int, rf RewardFunc, b *Batch[E], lo, hi int64) error {
 	if hi < lo {
 		return ErrInsufficientData
 	}

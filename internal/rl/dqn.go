@@ -81,12 +81,6 @@ type Agent[E tensor.Element] struct {
 	// no separate full-arena copy pass.
 	spare *nn.MLP[E]
 
-	// mirror is the published inference snapshot of the online network,
-	// allocated only by EnablePublishing (the pipelined engine). The
-	// *Published action methods forward through it, so the action path
-	// never reads arenas FusedStep is mutating mid-train-step.
-	mirror *nn.ParamMirror[E]
-
 	nActions int
 	rng      *rand.Rand
 	gamma    E // cfg.Gamma rounded once to the working precision
@@ -212,60 +206,6 @@ func (a *Agent[E]) SelectAction(obs []E, tick int64) int {
 // GreedyAction returns argmax_a Q(obs,a) ignoring ε (tuning phase).
 func (a *Agent[E]) GreedyAction(obs []E) int {
 	return tensor.ArgMax(a.Online.ForwardVecInto(a.qScratch, obs))
-}
-
-// EnablePublishing allocates the read-only inference mirror the
-// *Published action methods forward through. Idempotent; call once
-// before training and acting run concurrently. The mirror starts as a
-// snapshot of the current online parameters.
-func (a *Agent[E]) EnablePublishing() {
-	if a.mirror == nil {
-		a.mirror = nn.NewParamMirror(a.Online)
-	}
-}
-
-// Publishing reports whether EnablePublishing has been called.
-func (a *Agent[E]) Publishing() bool { return a.mirror != nil }
-
-// PublishParams snapshots the online network's parameters into the
-// inference mirror (a flat memcpy plus a pointer swap — readers only
-// block on the swap). The trainer calls it after each TrainStep; it
-// must not run concurrently with itself.
-func (a *Agent[E]) PublishParams() {
-	if a.mirror != nil {
-		a.mirror.Publish(a.Online)
-	}
-}
-
-// SelectActionPublished is SelectAction forwarding through the published
-// parameter snapshot instead of the live online network, so it is safe
-// to call while TrainStep runs on another goroutine. Callers must still
-// serialize it against other action-path calls (it shares the rng, the
-// action counters and qScratch with them). Falls back to SelectAction
-// when publishing is not enabled.
-func (a *Agent[E]) SelectActionPublished(obs []E, tick int64) int {
-	if a.mirror == nil {
-		return a.SelectAction(obs, tick)
-	}
-	eps := 0.0
-	if a.Epsilon != nil {
-		eps = a.Epsilon.At(tick)
-	}
-	if a.rng.Float64() < eps {
-		a.randTaken++
-		return a.rng.Intn(a.nActions)
-	}
-	a.calcTaken++
-	return tensor.ArgMax(a.mirror.ForwardVecInto(a.qScratch, obs))
-}
-
-// GreedyActionPublished is GreedyAction through the published snapshot;
-// same concurrency contract as SelectActionPublished.
-func (a *Agent[E]) GreedyActionPublished(obs []E) int {
-	if a.mirror == nil {
-		return a.GreedyAction(obs)
-	}
-	return tensor.ArgMax(a.mirror.ForwardVecInto(a.qScratch, obs))
 }
 
 // QValues returns the Q-value vector for an observation.

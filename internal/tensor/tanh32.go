@@ -11,8 +11,8 @@ package tensor
 // tolerance.
 //
 // Compared to math.Tanh (a float64 routine with an exp call inside) it
-// is pure float32 polynomial arithmetic — ~10 FLOPs and a divide, fully
-// pipelined — which matters because tanh sits on both hot paths: the
+// is pure float32 polynomial arithmetic — ~10 FLOPs and a divide, no
+// call — which matters because tanh sits on both hot paths: the
 // hidden-layer sweep of every train step and of every per-tick action
 // forward.
 func FastTanh32(x float32) float32 {
