@@ -13,7 +13,7 @@
 //	capes-inspect -watch 127.0.0.1:8080 mysession [interval]
 //
 // -tier prints the SIMD kernel tier the tensor kernels run at on this
-// host (scalar|sse|avx2, honoring CAPES_SIMD) and exits — perf triage
+// host (scalar|avx2, honoring CAPES_SIMD) and exits — perf triage
 // uses it to tell hosts apart, and CI records it next to benchmark
 // baselines.
 //
@@ -83,9 +83,10 @@ func main() {
 		inspectSession(path)
 		return
 	}
-	// Try model first, then replay snapshot. Checkpoints of either
-	// precision are inspected through a float64 view (widening is exact).
-	if m, err := nn.LoadFile[float64](path); err == nil {
+	// Try model first, then replay snapshot. A model loads at the engine
+	// precision, the only one a checkpoint is restored at.
+	m, merr := nn.LoadFile[capes.EnginePrecision](path)
+	if merr == nil {
 		inspectModel(path, m)
 		return
 	}
@@ -93,25 +94,16 @@ func main() {
 		inspectReplay(path, db)
 		return
 	}
-	fatal(fmt.Errorf("%s is neither a model checkpoint nor a replay snapshot", path))
+	fatal(fmt.Errorf("%s is neither a model checkpoint nor a replay snapshot (as a model: %w)", path, merr))
 }
 
-func inspectModel(path string, m *nn.MLP[float64]) {
+func inspectModel(path string, m *nn.MLP[capes.EnginePrecision]) {
 	fmt.Printf("%s: CAPES DNN checkpoint\n", path)
 	fmt.Printf("  layer sizes:   %v\n", m.Sizes)
 	fmt.Printf("  activation:    %s\n", m.Activation)
-	// The model is loaded through a float64 view (widening is exact),
-	// so memory/disk sizes must come from the checkpoint's own
-	// precision tag and the actual file — not from the widened copy.
-	elemSize := 8
-	if prec, _, err := nn.CheckpointInfoFile(path); err == nil {
-		fmt.Printf("  precision:     %s\n", prec)
-		if prec == "float32" {
-			elemSize = 4
-		}
-	}
+	fmt.Printf("  precision:     %s\n", m.Precision())
 	fmt.Printf("  parameters:    %d (%.2f MB in memory)\n",
-		m.NumParams(), float64(m.NumParams()*elemSize)/1e6)
+		m.NumParams(), float64(m.Bytes())/1e6)
 	if fi, err := os.Stat(path); err == nil {
 		fmt.Printf("  on disk:       %.2f MB\n", float64(fi.Size())/1e6)
 	}
@@ -158,7 +150,7 @@ func inspectSession(dir string) {
 			fmt.Printf("  manifest:      %v\n", compactJSON(m))
 		}
 	}
-	if m, err := nn.LoadFile[float64](filepath.Join(dir, "model.ckpt")); err == nil {
+	if m, err := nn.LoadFile[capes.EnginePrecision](filepath.Join(dir, "model.ckpt")); err == nil {
 		fmt.Println()
 		inspectModel(filepath.Join(dir, "model.ckpt"), m)
 	}

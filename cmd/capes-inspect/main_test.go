@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"capes/internal/capes"
 	"capes/internal/capesd"
 	"capes/internal/nn"
 	"capes/internal/replay"
@@ -18,12 +19,12 @@ import (
 func TestInspectorsDoNotPanic(t *testing.T) {
 	dir := t.TempDir()
 
-	m := nn.NewCAPESNetwork[float64](rand.New(rand.NewSource(1)), 8, 3)
+	m := nn.NewCAPESNetwork[capes.EnginePrecision](rand.New(rand.NewSource(1)), 8, 3)
 	modelPath := filepath.Join(dir, "model.ckpt")
 	if err := m.SaveFile(modelPath); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := nn.LoadFile[float64](modelPath)
+	loaded, err := nn.LoadFile[capes.EnginePrecision](modelPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +52,11 @@ func TestInspectorsDoNotPanic(t *testing.T) {
 }
 
 // TestKernelTierIsReportable: the -tier mode prints tensor.KernelTier,
-// which must be one of the three documented names so scripts (the CI
+// which must be one of the two documented names so scripts (the CI
 // bench job records it next to baselines) can match on it.
 func TestKernelTierIsReportable(t *testing.T) {
 	switch tier := tensor.KernelTier(); tier {
-	case "scalar", "sse", "avx2":
+	case "scalar", "avx2":
 	default:
 		t.Fatalf("KernelTier() = %q, not a documented tier name", tier)
 	}

@@ -55,7 +55,7 @@ func HillClimb(space *capes.ActionSpace, probe Prober, maxProbes int) Result {
 				if probes >= maxProbes {
 					break
 				}
-				cand := space.Apply(action, cur)
+				cand := space.Apply(nil, action, cur)
 				if same(cand, cur) {
 					continue // clamped at a range edge
 				}
@@ -66,7 +66,7 @@ func HillClimb(space *capes.ActionSpace, probe Prober, maxProbes int) Result {
 					improved = true
 					// Keep pushing in the winning direction.
 					for probes < maxProbes {
-						next := space.Apply(action, cur)
+						next := space.Apply(nil, action, cur)
 						if same(next, cur) {
 							break
 						}

@@ -130,37 +130,42 @@ func TestActionSpace(t *testing.T) {
 		t.Fatalf("Defaults = %v", cur)
 	}
 	// NULL leaves values unchanged.
-	if got := s.Apply(NullAction, cur); got[0] != 50 || got[1] != 0.5 {
+	if got := s.Apply(nil, NullAction, cur); got[0] != 50 || got[1] != 0.5 {
 		t.Fatalf("NULL changed values: %v", got)
 	}
 	// Action ids: 1=a−, 2=a+, 3=b−, 4=b+.
-	if got := s.Apply(s.DecreaseAction(0), cur); got[0] != 40 {
+	if got := s.Apply(nil, s.DecreaseAction(0), cur); got[0] != 40 {
 		t.Fatalf("a− = %v", got)
 	}
-	if got := s.Apply(s.IncreaseAction(0), cur); got[0] != 60 {
+	if got := s.Apply(nil, s.IncreaseAction(0), cur); got[0] != 60 {
 		t.Fatalf("a+ = %v", got)
 	}
-	if got := s.Apply(s.DecreaseAction(1), cur); math.Abs(got[1]-0.4) > 1e-12 {
+	if got := s.Apply(nil, s.DecreaseAction(1), cur); math.Abs(got[1]-0.4) > 1e-12 {
 		t.Fatalf("b− = %v", got)
 	}
-	if got := s.Apply(s.IncreaseAction(1), cur); math.Abs(got[1]-0.6) > 1e-12 {
+	if got := s.Apply(nil, s.IncreaseAction(1), cur); math.Abs(got[1]-0.6) > 1e-12 {
 		t.Fatalf("b+ = %v", got)
 	}
 	// Apply must not mutate the input.
 	if cur[0] != 50 {
 		t.Fatal("Apply mutated current")
 	}
+	// A dst with room for every tunable is reused, not reallocated.
+	buf := make([]float64, 2)
+	if got := s.Apply(buf, s.IncreaseAction(0), cur); &got[0] != &buf[0] || got[0] != 60 {
+		t.Fatalf("Apply into dst = %v, not written in place", got)
+	}
 	// Clamping at range edges.
 	edge := []float64{100, 1}
-	if got := s.Apply(s.IncreaseAction(0), edge); got[0] != 100 {
+	if got := s.Apply(nil, s.IncreaseAction(0), edge); got[0] != 100 {
 		t.Fatalf("clamp high = %v", got)
 	}
 	edge = []float64{0, 0}
-	if got := s.Apply(s.DecreaseAction(0), edge); got[0] != 0 {
+	if got := s.Apply(nil, s.DecreaseAction(0), edge); got[0] != 0 {
 		t.Fatalf("clamp low = %v", got)
 	}
 	// Out-of-range action ids behave as NULL.
-	if got := s.Apply(99, cur); got[0] != 50 {
+	if got := s.Apply(nil, 99, cur); got[0] != 50 {
 		t.Fatalf("invalid action = %v", got)
 	}
 	// Descriptions.
@@ -297,7 +302,7 @@ func TestActionSpaceApplyInvariant(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		cur := s.Defaults()
 		for i := 0; i < 200; i++ {
-			cur = s.Apply(rng.Intn(s.NumActions()), cur)
+			cur = s.Apply(nil, rng.Intn(s.NumActions()), cur)
 			for j, tn := range s.Tunables {
 				// Range containment is the hard invariant; the step grid
 				// is not preserved across range-edge clamps by design

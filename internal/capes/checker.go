@@ -5,8 +5,9 @@ import "fmt"
 // ActionChecker screens candidate actions before they are broadcast,
 // "to rule out egregiously bad actions, such as setting the CPU clock
 // rate to 0" (§3.7). The check receives the parameter vector the action
-// would produce; returning an error vetoes the action (the Interface
-// Daemon substitutes NULL).
+// would produce — an engine-owned buffer, valid only during the call;
+// returning an error vetoes the action (the Interface Daemon substitutes
+// NULL).
 type ActionChecker func(proposed []float64) error
 
 // NoopChecker accepts everything (the paper's evaluation ran without a

@@ -21,13 +21,16 @@ type Collector func() (replay.Frame, error)
 
 // Controller applies a parameter-value vector (aligned with the
 // ActionSpace tunables) to the target system — the adapter "for setting
-// the parameters to the target system".
+// the parameters to the target system". values is an engine-owned buffer
+// that is valid only during the call: copy it to keep it.
 type Controller func(values []float64) error
 
 // ActionHook observes every successfully applied (non-NULL) action:
 // the tick it happened on, the action id, and the resulting parameter
 // vector. Session managers use it to broadcast parameter changes to
-// Control Agents without re-entering the engine.
+// Control Agents without re-entering the engine. values is an
+// engine-owned buffer that is valid only during the call: copy it to
+// keep it.
 type ActionHook func(tick int64, action int, values []float64)
 
 // Config assembles an Engine.
@@ -69,9 +72,11 @@ type Config struct {
 // EnginePrecision is the numeric element type of the deployed DQN path:
 // float32. The train step is memory-bandwidth-bound against the flat
 // parameter working set, so halving the element size is the dominant
-// latency lever (see PERF.md); float64 remains the reference precision
-// in internal/tensor and internal/nn, and checkpoints from either
-// precision restore into the engine (the format is precision-tagged).
+// latency lever (see PERF.md). It is the only precision with SIMD
+// kernels: float64 runs the generic Go loops in internal/tensor and
+// internal/nn as the reference the precision tests compare against. A
+// checkpoint is precision-tagged and restores only at the precision it
+// was saved at, so the engine loads float32 checkpoints only.
 type EnginePrecision = float32
 
 // Engine is the DRL Engine plus the Interface-Daemon bookkeeping for an
@@ -98,7 +103,11 @@ type Engine struct {
 	rewardFn   replay.RewardFunc
 	checker    ActionChecker
 
+	// current is the applied parameter vector; proposed is the buffer
+	// each action tick steps it into, and the two swap when the
+	// controller accepts — the action path allocates nothing.
 	current  []float64
+	proposed []float64
 	exploit  bool       // greedy-only mode (evaluation phase)
 	onAction ActionHook // optional observer of applied actions
 
@@ -107,8 +116,13 @@ type Engine struct {
 	trainErrors   int64
 	lastAction    int
 	actionCounts  []int64 // per action id
-	history       []ActionRecord
-	historyCap    int
+
+	// The applied-action history: a ring of records whose Values share
+	// one preallocated arena (see newActionRing), oldest at
+	// historyStart, historyLen of them valid.
+	history      []ActionRecord
+	historyStart int
+	historyLen   int
 
 	// Training telemetry: the bounded time-series ring behind the
 	// /history and /chart endpoints, sampled every histEvery ticks.
@@ -257,9 +271,10 @@ func NewEngine(cfg Config, collector Collector, controller Controller) (*Engine,
 		rewardFn:     RewardFunc(cfg.Objective, cfg.RewardMode),
 		checker:      checker,
 		current:      cfg.Space.Defaults(),
+		proposed:     make([]float64, len(cfg.Space.Tunables)),
 		lastAction:   NullAction,
 		actionCounts: make([]int64, cfg.Space.NumActions()),
-		historyCap:   256,
+		history:      newActionRing(256, len(cfg.Space.Tunables)),
 		hist:         newHistory(histCap),
 		histEvery:    histEvery,
 		obsScratch:   make([]EnginePrecision, db.ObservationWidth()),
@@ -307,7 +322,7 @@ func (e *Engine) Tick(now int64) {
 	// operator clears the trip). Collection above keeps running.
 	if e.cfg.Tuning && !e.divGate && now%h.ActionTickLength == 0 {
 		action := e.chooseAction(now)
-		proposed := e.cfg.Space.Apply(action, e.current)
+		proposed := e.cfg.Space.Apply(e.proposed, action, e.current)
 		if err := e.checker(proposed); err != nil {
 			e.vetoes++
 			action = NullAction
@@ -318,10 +333,10 @@ func (e *Engine) Tick(now int64) {
 		e.actionCounts[action]++
 		if action != NullAction {
 			if err := e.controller(proposed); err == nil {
-				e.current = proposed
+				e.current, e.proposed = proposed, e.current
 				e.recordAction(now, action)
 				if e.onAction != nil {
-					e.onAction(now, action, proposed)
+					e.onAction(now, action, e.current)
 				}
 			}
 		}
@@ -390,23 +405,42 @@ func (e *Engine) chooseAction(now int64) int {
 	return e.agent.SelectAction(e.obsScratch, now)
 }
 
-// recordAction appends to the bounded action history.
-func (e *Engine) recordAction(now int64, action int) {
-	rec := ActionRecord{Tick: now, Action: action, Values: append([]float64(nil), e.current...)}
-	if len(e.history) >= e.historyCap {
-		copy(e.history, e.history[1:])
-		e.history[len(e.history)-1] = rec
-		return
+// newActionRing returns n action records whose Values are width-long
+// windows of one shared arena.
+func newActionRing(n, width int) []ActionRecord {
+	vals := make([]float64, n*width)
+	ring := make([]ActionRecord, n)
+	for i := range ring {
+		ring[i].Values = vals[i*width : (i+1)*width : (i+1)*width]
 	}
-	e.history = append(e.history, rec)
+	return ring
 }
 
-// ActionHistory returns the most recent applied actions (oldest first),
-// up to the engine's history capacity.
+// recordAction writes the applied action and e.current into the history
+// ring, overwriting the oldest record once it is full. Alloc-free.
+func (e *Engine) recordAction(now int64, action int) {
+	rec := &e.history[(e.historyStart+e.historyLen)%len(e.history)]
+	if e.historyLen < len(e.history) {
+		e.historyLen++
+	} else {
+		e.historyStart = (e.historyStart + 1) % len(e.history)
+	}
+	rec.Tick, rec.Action = now, action
+	copy(rec.Values, e.current)
+}
+
+// ActionHistory returns a deep copy of the most recent applied actions
+// (oldest first), up to the engine's history capacity.
 func (e *Engine) ActionHistory() []ActionRecord {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return append([]ActionRecord(nil), e.history...)
+	out := newActionRing(e.historyLen, len(e.current))
+	for i := range out {
+		src := &e.history[(e.historyStart+i)%len(e.history)]
+		out[i].Tick, out[i].Action = src.Tick, src.Action
+		copy(out[i].Values, src.Values)
+	}
+	return out
 }
 
 // ActionDistribution returns how often each action id was chosen,

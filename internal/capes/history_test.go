@@ -118,21 +118,57 @@ func TestHistoryRecordAllocFree(t *testing.T) {
 }
 
 // TestEngineTickAllocFreeWithHistory: with the replay ring at capacity
-// a monitor-only tick — sample + telemetry record — is 0 allocs/op, so
-// history recording adds nothing to the tick path.
+// a tick is 0 allocs/op, so history recording adds nothing to the tick
+// path. Two engines: a monitor-only one (sample + telemetry record), and
+// a tuning one whose controller accepts every action, run until the
+// applied-action history ring has wrapped — stepping the parameters,
+// applying them and recording the action all reuse engine-owned
+// buffers. (The train step's own 0 allocs is rl's TestTrainStepAllocFree;
+// it is left out here because its pooled matmul panels allocate under
+// the race detector, which drops sync.Pool puts.)
 func TestEngineTickAllocFreeWithHistory(t *testing.T) {
-	cfg, _ := smallConfig(t, false, false)
+	t.Run("monitor", func(t *testing.T) {
+		cfg, _ := smallConfig(t, false, false)
+		eng := allocTestEngine(t, cfg, nil)
+		if got := eng.Stats().HistoryPoints; got != 32 {
+			t.Fatalf("history points = %d, want ring cap 32", got)
+		}
+	})
+	t.Run("tuning", func(t *testing.T) {
+		cfg, _ := smallConfig(t, true, false)
+		cfg.Hyper.ExplorationPeriod = 1 << 40 // stay ε≈1: mostly non-NULL actions
+		applied := 0
+		eng := allocTestEngine(t, cfg, func([]float64) error { applied++; return nil })
+		hist := eng.ActionHistory()
+		if applied <= len(hist) || len(hist) != 256 {
+			t.Fatalf("%d actions applied into a history of %d: the ring never wrapped", applied, len(hist))
+		}
+		for i := 1; i < len(hist); i++ {
+			if hist[i].Tick <= hist[i-1].Tick {
+				t.Fatalf("history out of order at %d: tick %d after %d", i, hist[i].Tick, hist[i-1].Tick)
+			}
+		}
+		if last := hist[len(hist)-1].Values; last[0] != eng.CurrentValues()[0] {
+			t.Fatalf("newest history values %v, engine applied %v", last, eng.CurrentValues())
+		}
+	})
+}
+
+// allocTestEngine builds an engine on cfg, warms it past ring growth and
+// every ring's wrap (replay, telemetry and action history), requires the
+// next ticks to allocate nothing, and returns it.
+func allocTestEngine(t *testing.T, cfg Config, controller Controller) *Engine {
+	t.Helper()
 	cfg.Hyper.ReplayCapacity = 64
 	cfg.HistoryEvery = 1 // record on every tick to maximize exposure
 	cfg.HistoryCap = 32
 	frame := replay.Frame{1, 2, 3}
-	eng, err := NewEngine(cfg, func() (replay.Frame, error) { return frame, nil }, nil)
+	eng, err := NewEngine(cfg, func() (replay.Frame, error) { return frame, nil }, controller)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var tick int64
-	// Warm past ring growth and wrap both the replay and history rings.
-	for tick = 1; tick <= 256; tick++ {
+	for tick = 1; tick <= 1024; tick++ {
 		eng.Tick(tick)
 	}
 	allocs := testing.AllocsPerRun(500, func() {
@@ -142,9 +178,7 @@ func TestEngineTickAllocFreeWithHistory(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("tick path with history recording allocates %.1f/op, want 0", allocs)
 	}
-	if got := eng.Stats().HistoryPoints; got != 32 {
-		t.Fatalf("history points = %d, want ring cap 32", got)
-	}
+	return eng
 }
 
 // TestEngineHistorySampling: the engine records every HistoryEvery

@@ -235,9 +235,8 @@ func (e *Engine) RestoreSession(dir string) error {
 		return fmt.Errorf("capes: session has %d current values for %d tunables",
 			len(m.CurrentValues), len(e.cfg.Space.Tunables))
 	}
-	// The loader converts from whatever precision the checkpoint was
-	// written at: a float64 checkpoint narrows into the float32 engine
-	// (one rounding per parameter), a float32 one restores bit-exactly.
+	// The model restores bit-exactly at the engine precision; a
+	// checkpoint written at any other precision is an error.
 	model, err := nn.LoadFile[EnginePrecision](filepath.Join(dir, modelFile))
 	if err != nil {
 		return fmt.Errorf("capes: load model: %w", err)

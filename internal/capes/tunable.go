@@ -117,14 +117,18 @@ func (s *ActionSpace) Defaults() []float64 {
 	return vals
 }
 
-// Apply returns the parameter vector that results from taking `action`
-// at `current`, clamped to each tunable's valid range. current is not
-// modified. An invalid action id is treated as NULL.
-func (s *ActionSpace) Apply(action int, current []float64) []float64 {
+// Apply writes the parameter vector that results from taking `action` at
+// `current`, clamped to each tunable's valid range, into dst's storage
+// and returns it: append(dst[:0], current...) with one value stepped, so
+// a dst with room for every tunable is reused without allocating and a
+// nil dst gets a fresh vector. dst must not share memory with current
+// unless it is current itself (an in-place step). An invalid action id
+// is treated as NULL.
+func (s *ActionSpace) Apply(dst []float64, action int, current []float64) []float64 {
 	if len(current) != len(s.Tunables) {
 		panic(fmt.Sprintf("capes: Apply got %d values for %d tunables", len(current), len(s.Tunables)))
 	}
-	next := append([]float64(nil), current...)
+	next := append(dst[:0], current...)
 	idx, up := s.decode(action)
 	if idx < 0 {
 		return next

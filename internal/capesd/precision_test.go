@@ -1,101 +1,102 @@
 package capesd
 
 import (
-	"net/http"
-	"net/http/httptest"
+	"bytes"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"capes/internal/nn"
 )
 
-// TestFloat64CheckpointRestoresIntoFloat32Session is the cross-precision
-// restore e2e: a session directory whose model was written at float64
-// (the pre-generic-core format every old deployment has on disk) must
-// restore into today's float32 engine through the capesd control plane,
-// train further, and re-checkpoint at float32.
-func TestFloat64CheckpointRestoresIntoFloat32Session(t *testing.T) {
+// TestFloat64CheckpointRejectedBySession: a checkpoint restores only at
+// the precision it was saved at, and the engine runs float32. A session
+// directory whose model.ckpt is float64-tagged must fail the restore with
+// an error naming both precisions, leave no session behind (name and
+// directory free again) and leave the checkpoint files untouched.
+func TestFloat64CheckpointRejectedBySession(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ckpt")
 	m := NewManager()
 	defer m.Shutdown()
-	srv := httptest.NewServer(m.Handler())
-	defer srv.Close()
 
-	// Phase 1: run a fresh session, train it a little, checkpoint over
-	// HTTP, and tear it down. The directory now holds a live session
-	// checkpoint (model at float32).
-	var created SessionStats
-	if code := doJSON(t, "POST", srv.URL+"/sessions", testSession("xp", dir), &created); code != http.StatusCreated {
-		t.Fatalf("create = %d", code)
-	}
-	pump(t, created.Addr, 2, 4, 1, 160)
-	waitFor(t, func() bool {
-		var st SessionStats
-		doJSON(t, "GET", srv.URL+"/sessions/xp/stats", nil, &st)
-		return st.Engine.TrainSteps > 0
-	}, "first session trains")
-	if code := doJSON(t, "POST", srv.URL+"/sessions/xp/checkpoint", nil, nil); code != http.StatusOK {
-		t.Fatalf("checkpoint = %d", code)
-	}
-	if code := doJSON(t, "DELETE", srv.URL+"/sessions/xp", nil, nil); code != http.StatusOK {
-		t.Fatal("delete failed")
-	}
-
-	// Phase 2: rewrite the model as a float64 checkpoint (exact
-	// widening), emulating a directory saved by an old float64 build.
-	modelPath := filepath.Join(dir, "model.ckpt")
-	m64, err := nn.LoadFile[float64](modelPath)
+	// A live session writes a float32 checkpoint into dir on delete.
+	s, err := m.Create(testSession("xp", dir))
 	if err != nil {
-		t.Fatalf("widening load: %v", err)
+		t.Fatal(err)
+	}
+	pump(t, s.Addr(), 2, 4, 1, 50)
+	waitFor(t, func() bool { return s.Stats().Engine.ReplayRecords > 0 }, "records")
+	if err := m.Delete("xp"); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewrite the model as a float64 checkpoint of the same network.
+	modelPath := filepath.Join(dir, "model.ckpt")
+	m32, err := nn.LoadFile[float32](modelPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m64 := nn.NewMLP[float64](nil, m32.Activation, m32.Sizes...)
+	if err := nn.ConvertParamsFrom(m64, m32); err != nil {
+		t.Fatal(err)
 	}
 	if err := m64.SaveFile(modelPath); err != nil {
-		t.Fatalf("rewrite as float64: %v", err)
+		t.Fatal(err)
 	}
-	if prec, _, err := nn.CheckpointInfoFile(modelPath); err != nil || prec != "float64" {
-		t.Fatalf("rewritten checkpoint precision = %q, %v", prec, err)
-	}
+	before := dirContents(t, dir)
 
-	// Phase 3: boot the session again through the control plane. The
-	// float64 checkpoint must restore into the float32 engine.
-	var restored SessionStats
-	if code := doJSON(t, "POST", srv.URL+"/sessions", testSession("xp", dir), &restored); code != http.StatusCreated {
-		t.Fatalf("re-create = %d", code)
+	_, err = m.Create(testSession("xp", dir))
+	if err == nil {
+		t.Fatal("a float64 checkpoint restored into the float32 engine")
 	}
-	if !restored.Restored {
-		t.Fatal("session did not report restoring the float64 checkpoint")
+	if msg := err.Error(); !strings.Contains(msg, "float64") || !strings.Contains(msg, "float32") {
+		t.Fatalf("restore error %q does not name both precisions", msg)
 	}
-
-	// The restored engine's weights are the float64 checkpoint narrowed
-	// once per parameter: its Q-values must match the float64 model's
-	// output bit-for-bit after the same narrowing pipeline — spot-check
-	// the restored network parameters directly.
-	sess, ok := m.Get("xp")
-	if !ok {
-		t.Fatal("session not resolvable")
+	if _, ok := m.Get("xp"); ok || len(m.Sessions()) != 0 {
+		t.Fatal("a failed restore left a session behind")
 	}
-	onlineParams := sess.Engine().Agent().Online.FlatParams()
-	want := m64.FlatParams()
-	if len(onlineParams) != len(want) {
-		t.Fatalf("restored arena %d params, want %d", len(onlineParams), len(want))
-	}
-	for i, v := range want {
-		if onlineParams[i] != float32(v) {
-			t.Fatalf("param %d: restored %v, want narrowed %v", i, onlineParams[i], float32(v))
+	after := dirContents(t, dir)
+	for name, b := range before {
+		if !bytes.Equal(after[name], b) {
+			t.Fatalf("failed restore changed %s", name)
 		}
 	}
+	if len(after) != len(before) {
+		t.Fatalf("failed restore changed the directory: %d files, was %d", len(after), len(before))
+	}
+	// Name and directory were released: the directory under a second
+	// name fails on its model again, not on a reservation, and the name
+	// boots a fresh directory.
+	if _, err := m.Create(testSession("yy", dir)); err == nil || !strings.Contains(err.Error(), "float64") {
+		t.Fatalf("second restore of the rejected directory: %v", err)
+	}
+	fresh, err := m.Create(testSession("xp", filepath.Join(t.TempDir(), "fresh")))
+	if err != nil {
+		t.Fatalf("name still held after the failed restore: %v", err)
+	}
+	if fresh.Stats().Restored {
+		t.Fatal("fresh directory reported a restore")
+	}
+}
 
-	// Phase 4: it keeps training, and a fresh checkpoint is written back
-	// at the engine precision.
-	pump(t, restored.Addr, 2, 4, 161, 320)
-	waitFor(t, func() bool {
-		var st SessionStats
-		doJSON(t, "GET", srv.URL+"/sessions/xp/stats", nil, &st)
-		return st.Engine.TrainSteps > 0
-	}, "restored session trains")
-	if code := doJSON(t, "POST", srv.URL+"/sessions/xp/checkpoint", nil, nil); code != http.StatusOK {
-		t.Fatal("re-checkpoint failed")
+// dirContents reads every regular file in dir by name.
+func dirContents(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if prec, _, err := nn.CheckpointInfoFile(modelPath); err != nil || prec != "float32" {
-		t.Fatalf("re-checkpointed precision = %q, %v (want float32)", prec, err)
+	files := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		if !e.Type().IsRegular() {
+			continue
+		}
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = b
 	}
+	return files
 }

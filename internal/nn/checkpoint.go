@@ -26,15 +26,16 @@ import (
 //	32+4·L  p·N   the parameter arena, layer by layer (weights, then bias)
 //	…       4     u32 CRC-32C of every byte before it
 //
-// The arena is stored at the model's own precision and Load[E] restores
-// into any: same-precision round trips are bit-exact (NaN payloads and −0
-// included), float32→float64 widening is exact, and float64→float32
-// rounds each parameter once. Load checks N against the layer widths and
-// the file's length against N before it allocates, and verifies the
-// checksum before it returns. There is one format and no compression
-// (see internal/wire/file.go): versions 1 and 2 were gob+flate streams
-// and are not read — load and re-save them with the release that wrote
-// them first.
+// The arena is stored at the model's own precision, and Load[E] restores
+// a checkpoint only at that precision: the round trip is bit-exact (NaN
+// payloads and −0 included), and a file whose tag is not ElemSize[E] is
+// an error naming both precisions. Only float32 and float64 arenas are
+// checkpointed; a named element type is an error. Load checks N against
+// the layer widths and the file's length against N before it allocates,
+// and verifies the checksum before it returns. There is one format and
+// no compression (see internal/wire/file.go): versions 1 and 2 were
+// gob+flate streams and are not read — load and re-save them with the
+// release that wrote them first.
 
 const (
 	checkpointMagic   = "CAPESDNN"
@@ -46,65 +47,48 @@ const (
 )
 
 // precisionName returns the checkpoint tag for the element type.
-func precisionName[E tensor.Element]() string {
-	if tensor.ElemSize[E]() == 4 {
+func precisionName[E tensor.Element]() string { return tagName(tensor.ElemSize[E]()) }
+
+// tagName names a checkpoint precision tag (bytes per parameter).
+func tagName(bytes int) string {
+	if bytes == 4 {
 		return "float32"
 	}
 	return "float64"
 }
 
-// convertChunk is how many values a cross-precision save or load stages
-// at a time (see eachChunk).
-const convertChunk = wire.BulkChunk / 8
+// errNamedElement is what Save and Load return for a named element type,
+// whose arena has no checkpoint encoding.
+func errNamedElement[E tensor.Element]() error {
+	return fmt.Errorf("nn: checkpoints hold float32 or float64 parameters, not %T", *new(E))
+}
 
 // Save writes the model to w at the model's precision. The arena goes
 // out in bounded chunks straight from the model's memory: nothing the
 // size of the model is allocated.
 func (m *MLP[E]) Save(w io.Writer) error {
+	d32, is32 := any(m.paramData).([]float32)
+	d64, is64 := any(m.paramData).([]float64)
+	if !is32 && !is64 {
+		return errNamedElement[E]()
+	}
 	fw := wire.NewFileWriter(w, checkpointMagic, checkpointVersion)
-	fw.Uint32(uint32(m.storedPrecision()))
+	fw.Uint32(uint32(tensor.ElemSize[E]()))
 	fw.Uint32(uint32(int32(m.Activation)))
 	fw.Uint32(uint32(len(m.Sizes)))
 	fw.Uint64(uint64(len(m.paramData)))
 	for _, s := range m.Sizes {
 		fw.Uint32(uint32(s))
 	}
-	switch d := any(m.paramData).(type) {
-	case []float32:
-		fw.Float32s(d)
-	case []float64:
-		fw.Float64s(d)
-	default: // a named element type: widened, which loses nothing
-		eachChunk(m.paramData, func(part []E, scratch []float64) {
-			tensor.Convert(scratch, part)
-			fw.Float64s(scratch)
-		})
+	if is32 {
+		fw.Float32s(d32)
+	} else {
+		fw.Float64s(d64)
 	}
 	if err := fw.Close(); err != nil {
 		return fmt.Errorf("nn: write checkpoint: %w", err)
 	}
 	return nil
-}
-
-// storedPrecision is the bytes per parameter Save writes: a float32 arena
-// as it is, anything else as float64.
-func (m *MLP[E]) storedPrecision() int {
-	if _, ok := any(m.paramData).([]float32); ok {
-		return 4
-	}
-	return 8
-}
-
-// eachChunk walks arena in convertChunk pieces, handing fn each piece
-// with an equally long scratch of the file's element type: a
-// cross-precision save or load stages that much and no more.
-func eachChunk[E, S tensor.Element](arena []E, fn func(part []E, scratch []S)) {
-	scratch := make([]S, min(len(arena), convertChunk))
-	for len(arena) > 0 {
-		k := min(len(arena), len(scratch))
-		fn(arena[:k], scratch[:k])
-		arena = arena[k:]
-	}
 }
 
 // checkpointHeader is what precedes the arena.
@@ -156,31 +140,25 @@ func readCheckpointHeader(r io.Reader) (*wire.FileReader, checkpointHeader, erro
 	return fr, h, nil
 }
 
-// Load reads a checkpoint from r and returns the model reconstructed at
-// precision E, converting from the stored precision if they differ.
+// Load reads a checkpoint from r and returns the model it holds at
+// precision E, which must be the precision it was saved at.
 func Load[E tensor.Element](r io.Reader) (*MLP[E], error) {
 	fr, h, err := readCheckpointHeader(r)
 	if err != nil {
 		return nil, err
 	}
+	if h.precision != tensor.ElemSize[E]() {
+		return nil, fmt.Errorf("nn: checkpoint holds %s parameters, cannot load them as %s",
+			tagName(h.precision), precisionName[E]())
+	}
 	m := NewMLP[E](nil, h.activation, h.sizes...)
-	d32, is32 := any(m.paramData).([]float32)
-	d64, is64 := any(m.paramData).([]float64)
-	switch {
-	case h.precision == 4 && is32:
-		fr.Float32s(d32)
-	case h.precision == 8 && is64:
-		fr.Float64s(d64)
-	case h.precision == 4:
-		eachChunk(m.paramData, func(part []E, scratch []float32) {
-			fr.Float32s(scratch)
-			tensor.Convert(part, scratch)
-		})
+	switch d := any(m.paramData).(type) {
+	case []float32:
+		fr.Float32s(d)
+	case []float64:
+		fr.Float64s(d)
 	default:
-		eachChunk(m.paramData, func(part []E, scratch []float64) {
-			fr.Float64s(scratch)
-			tensor.Convert(part, scratch)
-		})
+		return nil, errNamedElement[E]()
 	}
 	if err := fr.Close(); err != nil {
 		return nil, fmt.Errorf("nn: read checkpoint: %w", err)
@@ -197,10 +175,7 @@ func CheckpointInfo(r io.Reader) (precision string, sizes []int, err error) {
 	if err != nil {
 		return "", nil, err
 	}
-	if h.precision == 4 {
-		return "float32", h.sizes, nil
-	}
-	return "float64", h.sizes, nil
+	return tagName(h.precision), h.sizes, nil
 }
 
 // CheckpointInfoFile is CheckpointInfo reading from a file.
@@ -231,5 +206,5 @@ func LoadFile[E tensor.Element](path string) (*MLP[E], error) {
 // CheckpointBytes returns the serialized size of the model, used for the
 // Table 2 "size of the DNN model" row alongside the in-memory Bytes().
 func (m *MLP[E]) CheckpointBytes() (int, error) {
-	return checkpointFixedLen + 4*len(m.Sizes) + m.storedPrecision()*len(m.paramData) + 4, nil
+	return checkpointFixedLen + 4*len(m.Sizes) + tensor.ElemSize[E]()*len(m.paramData) + 4, nil
 }

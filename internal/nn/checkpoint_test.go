@@ -264,7 +264,8 @@ func TestCheckpointInfoReadsHeaderOnly(t *testing.T) {
 
 // FuzzCheckpointLoad: arbitrary bytes (under a recomputed checksum) never
 // panic the loader or make it allocate beyond a multiple of their length,
-// and whatever loads round-trips bit-exactly at both precisions.
+// load at no more than one precision — the one their tag names — and
+// whatever loads round-trips bit-exactly.
 func FuzzCheckpointLoad(f *testing.F) {
 	valid32 := checkpointBytes(f, tinyModel[float32]())
 	valid64 := checkpointBytes(f, NewCAPESNetwork[float64](rand.New(rand.NewSource(5)), 6, 3))
@@ -281,50 +282,42 @@ func FuzzCheckpointLoad(f *testing.F) {
 			// again, it gets to the structural checks behind it.
 			data = reseal(append([]byte(nil), data...))
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		m32, err := Load[float32](bytes.NewReader(data))
-		runtime.ReadMemStats(&after)
-		// A network costs its parameter and gradient arenas plus a few
-		// hundred bytes a layer; a layer costs the file at least 12.
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 256<<10+64*uint64(len(data)) {
-			t.Fatalf("loading %d bytes allocated %d", len(data), grew)
-		}
-		if err != nil {
-			return // rejecting malformed input is the contract
-		}
-		m64, err := Load[float64](bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("loads at float32 but not at float64: %v", err)
-		}
-		// The layout is canonical: saving at the stored precision gives
-		// the input back, and each precision reloads to its own bits.
-		if prec, _, _ := CheckpointInfo(bytes.NewReader(data)); prec == "float32" {
-			if !bytes.Equal(checkpointBytes(t, m32), data) {
-				t.Fatal("float32 checkpoint does not re-save to itself")
-			}
-		} else if !bytes.Equal(checkpointBytes(t, m64), data) {
-			t.Fatal("float64 checkpoint does not re-save to itself")
-		}
-		again32, err := Load[float32](bytes.NewReader(checkpointBytes(t, m32)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range m32.FlatParams() {
-			if math.Float32bits(again32.FlatParams()[i]) != math.Float32bits(v) {
-				t.Fatalf("float32 parameter %d changed in a round trip", i)
-			}
-		}
-		again64, err := Load[float64](bytes.NewReader(checkpointBytes(t, m64)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range m64.FlatParams() {
-			if math.Float64bits(again64.FlatParams()[i]) != math.Float64bits(v) {
-				t.Fatalf("float64 parameter %d changed in a round trip", i)
-			}
+		m32, err32 := fuzzLoad[float32](t, data)
+		m64, err64 := fuzzLoad[float64](t, data)
+		switch {
+		case err32 == nil && err64 == nil:
+			t.Fatal("checkpoint loads at both precisions")
+		case err32 == nil:
+			fuzzRoundTrip(t, m32, data)
+		case err64 == nil:
+			fuzzRoundTrip(t, m64, data)
 		}
 	})
+}
+
+// fuzzLoad is Load[E] held to its allocation bound: a network costs its
+// parameter and gradient arenas plus a few hundred bytes a layer, and a
+// layer costs the file at least 12.
+func fuzzLoad[E tensor.Element](t *testing.T, data []byte) (*MLP[E], error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := Load[E](bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 256<<10+64*uint64(len(data)) {
+		t.Fatalf("loading %d bytes at %s allocated %d", len(data), precisionName[E](), grew)
+	}
+	return m, err
+}
+
+// fuzzRoundTrip: the layout is canonical and the arena raw bits, so a
+// loaded model re-saves to exactly its input.
+func fuzzRoundTrip[E tensor.Element](t *testing.T, m *MLP[E], data []byte) {
+	if prec, _, _ := CheckpointInfo(bytes.NewReader(data)); prec != m.Precision() {
+		t.Fatalf("%s checkpoint loaded at %s", prec, m.Precision())
+	}
+	if !bytes.Equal(checkpointBytes(t, m), data) {
+		t.Fatalf("%s checkpoint does not re-save to itself", m.Precision())
+	}
 }
 
 // rigNetwork is the Q-network of the repo benchmark's checkpoint-cycle

@@ -224,8 +224,8 @@ func (m *MLP[E]) CopyParamsFrom(src *MLP[E]) {
 
 // ConvertParamsFrom copies all parameters from an MLP of another
 // precision (same topology required): float32→float64 is exact,
-// float64→float32 rounds once per parameter. This is the in-memory
-// counterpart of a cross-precision checkpoint restore.
+// float64→float32 rounds once per parameter. The precision tests use it
+// to build a float32 network from float64 weights.
 func ConvertParamsFrom[D, S tensor.Element](dst *MLP[D], src *MLP[S]) error {
 	if len(dst.paramData) != len(src.paramData) {
 		return fmt.Errorf("nn: convert params: %d vs %d parameters", len(dst.paramData), len(src.paramData))

@@ -2,9 +2,11 @@ package nn
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"capes/internal/tensor"
@@ -46,75 +48,36 @@ func checkpointRoundTrip[E tensor.Element](t *testing.T) {
 	}
 }
 
-// TestCheckpointFloat64ToFloat32Restore is the narrowing restore a
-// pre-existing float64 session checkpoint takes when resumed on the
-// float32 engine: each parameter rounds exactly once.
-func TestCheckpointFloat64ToFloat32Restore(t *testing.T) {
-	m64 := NewCAPESNetwork[float64](rand.New(rand.NewSource(8)), 12, 4)
-	var buf bytes.Buffer
-	if err := m64.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	m32, err := Load[float32](&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m32.InputSize() != 12 || m32.OutputSize() != 4 || m32.Activation != ActTanh {
-		t.Fatalf("restored shape %d→%d act %v", m32.InputSize(), m32.OutputSize(), m32.Activation)
-	}
-	for i, v := range m64.FlatParams() {
-		if got, want := m32.FlatParams()[i], float32(v); got != want {
-			t.Fatalf("param %d: %v, want single-rounded %v", i, got, want)
-		}
-	}
-}
-
-// TestCheckpointFloat32ToFloat64RestoreIsExact: widening restore loses
-// nothing — every float32 is exactly representable in float64.
-func TestCheckpointFloat32ToFloat64RestoreIsExact(t *testing.T) {
-	m32 := NewCAPESNetwork[float32](rand.New(rand.NewSource(9)), 10, 3)
-	var buf bytes.Buffer
-	if err := m32.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	m64, err := Load[float64](&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range m32.FlatParams() {
-		if m64.FlatParams()[i] != float64(v) {
-			t.Fatalf("param %d not exactly widened", i)
-		}
-	}
-	// And narrowing back recovers the original bits: f32→f64→f32 is the
-	// identity, so a full cross-precision round trip is lossless.
-	back := make([]float32, len(m32.FlatParams()))
-	tensor.Convert(back, m64.FlatParams())
-	for i, v := range m32.FlatParams() {
-		if back[i] != v {
-			t.Fatalf("param %d lost in f32→f64→f32 round trip", i)
-		}
-	}
-}
-
-// TestCheckpointFileCrossPrecision drives the narrowing restore through
-// the file API used by session checkpointing.
-func TestCheckpointFileCrossPrecision(t *testing.T) {
+// TestCheckpointLoadsOnlyAtItsOwnPrecision: a checkpoint restores at the
+// precision it was saved at and no other. A float64-tagged file handed to
+// the float32 file loader, and a float32 stream handed to the float64
+// loader, are errors that name both precisions; a named element type has
+// no checkpoint encoding at all.
+func TestCheckpointLoadsOnlyAtItsOwnPrecision(t *testing.T) {
 	m64 := NewMLP[float64](rand.New(rand.NewSource(11)), ActReLU, 3, 5, 2)
 	path := filepath.Join(t.TempDir(), "model.ckpt")
 	if err := m64.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	prec, _, err := CheckpointInfoFile(path)
-	if err != nil || prec != "float64" {
-		t.Fatalf("precision = %q, %v", prec, err)
-	}
 	m32, err := LoadFile[float32](path)
-	if err != nil {
+	if m32 != nil || err == nil ||
+		!strings.Contains(err.Error(), "float64") || !strings.Contains(err.Error(), "float32") {
+		t.Fatalf("float64 file as float32: model %v, err %v; want an error naming both precisions", m32, err)
+	}
+
+	var buf bytes.Buffer
+	if err := NewCAPESNetwork[float32](rand.New(rand.NewSource(9)), 10, 3).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if m32.Activation != ActReLU {
-		t.Fatalf("activation = %v", m32.Activation)
+	got, err := Load[float64](&buf)
+	if got != nil || err == nil ||
+		!strings.Contains(err.Error(), "float32") || !strings.Contains(err.Error(), "float64") {
+		t.Fatalf("float32 stream as float64: model %v, err %v; want an error naming both precisions", got, err)
+	}
+
+	type named float32
+	if err := NewMLP[named](nil, ActTanh, 2, 1).Save(io.Discard); err == nil {
+		t.Fatal("a named element type saved a checkpoint")
 	}
 }
 

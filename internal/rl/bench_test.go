@@ -44,13 +44,11 @@ func benchAgent[E tensor.Element](b *testing.B, obsWidth, nActions int) *Agent[E
 
 // BenchmarkTrainStep is the Table-2 "CPU time of one training step" cost:
 // one 32-observation minibatch through the paper-shaped Q-network
-// (two hidden layers the width of the observation), at both precisions —
-// f32 is the deployed engine path, f64 the reference.
+// (two hidden layers the width of the observation), at the deployed
+// float32 precision.
 func BenchmarkTrainStep(b *testing.B) {
 	for _, w := range []int{64, 256} {
-		w := w
 		name := map[int]string{64: "obs64", 256: "obs256"}[w]
-		b.Run(name+"/f64", func(b *testing.B) { benchTrainStep[float64](b, w) })
 		b.Run(name+"/f32", func(b *testing.B) { benchTrainStep[float32](b, w) })
 	}
 	// The repo benchmark's paper-rig-train network: 5 nodes × 10 PIs ×
@@ -171,9 +169,9 @@ func TestTargetNetworksCarryNoGradients(t *testing.T) {
 }
 
 // BenchmarkSelectAction measures the 1×N greedy action path (ε=0, so
-// every iteration runs the forward pass) at both precisions.
+// every iteration runs the forward pass) at the deployed float32
+// precision.
 func BenchmarkSelectAction(b *testing.B) {
-	b.Run("f64", func(b *testing.B) { benchSelectAction[float64](b) })
 	b.Run("f32", func(b *testing.B) { benchSelectAction[float32](b) })
 }
 

@@ -9,15 +9,15 @@ func cpuid(leaf, sub uint32) (ax, bx, cx, dx uint32)
 // Only meaningful when CPUID reports OSXSAVE.
 func xgetbv() (ax, dx uint32)
 
-// detectBestTier probes the widest kernel tier this host can run. SSE2
-// is the amd64 baseline, so the floor is tierSSE; AVX2 additionally
-// requires the OS to have enabled YMM state saving (OSXSAVE + XCR0
-// bits 1-2), or the registers would be corrupted across context
-// switches no matter what the CPU supports.
+// detectBestTier probes the widest kernel tier this host can run: avx2
+// when the CPU has AVX2 and the OS has enabled YMM state saving
+// (OSXSAVE + XCR0 bits 1-2), since without the latter the registers
+// would be corrupted across context switches no matter what the CPU
+// supports; scalar otherwise.
 func detectBestTier() int32 {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
-		return tierSSE
+		return tierScalar
 	}
 	_, _, cx1, _ := cpuid(1, 0)
 	const (
@@ -25,14 +25,14 @@ func detectBestTier() int32 {
 		avx     = 1 << 28
 	)
 	if cx1&osxsave == 0 || cx1&avx == 0 {
-		return tierSSE
+		return tierScalar
 	}
 	if ax, _ := xgetbv(); ax&0x6 != 0x6 { // XMM and YMM state OS-enabled
-		return tierSSE
+		return tierScalar
 	}
 	_, bx7, _, _ := cpuid(7, 0)
 	if bx7&(1<<5) == 0 { // AVX2
-		return tierSSE
+		return tierScalar
 	}
 	return tierAVX2
 }

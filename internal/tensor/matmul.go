@@ -13,19 +13,19 @@ import (
 // train step nothing and cost the control loop its action latency
 // (PERF.md "One core by design"); concurrency lives one level up, one
 // capesd session per core. The kernels are generic over the element
-// type; concrete float32 and float64 matrices route to the SIMD
-// specializations in matmul32.go / matmul64.go (tier-dispatched vector
-// inner loops plus packed-panel operand layout), while named element
-// types keep the generic scalar path below. The naive reference kernels
-// the package started with are kept at the bottom of this file — always
-// at their instantiated precision — and the property tests in
+// type; concrete float32 matrices — the engine's precision — route to
+// the SIMD specializations in matmul32.go (tier-dispatched vector inner
+// loops plus packed-panel operand layout), while float64 and named
+// element types keep the generic scalar path below. The naive reference
+// kernels the package started with are kept at the bottom of this file —
+// always at their instantiated precision — and the property tests in
 // matmul_test.go hold the optimized kernels to float64 references
 // within precision-scaled reassociation tolerance on ragged shapes.
 //
 // Blocking constants: a blockK×blockJ tile of the right-hand operand is
 // blockK*blockJ elements — 32 KiB at float32, so L1-resident while
-// every destination row pair sweeps it, 64 KiB at float64 — and the
-// destination row segment (blockJ elements) lives in L1 beside it.
+// every destination row pair sweeps it — and the destination row
+// segment (blockJ elements) lives in L1 beside it.
 // blockK must stay a multiple of 4: the kernels unroll k in quads, and
 // only then do the quads fall on the same k's whatever the tile size,
 // which is what keeps results independent of it bit for bit.
@@ -35,7 +35,7 @@ const (
 )
 
 // Panel packing: when the right-hand operand is wider than one tile,
-// the SIMD kernels repack the active blockK×blockJ tile into one of
+// the float32 kernels repack the active blockK×blockJ tile into one of
 // these pooled buffers so its rows become contiguous (pitch seg instead
 // of b.Cols) and the vector inner loops stream unit-stride memory
 // whatever the caller's row pitch. Packing copies each tile element
@@ -45,10 +45,7 @@ const (
 // state, one panel per call in flight (sessions multiply concurrently).
 const panelMinRows = 8
 
-var (
-	panelPool32 = sync.Pool{New: func() any { b := make([]float32, blockK*blockJ); return &b }}
-	panelPool64 = sync.Pool{New: func() any { b := make([]float64, blockK*blockJ); return &b }}
-)
+var panelPool32 = sync.Pool{New: func() any { b := make([]float32, blockK*blockJ); return &b }}
 
 // MulInto computes dst = a·b. dst must be a.Rows × b.Cols and must not
 // alias a or b.
@@ -101,10 +98,6 @@ func MulTransBInto[E Element](dst, a, b *Matrix[E]) {
 func mulRows[E Element](dst, a, b *Matrix[E]) {
 	if d, x, y, ok := asF32(dst, a, b); ok {
 		mulRowsF32(d, x, y)
-		return
-	}
-	if d, x, y, ok := asF64(dst, a, b); ok {
-		mulRowsF64(d, x, y)
 		return
 	}
 	rows, n, kTot := a.Rows, b.Cols, a.Cols
@@ -190,10 +183,6 @@ func mulTransARows[E Element](dst, a, b *Matrix[E]) {
 		mulTransAF32(d, x, y)
 		return
 	}
-	if d, x, y, ok := asF64(dst, a, b); ok {
-		mulTransAF64(d, x, y)
-		return
-	}
 	n, kTot, ac := b.Cols, a.Rows, a.Cols
 	dst.Zero()
 	// Register-block pairs of destination rows (adjacent columns of a, so
@@ -265,10 +254,6 @@ func mulTransARows[E Element](dst, a, b *Matrix[E]) {
 func mulTransBRows[E Element](dst, a, b *Matrix[E]) {
 	if d, x, y, ok := asF32(dst, a, b); ok {
 		mulTransBF32(d, x, y)
-		return
-	}
-	if d, x, y, ok := asF64(dst, a, b); ok {
-		mulTransBF64(d, x, y)
 		return
 	}
 	kTot, dn := a.Cols, b.Rows

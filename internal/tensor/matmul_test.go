@@ -191,10 +191,6 @@ func BenchmarkMulInto(b *testing.B) {
 	// (5 nodes × 10 PIs × 10 ticks), whose second column block is 244
 	// wide — 8-lane steps and one 4-lane step.
 	for _, s := range shapes {
-		s := s
-		b.Run(sizeName(s[0], s[1], s[2])+"/f64", func(b *testing.B) {
-			benchMulInto[float64](b, s[0], s[1], s[2])
-		})
 		b.Run(sizeName(s[0], s[1], s[2])+"/f32", func(b *testing.B) {
 			benchMulInto[float32](b, s[0], s[1], s[2])
 		})
@@ -234,9 +230,9 @@ func benchMulInto[E Element](b *testing.B, r, k, c int) {
 func BenchmarkMulTransAInto(b *testing.B) {
 	// GradW shape: (32×640)ᵀ · 32×640 → 640×640.
 	rng := rand.New(rand.NewSource(1))
-	a := randomMatrix[float64](rng, 32, 640)
-	m := randomMatrix[float64](rng, 32, 640)
-	dst := New[float64](640, 640)
+	a := randomMatrix[float32](rng, 32, 640)
+	m := randomMatrix[float32](rng, 32, 640)
+	dst := New[float32](640, 640)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -248,7 +244,6 @@ func BenchmarkMulTransBInto(b *testing.B) {
 	// gradIn shape: 32×640 · (640×640)ᵀ, and the paper rig's two:
 	// 32×500 · (500×500)ᵀ through a hidden layer (the 2 × 2 dot tile on
 	// avx2) and 32×5 · (500×5)ᵀ through the Q head (the saxpy1 chain).
-	b.Run("f64", func(b *testing.B) { benchMulTransB[float64](b, 32, 640, 640) })
 	b.Run("f32", func(b *testing.B) { benchMulTransB[float32](b, 32, 640, 640) })
 	for _, s := range [][3]int{{32, 500, 500}, {32, 5, 500}} {
 		b.Run(sizeName(s[0], s[1], s[2])+"/f32", func(b *testing.B) {

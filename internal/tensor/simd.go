@@ -8,19 +8,22 @@ import (
 
 // Runtime-dispatched SIMD kernel tiers.
 //
-// The vector primitives behind the matmul kernels, the fused Adam
-// sweep, the bias+tanh activation sweep and the gradient-norm reduction
-// come in three tiers, selected once at process start:
+// The vector primitives behind the float32 matmul kernels, the fused
+// Adam sweep, the bias+tanh activation sweep and the gradient-norm
+// reduction come in two tiers, selected once at process start:
 //
-//	scalar  portable Go loops (every architecture)
-//	sse     amd64 baseline: 4 float32 / 2 float64 lanes per XMM register
-//	avx2    8 float32 lanes per YMM register (float64 stays on the SSE2
-//	        kernels), used only when CPUID+XGETBV confirm the CPU *and*
-//	        the OS support AVX state
+//	scalar  portable Go loops (every architecture, and amd64 hosts
+//	        without AVX2)
+//	avx2    8 float32 lanes per YMM register, used only when CPUID+XGETBV
+//	        confirm the CPU *and* the OS support AVX state
+//
+// Only float32 — the engine's precision — has vector kernels. float64
+// matrices run the generic Go loops in matmul.go on both tiers; they
+// are the reference the precision tests hold float32 to.
 //
 // Detection happens in init (feature_amd64.go); the CAPES_SIMD
-// environment variable (scalar|sse|avx2) overrides it for testing and
-// perf triage, clamped to what the host actually supports. KernelTier
+// environment variable (scalar|avx2) overrides it for testing and perf
+// triage, clamped to what the host actually supports. KernelTier
 // reports the active tier — capesd's /stats and /healthz payloads and
 // `capes-inspect -tier` surface it so profiles from different hosts can
 // be told apart.
@@ -31,37 +34,36 @@ import (
 // scalar loops below. Every vector operation used is IEEE-exact
 // (mul/add/sub/sqrt/div are correctly rounded, and the AVX2 kernels
 // deliberately use separate VMULPS+VADDPS rather than FMA), so for the
-// elementwise primitives — the saxpy/daxpy family, the Adam sweep and
-// BiasTanh32 — every tier produces bit-identical results element for
+// elementwise primitives — the saxpy family, the Adam sweep and
+// BiasTanh32 — both tiers produce bit-identical results element for
 // element, and SumSquares32 does because its summation order is fixed
-// by definition. Only the dot-product reductions differ across tiers
+// by definition. Only the dot-product reduction differs across tiers
 // (wider accumulators change the summation order), which the
 // precision-scaled equivalence tolerances already cover.
 //
 // Dot-order contract: within a tier, every float32 MulTransBInto output
 // is bit-identical to one lone sdot over its two rows, whichever kernel
-// computed it (sdot2, the avx2 tile body or the chain below). Below the
-// tier's vector width — k < 8 on avx2 and scalar, k < 4 on sse — sdot is
-// sdotScalar, and with k < 8 each of its four partial sums holds at most
-// one product, sᵢ = +0 + pᵢ. Its result ((s0 + s1) + s2) + s3, then + p4
-// … in ascending order, is then the plain chain ((+0 + p0) + p1) + … :
-// the two differ only where a partial sum turned a −0 product into +0,
-// and x + (+0) = x + (−0) for every x but −0, which the chain never holds
-// (it starts from +0 + p0 ≠ −0, and a sum is −0 only when both addends
-// are). That chain is what saxpy1 accumulates from a zeroed row, so
-// MulTransBInto runs k saxpy1s over a packed bᵀ there instead of one
-// short sdot per output. The argument needs every product rounded before
-// its addition; targets whose compiler may fuse a multiply-add (arm64's
-// FMADD) keep the per-call path (sdotChainK in simd_generic.go).
+// computed it (sdot, the avx2 tile body or the chain below). Below
+// k = 8, sdot is sdotScalar on both tiers, and each of its four partial
+// sums holds at most one product, sᵢ = +0 + pᵢ. Its result
+// ((s0 + s1) + s2) + s3, then + p4 … in ascending order, is then the
+// plain chain ((+0 + p0) + p1) + … : the two differ only where a partial
+// sum turned a −0 product into +0, and x + (+0) = x + (−0) for every x
+// but −0, which the chain never holds (it starts from +0 + p0 ≠ −0, and
+// a sum is −0 only when both addends are). That chain is what saxpy1
+// accumulates from a zeroed row, so MulTransBInto runs k saxpy1s over a
+// packed bᵀ there instead of one short sdot per output. The argument
+// needs every product rounded before its addition; targets whose
+// compiler may fuse a multiply-add (arm64's FMADD) keep the per-call
+// path (sdotChainK in simd_generic.go).
 
 // Kernel tiers, in strictly increasing capability order.
 const (
 	tierScalar int32 = iota
-	tierSSE
 	tierAVX2
 )
 
-var tierNames = [...]string{"scalar", "sse", "avx2"}
+var tierNames = [...]string{"scalar", "avx2"}
 
 // activeTier is the tier the wrapper functions dispatch on. bestTier is
 // the host ceiling established at init; forced tiers are clamped to it.
@@ -79,7 +81,8 @@ func init() {
 		}
 		// Unknown names and tiers above the host ceiling keep the
 		// detected best: a daemon must not lose its vector units to a
-		// typo, and CAPES_SIMD=avx2 on an SSE-only host stays "sse".
+		// typo, and CAPES_SIMD=avx2 on a host without AVX2 stays
+		// "scalar".
 	}
 	activeTier.Store(tier)
 }
@@ -93,7 +96,7 @@ func tierByName(name string) (int32, bool) {
 	return 0, false
 }
 
-// KernelTier reports the active SIMD tier ("scalar", "sse" or "avx2").
+// KernelTier reports the active SIMD tier ("scalar" or "avx2").
 // Perf triage uses it to tell hosts apart: bench baselines are only
 // comparable within one tier.
 func KernelTier() string { return tierNames[activeTier.Load()] }
@@ -106,7 +109,7 @@ func KernelTier() string { return tierNames[activeTier.Load()] }
 func SetKernelTier(name string) (applied string, err error) {
 	t, ok := tierByName(name)
 	if !ok {
-		return KernelTier(), fmt.Errorf("tensor: unknown kernel tier %q (want scalar|sse|avx2)", name)
+		return KernelTier(), fmt.Errorf("tensor: unknown kernel tier %q (want scalar|avx2)", name)
 	}
 	if t > bestTier {
 		t = bestTier
@@ -156,8 +159,7 @@ func saxpy4x2(dst0, dst1, x0, x1, x2, x3 []float32, a00, a01, a02, a03, a10, a11
 // one routine serve a row-major left operand (aRow = its width, aK = 1)
 // and a transposed one (aRow = 1, aK = its width); skipZero drops quads
 // whose eight multipliers are all zero. This is saxpy4x2Tile on the
-// scalar and sse tiers, and the reference the tests hold the avx2 tile
-// body to.
+// scalar tier, and the reference the tests hold the avx2 tile body to.
 func saxpy4x2TileCalls(d []float32, dPitch int, a []float32, aRow, aK int, b []float32, bPitch, pairs, quads, seg int, skipZero bool) {
 	for p := 0; p < pairs; p++ {
 		d0 := d[2*p*dPitch:][:seg]
@@ -178,17 +180,12 @@ func saxpy4x2TileCalls(d []float32, dPitch int, a []float32, aRow, aK int, b []f
 }
 
 // sdotTileCalls writes one column block of a·bᵀ: for i < rows and
-// j < cols, d[i·dPitch + j] = sdot(a[i·k:][:k], b[j·k:][:k]), adjacent
-// columns paired through sdot2. This is sdotTile on the scalar and sse
-// tiers, and on avx2 for depths below 8.
+// j < cols, d[i·dPitch + j] = sdot(a[i·k:][:k], b[j·k:][:k]). This is
+// sdotTile on the scalar tier, and on avx2 for depths below 8.
 func sdotTileCalls(d []float32, dPitch int, a, b []float32, k, rows, cols int) {
 	for i := 0; i < rows; i++ {
 		arow, drow := a[i*k:(i+1)*k], d[i*dPitch:]
-		j := 0
-		for ; j+2 <= cols; j += 2 {
-			drow[j], drow[j+1] = sdot2(arow, b[j*k:(j+1)*k], b[(j+1)*k:(j+2)*k])
-		}
-		if j < cols {
+		for j := 0; j < cols; j++ {
 			drow[j] = sdot(arow, b[j*k:(j+1)*k])
 		}
 	}
@@ -196,34 +193,6 @@ func sdotTileCalls(d []float32, dPitch int, a, b []float32, k, rows, cols int) {
 
 func sdotScalar(a, b []float32) float32 {
 	var s0, s1, s2, s3 float32
-	j := 0
-	for ; j+4 <= len(a); j += 4 {
-		s0 += a[j] * b[j]
-		s1 += a[j+1] * b[j+1]
-		s2 += a[j+2] * b[j+2]
-		s3 += a[j+3] * b[j+3]
-	}
-	s := s0 + s1 + s2 + s3
-	for ; j < len(a); j++ {
-		s += a[j] * b[j]
-	}
-	return s
-}
-
-func daxpy4Scalar(dst, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64) {
-	for j := range dst {
-		dst[j] += a0*x0[j] + a1*x1[j] + a2*x2[j] + a3*x3[j]
-	}
-}
-
-func daxpy1Scalar(dst, x0 []float64, a0 float64) {
-	for j := range dst {
-		dst[j] += a0 * x0[j]
-	}
-}
-
-func ddotScalar(a, b []float64) float64 {
-	var s0, s1, s2, s3 float64
 	j := 0
 	for ; j+4 <= len(a); j += 4 {
 		s0 += a[j] * b[j]

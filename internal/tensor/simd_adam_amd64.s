@@ -17,126 +17,7 @@
 // these bodies are bit-identical to the scalar loops in simd.go (and to
 // the generic loops in nn/adam.go) element for element — the sweep's
 // shard- and tier-determinism contract survives vectorization intact.
-// Callers guarantee len(params) % 4 == 0 (SSE) / % 8 == 0 (AVX2).
-
-// func adamSweepSSE(params, grads, fm, fv []float32, lrT, b1, omb1, b2, omb2, eps, scale float32)
-TEXT ·adamSweepSSE(SB), NOSPLIT, $0-124
-	MOVQ params_base+0(FP), DI
-	MOVQ params_len+8(FP), CX
-	MOVQ grads_base+24(FP), SI
-	MOVQ fm_base+48(FP), R8
-	MOVQ fv_base+72(FP), R9
-	MOVSS lrT+96(FP), X5
-	SHUFPS $0x00, X5, X5
-	MOVSS b1+100(FP), X6
-	SHUFPS $0x00, X6, X6
-	MOVSS omb1+104(FP), X7
-	SHUFPS $0x00, X7, X7
-	MOVSS b2+108(FP), X8
-	SHUFPS $0x00, X8, X8
-	MOVSS omb2+112(FP), X9
-	SHUFPS $0x00, X9, X9
-	MOVSS eps+116(FP), X10
-	SHUFPS $0x00, X10, X10
-	MOVSS scale+120(FP), X11
-	SHUFPS $0x00, X11, X11
-	XORQ AX, AX
-
-adamsse_loop:
-	CMPQ AX, CX
-	JGE  adamsse_done
-	MOVUPS (SI)(AX*4), X0
-	MULPS  X11, X0
-	MOVUPS (R8)(AX*4), X1
-	MULPS  X6, X1
-	MOVAPS X0, X2
-	MULPS  X7, X2
-	ADDPS  X2, X1
-	MOVUPS X1, (R8)(AX*4)
-	MOVAPS X0, X2
-	MULPS  X9, X2
-	MULPS  X0, X2
-	MOVUPS (R9)(AX*4), X3
-	MULPS  X8, X3
-	ADDPS  X2, X3
-	MOVUPS X3, (R9)(AX*4)
-	SQRTPS X3, X3
-	ADDPS  X10, X3
-	MULPS  X5, X1
-	DIVPS  X3, X1
-	MOVUPS (DI)(AX*4), X0
-	SUBPS  X1, X0
-	MOVUPS X0, (DI)(AX*4)
-	ADDQ   $4, AX
-	JMP    adamsse_loop
-
-adamsse_done:
-	RET
-
-// func adamSweepSoftSSE(params, grads, fm, fv, target []float32, lrT, b1, omb1, b2, omb2, eps, scale, al, omal float32)
-TEXT ·adamSweepSoftSSE(SB), NOSPLIT, $0-156
-	MOVQ params_base+0(FP), DI
-	MOVQ params_len+8(FP), CX
-	MOVQ grads_base+24(FP), SI
-	MOVQ fm_base+48(FP), R8
-	MOVQ fv_base+72(FP), R9
-	MOVQ target_base+96(FP), R10
-	MOVSS lrT+120(FP), X5
-	SHUFPS $0x00, X5, X5
-	MOVSS b1+124(FP), X6
-	SHUFPS $0x00, X6, X6
-	MOVSS omb1+128(FP), X7
-	SHUFPS $0x00, X7, X7
-	MOVSS b2+132(FP), X8
-	SHUFPS $0x00, X8, X8
-	MOVSS omb2+136(FP), X9
-	SHUFPS $0x00, X9, X9
-	MOVSS eps+140(FP), X10
-	SHUFPS $0x00, X10, X10
-	MOVSS scale+144(FP), X11
-	SHUFPS $0x00, X11, X11
-	MOVSS al+148(FP), X12
-	SHUFPS $0x00, X12, X12
-	MOVSS omal+152(FP), X13
-	SHUFPS $0x00, X13, X13
-	XORQ AX, AX
-
-adamsoftsse_loop:
-	CMPQ AX, CX
-	JGE  adamsoftsse_done
-	MOVUPS (SI)(AX*4), X0
-	MULPS  X11, X0
-	MOVUPS (R8)(AX*4), X1
-	MULPS  X6, X1
-	MOVAPS X0, X2
-	MULPS  X7, X2
-	ADDPS  X2, X1
-	MOVUPS X1, (R8)(AX*4)
-	MOVAPS X0, X2
-	MULPS  X9, X2
-	MULPS  X0, X2
-	MOVUPS (R9)(AX*4), X3
-	MULPS  X8, X3
-	ADDPS  X2, X3
-	MOVUPS X3, (R9)(AX*4)
-	SQRTPS X3, X3
-	ADDPS  X10, X3
-	MULPS  X5, X1
-	DIVPS  X3, X1
-	MOVUPS (DI)(AX*4), X0
-	SUBPS  X1, X0
-	MOVUPS X0, (DI)(AX*4)
-	MOVAPS X0, X2
-	MULPS  X12, X2
-	MOVUPS (R10)(AX*4), X3
-	MULPS  X13, X3
-	ADDPS  X2, X3
-	MOVUPS X3, (R10)(AX*4)
-	ADDQ   $4, AX
-	JMP    adamsoftsse_loop
-
-adamsoftsse_done:
-	RET
+// Callers guarantee len(params) % 8 == 0.
 
 // func adamSweepAVX2(params, grads, fm, fv []float32, lrT, b1, omb1, b2, omb2, eps, scale float32)
 TEXT ·adamSweepAVX2(SB), NOSPLIT, $0-124

@@ -4,68 +4,55 @@ package tensor
 
 // amd64 vector-primitive dispatch. Per-tier routine inventory:
 //
-//	routine      scalar  sse (XMM)              avx2 (YMM)
-//	saxpy4/1     Go      saxpy4SSE/saxpy1SSE    saxpy4AVX2/saxpy1AVX2
-//	saxpy4x2Tile Go loops over 2 × saxpy4       saxpy4x2TileAVX2 (loops in the body)
-//	sdot         Go      sdotSSE                sdotAVX2
-//	sdot2        Go      sdot2SSE               2 × sdot
-//	sdotTile     Go loops over sdot2            sdot2x2TileAVX2 (loops in the body;
-//	                                            k < 8 and odd edges on sdot)
-//	daxpy4/1     Go      daxpy4SSE2/daxpy1SSE2  (float64 stays on SSE2)
-//	ddot         Go      ddotSSE2               (float64 stays on SSE2)
-//	adamSweep*   Go      adamSweepSSE{,Soft}    adamSweepAVX2{,Soft}
-//	biasTanh32   Go      biasTanhSSE            biasTanhAVX2
-//	sumSquares8  Go      sumSquaresSSE          sumSquaresAVX2
-//	widenSum32   Go      widenSumSSE2           widenSumAVX2
-//	widenMean32  Go      widenMeanSSE2          widenMeanAVX2
+//	routine      scalar                     avx2 (YMM)
+//	saxpy4/1     Go                         saxpy4AVX2/saxpy1AVX2
+//	saxpy4x2Tile Go loops over 2 × saxpy4   saxpy4x2TileAVX2 (loops in the body)
+//	sdot         Go                         sdotAVX2
+//	sdotTile     Go loops over sdot         sdot2x2TileAVX2 (loops in the body;
+//	                                        k < 8 and odd edges on sdot)
+//	adamSweep*   Go                         adamSweepAVX2{,Soft}
+//	biasTanh32   Go                         biasTanhAVX2
+//	sumSquares8  Go                         sumSquaresAVX2
+//	widenSum32   Go                         widenSumAVX2
+//	widenMean32  Go                         widenMeanAVX2
 //
-// SSE2 is part of the amd64 baseline (GOAMD64=v1), so the sse tier
-// needs no feature detection; the avx2 tier is gated by the CPUID/
-// XGETBV probe in feature_amd64.go. Go's scalar codegen issues one
-// MULSS/MULSD per element regardless of width; these kernels issue one
-// MULPS per 4 (sse) or 8 (avx2) float32s and one MULPD per 2 float64s.
+// The avx2 tier is gated by the CPUID/XGETBV probe in feature_amd64.go;
+// every other amd64 host runs the scalar tier. Go's scalar codegen
+// issues one MULSS per element; these kernels issue one VMULPS per 8
+// float32s.
 //
 // Tail-handling rule: every assembly body requires its slice length to
-// be a multiple of the tier's lane count (4/8 for float32, 2 for
-// float64 — the bodies may internally unroll wider and step down, e.g.
-// saxpy4SSE runs 8-wide then 4-wide). The Go wrappers below mask the
-// length down (&^3, &^7, &^1), hand the aligned prefix to the assembly
-// and finish the remainder with the scalar loops from simd.go, so
-// callers never see an alignment requirement and len<lane-count slices
-// (the action path's odd widths) work on every tier. saxpy4x2TileAVX2
-// alone takes any length: it finishes 8-lane steps with a 4-lane XMM
-// step and single-lane steps, so no width comes back to the Go loops;
-// sdot2x2TileAVX2 adds its own k % 8 leftovers, after the fold, in
-// sdot's order.
+// be a multiple of its lane count (8 float32s, 4 for the float64 widen
+// sweeps). The Go wrappers below mask the length down (&^7, &^3), hand
+// the aligned prefix to the assembly and finish the remainder with the
+// scalar loops from simd.go, so callers never see an alignment
+// requirement and len<lane-count slices (the action path's odd widths)
+// work on both tiers. saxpy4x2TileAVX2 alone takes any length: it
+// finishes 8-lane steps with a 4-lane XMM step and single-lane steps,
+// so no width comes back to the Go loops; sdot2x2TileAVX2 adds its own
+// k % 8 leftovers, after the fold, in sdot's order.
 //
 // Rounding contract: the vector bodies use only IEEE-exact operations —
-// MULPS/ADDPS/SUBPS/MULPD/ADDPD and, in the Adam and tanh sweeps,
-// SQRTPS/DIVPS — and the AVX2 kernels deliberately issue separate
-// multiply+add instead of FMA. The axpy family, the Adam sweep and the
-// bias+tanh sweep therefore round identically to the scalar loops
-// element for element, on every tier, wherever the vector/tail boundary
-// falls. sumSquares8 is a reduction that stays bit-identical too,
-// because its lane order is its definition (sumsquares32.go) rather
-// than a property of the tier. Only the dot reductions (sdot/ddot) vary
-// across tiers, by accumulator-order reassociation the equivalence
-// tolerances cover. float32(math.Sqrt(float64(x))) in the scalar loops
-// equals SQRTPS(x) bit for bit: float64's 53-bit mantissa exceeds the
-// 2·24+2 bits after which the double rounding is exact.
+// VMULPS/VADDPS/VSUBPS and, in the Adam and tanh sweeps,
+// VSQRTPS/VDIVPS — and deliberately issue separate multiply+add instead
+// of FMA. The axpy family, the Adam sweep and the bias+tanh sweep
+// therefore round identically to the scalar loops element for element,
+// wherever the vector/tail boundary falls. sumSquares8 is a reduction
+// that stays bit-identical too, because its lane order is its
+// definition (sumsquares32.go) rather than a property of the tier. Only
+// sdot varies across tiers, by accumulator-order reassociation the
+// equivalence tolerances cover. float32(math.Sqrt(float64(x))) in the
+// scalar loops equals VSQRTPS(x) bit for bit: float64's 53-bit mantissa
+// exceeds the 2·24+2 bits after which the double rounding is exact.
 
 // saxpy4 computes dst[j] += a0·x0[j] + a1·x1[j] + a2·x2[j] + a3·x3[j]
 // for j in [0, len(dst)); each xi must be at least as long as dst.
 func saxpy4(dst, x0, x1, x2, x3 []float32, a0, a1, a2, a3 float32) {
 	j := 0
-	switch activeTier.Load() {
-	case tierAVX2:
+	if activeTier.Load() == tierAVX2 {
 		if n8 := len(dst) &^ 7; n8 > 0 {
 			saxpy4AVX2(dst[:n8], x0, x1, x2, x3, a0, a1, a2, a3)
 			j = n8
-		}
-	case tierSSE:
-		if n4 := len(dst) &^ 3; n4 > 0 {
-			saxpy4SSE(dst[:n4], x0, x1, x2, x3, a0, a1, a2, a3)
-			j = n4
 		}
 	}
 	for ; j < len(dst); j++ {
@@ -76,16 +63,10 @@ func saxpy4(dst, x0, x1, x2, x3 []float32, a0, a1, a2, a3 float32) {
 // saxpy1 computes dst[j] += a0·x0[j].
 func saxpy1(dst, x0 []float32, a0 float32) {
 	j := 0
-	switch activeTier.Load() {
-	case tierAVX2:
+	if activeTier.Load() == tierAVX2 {
 		if n8 := len(dst) &^ 7; n8 > 0 {
 			saxpy1AVX2(dst[:n8], x0, a0)
 			j = n8
-		}
-	case tierSSE:
-		if n4 := len(dst) &^ 3; n4 > 0 {
-			saxpy1SSE(dst[:n4], x0, a0)
-			j = n4
 		}
 	}
 	for ; j < len(dst); j++ {
@@ -118,8 +99,7 @@ func saxpy4x2Tile(d []float32, dPitch int, a []float32, aRow, aK int, b []float3
 // order is fixed per tier, so results are deterministic within one
 // process but differ a few ULPs across tiers.
 func sdot(a, b []float32) float32 {
-	switch activeTier.Load() {
-	case tierAVX2:
+	if activeTier.Load() == tierAVX2 {
 		if n8 := len(a) &^ 7; n8 > 0 {
 			s := sdotAVX2(a[:n8], b)
 			for j := n8; j < len(a); j++ {
@@ -127,36 +107,8 @@ func sdot(a, b []float32) float32 {
 			}
 			return s
 		}
-	case tierSSE:
-		if n4 := len(a) &^ 3; n4 > 0 {
-			s := sdotSSE(a[:n4], b)
-			for j := n4; j < len(a); j++ {
-				s += a[j] * b[j]
-			}
-			return s
-		}
 	}
 	return sdotScalar(a, b)
-}
-
-// sdot2 computes sdot(a, b0) and sdot(a, b1) in one pass: the shared
-// left operand is loaded once per lane and feeds both columns, halving
-// the dominant a-row read traffic in sdotTileCalls. Each column
-// accumulates and folds in exactly sdot's per-tier order, so sdot2 is
-// bit-identical to two unpaired sdot calls on every tier. The avx2 tier
-// pairs inside sdot2x2TileAVX2 instead and runs two sdot calls here.
-func sdot2(a, b0, b1 []float32) (float32, float32) {
-	if activeTier.Load() == tierSSE {
-		if n4 := len(a) &^ 3; n4 > 0 {
-			s0, s1 := sdot2SSE(a[:n4], b0, b1)
-			for j := n4; j < len(a); j++ {
-				s0 += a[j] * b0[j]
-				s1 += a[j] * b1[j]
-			}
-			return s0, s1
-		}
-	}
-	return sdot(a, b0), sdot(a, b1)
 }
 
 // sdotTile is sdotTileCalls (simd.go has the operand layout). On the
@@ -187,73 +139,20 @@ func sdotTile(d []float32, dPitch int, a, b []float32, k, rows, cols int) {
 	}
 }
 
-// sdotChainK is the depth below which sdot, on the active tier, is the
-// plain ascending chain ((+0 + p0) + p1) + … of its products (simd.go
-// has the argument): below one vector of lanes sdot falls through to
-// sdotScalar, whose four partial sums then hold one product each.
-func sdotChainK() int {
-	if activeTier.Load() == tierSSE {
-		return 4
-	}
-	return 8
-}
-
-// daxpy4 is saxpy4 at float64 (2 SSE2 lanes on the sse tier and above).
-func daxpy4(dst, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64) {
-	j := 0
-	if activeTier.Load() >= tierSSE {
-		if n2 := len(dst) &^ 1; n2 > 0 {
-			daxpy4SSE2(dst[:n2], x0, x1, x2, x3, a0, a1, a2, a3)
-			j = n2
-		}
-	}
-	for ; j < len(dst); j++ {
-		dst[j] += a0*x0[j] + a1*x1[j] + a2*x2[j] + a3*x3[j]
-	}
-}
-
-// daxpy1 is saxpy1 at float64.
-func daxpy1(dst, x0 []float64, a0 float64) {
-	j := 0
-	if activeTier.Load() >= tierSSE {
-		if n2 := len(dst) &^ 1; n2 > 0 {
-			daxpy1SSE2(dst[:n2], x0, a0)
-			j = n2
-		}
-	}
-	for ; j < len(dst); j++ {
-		dst[j] += a0 * x0[j]
-	}
-}
-
-// ddot is sdot at float64.
-func ddot(a, b []float64) float64 {
-	if activeTier.Load() >= tierSSE {
-		if n2 := len(a) &^ 1; n2 > 0 {
-			s := ddotSSE2(a[:n2], b)
-			for j := n2; j < len(a); j++ {
-				s += a[j] * b[j]
-			}
-			return s
-		}
-	}
-	return ddotScalar(a, b)
-}
+// sdotChainK is the depth below which sdot is the plain ascending chain
+// ((+0 + p0) + p1) + … of its products (simd.go has the argument): below
+// one 8-lane vector sdot falls through to sdotScalar on both tiers, and
+// its four partial sums then hold one product each.
+func sdotChainK() int { return 8 }
 
 // adamSweep32 runs the fused Adam moment/step update over the float32
 // arenas (see AdamSweep32 in adamsweep.go for the formula).
 func adamSweep32(params, grads, fm, fv []float32, lrT, b1, omb1, b2, omb2, eps, scale float32) {
 	j := 0
-	switch activeTier.Load() {
-	case tierAVX2:
+	if activeTier.Load() == tierAVX2 {
 		if n8 := len(params) &^ 7; n8 > 0 {
 			adamSweepAVX2(params[:n8], grads, fm, fv, lrT, b1, omb1, b2, omb2, eps, scale)
 			j = n8
-		}
-	case tierSSE:
-		if n4 := len(params) &^ 3; n4 > 0 {
-			adamSweepSSE(params[:n4], grads, fm, fv, lrT, b1, omb1, b2, omb2, eps, scale)
-			j = n4
 		}
 	}
 	if j < len(params) {
@@ -265,16 +164,10 @@ func adamSweep32(params, grads, fm, fv []float32, lrT, b1, omb1, b2, omb2, eps, 
 // target[j] = target[j]·(1−α) + p·α.
 func adamSweepSoft32(params, grads, fm, fv, target []float32, lrT, b1, omb1, b2, omb2, eps, scale, al, omal float32) {
 	j := 0
-	switch activeTier.Load() {
-	case tierAVX2:
+	if activeTier.Load() == tierAVX2 {
 		if n8 := len(params) &^ 7; n8 > 0 {
 			adamSweepSoftAVX2(params[:n8], grads, fm, fv, target, lrT, b1, omb1, b2, omb2, eps, scale, al, omal)
 			j = n8
-		}
-	case tierSSE:
-		if n4 := len(params) &^ 3; n4 > 0 {
-			adamSweepSoftSSE(params[:n4], grads, fm, fv, target, lrT, b1, omb1, b2, omb2, eps, scale, al, omal)
-			j = n4
 		}
 	}
 	if j < len(params) {
@@ -286,16 +179,10 @@ func adamSweepSoft32(params, grads, fm, fv, target []float32, lrT, b1, omb1, b2,
 // (see BiasTanh32 in tanh32.go); len(bias) == len(row).
 func biasTanh32(row, bias []float32) {
 	j := 0
-	switch activeTier.Load() {
-	case tierAVX2:
+	if activeTier.Load() == tierAVX2 {
 		if n8 := len(row) &^ 7; n8 > 0 {
 			biasTanhAVX2(row[:n8], bias)
 			j = n8
-		}
-	case tierSSE:
-		if n4 := len(row) &^ 3; n4 > 0 {
-			biasTanhSSE(row[:n4], bias)
-			j = n4
 		}
 	}
 	biasTanhScalar(row[j:], bias[j:])
@@ -304,26 +191,19 @@ func biasTanh32(row, bias []float32) {
 // sumSquares8 writes SumSquares32's eight lane sums over x into acc;
 // len(x) must be a multiple of 8 (sumsquares32.go owns the tail).
 func sumSquares8(x []float32, acc *[8]float64) {
-	switch activeTier.Load() {
-	case tierAVX2:
+	if activeTier.Load() == tierAVX2 {
 		sumSquaresAVX2(x, acc)
-	case tierSSE:
-		sumSquaresSSE(x, acc)
-	default:
-		sumSquaresScalar(x, acc)
+		return
 	}
+	sumSquaresScalar(x, acc)
 }
 
 // widenSum32 runs WidenSum32's sweep (widen32.go); len(src) == len(acc).
 func widenSum32(acc []float64, src []float32, first bool) {
 	j := 0
-	if n4 := len(acc) &^ 3; n4 > 0 {
-		switch activeTier.Load() {
-		case tierAVX2:
+	if activeTier.Load() == tierAVX2 {
+		if n4 := len(acc) &^ 3; n4 > 0 {
 			widenSumAVX2(acc[:n4], src, first)
-			j = n4
-		case tierSSE:
-			widenSumSSE2(acc[:n4], src, first)
 			j = n4
 		}
 	}
@@ -333,13 +213,9 @@ func widenSum32(acc []float64, src []float32, first bool) {
 // widenMean32 runs WidenMean32's sweep; acc and last are len(dst) long.
 func widenMean32(dst []float32, acc []float64, last []float32, scale float64, div bool) {
 	j := 0
-	if n4 := len(dst) &^ 3; n4 > 0 {
-		switch activeTier.Load() {
-		case tierAVX2:
+	if activeTier.Load() == tierAVX2 {
+		if n4 := len(dst) &^ 3; n4 > 0 {
 			widenMeanAVX2(dst[:n4], acc, last, scale, div)
-			j = n4
-		case tierSSE:
-			widenMeanSSE2(dst[:n4], acc, last, scale, div)
 			j = n4
 		}
 	}
@@ -348,15 +224,6 @@ func widenMean32(dst []float32, acc []float64, last []float32, scale float64, di
 
 // Assembly bodies. Slice lengths must be lane-aligned as described in
 // the header; the wrappers above are the only callers.
-
-//go:noescape
-func saxpy4SSE(dst, x0, x1, x2, x3 []float32, a0, a1, a2, a3 float32)
-
-//go:noescape
-func saxpy1SSE(dst, x0 []float32, a0 float32)
-
-//go:noescape
-func sdotSSE(a, b []float32) float32
 
 //go:noescape
 func saxpy4AVX2(dst, x0, x1, x2, x3 []float32, a0, a1, a2, a3 float32)
@@ -368,28 +235,10 @@ func saxpy1AVX2(dst, x0 []float32, a0 float32)
 func sdotAVX2(a, b []float32) float32
 
 //go:noescape
-func sdot2SSE(a, b0, b1 []float32) (s0, s1 float32)
-
-//go:noescape
 func sdot2x2TileAVX2(d *float32, dPitch int, a, b *float32, k, pairs, cols int)
 
 //go:noescape
 func saxpy4x2TileAVX2(d *float32, dPitch int, a *float32, aRow, aK int, b *float32, bPitch, pairs, quads, seg int, skipZero bool)
-
-//go:noescape
-func daxpy4SSE2(dst, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64)
-
-//go:noescape
-func daxpy1SSE2(dst, x0 []float64, a0 float64)
-
-//go:noescape
-func ddotSSE2(a, b []float64) float64
-
-//go:noescape
-func adamSweepSSE(params, grads, fm, fv []float32, lrT, b1, omb1, b2, omb2, eps, scale float32)
-
-//go:noescape
-func adamSweepSoftSSE(params, grads, fm, fv, target []float32, lrT, b1, omb1, b2, omb2, eps, scale, al, omal float32)
 
 //go:noescape
 func adamSweepAVX2(params, grads, fm, fv []float32, lrT, b1, omb1, b2, omb2, eps, scale float32)
@@ -398,25 +247,13 @@ func adamSweepAVX2(params, grads, fm, fv []float32, lrT, b1, omb1, b2, omb2, eps
 func adamSweepSoftAVX2(params, grads, fm, fv, target []float32, lrT, b1, omb1, b2, omb2, eps, scale, al, omal float32)
 
 //go:noescape
-func biasTanhSSE(row, bias []float32)
-
-//go:noescape
 func biasTanhAVX2(row, bias []float32)
-
-//go:noescape
-func sumSquaresSSE(x []float32, acc *[8]float64)
 
 //go:noescape
 func sumSquaresAVX2(x []float32, acc *[8]float64)
 
 //go:noescape
-func widenSumSSE2(acc []float64, src []float32, first bool)
-
-//go:noescape
 func widenSumAVX2(acc []float64, src []float32, first bool)
-
-//go:noescape
-func widenMeanSSE2(dst []float32, acc []float64, last []float32, scale float64, div bool)
 
 //go:noescape
 func widenMeanAVX2(dst []float32, acc []float64, last []float32, scale float64, div bool)

@@ -5,10 +5,10 @@
 // AVX2-tier float32 kernels: 8 lanes per YMM register, 16 elements per
 // main-loop iteration. Multiplies and adds are issued separately
 // (VMULPS + VADDPS, never FMA) so every element rounds exactly as the
-// scalar and SSE paths do — the tiers differ only in dot-reduction
-// order. Callers (the wrappers in simd_amd64.go) guarantee len % 8 == 0.
-// Every routine ends with VZEROUPPER so mixing with SSE code in the
-// callers costs no AVX→SSE transition penalty.
+// scalar loops do — the tiers differ only in dot-reduction order.
+// Callers (the wrappers in simd_amd64.go) guarantee len % 8 == 0.
+// Every routine ends with VZEROUPPER so the legacy-encoded scalar code
+// Go emits around the calls pays no AVX→SSE transition penalty.
 
 // func saxpy4AVX2(dst, x0, x1, x2, x3 []float32, a0, a1, a2, a3 float32)
 // dst[j] += a0*x0[j] + a1*x1[j] + a2*x2[j] + a3*x3[j], len(dst) % 8 == 0.
@@ -130,7 +130,7 @@ saxpy1avx_done:
 // func sdotAVX2(a, b []float32) float32
 // Returns sum(a[j]*b[j]); len(a) % 8 == 0. Two 8-lane accumulators
 // folded at the end — a fixed reduction order, so deterministic (but a
-// different order than the SSE and scalar tiers).
+// different order than the scalar tier).
 TEXT ·sdotAVX2(SB), NOSPLIT, $0-52
 	MOVQ a_base+0(FP), SI
 	MOVQ a_len+8(FP), CX

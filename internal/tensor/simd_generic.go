@@ -26,10 +26,6 @@ func sdot(a, b []float32) float32 {
 	return sdotScalar(a, b)
 }
 
-func sdot2(a, b0, b1 []float32) (float32, float32) {
-	return sdotScalar(a, b0), sdotScalar(a, b1)
-}
-
 func sdotTile(d []float32, dPitch int, a, b []float32, k, rows, cols int) {
 	sdotTileCalls(d, dPitch, a, b, k, rows, cols)
 }
@@ -40,18 +36,6 @@ func sdotTile(d []float32, dPitch int, a, b []float32, k, rows, cols int) {
 // different places, so MulTransBInto keeps its per-call dot path at
 // every depth.
 func sdotChainK() int { return 0 }
-
-func daxpy4(dst, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64) {
-	daxpy4Scalar(dst, x0, x1, x2, x3, a0, a1, a2, a3)
-}
-
-func daxpy1(dst, x0 []float64, a0 float64) {
-	daxpy1Scalar(dst, x0, a0)
-}
-
-func ddot(a, b []float64) float64 {
-	return ddotScalar(a, b)
-}
 
 func adamSweep32(params, grads, fm, fv []float32, lrT, b1, omb1, b2, omb2, eps, scale float32) {
 	adamSweepScalar(params, grads, fm, fv, lrT, b1, omb1, b2, omb2, eps, scale)

@@ -20,8 +20,7 @@
 // bit-identical to FastTanh32. The select is a blend, not a branch:
 // tiny lanes are zeroed before the rational (so x² never reaches the
 // denormal range and p/q is +0 there) and OR-ed back in at the end.
-// Callers guarantee len(row) % 4 == 0 (SSE) / % 8 == 0 (AVX2) and
-// len(bias) >= len(row).
+// Callers guarantee len(row) % 8 == 0 and len(bias) >= len(row).
 
 // FastTanh32's coefficients as float32 bits, in Horner order.
 DATA tanhPoly<>+0(SB)/4, $0xa59f25c0  // a13
@@ -37,7 +36,8 @@ DATA tanhPoly<>+36(SB)/4, $0x3b14aa05 // b2
 DATA tanhPoly<>+40(SB)/4, $0x3ba059dd // b0
 GLOBL tanhPoly<>(SB), RODATA|NOPTR, $44
 
-// clamp, -clamp, 0.0004, -0.0004, each broadcast to four lanes.
+// clamp, -clamp, 0.0004, -0.0004, each repeated over 16 bytes; the
+// body broadcasts the first lane of each.
 DATA tanhEdge<>+0(SB)/8, $0x40fcf84f40fcf84f
 DATA tanhEdge<>+8(SB)/8, $0x40fcf84f40fcf84f
 DATA tanhEdge<>+16(SB)/8, $0xc0fcf84fc0fcf84f
@@ -47,87 +47,6 @@ DATA tanhEdge<>+40(SB)/8, $0x39d1b71739d1b717
 DATA tanhEdge<>+48(SB)/8, $0xb9d1b717b9d1b717
 DATA tanhEdge<>+56(SB)/8, $0xb9d1b717b9d1b717
 GLOBL tanhEdge<>(SB), RODATA|NOPTR, $64
-
-// func biasTanhSSE(row, bias []float32)
-TEXT ·biasTanhSSE(SB), NOSPLIT, $0-48
-	MOVQ row_base+0(FP), DI
-	MOVQ row_len+8(FP), CX
-	MOVQ bias_base+24(FP), SI
-	MOVSS  tanhPoly<>+0(SB), X5
-	SHUFPS $0x00, X5, X5
-	MOVSS  tanhPoly<>+4(SB), X6
-	SHUFPS $0x00, X6, X6
-	MOVSS  tanhPoly<>+8(SB), X7
-	SHUFPS $0x00, X7, X7
-	MOVSS  tanhPoly<>+12(SB), X8
-	SHUFPS $0x00, X8, X8
-	MOVSS  tanhPoly<>+16(SB), X9
-	SHUFPS $0x00, X9, X9
-	MOVSS  tanhPoly<>+20(SB), X10
-	SHUFPS $0x00, X10, X10
-	MOVSS  tanhPoly<>+24(SB), X11
-	SHUFPS $0x00, X11, X11
-	MOVSS  tanhPoly<>+28(SB), X12
-	SHUFPS $0x00, X12, X12
-	MOVSS  tanhPoly<>+32(SB), X13
-	SHUFPS $0x00, X13, X13
-	MOVSS  tanhPoly<>+36(SB), X14
-	SHUFPS $0x00, X14, X14
-	MOVSS  tanhPoly<>+40(SB), X15
-	SHUFPS $0x00, X15, X15
-	XORQ AX, AX
-
-tanhsse_loop:
-	CMPQ AX, CX
-	JGE  tanhsse_done
-	MOVUPS (DI)(AX*4), X0
-	MOVUPS (SI)(AX*4), X1
-	ADDPS  X1, X0                // x = row + bias
-	MOVUPS tanhEdge<>+0(SB), X1
-	MINPS  X0, X1                // min(clamp, x)
-	MOVUPS tanhEdge<>+16(SB), X0
-	MAXPS  X1, X0                // x = max(-clamp, ·)
-	MOVAPS X0, X2
-	MOVUPS tanhEdge<>+32(SB), X1
-	CMPPS  X1, X2, $1            // x < 0.0004
-	MOVUPS tanhEdge<>+48(SB), X3
-	CMPPS  X0, X3, $1            // -0.0004 < x
-	ANDPS  X3, X2                // tiny-lane mask
-	MOVAPS X2, X4
-	ANDPS  X0, X4                // X4 = x in tiny lanes, +0 elsewhere
-	ANDNPS X0, X2                // x in the other lanes, +0 in tiny ones
-	MOVAPS X2, X0
-	MOVAPS X2, X1
-	MULPS  X2, X1                // x²
-	MOVAPS X5, X2
-	MULPS  X1, X2
-	ADDPS  X6, X2
-	MULPS  X1, X2
-	ADDPS  X7, X2
-	MULPS  X1, X2
-	ADDPS  X8, X2
-	MULPS  X1, X2
-	ADDPS  X9, X2
-	MULPS  X1, X2
-	ADDPS  X10, X2
-	MULPS  X1, X2
-	ADDPS  X11, X2
-	MULPS  X0, X2                // p
-	MOVAPS X12, X3
-	MULPS  X1, X3
-	ADDPS  X13, X3
-	MULPS  X1, X3
-	ADDPS  X14, X3
-	MULPS  X1, X3
-	ADDPS  X15, X3               // q
-	DIVPS  X3, X2
-	ORPS   X4, X2
-	MOVUPS X2, (DI)(AX*4)
-	ADDQ   $4, AX
-	JMP    tanhsse_loop
-
-tanhsse_done:
-	RET
 
 // func biasTanhAVX2(row, bias []float32)
 TEXT ·biasTanhAVX2(SB), NOSPLIT, $0-48

@@ -33,8 +33,10 @@ func forEachTier(t *testing.T, f func(t *testing.T)) {
 func TestSetKernelTier(t *testing.T) {
 	orig := KernelTier()
 	defer SetKernelTier(orig)
-	if _, err := SetKernelTier("avx512"); err == nil {
-		t.Fatal("unknown tier name did not error")
+	for _, name := range []string{"avx512", "sse"} {
+		if _, err := SetKernelTier(name); err == nil {
+			t.Fatalf("unknown tier name %q did not error", name)
+		}
 	}
 	applied, err := SetKernelTier("scalar")
 	if err != nil || applied != "scalar" || KernelTier() != "scalar" {
@@ -70,7 +72,7 @@ func randSlice64(rng *rand.Rand, n int) []float64 {
 	return s
 }
 
-// TestAxpyPrimitivesBitIdenticalAcrossTiers: the saxpy/daxpy family is
+// TestAxpyPrimitivesBitIdenticalAcrossTiers: the saxpy family is
 // elementwise IEEE-exact, so every tier must agree with the scalar
 // reference bit for bit on every length, including tails.
 func TestAxpyPrimitivesBitIdenticalAcrossTiers(t *testing.T) {
@@ -112,35 +114,12 @@ func TestAxpyPrimitivesBitIdenticalAcrossTiers(t *testing.T) {
 				}
 			}
 
-			y0, y1 := randSlice64(rng, n), randSlice64(rng, n)
-			y2, y3 := randSlice64(rng, n), randSlice64(rng, n)
-			base64 := randSlice64(rng, n)
-			d0, d1 := rng.NormFloat64(), rng.NormFloat64()
-			d2, d3 := rng.NormFloat64(), rng.NormFloat64()
-
-			got64, want64 := append([]float64(nil), base64...), append([]float64(nil), base64...)
-			daxpy4(got64, y0, y1, y2, y3, d0, d1, d2, d3)
-			daxpy4Scalar(want64, y0, y1, y2, y3, d0, d1, d2, d3)
-			for j := range want64 {
-				if got64[j] != want64[j] {
-					t.Fatalf("daxpy4 n=%d deviates at %d", n, j)
-				}
-			}
-
-			got64, want64 = append([]float64(nil), base64...), append([]float64(nil), base64...)
-			daxpy1(got64, y0, d0)
-			daxpy1Scalar(want64, y0, d0)
-			for j := range want64 {
-				if got64[j] != want64[j] {
-					t.Fatalf("daxpy1 n=%d deviates at %d", n, j)
-				}
-			}
 		}
 	})
 }
 
-// TestDotPrimitivesMatchScalarAcrossTiers: the dot reductions may
-// reassociate across tiers, so they are held to the scalar references
+// TestDotPrimitivesMatchScalarAcrossTiers: the dot reduction may
+// reassociate across tiers, so it is held to the scalar reference
 // within an accumulation-scaled tolerance instead of bitwise.
 func TestDotPrimitivesMatchScalarAcrossTiers(t *testing.T) {
 	forEachTier(t, func(t *testing.T) {
@@ -151,36 +130,6 @@ func TestDotPrimitivesMatchScalarAcrossTiers(t *testing.T) {
 			want32 := float64(sdotScalar(a32, b32))
 			if tol := equivTol[float32](n + 1); math.Abs(got32-want32) > tol {
 				t.Fatalf("sdot n=%d: %g vs scalar %g (tol %g)", n, got32, want32, tol)
-			}
-			a64, b64 := randSlice64(rng, n), randSlice64(rng, n)
-			got64 := ddot(a64, b64)
-			want64 := ddotScalar(a64, b64)
-			if tol := equivTol[float64](n + 1); math.Abs(got64-want64) > tol {
-				t.Fatalf("ddot n=%d: %g vs scalar %g (tol %g)", n, got64, want64, tol)
-			}
-		}
-	})
-}
-
-// TestSdot2BitIdenticalToSdotAcrossTiers: the paired dot kernel shares
-// the left operand's loads between two columns but keeps each column's
-// accumulation order exactly sdot's, so on every tier and every length
-// (tails included) both results must match unpaired sdot calls bit for
-// bit — the contract that lets mulTransBF32 pair output columns without
-// perturbing any trajectory.
-func TestSdot2BitIdenticalToSdotAcrossTiers(t *testing.T) {
-	forEachTier(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(59))
-		for _, n := range simdLens {
-			a := randSlice32(rng, n)
-			b0, b1 := randSlice32(rng, n), randSlice32(rng, n)
-			s0, s1 := sdot2(a, b0, b1)
-			w0, w1 := sdot(a, b0), sdot(a, b1)
-			if math.Float32bits(s0) != math.Float32bits(w0) ||
-				math.Float32bits(s1) != math.Float32bits(w1) {
-				t.Fatalf("sdot2 n=%d: (%x,%x) vs sdot (%x,%x)", n,
-					math.Float32bits(s0), math.Float32bits(s1),
-					math.Float32bits(w0), math.Float32bits(w1))
 			}
 		}
 	})
@@ -542,8 +491,8 @@ func tileOperand(rng *rand.Rand, r, c int, sparse, byRow, edges bool) *Matrix[fl
 
 // TestMulKernelsBitIdenticalToQuadOrder: the float32 MulInto and
 // MulTransAInto must equal their quad-order definitions bit for bit on
-// every tier — the avx2 tile body, the per-call saxpy4x2 path of the
-// other tiers, the 4-lane and single-lane steps, the odd row and the
+// every tier — the avx2 tile body, the scalar tier's per-call saxpy4x2
+// path, the 4-lane and single-lane steps, the odd row and the
 // leftover k's all land on one answer. Widths cover every column
 // remainder, one full and one 244-wide block (the rig's second) and a
 // packed two-block product; k covers every remainder up to one k block
@@ -602,8 +551,8 @@ var dotEdgeValues = []float32{
 // TestMulTransBBitIdenticalToSdot: every float32 MulTransBInto output
 // must be, bit for bit, one lone sdot of its a row and b row on every
 // tier — the avx2 2 × 2 tile with its folds and k % 8 leftovers, its odd
-// edges, the sse and scalar sdot2 pairs, and the saxpy1 chain below the
-// tier's vector width (NaNs compared as NaN-ness). Depths cover every
+// edges, the scalar tier's per-output sdot calls, and the saxpy1 chain
+// below the avx2 vector width (NaNs compared as NaN-ness). Depths cover every
 // value up to 33 and the rig's widths, rows cover 1, odd and even, and
 // the b row counts straddle the column block and end odd.
 func TestMulTransBBitIdenticalToSdot(t *testing.T) {
@@ -711,8 +660,8 @@ func TestMulIntoPackedMatchesUnpacked(t *testing.T) {
 }
 
 // TestMulIntoPanelAllocFree: panel packing recycles pooled buffers, so
-// steady-state large multiplications stay 0 allocs/op at both
-// precisions (the end-to-end TrainStep alloc tests depend on it).
+// steady-state large float32 multiplications stay 0 allocs/op (the
+// end-to-end TrainStep alloc tests depend on it).
 func TestMulIntoPanelAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector; panel recycling cannot be asserted")
@@ -721,14 +670,9 @@ func TestMulIntoPanelAllocFree(t *testing.T) {
 	a32 := randomMatrix[float32](rng, 32, 640)
 	b32 := randomMatrix[float32](rng, 640, 640)
 	dst32 := New[float32](32, 640)
-	a64 := randomMatrix[float64](rng, 32, 640)
-	b64 := randomMatrix[float64](rng, 640, 640)
-	dst64 := New[float64](32, 640)
-	MulInto(dst32, a32, b32) // warm pools
-	MulInto(dst64, a64, b64)
+	MulInto(dst32, a32, b32) // warm the pool
 	if n := testing.AllocsPerRun(20, func() {
 		MulInto(dst32, a32, b32)
-		MulInto(dst64, a64, b64)
 	}); n != 0 {
 		t.Fatalf("packed MulInto allocates %v per run", n)
 	}

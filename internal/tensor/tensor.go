@@ -71,9 +71,8 @@ func IsFinite[E Element](x E) bool {
 
 // Convert copies src into dst elementwise, rounding or widening as
 // needed. Lengths must match. This is the one sanctioned precision
-// boundary: cross-precision paths (checkpoint restore, observation
-// assembly) convert exactly once, directly into the destination buffer,
-// never through an intermediate float64 slice.
+// boundary: a cross-precision copy converts exactly once, directly into
+// the destination buffer, never through an intermediate float64 slice.
 func Convert[D, S Element](dst []D, src []S) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("tensor: Convert length mismatch %d vs %d", len(dst), len(src)))
@@ -131,13 +130,6 @@ func (m *Matrix[E]) Row(i int) []E {
 func (m *Matrix[E]) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
-	}
-}
-
-// Fill sets every element to v.
-func (m *Matrix[E]) Fill(v E) {
-	for i := range m.Data {
-		m.Data[i] = v
 	}
 }
 
@@ -201,26 +193,6 @@ func Transpose[E Element](m *Matrix[E]) *Matrix[E] {
 	return t
 }
 
-// AddInto computes dst = a + b elementwise; dst may alias a or b.
-func AddInto[E Element](dst, a, b *Matrix[E]) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(dimErr("Add", a, b))
-	}
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] + b.Data[i]
-	}
-}
-
-// SubInto computes dst = a - b elementwise; dst may alias a or b.
-func SubInto[E Element](dst, a, b *Matrix[E]) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(dimErr("Sub", a, b))
-	}
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] - b.Data[i]
-	}
-}
-
 // Scale multiplies every element of m by s in place.
 func (m *Matrix[E]) Scale(s E) {
 	for i := range m.Data {
@@ -235,17 +207,6 @@ func (m *Matrix[E]) AddScaled(other *Matrix[E], s E) {
 	}
 	for i, v := range other.Data {
 		m.Data[i] += s * v
-	}
-}
-
-// Lerp computes m = (1-α)·m + α·other in place. This is the target-network
-// soft update θ⁻ = θ⁻×(1−α) + θ×α from the paper (§3.4).
-func (m *Matrix[E]) Lerp(other *Matrix[E], alpha E) {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic(dimErr("Lerp", m, other))
-	}
-	for i, v := range other.Data {
-		m.Data[i] = m.Data[i]*(1-alpha) + v*alpha
 	}
 }
 
@@ -280,34 +241,9 @@ func (m *Matrix[E]) ColSumsInto(dst []E) {
 	}
 }
 
-// Apply sets each element to f(element) in place.
-func (m *Matrix[E]) Apply(f func(E) E) {
-	for i, v := range m.Data {
-		m.Data[i] = f(v)
-	}
-}
-
-// HadamardInto computes dst = a ⊙ b elementwise; dst may alias a or b.
-func HadamardInto[E Element](dst, a, b *Matrix[E]) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(dimErr("Hadamard", a, b))
-	}
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] * b.Data[i]
-	}
-}
-
-// MaxPerRow returns, for each row, the maximum value and its column index.
-// This is argmax_a Q(s,a) evaluated for a whole minibatch at once.
-func (m *Matrix[E]) MaxPerRow() (vals []E, idx []int) {
-	vals = make([]E, m.Rows)
-	idx = make([]int, m.Rows)
-	m.MaxPerRowInto(vals, idx)
-	return vals, idx
-}
-
-// MaxPerRowInto is MaxPerRow writing into caller-owned slices (each of
-// len m.Rows), for allocation-free training steps.
+// MaxPerRowInto writes, for each row, the maximum value and its column
+// index into caller-owned slices (each of len m.Rows): argmax_a Q(s,a)
+// for a whole minibatch at once, allocation-free.
 func (m *Matrix[E]) MaxPerRowInto(vals []E, idx []int) {
 	if len(vals) != m.Rows || len(idx) != m.Rows {
 		panic(fmt.Sprintf("tensor: MaxPerRowInto got len %d/%d for %d rows", len(vals), len(idx), m.Rows))
@@ -322,22 +258,6 @@ func (m *Matrix[E]) MaxPerRowInto(vals []E, idx []int) {
 		}
 		vals[i], idx[i] = best, bi
 	}
-}
-
-// SumSquares returns Σ mᵢⱼ², accumulated in float64 so a float32 matrix
-// cannot overflow the reduction before a norm-based guard sees it.
-func (m *Matrix[E]) SumSquares() float64 {
-	var s float64
-	for _, v := range m.Data {
-		f := float64(v)
-		s += f * f
-	}
-	return s
-}
-
-// NormL2 returns the Frobenius norm of m.
-func (m *Matrix[E]) NormL2() float64 {
-	return math.Sqrt(m.SumSquares())
 }
 
 // XavierFill initializes m with the Glorot/Xavier uniform distribution

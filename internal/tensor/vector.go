@@ -1,26 +1,11 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Vector helpers. Vectors are plain []E; these free functions keep the
 // statistics and observation-assembly code out of hand-rolled loops.
 // The element type is inferred from the arguments, so float64 call sites
 // read exactly as they did before the package went generic.
-
-// Dot returns Σ aᵢ·bᵢ.
-func Dot[E Element](a, b []E) E {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("tensor: Dot length mismatch %d vs %d", len(a), len(b)))
-	}
-	var s E
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
 
 // Sum returns Σ aᵢ.
 func Sum[E Element](a []E) E {
@@ -37,26 +22,6 @@ func Mean[E Element](a []E) E {
 		return 0
 	}
 	return Sum(a) / E(len(a))
-}
-
-// Variance returns the unbiased sample variance of a (0 if len<2).
-func Variance[E Element](a []E) E {
-	n := len(a)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(a)
-	var s E
-	for _, v := range a {
-		d := v - m
-		s += d * d
-	}
-	return s / E(n-1)
-}
-
-// Stddev returns the unbiased sample standard deviation of a.
-func Stddev[E Element](a []E) E {
-	return Sqrt(Variance(a))
 }
 
 // ArgMax returns the index of the largest element (first on ties).

@@ -4,9 +4,9 @@ package tensor
 // cluster leader's gradient reduction. nn owns the contract (per
 // element: start from +0.0, add each rank's value widened to float64 in
 // ascending rank order, divide by the rank count, round once); these are
-// its two passes, on the active SIMD tier (CVTPS2PD/ADDPD/MULPD/DIVPD/
-// CVTPD2PS on amd64). Every operation is correctly rounded and the Go
-// loops below spell out the same expression, so each tier is
+// its two passes, on the active SIMD tier (VCVTPS2PD/VADDPD/VMULPD/
+// VDIVPD/VCVTPD2PS on avx2). Every operation is correctly rounded and
+// the Go loops below spell out the same expression, so each tier is
 // bit-identical to them element for element (NaN payloads aside: which
 // operand's payload an addition of two NaNs keeps is the instruction's
 // choice).
