@@ -1,6 +1,9 @@
 package capes
 
 import (
+	"errors"
+	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"capes/internal/replay"
@@ -69,6 +72,79 @@ func BenchmarkEngineTick(b *testing.B) {
 		eng.Stop()
 		if st := eng.Stats(); st.TrainSteps == 0 || st.TrainErrors != 0 {
 			b.Fatalf("benchmark never reached steady training: %+v", st)
+		}
+	})
+}
+
+// checkpointConfig is the engine of the repo benchmark's
+// checkpoint-cycle workload: 5 nodes × 10 PIs, 10 ticks per observation
+// (the 500-500-500-5 float32 network) and a 32 768-tick ring.
+func checkpointConfig(b *testing.B) Config {
+	b.Helper()
+	space, err := NewActionSpace(LustreTunables()...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := DefaultHyperparameters()
+	h.TicksPerObservation = 10
+	h.ReplayCapacity = 32768
+	return Config{
+		Hyper:      h,
+		Space:      space,
+		Objective:  ThroughputObjective(5, 10, 2, 3),
+		RewardMode: RewardDelta,
+		FrameWidth: 50,
+		Seed:       1,
+		Training:   true,
+		Tuning:     true,
+	}
+}
+
+// BenchmarkSessionCheckpoint times SaveSession and RestoreSession
+// through real files, at the checkpoint-cycle shape with the ring full:
+// a frame and an action on every one of its 32 768 ticks.
+func BenchmarkSessionCheckpoint(b *testing.B) {
+	cfg := checkpointConfig(b)
+	noFrame := func() (replay.Frame, error) { return nil, errors.New("bench: no collector") }
+	noop := func([]float64) error { return nil }
+	eng, err := NewEngine(cfg, noFrame, noop)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Stop()
+	rng := rand.New(rand.NewSource(1))
+	f := make(replay.Frame, cfg.FrameWidth)
+	for t := int64(1); t <= int64(cfg.Hyper.ReplayCapacity); t++ {
+		for j := range f {
+			f[j] = rng.NormFloat64()
+		}
+		if err := eng.DB().PutFrame(t, f); err != nil {
+			b.Fatal(err)
+		}
+		eng.DB().PutAction(t, rng.Intn(cfg.Space.NumActions()))
+	}
+	dir := filepath.Join(b.TempDir(), "session")
+	if err := eng.SaveSession(dir); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("save", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := eng.SaveSession(dir); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("restore", func(b *testing.B) {
+		fresh, err := NewEngine(cfg, noFrame, noop)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer fresh.Stop()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := fresh.RestoreSession(dir); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -436,6 +436,26 @@ func TestSessionRestoreRejectsMismatchedShape(t *testing.T) {
 	if err := eng2.RestoreSession(dir); err == nil {
 		t.Fatal("mismatched frame width must fail restore")
 	}
+	// The same through the two steps: a refused Restore leaves the
+	// checkpoint whole for an engine it fits, and a restored checkpoint
+	// belongs to that engine.
+	cp, err := LoadCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng2.Restore(cp); err == nil {
+		t.Fatal("mismatched frame width must fail Restore")
+	}
+	eng3, err := NewEngine(cfg, collector, controller)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng3.Restore(cp); err != nil {
+		t.Fatalf("Restore after a refused one: %v", err)
+	}
+	if err := eng3.Restore(cp); err == nil {
+		t.Fatal("a checkpoint restored twice")
+	}
 }
 
 func TestSessionRestoreMissingDir(t *testing.T) {

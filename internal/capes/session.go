@@ -32,6 +32,17 @@ import (
 //	                        landed before the swap began) and is
 //	                        promoted, else old is rolled back
 //	crash before cleanup  → dir complete, leftover old discarded
+//
+// That is the whole crash model: the swap is atomic against the process
+// dying at any point, but nothing is fsynced, so a checkpoint is not
+// durable across a power loss or a kernel crash — the files and renames
+// of the last save may not have reached the disk.
+//
+// A restore is two steps: LoadCheckpoint reads and validates every file
+// without touching an engine, and Engine.Restore checks the result
+// against the engine and commits it. RestoreSession runs both under the
+// engine lock; a daemon booting a session can run the first while it
+// builds the engine.
 
 const (
 	modelFile    = "model.ckpt"
@@ -77,7 +88,7 @@ type sessionManifest struct {
 // recoverCheckpointDir completes a SaveSession swap that a crash
 // interrupted, restoring the invariant that dir exists iff a complete
 // checkpoint exists, with no tmp/old leftovers. Safe to call any time;
-// both SaveSession and RestoreSession run it first.
+// both SaveSession and LoadCheckpoint run it first.
 func recoverCheckpointDir(dir string) error {
 	tmp, old := dir+tmpSuffix, dir+oldSuffix
 	if _, err := os.Stat(dir); err == nil {
@@ -183,24 +194,27 @@ func (e *Engine) SaveSession(dir string) error {
 	return os.RemoveAll(old)
 }
 
-// RestoreSession loads a session saved by SaveSession into a fresh
-// engine built with the same Config. The model weights, train-step
-// counter, telemetry, current parameter values and the replay DB
-// snapshot are restored.
-//
-// The restore is all-or-nothing: every checkpoint file is loaded and
-// validated into temporaries first, and the engine's state is replaced
-// only after everything checked out — a corrupt checkpoint leaves the
-// engine exactly as it was.
+// Checkpoint is a session checkpoint read from disk and validated on
+// its own terms — manifest, model, replay snapshot and telemetry — but
+// not yet checked against, or committed to, any engine. LoadCheckpoint
+// reads one and Engine.Restore commits it.
+type Checkpoint struct {
+	manifest sessionManifest
+	model    *nn.MLP[EnginePrecision]
+	db       *replay.DB     // nil: a model-only checkpoint
+	history  []HistoryPoint // nil: a checkpoint without telemetry
+}
+
+// LoadCheckpoint reads the checkpoint saved in dir by SaveSession,
+// completing an interrupted swap first. It touches no engine, so it can
+// run while the engine that will take the checkpoint is being built.
 //
 // When dir holds no checkpoint at all the returned error wraps
 // ErrNoSession — a normal first boot. Every other error means a
-// checkpoint exists but is corrupt or shaped for a different engine.
-func (e *Engine) RestoreSession(dir string) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// checkpoint exists but could not be read: it is corrupt.
+func LoadCheckpoint(dir string) (*Checkpoint, error) {
 	if err := recoverCheckpointDir(dir); err != nil {
-		return err
+		return nil, err
 	}
 	buf, err := os.ReadFile(filepath.Join(dir, manifestFile))
 	if err != nil {
@@ -211,19 +225,70 @@ func (e *Engine) RestoreSession(dir string) error {
 			// a fresh directory.
 			for _, f := range []string{modelFile, replayFile, historyFile} {
 				if _, serr := os.Stat(filepath.Join(dir, f)); serr == nil {
-					return fmt.Errorf("capes: checkpoint in %s is missing its manifest", dir)
+					return nil, fmt.Errorf("capes: checkpoint in %s is missing its manifest", dir)
 				}
 			}
-			return fmt.Errorf("%w in %s", ErrNoSession, dir)
+			return nil, fmt.Errorf("%w in %s", ErrNoSession, dir)
 		}
+		return nil, err
+	}
+	cp := new(Checkpoint)
+	if err := json.Unmarshal(buf, &cp.manifest); err != nil {
+		return nil, fmt.Errorf("capes: bad session manifest: %w", err)
+	}
+	if v := cp.manifest.Version; v != manifestVersion {
+		return nil, fmt.Errorf("capes: session manifest version %d, this build reads %d", v, manifestVersion)
+	}
+	// The model restores bit-exactly at the engine precision; a
+	// checkpoint written at any other precision is an error.
+	if cp.model, err = nn.LoadFile[EnginePrecision](filepath.Join(dir, modelFile)); err != nil {
+		return nil, fmt.Errorf("capes: load model: %w", err)
+	}
+	if cp.db, err = loadReplaySnapshot(filepath.Join(dir, replayFile)); err != nil {
+		return nil, err
+	}
+	if cp.history, err = loadHistorySnapshot(filepath.Join(dir, historyFile)); err != nil {
+		return nil, err
+	}
+	return cp, nil
+}
+
+// RestoreSession loads a session saved by SaveSession into a fresh
+// engine built with the same Config: LoadCheckpoint then Restore, under
+// the engine lock throughout.
+//
+// When dir holds no checkpoint at all the returned error wraps
+// ErrNoSession — a normal first boot. Every other error means a
+// checkpoint exists but is corrupt or shaped for a different engine.
+func (e *Engine) RestoreSession(dir string) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	cp, err := LoadCheckpoint(dir)
+	if err != nil {
 		return err
 	}
-	var m sessionManifest
-	if err := json.Unmarshal(buf, &m); err != nil {
-		return fmt.Errorf("capes: bad session manifest: %w", err)
-	}
-	if m.Version != manifestVersion {
-		return fmt.Errorf("capes: session manifest version %d, this build reads %d", m.Version, manifestVersion)
+	return e.restoreLocked(cp)
+}
+
+// Restore commits a checkpoint read by LoadCheckpoint to the engine. The
+// model weights, train-step counter, telemetry, current parameter values
+// and the replay DB are restored.
+//
+// The restore is all-or-nothing: the checkpoint is checked against the
+// engine's shape first, and the engine's state is replaced only after
+// everything checked out — a mismatched checkpoint leaves the engine
+// exactly as it was. On success the engine owns the checkpoint's model
+// and replay DB, so a Checkpoint restores one engine once.
+func (e *Engine) Restore(cp *Checkpoint) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.restoreLocked(cp)
+}
+
+func (e *Engine) restoreLocked(cp *Checkpoint) error {
+	m, model := &cp.manifest, cp.model
+	if model == nil {
+		return errors.New("capes: checkpoint already restored into an engine")
 	}
 	if m.FrameWidth != e.cfg.FrameWidth {
 		return fmt.Errorf("capes: session frame width %d, engine %d", m.FrameWidth, e.cfg.FrameWidth)
@@ -234,12 +299,6 @@ func (e *Engine) RestoreSession(dir string) error {
 	if m.CurrentValues != nil && len(m.CurrentValues) != len(e.cfg.Space.Tunables) {
 		return fmt.Errorf("capes: session has %d current values for %d tunables",
 			len(m.CurrentValues), len(e.cfg.Space.Tunables))
-	}
-	// The model restores bit-exactly at the engine precision; a
-	// checkpoint written at any other precision is an error.
-	model, err := nn.LoadFile[EnginePrecision](filepath.Join(dir, modelFile))
-	if err != nil {
-		return fmt.Errorf("capes: load model: %w", err)
 	}
 	if model.InputSize() != e.db.ObservationWidth() || model.OutputSize() != m.NumActions {
 		return fmt.Errorf("capes: model shape %d→%d incompatible with engine %d→%d",
@@ -258,16 +317,15 @@ func (e *Engine) RestoreSession(dir string) error {
 		return fmt.Errorf("capes: bad session manifest: %w", err)
 	}
 	agent.RestoreTelemetry(m.LastLoss, m.LossEWMA, m.TDErrEWMA, m.RandomActions, m.CalcActions)
-	db, err := loadReplaySnapshot(filepath.Join(dir, replayFile), e.db.Config())
-	if err != nil {
-		return err
-	}
-	pts, err := loadHistorySnapshot(filepath.Join(dir, historyFile))
-	if err != nil {
-		return err
+	db := cp.db
+	if db != nil {
+		if db, err = rehomeReplay(db, e.db.Config()); err != nil {
+			return err
+		}
 	}
 
 	// Commit point: everything validated, replace engine state.
+	cp.model, cp.db = nil, nil
 	e.agent = agent
 	if db != nil {
 		e.db = db
@@ -275,8 +333,8 @@ func (e *Engine) RestoreSession(dir string) error {
 	if m.CurrentValues != nil {
 		e.current = append([]float64(nil), m.CurrentValues...)
 	}
-	if pts != nil {
-		e.hist.restore(pts)
+	if cp.history != nil {
+		e.hist.restore(cp.history)
 	}
 	// A rollback restore re-arms the divergence guard: the restored
 	// parameters are the last-known-good generation, so the trip that
@@ -315,49 +373,54 @@ func loadHistorySnapshot(path string) ([]HistoryPoint, error) {
 	return pts, nil
 }
 
-// loadReplaySnapshot loads and validates a replay snapshot against the
-// engine's ring configuration, re-homing the records when the retention
-// settings changed between runs. A missing file returns (nil, nil) — a
-// model-only checkpoint.
-func loadReplaySnapshot(path string, want replay.Config) (*replay.DB, error) {
-	if _, err := os.Stat(path); os.IsNotExist(err) {
-		return nil, nil
-	}
+// loadReplaySnapshot reads a checkpoint's replay snapshot. A missing
+// file returns (nil, nil) — a model-only checkpoint.
+func loadReplaySnapshot(path string) (*replay.DB, error) {
 	db, err := replay.LoadFile(path)
-	if err != nil {
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		return nil, nil
+	case err != nil:
 		return nil, fmt.Errorf("capes: load replay DB: %w", err)
 	}
+	return db, nil
+}
+
+// rehomeReplay checks a loaded replay snapshot against the engine's ring
+// configuration, re-homing the records when the retention settings
+// changed between runs.
+func rehomeReplay(db *replay.DB, want replay.Config) (*replay.DB, error) {
 	got := db.Config()
 	if got.FrameWidth != want.FrameWidth || got.StackTicks != want.StackTicks {
 		return nil, fmt.Errorf("capes: replay snapshot shape %d×%d, engine %d×%d",
 			got.FrameWidth, got.StackTicks, want.FrameWidth, want.StackTicks)
 	}
-	if got != want {
-		// The snapshot was taken under different retention settings (an
-		// operator changed ReplayCapacity between runs). The engine's
-		// current configuration is authoritative: re-home the records
-		// into a ring sized for it (float32 values round-trip exactly).
-		fresh, err := replay.New(want)
-		if err != nil {
-			return nil, err
-		}
-		var rehomeErr error
-		db.Range(func(t int64, f replay.Frame, a int, hasAction bool) bool {
-			if f != nil {
-				if err := fresh.PutFrame(t, f); err != nil {
-					rehomeErr = fmt.Errorf("capes: re-home replay snapshot: %w", err)
-					return false
-				}
-			}
-			if hasAction {
-				fresh.PutAction(t, a)
-			}
-			return true
-		})
-		if rehomeErr != nil {
-			return nil, rehomeErr
-		}
-		db = fresh
+	if got == want {
+		return db, nil
 	}
-	return db, nil
+	// The snapshot was taken under different retention settings (an
+	// operator changed ReplayCapacity between runs). The engine's
+	// current configuration is authoritative: re-home the records into a
+	// ring sized for it (float32 values round-trip exactly).
+	fresh, err := replay.New(want)
+	if err != nil {
+		return nil, err
+	}
+	var rehomeErr error
+	db.Range(func(t int64, f replay.Frame, a int, hasAction bool) bool {
+		if f != nil {
+			if err := fresh.PutFrame(t, f); err != nil {
+				rehomeErr = fmt.Errorf("capes: re-home replay snapshot: %w", err)
+				return false
+			}
+		}
+		if hasAction {
+			fresh.PutAction(t, a)
+		}
+		return true
+	})
+	if rehomeErr != nil {
+		return nil, rehomeErr
+	}
+	return fresh, nil
 }

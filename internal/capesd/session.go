@@ -138,26 +138,11 @@ func newSession(cfg SessionConfig) (*Session, error) {
 	}
 	s.sup.health = HealthHealthy
 
-	eng, err := s.buildEngine()
+	eng, restored, err := s.bootEngine()
 	if err != nil {
-		// buildEngine only rejects bad configuration (hyper, space, …).
-		return nil, fmt.Errorf("%w: session %s: %w", ErrInvalidSession, cfg.Name, err)
+		return nil, err
 	}
-	s.eng = eng
-
-	if cfg.CheckpointDir != "" {
-		switch err := eng.RestoreSession(cfg.CheckpointDir); {
-		case err == nil:
-			s.restored = true
-		case errors.Is(err, capes.ErrNoSession):
-			// First boot: nothing to restore, start fresh.
-		default:
-			// A checkpoint exists but cannot be loaded — corrupt or
-			// shaped for a different session. Failing loudly beats
-			// silently retraining from scratch over it.
-			return nil, fmt.Errorf("session %s: restoring %s: %w", cfg.Name, cfg.CheckpointDir, err)
-		}
-	}
+	s.eng, s.restored = eng, restored
 
 	// Best-effort boot sync for cluster followers: joining now means the
 	// very first train tick already aggregates this worker. Failure is
@@ -219,9 +204,54 @@ func newSession(cfg SessionConfig) (*Session, error) {
 	return s, nil
 }
 
+// bootEngine builds a fresh engine and restores the session's checkpoint
+// into it — at creation and on the watchdog restart path. The checkpoint
+// is read on a second goroutine while the engine is built, and committed
+// once both are done: the engine is built and restored exactly as
+// buildEngine followed by RestoreSession would, so its RNG draws and
+// every trajectory are the same. restored reports whether a checkpoint
+// was found; a directory without one is a first boot and no error. The
+// reader is always waited for, so no goroutine outlives the call.
+func (s *Session) bootEngine() (*capes.Engine, bool, error) {
+	type checkpoint struct {
+		cp  *capes.Checkpoint
+		err error
+	}
+	loaded := make(chan checkpoint, 1)
+	if dir := s.cfg.CheckpointDir; dir == "" {
+		loaded <- checkpoint{err: capes.ErrNoSession}
+	} else {
+		go func() {
+			cp, err := capes.LoadCheckpoint(dir)
+			loaded <- checkpoint{cp, err}
+		}()
+	}
+	eng, err := s.buildEngine()
+	ld := <-loaded
+	if err != nil {
+		// buildEngine only rejects bad configuration (hyper, space, …).
+		return nil, false, fmt.Errorf("%w: session %s: %w", ErrInvalidSession, s.cfg.Name, err)
+	}
+	if ld.err == nil {
+		ld.err = eng.Restore(ld.cp)
+	}
+	switch {
+	case ld.err == nil:
+		return eng, true, nil
+	case errors.Is(ld.err, capes.ErrNoSession):
+		return eng, false, nil // first boot: nothing to restore, start fresh
+	default:
+		// A checkpoint exists but cannot be loaded — corrupt or shaped
+		// for a different session. Failing loudly beats silently
+		// retraining from scratch over it.
+		eng.Stop()
+		return nil, false, fmt.Errorf("session %s: restoring %s: %w", s.cfg.Name, s.cfg.CheckpointDir, ld.err)
+	}
+}
+
 // buildEngine constructs a fresh engine bound to the session's shared
-// frame buffer — used at creation and by the watchdog restart path (the
-// closures capture s, not the engine, so they survive the swap).
+// frame buffer (the closures capture s, not the engine, so they survive
+// a watchdog swap).
 func (s *Session) buildEngine() (*capes.Engine, error) {
 	eng, err := capes.NewEngine(s.engCfg,
 		func() (replay.Frame, error) {

@@ -315,12 +315,8 @@ func (s *Session) restartEngine() error {
 		// rebuild would fork the cluster. Escalate instead.
 		return fmt.Errorf("cluster session: gradient plane is bound to the wedged engine")
 	}
-	eng, err := s.buildEngine()
+	eng, _, err := s.bootEngine()
 	if err != nil {
-		return err
-	}
-	if err := eng.RestoreSession(s.cfg.CheckpointDir); err != nil && !errors.Is(err, capes.ErrNoSession) {
-		eng.Stop()
 		return err
 	}
 	eng.SetActionHook(s.actionHook)

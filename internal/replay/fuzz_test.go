@@ -60,6 +60,9 @@ func FuzzSnapshotLoad(f *testing.F) {
 	for _, seed := range fuzzSeedSnapshots(f) {
 		f.Add(seed)
 	}
+	// A ring whose window wraps past the end of its arrays, so its frames
+	// go out and come back as two runs.
+	f.Add(snapshotBytes(f, wrappedSnapshot(f, 3, 12, 40)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db, err := Load(bytes.NewReader(data))
 		if err != nil && len(data) >= 4 {

@@ -36,12 +36,15 @@ import (
 //
 // Save streams rows out of the ring and Load streams them back into a
 // ring allocated once at its final size; neither holds a second copy of
-// the slab. Load compares the length the counts imply with the length of
-// the file before it allocates, validates ticks and flags before it sizes
-// the ring, and verifies the checksum before it returns. There is one
-// format and no compression (see internal/wire/file.go): versions 1 and 2
-// were gob+flate streams and are not read — load and re-save them with
-// the release that wrote them first.
+// the slab. The rows of ticks in consecutive slots go out and come back
+// as one run, straight between the slab and the file, so a full ring —
+// even one whose window wraps past the end of its arrays — moves as at
+// most two runs. Load compares the length the counts imply with the
+// length of the file before it allocates, validates ticks and flags
+// before it sizes the ring, and verifies the checksum before it returns.
+// There is one format and no compression (see internal/wire/file.go):
+// versions 1 and 2 were gob+flate streams and are not read — load and
+// re-save them with the release that wrote them first.
 
 const (
 	snapshotMagic   = "CAPESRDB"
@@ -105,28 +108,57 @@ func checkLoadCells(first, last int64, width, dataLen int) error {
 	return nil
 }
 
-// eachOccupiedLocked calls fn for every occupied slot in tick order.
-func (db *DB) eachOccupiedLocked(fn func(tick int64, slot int, flags uint8)) {
-	if db.slots == 0 {
+// eachWindowRangeLocked calls fn, in tick order, for the at most two
+// ranges of consecutive slots [from, to) that hold the window [lo, hi];
+// tick is the tick of slot from. The second range is the part of a
+// window that wraps past the end of the arrays.
+func (db *DB) eachWindowRangeLocked(fn func(from, to int, tick int64)) {
+	if db.slots == 0 || db.hi < db.lo {
 		return
 	}
-	for t := db.lo; t <= db.hi; t++ {
-		if s := db.slotOf(t); db.flags[s] != 0 {
-			fn(t, s, db.flags[s])
-		}
+	from, n := db.slotOf(db.lo), int(db.hi-db.lo+1)
+	to := min(from+n, db.slots)
+	fn(from, to, db.lo)
+	if wrapped := from + n - db.slots; wrapped > 0 {
+		fn(0, wrapped, db.lo+int64(to-from))
 	}
+}
+
+// eachFrameRunLocked calls fn, in tick order, with the slab rows of each
+// run of consecutive slots holding a frame.
+func (db *DB) eachFrameRunLocked(fn func(rows []float32)) {
+	w := db.cfg.FrameWidth
+	db.eachWindowRangeLocked(func(from, to int, _ int64) {
+		start := -1
+		for s := from; s <= to; s++ {
+			if s < to && db.flags[s]&slotFrame != 0 {
+				if start < 0 {
+					start = s
+				}
+				continue
+			}
+			if start >= 0 {
+				fn(db.slab[start*w : s*w])
+				start = -1
+			}
+		}
+	})
 }
 
 // occupancyLocked counts the ticks a snapshot lists, and those among them
 // holding a frame and an action.
 func (db *DB) occupancyLocked() (ticks, frames, acts uint64) {
-	db.eachOccupiedLocked(func(_ int64, _ int, f uint8) {
-		ticks++
-		if f&slotFrame != 0 {
-			frames++
-		}
-		if f&slotAction != 0 {
-			acts++
+	db.eachWindowRangeLocked(func(from, to int, _ int64) {
+		for _, f := range db.flags[from:to] {
+			if f != 0 {
+				ticks++
+			}
+			if f&slotFrame != 0 {
+				frames++
+			}
+			if f&slotAction != 0 {
+				acts++
+			}
 		}
 	})
 	return ticks, frames, acts
@@ -152,19 +184,28 @@ func (db *DB) Save(w io.Writer) error {
 	fw.Uint64(ticks)
 	fw.Uint64(frames)
 	fw.Uint64(acts)
-	db.eachOccupiedLocked(func(t int64, _ int, _ uint8) { fw.Uint64(uint64(t)) })
-	db.eachOccupiedLocked(func(_ int64, _ int, f uint8) { fw.Byte(f) })
-	db.eachOccupiedLocked(func(_ int64, s int, f uint8) {
-		if f&slotAction != 0 {
-			fw.Uint32(uint32(db.acts[s]))
+	db.eachWindowRangeLocked(func(from, to int, tick int64) {
+		for i, f := range db.flags[from:to] {
+			if f != 0 {
+				fw.Uint64(uint64(tick + int64(i)))
+			}
 		}
 	})
-	width := db.cfg.FrameWidth
-	db.eachOccupiedLocked(func(_ int64, s int, f uint8) {
-		if f&slotFrame != 0 {
-			fw.Float32s(db.slab[s*width : (s+1)*width])
+	db.eachWindowRangeLocked(func(from, to int, _ int64) {
+		for _, f := range db.flags[from:to] {
+			if f != 0 {
+				fw.Byte(f)
+			}
 		}
 	})
+	db.eachWindowRangeLocked(func(from, to int, _ int64) {
+		for s := from; s < to; s++ {
+			if db.flags[s]&slotAction != 0 {
+				fw.Uint32(uint32(db.acts[s]))
+			}
+		}
+	})
+	db.eachFrameRunLocked(fw.Float32s)
 	if err := fw.Close(); err != nil {
 		return fmt.Errorf("replay: write snapshot: %w", err)
 	}
@@ -230,30 +271,48 @@ func Load(r io.Reader) (*DB, error) {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if n := len(ticks); n > 0 {
-		// One allocation at the final size: the ticks below then land in
-		// their slots without the ring growing or the window evicting.
-		db.growLocked(ticks[n-1]-ticks[0]+1, 0, -1)
-	}
-	w, ai := cfg.FrameWidth, 0
-	for i, t := range ticks {
-		if flags[i]&slotFrame != 0 {
-			s, _ := db.ensureSlotLocked(t)
-			fr.Float32s(db.slab[s*w : (s+1)*w])
-			db.commitFrameLocked(t, s)
-		}
-		if flags[i]&slotAction != 0 {
-			db.putActionLocked(t, int(acts[ai]))
-			ai++
-		}
-	}
+	db.restoreLocked(ticks, flags, acts)
+	db.eachFrameRunLocked(fr.Float32s)
 	if err := fr.Close(); err != nil {
 		return nil, fmt.Errorf("replay: read snapshot: %w", err)
 	}
-	// Carry history counters across the restart; the replay above dropped
-	// nothing (ticks were validated ascending and within the window).
 	db.evictions, db.stale = int64(evictions), int64(stale)
 	return db, nil
+}
+
+// restoreLocked sets an empty ring to the window, flags, actions and
+// frame bookkeeping of a tick table checkSnapshotTicks has accepted:
+// ascending ticks whose span fits the ring, so every tick lands in its
+// own slot with nothing to evict. The ring is allocated once, at the
+// size writing the ticks one by one would have grown it to; the frame
+// rows are left for the caller to fill.
+func (db *DB) restoreLocked(ticks []int64, flags []uint8, acts []int32) {
+	n := len(ticks)
+	if n == 0 {
+		return
+	}
+	db.growLocked(ticks[n-1]-ticks[0]+1, 0, -1)
+	db.lo, db.hi = ticks[0], ticks[n-1]
+	first, ai := db.slotOf(db.lo), 0
+	for i, t := range ticks {
+		s := first + int(t-db.lo) // t-lo < slots: at most one wrap
+		if s >= db.slots {
+			s -= db.slots
+		}
+		f := flags[i]
+		db.flags[s] = f
+		if f&slotAction != 0 {
+			db.acts[s] = acts[ai]
+			ai++
+		}
+		if f&slotFrame != 0 {
+			if db.minFrame < 0 {
+				db.minFrame = t
+			}
+			db.maxFrame = t
+			db.count++
+		}
+	}
 }
 
 // checkSnapshotTicks validates a snapshot's tick table against its header:

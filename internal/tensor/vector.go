@@ -39,25 +39,6 @@ func ArgMax[E Element](a []E) int {
 	return bi
 }
 
-// Max returns the largest element. Panics on an empty slice.
-func Max[E Element](a []E) E {
-	return a[ArgMax(a)]
-}
-
-// Min returns the smallest element. Panics on an empty slice.
-func Min[E Element](a []E) E {
-	if len(a) == 0 {
-		panic("tensor: Min of empty slice")
-	}
-	m := a[0]
-	for _, v := range a[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Clamp returns v limited to [lo, hi].
 func Clamp[E Element](v, lo, hi E) E {
 	if v < lo {
@@ -67,19 +48,4 @@ func Clamp[E Element](v, lo, hi E) E {
 		return hi
 	}
 	return v
-}
-
-// EWMA updates an exponentially weighted moving average: returns
-// (1-α)·prev + α·sample. The paper's Ack EWMA / Send EWMA secondary
-// performance indicators use this form.
-func EWMA[E Element](prev, sample, alpha E) E {
-	return prev*(1-alpha) + sample*alpha
-}
-
-// Scale multiplies every element of a by s in place and returns a.
-func Scale[E Element](a []E, s E) []E {
-	for i := range a {
-		a[i] *= s
-	}
-	return a
 }

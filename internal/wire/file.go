@@ -11,9 +11,8 @@ import (
 )
 
 // Checkpoint files. internal/nn and internal/replay persist through the
-// primitives the protocol uses — fixed little-endian integers, raw float
-// bits moved BulkChunk bytes at a time — framed for a file instead of a
-// socket:
+// primitives the protocol uses — fixed little-endian integers and raw
+// float bits — framed for a file instead of a socket:
 //
 //	file := magic (8 bytes) | u32 version | body | u32 CRC-32C of all before it
 //
@@ -23,6 +22,13 @@ import (
 // a format whose decoded size is its file size needs no other allocation
 // bound, and deflating the floats cost more time than everything else in
 // a save or a load together (PERF.md, "Persistence").
+//
+// Fields go through a BulkChunk buffer. A float run of at least
+// BulkChunk bytes on a little-endian target skips it: the run's own
+// memory is already the bytes the format defines, so it is hashed and
+// written in filePiece pieces straight from the caller's arena, and read
+// back by filling the arena a piece at a time and hashing what landed.
+// Each piece is hashed while it is still in cache from the copy.
 
 // Errors a FileReader reports; callers test them with errors.Is.
 var (
@@ -32,6 +38,11 @@ var (
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// filePiece is the unit of a bulk float run: L2-sized, so the checksum
+// pass over a piece reads it from cache after the read or before the
+// write that moves it.
+const filePiece = 256 << 10
 
 // FileWriter streams one checkpoint file through a BulkChunk buffer that
 // is hashed and written each time it fills. The first write error is
@@ -53,14 +64,34 @@ func NewFileWriter(w io.Writer, magic string, version uint32) *FileWriter {
 
 // room flushes the buffer unless n more bytes fit.
 func (w *FileWriter) room(n int) {
-	if len(w.buf)+n <= BulkChunk {
-		return
+	if len(w.buf)+n > BulkChunk {
+		w.flush()
 	}
-	w.sum = crc32.Update(w.sum, castagnoli, w.buf)
-	if w.err == nil {
-		_, w.err = w.w.Write(w.buf)
-	}
+}
+
+// flush writes what is buffered and empties the buffer.
+func (w *FileWriter) flush() {
+	w.write(w.buf)
 	w.buf = w.buf[:0]
+}
+
+// write hashes b and hands it to the underlying writer.
+func (w *FileWriter) write(b []byte) {
+	w.sum = crc32.Update(w.sum, castagnoli, b)
+	if w.err == nil && len(b) > 0 {
+		_, w.err = w.w.Write(b)
+	}
+}
+
+// bulk writes what is buffered, then the bytes of an arena straight from
+// the caller's memory, one filePiece per Write.
+func (w *FileWriter) bulk(b []byte) {
+	w.flush()
+	for len(b) > 0 {
+		p := b[:min(len(b), filePiece)]
+		w.write(p)
+		b = b[len(p):]
+	}
 }
 
 func (w *FileWriter) Byte(v byte) {
@@ -78,9 +109,14 @@ func (w *FileWriter) Uint64(v uint64) {
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
 }
 
-// Float32s writes the raw bits of f, converting straight from the
-// caller's slice one buffer at a time.
+// Float32s writes the raw bits of f: a run of at least BulkChunk bytes
+// straight from f on a little-endian target, otherwise converted into
+// the buffer.
 func (w *FileWriter) Float32s(f []float32) {
+	if b, ok := float32Slab(f); ok && len(b) >= BulkChunk {
+		w.bulk(b)
+		return
+	}
 	for len(f) > 0 {
 		w.room(4)
 		k := min(len(f), (BulkChunk-len(w.buf))/4)
@@ -91,6 +127,10 @@ func (w *FileWriter) Float32s(f []float32) {
 
 // Float64s is Float32s for float64 values.
 func (w *FileWriter) Float64s(f []float64) {
+	if b, ok := float64Slab(f); ok && len(b) >= BulkChunk {
+		w.bulk(b)
+		return
+	}
 	for len(f) > 0 {
 		w.room(8)
 		k := min(len(f), (BulkChunk-len(w.buf))/8)
@@ -204,8 +244,41 @@ func (r *FileReader) Byte() byte     { return r.next(1)[0] }
 func (r *FileReader) Uint32() uint32 { return binary.LittleEndian.Uint32(r.next(4)) }
 func (r *FileReader) Uint64() uint64 { return binary.LittleEndian.Uint64(r.next(8)) }
 
-// Float32s fills dst with the next len(dst) raw float32 values.
+// bulk fills the bytes of an arena: first from what is buffered, then
+// straight from the file one filePiece at a time, each piece hashed once
+// it has landed. It refuses a run longer than the file has left before
+// it reads any of it.
+func (r *FileReader) bulk(b []byte) {
+	if r.err != nil {
+		return
+	}
+	if int64(len(b)) > r.Remaining() {
+		r.err = io.ErrUnexpectedEOF // the body ends inside the run
+		return
+	}
+	n := copy(b, r.buf[r.pos:r.end])
+	r.pos += n
+	b = b[n:]
+	for len(b) > 0 {
+		p := b[:min(len(b), filePiece)]
+		if _, err := io.ReadFull(r.r, p); err != nil {
+			r.err = unexpectedEOF(err)
+			return
+		}
+		r.sum = crc32.Update(r.sum, castagnoli, p)
+		r.left -= int64(len(p))
+		b = b[len(p):]
+	}
+}
+
+// Float32s fills dst with the next len(dst) raw float32 values: a run of
+// at least BulkChunk bytes straight into dst on a little-endian target,
+// otherwise converted out of the buffer.
 func (r *FileReader) Float32s(dst []float32) {
+	if b, ok := float32Slab(dst); ok && len(b) >= BulkChunk {
+		r.bulk(b)
+		return
+	}
 	for len(dst) > 0 {
 		if r.end-r.pos < 4 && !r.fill(4) {
 			return
@@ -219,6 +292,10 @@ func (r *FileReader) Float32s(dst []float32) {
 
 // Float64s is Float32s for float64 values.
 func (r *FileReader) Float64s(dst []float64) {
+	if b, ok := float64Slab(dst); ok && len(b) >= BulkChunk {
+		r.bulk(b)
+		return
+	}
 	for len(dst) > 0 {
 		if r.end-r.pos < 8 && !r.fill(8) {
 			return

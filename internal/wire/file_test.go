@@ -2,9 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -153,5 +157,183 @@ func TestWriteFileAtomicKeepsOldFileOnError(t *testing.T) {
 	}
 	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("temporary left behind: %v", err)
+	}
+}
+
+// recordWrites keeps every Write's length and bytes.
+type recordWrites struct {
+	bytes.Buffer
+	lens []int
+}
+
+func (r *recordWrites) Write(p []byte) (int, error) {
+	r.lens = append(r.lens, len(p))
+	return r.Buffer.Write(p)
+}
+
+// lyingLen claims the length of the whole file but delivers only a
+// prefix of it, as a file cut short under a reader would.
+type lyingLen struct {
+	*bytes.Reader
+	n int
+}
+
+func (l lyingLen) Len() int { return l.n }
+
+// bulkFile is the reference encoding of a file holding a byte, a u64,
+// one float run and a u32: built by hand from the layout, not by
+// FileWriter.
+func bulkFile(run []byte) []byte {
+	b := append([]byte(testMagic), 7, 0, 0, 0)
+	b = append(b, 0xab)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(run)))
+	b = append(b, run...)
+	b = binary.LittleEndian.AppendUint32(b, 0xc0ffee)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
+}
+
+// bulkLengths are run lengths in bytes around the thresholds of the bulk
+// path: BulkChunk, where it starts, and filePiece, its unit of I/O.
+var bulkLengths = []int{
+	BulkChunk - 8, BulkChunk - 4, BulkChunk, BulkChunk + 8,
+	filePiece - 8, filePiece - 4, filePiece, filePiece + 4, filePiece + 8,
+	2*filePiece + 8*1001, // not a multiple of the piece
+}
+
+// TestFileBulkRunsSameBytes: float runs on either side of the bulk
+// thresholds write exactly the reference bytes, in Writes no longer than
+// a piece, and read back bit for bit — through Len, Seek-less plain and
+// byte-at-a-time readers — into the very arena lent, with the header
+// bytes the reader buffered ahead consumed first.
+func TestFileBulkRunsSameBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	for _, n := range bulkLengths {
+		raw := make([]byte, n)
+		rng.Read(raw)
+		want := bulkFile(raw)
+		for _, wide := range []bool{false, true} {
+			if n%8 != 0 && wide {
+				continue
+			}
+			name := fmt.Sprintf("%dB/float64=%v", n, wide)
+			var rec recordWrites
+			fw := NewFileWriter(&rec, testMagic, 7)
+			fw.Byte(0xab)
+			fw.Uint64(uint64(n))
+			f32, f64 := make([]float32, n/4), make([]float64, n/8)
+			if wide {
+				Float64s(f64, raw)
+				fw.Float64s(f64)
+			} else {
+				Float32s(f32, raw)
+				fw.Float32s(f32)
+			}
+			fw.Uint32(0xc0ffee)
+			if err := fw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(rec.Bytes(), want) {
+				t.Fatalf("%s: file differs from the reference encoding", name)
+			}
+			for _, l := range rec.lens {
+				if l > filePiece {
+					t.Fatalf("%s: one Write of %d bytes, piece is %d", name, l, filePiece)
+				}
+			}
+			readers := map[string]func() io.Reader{
+				"len":      func() io.Reader { return bytes.NewReader(want) },
+				"plain":    func() io.Reader { return io.MultiReader(bytes.NewReader(want)) },
+				"one byte": func() io.Reader { return oneByte{bytes.NewReader(want)} },
+			}
+			for kind, open := range readers {
+				fr, err := NewFileReader(open(), testMagic, 7)
+				if err != nil {
+					t.Fatalf("%s %s: %v", name, kind, err)
+				}
+				if b, m := fr.Byte(), fr.Uint64(); b != 0xab || m != uint64(n) {
+					t.Fatalf("%s %s: head %#x %d", name, kind, b, m)
+				}
+				if fr.Remaining() != int64(n+4) {
+					t.Fatalf("%s %s: %d bytes left before the run", name, kind, fr.Remaining())
+				}
+				got := make([]byte, n)
+				if wide {
+					arena, intact := guarded64(n / 8)
+					fr.Float64s(arena)
+					if !intact() {
+						t.Fatalf("%s %s: read wrote outside the arena", name, kind)
+					}
+					got = AppendFloat64s(got[:0], arena)
+				} else {
+					arena, intact := guarded(n / 4)
+					fr.Float32s(arena)
+					if !intact() {
+						t.Fatalf("%s %s: read wrote outside the arena", name, kind)
+					}
+					got = AppendFloat32s(got[:0], arena)
+				}
+				if v := fr.Uint32(); v != 0xc0ffee {
+					t.Fatalf("%s %s: field after the run = %#x", name, kind, v)
+				}
+				if err := fr.Close(); err != nil {
+					t.Fatalf("%s %s: %v", name, kind, err)
+				}
+				if !bytes.Equal(got, raw) {
+					t.Fatalf("%s %s: run read back differs", name, kind)
+				}
+			}
+		}
+	}
+}
+
+// guarded64 is guarded for a float64 arena.
+func guarded64(n int) (arena []float64, intact func() bool) {
+	const guard = 8
+	sentinel := math.Float64frombits(0x7ff0_dead_beef_0001)
+	buf := make([]float64, n+2*guard)
+	for i := range buf {
+		buf[i] = sentinel
+	}
+	return buf[guard : guard+n : guard+n], func() bool {
+		for i, v := range buf {
+			if (i < guard || i >= guard+n) && math.Float64bits(v) != math.Float64bits(sentinel) {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// TestFileBulkRunRefusals: a bulk run cut short — by a file whose length
+// says so, or by a stream that ends before its stated length, inside a
+// piece — is io.ErrUnexpectedEOF, and a bit flipped inside a piece is
+// ErrChecksum.
+func TestFileBulkRunRefusals(t *testing.T) {
+	n := 2*filePiece + 8*1001
+	raw := make([]byte, n)
+	rand.New(rand.NewSource(36)).Read(raw)
+	file := bulkFile(raw)
+	read := func(r io.Reader) error {
+		fr, err := NewFileReader(r, testMagic, 7)
+		if err != nil {
+			return err
+		}
+		fr.Byte()
+		fr.Uint64()
+		fr.Float32s(make([]float32, n/4))
+		fr.Uint32()
+		return fr.Close()
+	}
+	cut := 21 + filePiece + filePiece/2 // inside the second piece of the run
+	if err := read(bytes.NewReader(file[:cut])); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("file cut inside a piece: %v", err)
+	}
+	if err := read(lyingLen{bytes.NewReader(file[:cut]), len(file)}); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("stream ending inside a piece: %v", err)
+	}
+	flipped := append([]byte(nil), file...)
+	flipped[cut] ^= 0x20
+	if err := read(bytes.NewReader(flipped)); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("bit flipped inside a piece: %v", err)
 	}
 }
