@@ -14,7 +14,7 @@
 #                 perfbench/ is a module of its own, so tier-1 skips it)
 #
 # `full` (race, fuzz smoke, coverage floor, convergence gate) is not
-# written yet; ROADMAP.md item 9 has its list.
+# written yet; ROADMAP.md item 11 has its list.
 set -euo pipefail
 
 mode="${1:-fast}"

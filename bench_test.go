@@ -16,7 +16,6 @@ import (
 
 	"capes/internal/capes"
 	"capes/internal/experiment"
-	"capes/internal/hypersearch"
 	"capes/internal/nn"
 	"capes/internal/replay"
 	"capes/internal/rl"
@@ -205,25 +204,24 @@ func ablationRun(b *testing.B, seed int64, mutate func(*rl.Config), stack int, u
 		ticks  = 4000
 	)
 	f := func(p float64) float64 { d := p - target; return 1 - 4*d*d }
-	cfg := rl.DefaultConfig()
-	cfg.Gamma = 0.9
-	cfg.LearningRate = 1e-3
+	cfg := rl.Config{Gamma: 0.9, LearningRate: 1e-3, TargetUpdateα: 0.01,
+		MinibatchSize: 32, GradientClip: 10, UseTargetNet: true}
 	mutate(&cfg)
 	db, err := replay.New(replay.Config{FrameWidth: 2, StackTicks: stack})
 	if err != nil {
 		b.Fatal(err)
 	}
 	net := nn.NewMLP[float64](rng, nn.ActTanh, 2*stack, 24, 24, 3)
-	eps := rl.NewEpsilonSchedule(ticks / 2)
+	eps := &rl.EpsilonSchedule{Initial: 1, Final: 0.05, AnnealTicks: ticks / 2, BumpValue: 0.2}
 	agent, err := rl.NewAgentWithNetwork(cfg, eps, net, rng)
 	if err != nil {
 		b.Fatal(err)
 	}
 	rf := func(cur, next replay.Frame) float64 { return f(next[0]) - f(cur[0]) }
 	obsOf := func(t int64) []float64 {
-		obs, err := db.Observation(t)
-		if err != nil {
-			return make([]float64, 2*stack)
+		obs := make([]float64, db.ObservationWidth())
+		if err := replay.ObservationInto(db, obs, t); err != nil {
+			clear(obs)
 		}
 		return obs
 	}
@@ -233,12 +231,12 @@ func ablationRun(b *testing.B, seed int64, mutate func(*rl.Config), stack int, u
 		act := agent.SelectAction(obsOf(tick), tick)
 		db.PutAction(tick, act)
 		p += step * float64(act-1)
-		p = tensor.Clamp(p, 0, 1)
+		p = min(max(p, 0), 1)
 		if tick > 64 && tick%2 == 0 {
-			var batch *replay.Batch[float64]
+			batch := new(replay.Batch[float64])
 			var err error
 			if useReplay {
-				batch, err = db.ConstructMinibatch(rng, 16, rf)
+				err = replay.ConstructMinibatchInto(db, rng, 16, rf, batch)
 			} else {
 				// Sequential training: the last 16 consecutive ticks
 				// (temporally correlated — the failure mode experience
@@ -262,7 +260,7 @@ func ablationRun(b *testing.B, seed int64, mutate func(*rl.Config), stack int, u
 		db.PutFrame(t, replay.Frame{p, 1})
 		act := agent.GreedyAction(obsOf(t))
 		p += step * float64(act-1)
-		p = tensor.Clamp(p, 0, 1)
+		p = min(max(p, 0), 1)
 	}
 	d := p - target
 	if d < 0 {
@@ -281,16 +279,12 @@ func sequentialBatch(db *replay.DB, end int64, n int, rf replay.RewardFunc) (*re
 	}
 	for i := 0; i < n; i++ {
 		t := end - int64(n) + int64(i)
-		s, err := db.Observation(t)
-		if err != nil {
+		if err := replay.ObservationInto(db, b.States[i*w:(i+1)*w], t); err != nil {
 			return nil, err
 		}
-		s1, err := db.Observation(t + 1)
-		if err != nil {
+		if err := replay.ObservationInto(db, b.NextStates[i*w:(i+1)*w], t+1); err != nil {
 			return nil, err
 		}
-		copy(b.States[i*w:], s)
-		copy(b.NextStates[i*w:], s1)
 		a, ok := db.ActionAt(t)
 		if !ok {
 			return nil, replay.ErrInsufficientData
@@ -359,7 +353,7 @@ func BenchmarkAblationEpsilonBump(b *testing.B) {
 		var sum float64
 		var cnt int
 		for tick := int64(1); tick <= n; tick++ {
-			if bump && gen.SwitchedAt(tick) {
+			if bump && tick%gen.PhaseTicks == 0 { // a phase switch
 				env.Engine.NotifyWorkloadChange(tick)
 			}
 			env.Loop.Run(1)
@@ -394,7 +388,7 @@ func BenchmarkAblationQHead(b *testing.B) {
 	}
 	b.Run("single-pass-all-actions", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = multi.ForwardVec(obs)
+			_ = multi.ForwardVecInto(make([]float64, nActions), obs)
 		}
 	})
 	b.Run("per-action-passes", func(b *testing.B) {
@@ -406,7 +400,7 @@ func BenchmarkAblationQHead(b *testing.B) {
 					in[obsW+k] = 0
 				}
 				in[obsW+a] = 1
-				_ = pair.ForwardVec(in)
+				_ = pair.ForwardVecInto(make([]float64, 1), in)
 			}
 		}
 	})
@@ -430,7 +424,7 @@ func BenchmarkWhatIfSSD(b *testing.B) {
 
 // BenchmarkHypersearch exercises the §6 grid search over a small axis.
 func BenchmarkHypersearch(b *testing.B) {
-	axes := []hypersearch.Axis{{Name: "learning_rate", Values: []float64{1e-3, 2e-3}}}
+	axes := []experiment.HyperAxis{{Name: "learning_rate", Values: []float64{1e-3, 2e-3}}}
 	for i := 0; i < b.N; i++ {
 		res, err := experiment.RunHypersearch(benchOptions(), axes, []int64{1}, 3)
 		if err != nil {

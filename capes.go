@@ -14,9 +14,9 @@
 //
 // Attach CAPES to a target system by providing three things: the list of
 // tunable parameters, a Collector that samples performance indicators,
-// and a Controller that applies parameter values (see examples/custom
-// for a minimal adapter, or examples/quickstart for the full simulated
-// cluster):
+// and a Controller that applies parameter values (see
+// ExampleNewEngine_custom for a minimal adapter, or
+// ExampleNewEnv_quickstart for the full simulated cluster):
 //
 //	space, _ := capes.NewActionSpace(capes.LustreTunables()...)
 //	cfg := capes.Config{

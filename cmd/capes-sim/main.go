@@ -23,9 +23,11 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -83,7 +85,7 @@ type clusterOpts struct {
 
 // runCluster builds a cluster + its node agents and drives ticks until
 // stop closes or opts.ticks is reached.
-func runCluster(opts clusterOpts, stop <-chan struct{}) error {
+func runCluster(opts clusterOpts, stop <-chan struct{}, out io.Writer) error {
 	gen, err := parseWorkload(opts.wl, opts.seed)
 	if err != nil {
 		return err
@@ -120,7 +122,7 @@ func runCluster(opts clusterOpts, stop <-chan struct{}) error {
 		}
 		defer px.Close()
 		dialAddr = px.Addr()
-		fmt.Printf("capes-sim: %schaos proxy %s -> %s (seed %d)\n",
+		fmt.Fprintf(out, "capes-sim: %schaos proxy %s -> %s (seed %d)\n",
 			opts.label, dialAddr, opts.daemon, opts.chaosSeed)
 	}
 
@@ -140,7 +142,7 @@ func runCluster(opts clusterOpts, stop <-chan struct{}) error {
 		defer a.Close()
 		agents[i] = a
 	}
-	fmt.Printf("capes-sim: %s%d clients connected to %s, workload %s\n",
+	fmt.Fprintf(out, "capes-sim: %s%d clients connected to %s, workload %s\n",
 		opts.label, opts.clients, opts.daemon, opts.wl)
 
 	// Apply actions from capesd as they arrive.
@@ -162,14 +164,14 @@ func runCluster(opts clusterOpts, stop <-chan struct{}) error {
 	var skipped int64
 	lastDelivered := time.Now()
 	report := func(reason string) {
-		fmt.Printf("capes-sim: %s%s at tick %d", opts.label, reason, tick)
+		fmt.Fprintf(out, "capes-sim: %s%s at tick %d", opts.label, reason, tick)
 		if skipped > 0 {
-			fmt.Printf(", %d sends skipped while reconnecting", skipped)
+			fmt.Fprintf(out, ", %d sends skipped while reconnecting", skipped)
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 		if px != nil {
 			st := px.Stats()
-			fmt.Printf("capes-sim: %schaos: %d conns, %d kills, %d stalls, %d partitions, %d B dropped\n",
+			fmt.Fprintf(out, "capes-sim: %schaos: %d conns, %d kills, %d stalls, %d partitions, %d B dropped\n",
 				opts.label, st.Connections, st.Kills, st.Stalls, st.Partitions, st.BytesDropped)
 		}
 	}
@@ -213,12 +215,12 @@ func runCluster(opts clusterOpts, stop <-chan struct{}) error {
 				if msgs > 0 {
 					avg = bytes / msgs
 				}
-				fmt.Printf("capes-sim: %stick %d  window=%.0f rate=%.0f  tput=%.2f MB/s (avg %.2f)  msg=%d B\n",
+				fmt.Fprintf(out, "capes-sim: %stick %d  window=%.0f rate=%.0f  tput=%.2f MB/s (avg %.2f)  msg=%d B\n",
 					opts.label, tick, cluster.Window(0), cluster.RateLimit(0),
 					cluster.AggregateThroughput()/1e6, sumTput/float64(tick)/1e6, avg)
 			}
 			if opts.ticks > 0 && tick >= opts.ticks {
-				fmt.Printf("capes-sim: %sdone after %d ticks, mean throughput %.2f MB/s\n",
+				fmt.Fprintf(out, "capes-sim: %sdone after %d ticks, mean throughput %.2f MB/s\n",
 					opts.label, tick, sumTput/float64(tick)/1e6)
 				report("done")
 				return nil
@@ -256,7 +258,7 @@ const clusterBenchWidth = 30
 // throughput and a parameter checksum. The checksum is bit-identical
 // across any n for the same seed and tick count: that is the cluster's
 // determinism contract, measured from the command line.
-func runClusterBench(n int, ticks, seed int64) error {
+func runClusterBench(n int, ticks, seed int64, out io.Writer) error {
 	if ticks <= 0 {
 		ticks = 2000
 	}
@@ -341,38 +343,49 @@ func runClusterBench(n int, ticks, seed int64) error {
 	}
 	stepsPerSec := float64(st.TrainSteps) / elapsed.Seconds()
 	samplesPerSec := stepsPerSec * float64(capes.DefaultHyperparameters().MinibatchSize) * float64(n+1)
-	fmt.Printf("cluster-bench: followers=%d ticks=%d steps=%d elapsed=%s steps/s=%.0f samples/s=%.0f param-checksum=%.9e\n",
+	fmt.Fprintf(out, "cluster-bench: followers=%d ticks=%d steps=%d elapsed=%s steps/s=%.0f samples/s=%.0f param-checksum=%.9e\n",
 		n, ticks, st.TrainSteps, elapsed.Round(time.Millisecond), stepsPerSec, samplesPerSec, checksum)
 	if cs := st.Cluster; cs != nil {
-		fmt.Printf("cluster-bench: aggregated=%d solo=%d frames=%d stale=%d evictions=%d\n",
+		fmt.Fprintf(out, "cluster-bench: aggregated=%d solo=%d frames=%d stale=%d evictions=%d\n",
 			cs.AggrSteps, cs.SoloSteps, cs.FramesAccepted, cs.FramesStale, cs.Evictions)
 	}
 	return nil
 }
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "capes-sim:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and drives one simulated cluster per session address
+// until every cluster is done, one fails (which stops the others), or
+// SIGINT/SIGTERM arrives.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("capes-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		daemon   = flag.String("daemon", "127.0.0.1:7070", "capesd address")
-		sessions = flag.String("sessions", "", "comma-separated capesd session addresses; one independent cluster per address (overrides -daemon)")
-		wl       = flag.String("workload", "randrw-1:9", "workload (randrw-R:W | fileserver | seqwrite)")
-		clients  = flag.Int("clients", 5, "simulated clients per cluster")
-		servers  = flag.Int("servers", 4, "simulated servers per cluster")
-		tickMs   = flag.Int("tick-ms", 10, "real milliseconds per simulated second")
-		ticks    = flag.Int64("ticks", 0, "stop after this many ticks (0 = run until signal)")
-		seed     = flag.Int64("seed", 1, "random seed (cluster i uses seed+i)")
-		report   = flag.Int64("report-every", 600, "print throughput every N ticks")
-		offline  = flag.Duration("offline-budget", 2*time.Minute, "exit non-zero after this long with every send skipped on reconnect (0 = retry forever)")
-		chaos    = flag.Bool("chaos", false, "route agents through a fault-injecting proxy (kills, stalls, latency, partitions)")
-		chaosSd  = flag.Int64("chaos-seed", 1, "chaos fault-schedule seed (cluster i uses seed+i; same seed replays the same faults)")
-		cluFols  = flag.Int("cluster-followers", -1, "run the in-process data-parallel co-training bench instead of the simulator: one leader + N followers over loopback (0 = solo-leader baseline, -1 = off)")
+		daemon   = fs.String("daemon", "127.0.0.1:7070", "capesd address")
+		sessions = fs.String("sessions", "", "comma-separated capesd session addresses; one independent cluster per address (overrides -daemon)")
+		wl       = fs.String("workload", "randrw-1:9", "workload (randrw-R:W | fileserver | seqwrite)")
+		clients  = fs.Int("clients", 5, "simulated clients per cluster")
+		servers  = fs.Int("servers", 4, "simulated servers per cluster")
+		tickMs   = fs.Int("tick-ms", 10, "real milliseconds per simulated second")
+		ticks    = fs.Int64("ticks", 0, "stop after this many ticks (0 = run until signal)")
+		seed     = fs.Int64("seed", 1, "random seed (cluster i uses seed+i)")
+		report   = fs.Int64("report-every", 600, "print throughput every N ticks")
+		offline  = fs.Duration("offline-budget", 2*time.Minute, "exit non-zero after this long with every send skipped on reconnect (0 = retry forever)")
+		chaos    = fs.Bool("chaos", false, "route agents through a fault-injecting proxy (kills, stalls, latency, partitions)")
+		chaosSd  = fs.Int64("chaos-seed", 1, "chaos fault-schedule seed (cluster i uses seed+i; same seed replays the same faults)")
+		cluFols  = fs.Int("cluster-followers", -1, "run the in-process data-parallel co-training bench instead of the simulator: one leader + N followers over loopback (0 = solo-leader baseline, -1 = off)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *cluFols >= 0 {
-		if err := runClusterBench(*cluFols, *ticks, *seed); err != nil {
-			fatal(err)
-		}
-		return
+		return runClusterBench(*cluFols, *ticks, *seed, stdout)
 	}
 
 	addrs := []string{*daemon}
@@ -384,19 +397,12 @@ func main() {
 			}
 		}
 		if len(addrs) == 0 {
-			fatal(fmt.Errorf("-sessions lists no addresses"))
+			return fmt.Errorf("-sessions lists no addresses")
 		}
 	}
 
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	halt := func() { stopOnce.Do(func() { close(stop) }) }
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	go func() {
-		<-sig
-		halt()
-	}()
+	ctx, halt := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer halt()
 
 	var wg sync.WaitGroup
 	errs := make(chan error, len(addrs))
@@ -421,23 +427,19 @@ func main() {
 		wg.Add(1)
 		go func(opts clusterOpts) {
 			defer wg.Done()
-			if err := runCluster(opts, stop); err != nil {
-				// Fail fast: report now and stop the sibling clusters
-				// rather than simulating half a deployment until signal.
-				fmt.Fprintf(os.Stderr, "capes-sim: %s: %v\n", opts.daemon, err)
-				errs <- err
+			if err := runCluster(opts, ctx.Done(), stdout); err != nil {
+				// Fail fast: stop the sibling clusters rather than
+				// simulating half a deployment until signal.
+				errs <- fmt.Errorf("%s: %w", opts.daemon, err)
 				halt()
 			}
 		}(opts)
 	}
 	wg.Wait()
 	close(errs)
-	if len(errs) > 0 {
-		os.Exit(1)
+	var all []error
+	for err := range errs {
+		all = append(all, err)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "capes-sim:", err)
-	os.Exit(1)
+	return errors.Join(all...)
 }

@@ -158,14 +158,9 @@ type Daemon struct {
 	wg   sync.WaitGroup
 }
 
-// NewDaemon starts an Interface Daemon listening on addr (use
-// "127.0.0.1:0" for tests) with default fault-tolerance options.
-// onChange may be nil.
-func NewDaemon(addr string, nodes, pisPerNode int, onFrame FrameSink, onChange func(int64, string)) (*Daemon, error) {
-	return NewDaemonOpts(addr, nodes, pisPerNode, onFrame, onChange, DaemonOpts{})
-}
-
-// NewDaemonOpts is NewDaemon with explicit fault-tolerance options.
+// NewDaemonOpts starts an Interface Daemon listening on addr (use
+// "127.0.0.1:0" for tests) with the given fault-tolerance options (the
+// zero DaemonOpts takes the defaults). onChange may be nil.
 func NewDaemonOpts(addr string, nodes, pisPerNode int, onFrame FrameSink, onChange func(int64, string), opts DaemonOpts) (*Daemon, error) {
 	if nodes <= 0 || pisPerNode <= 0 {
 		return nil, fmt.Errorf("agent: nodes and pisPerNode must be positive")

@@ -11,11 +11,11 @@ func startDaemon(t *testing.T, nodes, pis int) (*Daemon, func() [][]float64) {
 	t.Helper()
 	var mu sync.Mutex
 	var frames [][]float64
-	d, err := NewDaemon("127.0.0.1:0", nodes, pis, func(tick int64, f []float64) {
+	d, err := NewDaemonOpts("127.0.0.1:0", nodes, pis, func(tick int64, f []float64) {
 		mu.Lock()
 		frames = append(frames, append([]float64(nil), f...))
 		mu.Unlock()
-	}, nil)
+	}, nil, DaemonOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,10 +40,10 @@ func waitFor(t *testing.T, cond func() bool, msg string) {
 }
 
 func TestDaemonValidation(t *testing.T) {
-	if _, err := NewDaemon("127.0.0.1:0", 0, 1, func(int64, []float64) {}, nil); err == nil {
+	if _, err := NewDaemonOpts("127.0.0.1:0", 0, 1, func(int64, []float64) {}, nil, DaemonOpts{}); err == nil {
 		t.Fatal("zero nodes must fail")
 	}
-	if _, err := NewDaemon("127.0.0.1:0", 1, 1, nil, nil); err == nil {
+	if _, err := NewDaemonOpts("127.0.0.1:0", 1, 1, nil, nil, DaemonOpts{}); err == nil {
 		t.Fatal("nil sink must fail")
 	}
 }
@@ -233,11 +233,11 @@ func TestDaemonCloseIsIdempotent(t *testing.T) {
 func TestWorkloadChangeNotification(t *testing.T) {
 	var mu sync.Mutex
 	var changes []string
-	d, err := NewDaemon("127.0.0.1:0", 1, 2, func(int64, []float64) {}, func(tick int64, name string) {
+	d, err := NewDaemonOpts("127.0.0.1:0", 1, 2, func(int64, []float64) {}, func(tick int64, name string) {
 		mu.Lock()
 		changes = append(changes, name)
 		mu.Unlock()
-	})
+	}, DaemonOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -458,7 +458,7 @@ func TestLivenessEvictsSilentAgent(t *testing.T) {
 // refused by name — which NodeAgent turns into a permanent failure
 // rather than a redial loop — and registers nothing.
 func TestDaemonRefusesOtherProtocolVersion(t *testing.T) {
-	d, err := NewDaemon("127.0.0.1:0", 1, 2, func(int64, []float64) {}, nil)
+	d, err := NewDaemonOpts("127.0.0.1:0", 1, 2, func(int64, []float64) {}, nil, DaemonOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,13 +168,6 @@ func TestActionSpace(t *testing.T) {
 	if got := s.Apply(nil, 99, cur); got[0] != 50 {
 		t.Fatalf("invalid action = %v", got)
 	}
-	// Descriptions.
-	if s.Describe(NullAction) != "null" || s.Describe(1) != "a-" || s.Describe(4) != "b+" {
-		t.Fatalf("Describe: %q %q %q", s.Describe(0), s.Describe(1), s.Describe(4))
-	}
-	if s.Describe(77) != "invalid(77)" {
-		t.Fatalf("Describe invalid = %q", s.Describe(77))
-	}
 }
 
 func TestActionSpaceValidation(t *testing.T) {

@@ -31,8 +31,8 @@ import (
 //
 // Once tripped the engine keeps collecting frames (the monitoring half
 // of §3.3 stays useful for diagnosis) but skips the action and training
-// branches until ClearDivergence — which RestoreSession calls for the
-// supervisor's rollback path, so a restored engine resumes clean.
+// branches until a restore (the supervisor's rollback path) clears it,
+// so a restored engine resumes clean.
 type DivergencePolicy struct {
 	// LossExplodeFactor trips when the smoothed loss exceeds this
 	// multiple of the window-minimum loss. 0 = default (1e4); negative
@@ -81,25 +81,6 @@ func (e *Engine) Divergence() (reason string, tick int64, tripped bool) {
 	return e.divReason, e.divTick, e.divTripped
 }
 
-// DivergenceTrips returns how many times the guard has tripped over the
-// engine's lifetime (clears do not reset it).
-func (e *Engine) DivergenceTrips() int64 {
-	e.divMu.Lock()
-	defer e.divMu.Unlock()
-	return e.divTrips
-}
-
-// ClearDivergence re-arms the guard (the supervisor calls it after a
-// successful rollback; RestoreSession clears implicitly). The trip
-// counter is retained.
-func (e *Engine) ClearDivergence() {
-	e.divMu.Lock()
-	defer e.divMu.Unlock()
-	e.divTripped = false
-	e.divReason = ""
-	e.divTick = 0
-}
-
 // divergedLocked is the tick path's gate; e.mu held. Reading the flag
 // under divMu on every tick would serialize two mutexes on the hot
 // path, so the tick path reads a plain bool mirror maintained under
@@ -123,8 +104,8 @@ func (e *Engine) tripDivergenceLocked(reason string, now int64) {
 	e.divMu.Unlock()
 }
 
-// clearDivergenceLocked is ClearDivergence for callers already holding
-// e.mu (the restore path).
+// clearDivergenceLocked re-arms the guard, keeping the trip counter;
+// e.mu held (the restore path).
 func (e *Engine) clearDivergenceLocked() {
 	e.divGate = false
 	e.divMu.Lock()

@@ -429,20 +429,6 @@ func (e *Engine) recordAction(now int64, action int) {
 	copy(rec.Values, e.current)
 }
 
-// ActionHistory returns a deep copy of the most recent applied actions
-// (oldest first), up to the engine's history capacity.
-func (e *Engine) ActionHistory() []ActionRecord {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := newActionRing(e.historyLen, len(e.current))
-	for i := range out {
-		src := &e.history[(e.historyStart+i)%len(e.history)]
-		out[i].Tick, out[i].Action = src.Tick, src.Action
-		copy(out[i].Values, src.Values)
-	}
-	return out
-}
-
 // ActionDistribution returns how often each action id was chosen,
 // indexed by action id (NULL included).
 func (e *Engine) ActionDistribution() []int64 {
@@ -500,13 +486,6 @@ func (e *Engine) Stop() {
 	e.stopped = true
 }
 
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.stopped
-}
-
 // CurrentValues returns a copy of the parameter vector CAPES believes is
 // applied.
 func (e *Engine) CurrentValues() []float64 {
@@ -530,13 +509,6 @@ func (e *Engine) setCurrentValues(vals []float64) error {
 	}
 	e.current = append([]float64(nil), vals...)
 	return nil
-}
-
-// LastAction returns the most recent action id.
-func (e *Engine) LastAction() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.lastAction
 }
 
 // DB exposes the Replay Database (read-mostly; the Interface Daemon path

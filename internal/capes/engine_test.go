@@ -399,7 +399,8 @@ func TestSessionSaveRestore(t *testing.T) {
 	}
 	// Model weights restored: identical Q-values on a fixed observation.
 	obs := make([]EnginePrecision, eng.DB().ObservationWidth())
-	q1, q2 := eng.Agent().QValues(obs), eng2.Agent().QValues(obs)
+	q1 := eng.agent.Online.ForwardVecInto(make([]EnginePrecision, eng.agent.Online.OutputSize()), obs)
+	q2 := eng2.agent.Online.ForwardVecInto(make([]EnginePrecision, eng.agent.Online.OutputSize()), obs)
 	for i := range q1 {
 		if q1[i] != q2[i] {
 			t.Fatalf("Q[%d] differs after restore: %v vs %v", i, q1[i], q2[i])

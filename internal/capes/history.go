@@ -55,9 +55,6 @@ func (h *History) Record(p HistoryPoint) {
 // Len returns the number of retained points.
 func (h *History) Len() int { return h.n }
 
-// Cap returns the ring capacity.
-func (h *History) Cap() int { return len(h.buf) }
-
 // at returns the i-th retained point, oldest first.
 func (h *History) at(i int) HistoryPoint {
 	return h.buf[(h.start+i)%len(h.buf)]

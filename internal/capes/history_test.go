@@ -77,8 +77,8 @@ func TestHistoryRingProperties(t *testing.T) {
 
 func TestHistoryLastAndRestore(t *testing.T) {
 	h := newHistory(4)
-	if h.Cap() != 4 {
-		t.Fatalf("Cap() = %d", h.Cap())
+	if len(h.buf) != 4 {
+		t.Fatalf("capacity = %d", len(h.buf))
 	}
 	if h.Last() != (HistoryPoint{}) {
 		t.Fatal("empty ring Last() must be zero")

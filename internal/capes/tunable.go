@@ -75,22 +75,6 @@ func (s *ActionSpace) NumActions() int { return 2*len(s.Tunables) + 1 }
 // NullAction is the action id that changes nothing.
 const NullAction = 0
 
-// Describe names an action id ("null", "max_rpc_in_flight-", …).
-func (s *ActionSpace) Describe(action int) string {
-	if action == NullAction {
-		return "null"
-	}
-	idx, up := s.decode(action)
-	if idx < 0 {
-		return fmt.Sprintf("invalid(%d)", action)
-	}
-	dir := "-"
-	if up {
-		dir = "+"
-	}
-	return s.Tunables[idx].Name + dir
-}
-
 // decode returns the tunable index and direction for an action id, or
 // (-1,false) for out-of-range ids.
 func (s *ActionSpace) decode(action int) (idx int, up bool) {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"capes/internal/nn"
+	"capes/internal/tensor"
 )
 
 // TestFloat64CheckpointRejectedBySession: a checkpoint restores only at
@@ -38,9 +39,7 @@ func TestFloat64CheckpointRejectedBySession(t *testing.T) {
 		t.Fatal(err)
 	}
 	m64 := nn.NewMLP[float64](nil, m32.Activation, m32.Sizes...)
-	if err := nn.ConvertParamsFrom(m64, m32); err != nil {
-		t.Fatal(err)
-	}
+	tensor.Convert(m64.FlatParams(), m32.FlatParams())
 	if err := m64.SaveFile(modelPath); err != nil {
 		t.Fatal(err)
 	}

@@ -11,49 +11,6 @@ import (
 	"strings"
 )
 
-// Bar is one labeled bar, optionally with an error (CI half-width).
-type Bar struct {
-	Label string
-	Value float64
-	Err   float64
-}
-
-// BarChart renders horizontal bars scaled to maxWidth columns. Values
-// must be non-negative; the error bar is marked with '±' at the CI edge.
-func BarChart(w io.Writer, title, unit string, bars []Bar, maxWidth int) {
-	if maxWidth <= 0 {
-		maxWidth = 40
-	}
-	fmt.Fprintln(w, title)
-	var max float64
-	labelW := 0
-	for _, b := range bars {
-		if v := b.Value + b.Err; v > max {
-			max = v
-		}
-		if len(b.Label) > labelW {
-			labelW = len(b.Label)
-		}
-	}
-	if max <= 0 {
-		max = 1
-	}
-	for _, b := range bars {
-		n := int(math.Round(b.Value / max * float64(maxWidth)))
-		if n < 0 {
-			n = 0
-		}
-		bar := strings.Repeat("█", n)
-		if b.Err > 0 {
-			hi := int(math.Round((b.Value + b.Err) / max * float64(maxWidth)))
-			if hi > n {
-				bar += strings.Repeat("─", hi-n-1) + "±"
-			}
-		}
-		fmt.Fprintf(w, "  %-*s │%s %.2f%s\n", labelW, b.Label, bar, b.Value, unit)
-	}
-}
-
 // GroupedBars renders groups of bars (e.g. baseline/12h/24h per ratio)
 // with one row per (group, series) pair and a blank line between groups.
 func GroupedBars(w io.Writer, title, unit string, groups []string, series []string, values [][]float64, maxWidth int) {
@@ -149,36 +106,4 @@ func LinePlot(w io.Writer, title string, xs []int64, ys []float64, width, height
 	}
 	fmt.Fprintf(w, "  %.4g ┴%s\n", minY, strings.Repeat("─", width))
 	fmt.Fprintf(w, "       ticks %d … %d\n", xs[0], xs[len(xs)-1])
-}
-
-// Sparkline renders a compact one-line view of a series.
-func Sparkline(ys []float64) string {
-	if len(ys) == 0 {
-		return ""
-	}
-	ticks := []rune("▁▂▃▄▅▆▇█")
-	minY, maxY := ys[0], ys[0]
-	for _, y := range ys {
-		if y < minY {
-			minY = y
-		}
-		if y > maxY {
-			maxY = y
-		}
-	}
-	var b strings.Builder
-	for _, y := range ys {
-		idx := 0
-		if maxY > minY {
-			idx = int((y - minY) / (maxY - minY) * float64(len(ticks)-1))
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(ticks) {
-			idx = len(ticks) - 1
-		}
-		b.WriteRune(ticks[idx])
-	}
-	return b.String()
 }

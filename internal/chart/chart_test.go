@@ -4,48 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"unicode/utf8"
 )
-
-func TestBarChartScalesToMax(t *testing.T) {
-	var buf bytes.Buffer
-	BarChart(&buf, "title", " MB/s", []Bar{
-		{Label: "a", Value: 10},
-		{Label: "bb", Value: 5},
-	}, 20)
-	out := buf.String()
-	if !strings.HasPrefix(out, "title\n") {
-		t.Fatalf("missing title: %q", out)
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	countBlocks := func(s string) int { return strings.Count(s, "█") }
-	if countBlocks(lines[1]) != 20 {
-		t.Fatalf("max bar = %d blocks, want 20", countBlocks(lines[1]))
-	}
-	if countBlocks(lines[2]) != 10 {
-		t.Fatalf("half bar = %d blocks, want 10", countBlocks(lines[2]))
-	}
-	// Labels padded to equal width.
-	if !strings.Contains(lines[1], "a  │") {
-		t.Fatalf("label not padded: %q", lines[1])
-	}
-}
-
-func TestBarChartErrorMark(t *testing.T) {
-	var buf bytes.Buffer
-	BarChart(&buf, "t", "", []Bar{{Label: "x", Value: 10, Err: 5}}, 30)
-	if !strings.Contains(buf.String(), "±") {
-		t.Fatal("CI mark missing")
-	}
-}
-
-func TestBarChartAllZero(t *testing.T) {
-	var buf bytes.Buffer
-	BarChart(&buf, "t", "", []Bar{{Label: "x", Value: 0}}, 10)
-	if !strings.Contains(buf.String(), "0.00") {
-		t.Fatal("zero bar must still print a value")
-	}
-}
 
 func TestGroupedBars(t *testing.T) {
 	var buf bytes.Buffer
@@ -108,22 +67,5 @@ func TestLinePlotConstantSeries(t *testing.T) {
 	LinePlot(&buf, "t", []int64{1, 2}, []float64{5, 5}, 10, 4)
 	if !strings.Contains(buf.String(), "*") {
 		t.Fatal("constant series must still plot")
-	}
-}
-
-func TestSparkline(t *testing.T) {
-	s := Sparkline([]float64{0, 1, 2, 3})
-	if utf8.RuneCountInString(s) != 4 {
-		t.Fatalf("len = %d", utf8.RuneCountInString(s))
-	}
-	runes := []rune(s)
-	if runes[0] != '▁' || runes[3] != '█' {
-		t.Fatalf("sparkline = %q", s)
-	}
-	if Sparkline(nil) != "" {
-		t.Fatal("empty sparkline")
-	}
-	if utf8.RuneCountInString(Sparkline([]float64{7, 7})) != 2 {
-		t.Fatal("constant sparkline")
 	}
 }

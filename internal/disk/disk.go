@@ -22,10 +22,7 @@
 // request classes and the overload penalty.
 package disk
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Params configures a device model. The zero value is not usable; start
 // from DefaultHDD or DefaultSSD.
@@ -186,18 +183,6 @@ func (d *Device) OverloadFactor(q float64) float64 {
 	return 1 + x*x
 }
 
-// RandReadBytesPerSec returns the random-read goodput in bytes/s at
-// queue depth q (before overload and time-sharing, which the server
-// applies).
-func (d *Device) RandReadBytesPerSec(q float64) float64 {
-	return d.RandReadIOPS(q) * d.P.RandIOSizeKB * 1024
-}
-
-// RandWriteBytesPerSec returns the random-write goodput in bytes/s.
-func (d *Device) RandWriteBytesPerSec(q float64) float64 {
-	return d.RandWriteIOPS(q) * d.P.RandIOSizeKB * 1024
-}
-
 // ServiceTime returns the mean seconds to service one request of the
 // given class at queue depth q (the Process Time PI; its ratio to the
 // best seen is the PT-ratio secondary indicator).
@@ -270,18 +255,4 @@ func (d *Device) IOPSAt(c Class, q float64) float64 {
 	default:
 		panic(fmt.Sprintf("disk: unknown class %d", c))
 	}
-}
-
-// PeakWriteQueue returns the queue depth that maximizes random-write
-// goodput including the overload factor — the "true optimum" used by
-// experiment harnesses to sanity-check what CAPES converges to.
-func (d *Device) PeakWriteQueue(maxQ float64) (bestQ, bestRate float64) {
-	bestRate = math.Inf(-1)
-	for q := 1.0; q <= maxQ; q++ {
-		r := d.RandWriteIOPS(q) / d.OverloadFactor(q)
-		if r > bestRate {
-			bestRate, bestQ = r, q
-		}
-	}
-	return bestQ, bestRate
 }

@@ -114,7 +114,7 @@ func TestOverloadFactor(t *testing.T) {
 // headroom CAPES exploits — and decline afterwards (congestion collapse).
 func TestInteriorOptimumExists(t *testing.T) {
 	d := hdd(t)
-	bestQ, bestRate := d.PeakWriteQueue(2000)
+	bestQ, bestRate := peakWriteQueue(d, 2000)
 	if bestQ <= 60 {
 		t.Fatalf("optimum queue %v too close to the default operating point", bestQ)
 	}
@@ -141,7 +141,7 @@ func TestSSDTuningHeadroomIsSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, bestRate := d.PeakWriteQueue(1500)
+	_, bestRate := peakWriteQueue(d, 1500)
 	defaultRate := d.RandWriteIOPS(40) / d.OverloadFactor(40)
 	if bestRate/defaultRate > 1.25 {
 		t.Fatalf("SSD headroom %vx; should be small", bestRate/defaultRate)
@@ -180,17 +180,6 @@ func TestClassHelpers(t *testing.T) {
 	}
 }
 
-func TestBytesPerSecHelpers(t *testing.T) {
-	d := hdd(t)
-	q := 64.0
-	if got, want := d.RandReadBytesPerSec(q), d.RandReadIOPS(q)*8*1024; got != want {
-		t.Fatalf("RandReadBytesPerSec = %v want %v", got, want)
-	}
-	if got, want := d.RandWriteBytesPerSec(q), d.RandWriteIOPS(q)*8*1024; got != want {
-		t.Fatalf("RandWriteBytesPerSec = %v want %v", got, want)
-	}
-}
-
 func TestIOPSAtPanicsOnUnknownClass(t *testing.T) {
 	d := hdd(t)
 	defer func() {
@@ -199,4 +188,18 @@ func TestIOPSAtPanicsOnUnknownClass(t *testing.T) {
 		}
 	}()
 	d.IOPSAt(Class(99), 1)
+}
+
+// peakWriteQueue returns the queue depth that maximizes random-write
+// goodput including the overload factor — the "true optimum" the device
+// model must place in the interior of the tunable range.
+func peakWriteQueue(d *Device, maxQ float64) (bestQ, bestRate float64) {
+	bestRate = math.Inf(-1)
+	for q := 1.0; q <= maxQ; q++ {
+		r := d.RandWriteIOPS(q) / d.OverloadFactor(q)
+		if r > bestRate {
+			bestRate, bestQ = r, q
+		}
+	}
+	return bestQ, bestRate
 }

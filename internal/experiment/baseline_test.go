@@ -1,4 +1,4 @@
-package baseline
+package experiment
 
 import (
 	"math"
@@ -7,7 +7,7 @@ import (
 	"capes/internal/capes"
 )
 
-func space(t *testing.T) *capes.ActionSpace {
+func tunerSpace(t *testing.T) *capes.ActionSpace {
 	t.Helper()
 	s, err := capes.NewActionSpace(
 		capes.Tunable{Name: "x", Min: 0, Max: 100, Step: 5, Default: 10},
@@ -27,8 +27,8 @@ func quad(values []float64) float64 {
 }
 
 func TestStatic(t *testing.T) {
-	s := space(t)
-	r := Static(s, quad)
+	s := tunerSpace(t)
+	r := staticDefault(s, quad)
 	if r.Values[0] != 10 || r.Values[1] != 5 {
 		t.Fatalf("static values = %v", r.Values)
 	}
@@ -41,25 +41,25 @@ func TestStatic(t *testing.T) {
 }
 
 func TestHillClimbFindsPeak(t *testing.T) {
-	s := space(t)
-	r := HillClimb(s, quad, 500)
+	s := tunerSpace(t)
+	r := hillClimb(s, quad, 500)
 	if math.Abs(r.Values[0]-60) > 5 || math.Abs(r.Values[1]-3) > 1 {
 		t.Fatalf("hill climb ended at %v, want ≈(60,3)", r.Values)
 	}
 	if r.Probes > 500 {
 		t.Fatalf("probe budget exceeded: %d", r.Probes)
 	}
-	static := Static(s, quad)
+	static := staticDefault(s, quad)
 	if r.Score <= static.Score {
 		t.Fatal("hill climb must beat the static default on a smooth bowl")
 	}
 }
 
 func TestHillClimbRespectsBudget(t *testing.T) {
-	s := space(t)
+	s := tunerSpace(t)
 	n := 0
 	counting := func(v []float64) float64 { n++; return quad(v) }
-	r := HillClimb(s, counting, 10)
+	r := hillClimb(s, counting, 10)
 	if n > 10 {
 		t.Fatalf("probe count %d exceeds budget 10", n)
 	}
@@ -71,23 +71,23 @@ func TestHillClimbRespectsBudget(t *testing.T) {
 func TestHillClimbStuckOnDeceptiveSurface(t *testing.T) {
 	// A surface with a local optimum at the default: hill climbing must
 	// terminate (not loop) and return the default.
-	s := space(t)
+	s := tunerSpace(t)
 	deceptive := func(v []float64) float64 {
 		if v[0] == 10 && v[1] == 5 {
 			return 100
 		}
 		return 0
 	}
-	r := HillClimb(s, deceptive, 100)
+	r := hillClimb(s, deceptive, 100)
 	if r.Values[0] != 10 || r.Values[1] != 5 {
 		t.Fatalf("should stay at the local optimum, got %v", r.Values)
 	}
 }
 
 func TestRandomSearchImprovesWithBudget(t *testing.T) {
-	s := space(t)
-	small := RandomSearch(s, quad, 3, 1)
-	large := RandomSearch(s, quad, 200, 1)
+	s := tunerSpace(t)
+	small := randomSearch(s, quad, 3, 1)
+	large := randomSearch(s, quad, 200, 1)
 	if large.Score < small.Score {
 		t.Fatalf("more probes should not hurt: %v vs %v", large.Score, small.Score)
 	}
@@ -104,28 +104,5 @@ func TestRandomSearchImprovesWithBudget(t *testing.T) {
 		if math.Abs(steps-math.Round(steps)) > 1e-9 {
 			t.Fatalf("value %v off the step grid", v)
 		}
-	}
-}
-
-func TestGridSearchFindsPeakRegion(t *testing.T) {
-	s := space(t)
-	r := GridSearch(s, quad, 11)
-	if math.Abs(r.Values[0]-60) > 10 || math.Abs(r.Values[1]-3) > 1.5 {
-		t.Fatalf("grid search ended at %v", r.Values)
-	}
-	// 11 points per axis × 2 axes = 121 probes + 1 default.
-	if r.Probes != 122 {
-		t.Fatalf("probes = %d", r.Probes)
-	}
-	if r.Name != "grid-11" {
-		t.Fatalf("name = %q", r.Name)
-	}
-}
-
-func TestGridSearchMinPoints(t *testing.T) {
-	s := space(t)
-	r := GridSearch(s, quad, 0) // clamps to 2
-	if r.Probes != 5 {          // 2×2 grid + default
-		t.Fatalf("probes = %d", r.Probes)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"capes/internal/capes"
-	"capes/internal/hypersearch"
 	"capes/internal/workload"
 )
 
@@ -331,7 +330,7 @@ func TestEnvWithServerPIs(t *testing.T) {
 
 func TestRunHypersearchStructure(t *testing.T) {
 	o := tinyOptions()
-	axes := []hypersearch.Axis{{Name: "learning_rate", Values: []float64{1e-3, 2e-3}}}
+	axes := []HyperAxis{{Name: "learning_rate", Values: []float64{1e-3, 2e-3}}}
 	res, err := RunHypersearch(o, axes, []int64{1}, 0.5)
 	if err != nil {
 		t.Fatal(err)

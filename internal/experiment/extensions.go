@@ -6,7 +6,6 @@ import (
 
 	"capes/internal/capes"
 	"capes/internal/disk"
-	"capes/internal/hypersearch"
 	"capes/internal/pilot"
 	"capes/internal/workload"
 )
@@ -17,14 +16,14 @@ import (
 
 // HypersearchResult is the ranked outcome of a grid search.
 type HypersearchResult struct {
-	Results []hypersearch.Result
+	Results []HyperResult
 	Errs    []error
 	Best    capes.Hyperparameters
 }
 
 // DefaultHypersearchAxes are the most influential DQN hyperparameters.
-func DefaultHypersearchAxes() []hypersearch.Axis {
-	return []hypersearch.Axis{
+func DefaultHypersearchAxes() []HyperAxis {
+	return []HyperAxis{
 		{Name: "learning_rate", Values: []float64{5e-4, 2e-3, 8e-3}},
 		{Name: "gamma", Values: []float64{0.9, 0.99}},
 	}
@@ -33,7 +32,7 @@ func DefaultHypersearchAxes() []hypersearch.Axis {
 // RunHypersearch grid-searches DQN hyperparameters using short training
 // sessions on the 1:9 workload, scoring each point by tuned throughput
 // (bytes/s). Expect gridpoints × seeds training sessions.
-func RunHypersearch(o Options, axes []hypersearch.Axis, seeds []int64, trainHours float64) (*HypersearchResult, error) {
+func RunHypersearch(o Options, axes []HyperAxis, seeds []int64, trainHours float64) (*HypersearchResult, error) {
 	if len(axes) == 0 {
 		axes = DefaultHypersearchAxes()
 	}
@@ -51,11 +50,11 @@ func RunHypersearch(o Options, axes []hypersearch.Axis, seeds []int64, trainHour
 		env.Train(trainHours)
 		return pilot.Mean(env.MeasureTuned(0.5)), nil
 	}
-	results, errs := hypersearch.Search(base, axes, eval, seeds)
+	results, errs := searchHyper(base, axes, eval, seeds)
 	if len(results) == 0 {
 		return nil, fmt.Errorf("experiment: hypersearch produced no results (%d errors)", len(errs))
 	}
-	best, err := hypersearch.Apply(base, results[0].Point)
+	best, err := applyHyper(base, results[0].Point)
 	if err != nil {
 		return nil, err
 	}

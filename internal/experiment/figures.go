@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"capes/internal/baseline"
 	"capes/internal/capes"
 	"capes/internal/nn"
 	"capes/internal/pilot"
@@ -416,7 +415,7 @@ type ComparisonRow struct {
 // tweak-benchmark cycle).
 func RunComparison(o Options, mkGen func(seed int64) workload.Generator, trainHours float64) ([]ComparisonRow, error) {
 	// Shared prober: fresh cluster per tuner, sequential probes.
-	newProber := func(seed int64) (baseline.Prober, *storesim.Cluster, error) {
+	newProber := func(seed int64) (prober, *storesim.Cluster, error) {
 		cp := storesim.DefaultParams()
 		cp.Clients, cp.Servers, cp.Seed = o.Clients, o.Servers, seed
 		cl, err := storesim.New(cp, mkGen(seed))
@@ -439,7 +438,7 @@ func RunComparison(o Options, mkGen func(seed int64) workload.Generator, trainHo
 		return nil, err
 	}
 	var rows []ComparisonRow
-	addRow := func(r baseline.Result) {
+	addRow := func(r tunerResult) {
 		rows = append(rows, ComparisonRow{Tuner: r.Name, Values: r.Values, Tput: r.Score, Probes: r.Probes})
 	}
 
@@ -447,19 +446,19 @@ func RunComparison(o Options, mkGen func(seed int64) workload.Generator, trainHo
 	if err != nil {
 		return nil, err
 	}
-	addRow(baseline.Static(space, probe))
+	addRow(staticDefault(space, probe))
 
 	probe, _, err = newProber(o.Seed + 43)
 	if err != nil {
 		return nil, err
 	}
-	addRow(baseline.HillClimb(space, probe, 60))
+	addRow(hillClimb(space, probe, 60))
 
 	probe, _, err = newProber(o.Seed + 47)
 	if err != nil {
 		return nil, err
 	}
-	addRow(baseline.RandomSearch(space, probe, 40, o.Seed))
+	addRow(randomSearch(space, probe, 40, o.Seed))
 
 	// CAPES.
 	env, err := NewEnv(o, mkGen(o.Seed+53))

@@ -1,11 +1,4 @@
-// Package hypersearch implements the systematic hyperparameter
-// optimization the paper defers to future work (§6: "We will also need
-// to use a systematic approach to hyperparameter optimization, such as
-// using grid search"). It enumerates a cartesian grid over named
-// hyperparameter axes, scores each point with a caller-provided
-// evaluation function (typically a short training session), averages
-// over seeds, and ranks the results.
-package hypersearch
+package experiment
 
 import (
 	"fmt"
@@ -14,36 +7,43 @@ import (
 	"capes/internal/capes"
 )
 
-// Axis is one hyperparameter dimension of the grid.
-type Axis struct {
-	Name   string // one of the names accepted by Apply
+// The systematic hyperparameter optimization the paper defers to future
+// work (§6: "We will also need to use a systematic approach to
+// hyperparameter optimization, such as using grid search"). It enumerates a cartesian grid over named
+// hyperparameter axes, scores each point with a caller-provided
+// evaluation function (typically a short training session), averages
+// over seeds, and ranks the results.
+
+// HyperAxis is one hyperparameter dimension of the grid.
+type HyperAxis struct {
+	Name   string // one of the names accepted by applyHyper
 	Values []float64
 }
 
-// Point assigns a value to each axis.
-type Point map[string]float64
+// HyperPoint assigns a value to each axis.
+type HyperPoint map[string]float64
 
-// Result is one evaluated grid point.
-type Result struct {
-	Point Point
+// HyperResult is one evaluated grid point.
+type HyperResult struct {
+	Point HyperPoint
 	Score float64 // mean across seeds; higher is better
 }
 
-// EvalFunc scores a hyperparameter setting (e.g. tuned throughput after
-// a short session). It must be deterministic given (h, seed).
-type EvalFunc func(h capes.Hyperparameters, seed int64) (float64, error)
+// hyperEvalFunc scores a hyperparameter setting (e.g. tuned throughput
+// after a short session). It must be deterministic given (h, seed).
+type hyperEvalFunc func(h capes.Hyperparameters, seed int64) (float64, error)
 
-// Grid expands axes into the full cartesian product.
-func Grid(axes []Axis) []Point {
-	points := []Point{{}}
+// hyperGrid expands axes into the full cartesian product.
+func hyperGrid(axes []HyperAxis) []HyperPoint {
+	points := []HyperPoint{{}}
 	for _, ax := range axes {
 		if len(ax.Values) == 0 {
 			continue
 		}
-		next := make([]Point, 0, len(points)*len(ax.Values))
+		next := make([]HyperPoint, 0, len(points)*len(ax.Values))
 		for _, p := range points {
 			for _, v := range ax.Values {
-				np := Point{}
+				np := HyperPoint{}
 				for k, pv := range p {
 					np[k] = pv
 				}
@@ -56,11 +56,11 @@ func Grid(axes []Axis) []Point {
 	return points
 }
 
-// Apply sets the named hyperparameters on a copy of h. Supported names:
+// applyHyper sets the named hyperparameters on a copy of h. Supported names:
 // learning_rate, gamma, target_update_rate, minibatch_size,
 // epsilon_final, epsilon_bump, exploration_period, ticks_per_observation,
 // train_every, gradient_clip.
-func Apply(h capes.Hyperparameters, p Point) (capes.Hyperparameters, error) {
+func applyHyper(h capes.Hyperparameters, p HyperPoint) (capes.Hyperparameters, error) {
 	for name, v := range p {
 		switch name {
 		case "learning_rate":
@@ -93,15 +93,15 @@ func Apply(h capes.Hyperparameters, p Point) (capes.Hyperparameters, error) {
 	return h, nil
 }
 
-// Search evaluates every grid point with every seed and returns results
+// searchHyper evaluates every grid point with every seed and returns results
 // sorted best-first. Points that fail Validate are skipped with their
 // error collected into errs.
-func Search(base capes.Hyperparameters, axes []Axis, eval EvalFunc, seeds []int64) (results []Result, errs []error) {
+func searchHyper(base capes.Hyperparameters, axes []HyperAxis, eval hyperEvalFunc, seeds []int64) (results []HyperResult, errs []error) {
 	if len(seeds) == 0 {
 		seeds = []int64{1}
 	}
-	for _, p := range Grid(axes) {
-		h, err := Apply(base, p)
+	for _, p := range hyperGrid(axes) {
+		h, err := applyHyper(base, p)
 		if err != nil {
 			errs = append(errs, err)
 			continue
@@ -120,14 +120,14 @@ func Search(base capes.Hyperparameters, axes []Axis, eval EvalFunc, seeds []int6
 		if !ok {
 			continue
 		}
-		results = append(results, Result{Point: p, Score: sum / float64(len(seeds))})
+		results = append(results, HyperResult{Point: p, Score: sum / float64(len(seeds))})
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].Score > results[j].Score })
 	return results, errs
 }
 
 // String renders a point deterministically (sorted keys).
-func (p Point) String() string {
+func (p HyperPoint) String() string {
 	keys := make([]string, 0, len(p))
 	for k := range p {
 		keys = append(keys, k)

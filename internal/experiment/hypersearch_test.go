@@ -1,4 +1,4 @@
-package hypersearch
+package experiment
 
 import (
 	"errors"
@@ -9,11 +9,11 @@ import (
 )
 
 func TestGridCartesianProduct(t *testing.T) {
-	axes := []Axis{
+	axes := []HyperAxis{
 		{Name: "learning_rate", Values: []float64{1e-4, 1e-3}},
 		{Name: "gamma", Values: []float64{0.9, 0.95, 0.99}},
 	}
-	pts := Grid(axes)
+	pts := hyperGrid(axes)
 	if len(pts) != 6 {
 		t.Fatalf("grid size = %d, want 6", len(pts))
 	}
@@ -25,19 +25,19 @@ func TestGridCartesianProduct(t *testing.T) {
 		t.Fatalf("duplicate grid points: %v", seen)
 	}
 	// Empty axes are skipped.
-	pts2 := Grid([]Axis{{Name: "x"}, {Name: "gamma", Values: []float64{0.9}}})
+	pts2 := hyperGrid([]HyperAxis{{Name: "x"}, {Name: "gamma", Values: []float64{0.9}}})
 	if len(pts2) != 1 {
 		t.Fatalf("empty axis handling: %d points", len(pts2))
 	}
 	// No axes → one empty point (the base configuration).
-	if len(Grid(nil)) != 1 {
+	if len(hyperGrid(nil)) != 1 {
 		t.Fatal("empty grid must contain the base point")
 	}
 }
 
 func TestApplyAllNames(t *testing.T) {
 	base := capes.DefaultHyperparameters()
-	h, err := Apply(base, Point{
+	h, err := applyHyper(base, HyperPoint{
 		"learning_rate":         1e-3,
 		"gamma":                 0.9,
 		"target_update_rate":    0.05,
@@ -65,16 +65,16 @@ func TestApplyAllNames(t *testing.T) {
 }
 
 func TestApplyRejectsUnknownAndInvalid(t *testing.T) {
-	if _, err := Apply(capes.DefaultHyperparameters(), Point{"bogus": 1}); err == nil {
+	if _, err := applyHyper(capes.DefaultHyperparameters(), HyperPoint{"bogus": 1}); err == nil {
 		t.Fatal("unknown name must fail")
 	}
-	if _, err := Apply(capes.DefaultHyperparameters(), Point{"gamma": 1.5}); err == nil {
+	if _, err := applyHyper(capes.DefaultHyperparameters(), HyperPoint{"gamma": 1.5}); err == nil {
 		t.Fatal("invalid value must fail validation")
 	}
 }
 
 func TestSearchRanksByScore(t *testing.T) {
-	axes := []Axis{{Name: "learning_rate", Values: []float64{1e-4, 1e-3, 1e-2}}}
+	axes := []HyperAxis{{Name: "learning_rate", Values: []float64{1e-4, 1e-3, 1e-2}}}
 	// Synthetic objective: peak score at lr=1e-3.
 	eval := func(h capes.Hyperparameters, seed int64) (float64, error) {
 		switch h.AdamLearningRate {
@@ -86,7 +86,7 @@ func TestSearchRanksByScore(t *testing.T) {
 			return 1, nil
 		}
 	}
-	results, errs := Search(capes.DefaultHyperparameters(), axes, eval, []int64{1, 2})
+	results, errs := searchHyper(capes.DefaultHyperparameters(), axes, eval, []int64{1, 2})
 	if len(errs) != 0 {
 		t.Fatalf("errs = %v", errs)
 	}
@@ -106,7 +106,7 @@ func TestSearchRanksByScore(t *testing.T) {
 }
 
 func TestSearchCollectsEvalErrors(t *testing.T) {
-	axes := []Axis{{Name: "gamma", Values: []float64{0.9, 0.99}}}
+	axes := []HyperAxis{{Name: "gamma", Values: []float64{0.9, 0.99}}}
 	boom := errors.New("boom")
 	eval := func(h capes.Hyperparameters, seed int64) (float64, error) {
 		if h.DiscountRate == 0.99 {
@@ -114,7 +114,7 @@ func TestSearchCollectsEvalErrors(t *testing.T) {
 		}
 		return 1, nil
 	}
-	results, errs := Search(capes.DefaultHyperparameters(), axes, eval, nil)
+	results, errs := searchHyper(capes.DefaultHyperparameters(), axes, eval, nil)
 	if len(results) != 1 {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -124,20 +124,20 @@ func TestSearchCollectsEvalErrors(t *testing.T) {
 }
 
 func TestSearchSkipsInvalidPoints(t *testing.T) {
-	axes := []Axis{{Name: "gamma", Values: []float64{0.9, 2.0}}}
+	axes := []HyperAxis{{Name: "gamma", Values: []float64{0.9, 2.0}}}
 	eval := func(h capes.Hyperparameters, seed int64) (float64, error) { return 1, nil }
-	results, errs := Search(capes.DefaultHyperparameters(), axes, eval, nil)
+	results, errs := searchHyper(capes.DefaultHyperparameters(), axes, eval, nil)
 	if len(results) != 1 || len(errs) != 1 {
 		t.Fatalf("results=%d errs=%d", len(results), len(errs))
 	}
 }
 
 func TestPointString(t *testing.T) {
-	p := Point{"b": 2, "a": 1}
+	p := HyperPoint{"b": 2, "a": 1}
 	if got := p.String(); got != "{a=1 b=2}" {
 		t.Fatalf("String = %q", got)
 	}
-	if !strings.HasPrefix(Point{}.String(), "{") {
+	if !strings.HasPrefix(HyperPoint{}.String(), "{") {
 		t.Fatal("empty point must render")
 	}
 }

@@ -22,7 +22,7 @@ type Adam[E tensor.Element] struct {
 	m    []*tensor.Matrix[E] // first-moment estimates, aligned with params
 	v    []*tensor.Matrix[E] // second-moment estimates
 
-	fm []E // flat first moments (StepFlat/FusedStep), aligned with the arena
+	fm []E // flat first moments (FusedStep), aligned with the arena
 	fv []E // flat second moments
 }
 
@@ -63,18 +63,9 @@ func (a *Adam[E]) Step(params, grads []*tensor.Matrix[E]) {
 	}
 }
 
-// StepFlat applies one Adam update over a flat parameter arena (see
-// MLP.FlatParams/FlatGrads): the moment updates and the parameter step
-// are fused into a single pass over contiguous memory, with the moments
-// themselves stored flat. Use either Step or StepFlat/FusedStep on one
-// optimizer, not both — the two maintain separate moment buffers (the
-// shared step counter would skew bias correction if they were mixed).
-func (a *Adam[E]) StepFlat(params, grads []E) {
-	a.FusedStep(params, grads, 1, nil, 0)
-}
-
-// FusedStep is StepFlat with the rest of the per-step parameter traffic
-// folded into the same sweep: each gradient is scaled by gradScale as it
+// FusedStep applies one Adam update over a flat parameter arena (see
+// MLP.FlatParams/FlatGrads) with the moments stored flat, and folds the
+// rest of the per-step parameter traffic into the same sweep: each gradient is scaled by gradScale as it
 // is read (global-norm clipping without a separate scale pass over the
 // arena — the grads slice itself is left unscaled), and when target is
 // non-nil the target network is updated with the freshly stepped
@@ -174,61 +165,3 @@ func (a *Adam[E]) RestoreFlat(step int, m, v []E) error {
 	copy(a.fv, v)
 	return nil
 }
-
-// Reset clears the moment estimates and step counter.
-func (a *Adam[E]) Reset() {
-	a.step = 0
-	a.m, a.v = nil, nil
-	a.fm, a.fv = nil, nil
-}
-
-// SGD is a plain stochastic-gradient-descent optimizer, kept as a baseline
-// for the optimizer ablation (the paper argues Adam converges faster).
-type SGD[E tensor.Element] struct {
-	LR       float64
-	Momentum float64
-	vel      []*tensor.Matrix[E]
-}
-
-// NewSGD returns an SGD optimizer with optional momentum.
-func NewSGD[E tensor.Element](lr, momentum float64) *SGD[E] {
-	return &SGD[E]{LR: lr, Momentum: momentum}
-}
-
-// Step applies params[i] -= lr·grads[i] (with momentum if configured).
-func (s *SGD[E]) Step(params, grads []*tensor.Matrix[E]) {
-	if len(params) != len(grads) {
-		panic("nn: SGD params/grads length mismatch")
-	}
-	if s.Momentum == 0 {
-		for i, p := range params {
-			p.AddScaled(grads[i], E(-s.LR))
-		}
-		return
-	}
-	if s.vel == nil {
-		s.vel = make([]*tensor.Matrix[E], len(params))
-		for i, p := range params {
-			s.vel[i] = tensor.New[E](p.Rows, p.Cols)
-		}
-	}
-	for i, p := range params {
-		v := s.vel[i]
-		v.Scale(E(s.Momentum))
-		v.AddScaled(grads[i], E(-s.LR))
-		for j := range p.Data {
-			p.Data[j] += v.Data[j]
-		}
-	}
-}
-
-// Optimizer is satisfied by Adam and SGD.
-type Optimizer[E tensor.Element] interface {
-	Step(params, grads []*tensor.Matrix[E])
-}
-
-var (
-	_ Optimizer[float64] = (*Adam[float64])(nil)
-	_ Optimizer[float32] = (*Adam[float32])(nil)
-	_ Optimizer[float64] = (*SGD[float64])(nil)
-)

@@ -41,7 +41,6 @@ const (
 	checkpointMagic   = "CAPESDNN"
 	checkpointVersion = 3
 
-	checkpointFixedLen  = 32      // the header up to the layer widths
 	maxCheckpointLayers = 1 << 10 // layer widths in a header
 	maxCheckpointWidth  = 1 << 24 // units per layer, far above any real network
 )
@@ -166,28 +165,6 @@ func Load[E tensor.Element](r io.Reader) (*MLP[E], error) {
 	return m, nil
 }
 
-// CheckpointInfo reports a checkpoint's precision tag and layer sizes
-// from its header alone, without reading the arena or verifying the
-// checksum (capes-inspect uses it so operators can see what precision a
-// session was trained at).
-func CheckpointInfo(r io.Reader) (precision string, sizes []int, err error) {
-	_, h, err := readCheckpointHeader(r)
-	if err != nil {
-		return "", nil, err
-	}
-	return tagName(h.precision), h.sizes, nil
-}
-
-// CheckpointInfoFile is CheckpointInfo reading from a file.
-func CheckpointInfoFile(path string) (precision string, sizes []int, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", nil, err
-	}
-	defer f.Close()
-	return CheckpointInfo(f)
-}
-
 // SaveFile writes a checkpoint to path (atomically via a temp file).
 func (m *MLP[E]) SaveFile(path string) error {
 	return wire.WriteFileAtomic(path, m.Save)
@@ -201,10 +178,4 @@ func LoadFile[E tensor.Element](path string) (*MLP[E], error) {
 	}
 	defer f.Close()
 	return Load[E](f)
-}
-
-// CheckpointBytes returns the serialized size of the model, used for the
-// Table 2 "size of the DNN model" row alongside the in-memory Bytes().
-func (m *MLP[E]) CheckpointBytes() (int, error) {
-	return checkpointFixedLen + 4*len(m.Sizes) + tensor.ElemSize[E]()*len(m.paramData) + 4, nil
 }

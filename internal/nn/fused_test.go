@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -12,7 +13,90 @@ import (
 // reference for the fused Dense forward/backward kernels.
 type refStack struct {
 	d   *Dense[float64]
-	act Layer[float64]
+	act refLayer
+}
+
+// refLayer is a standalone activation layer.
+type refLayer interface {
+	Forward(in *tensor.Matrix[float64]) *tensor.Matrix[float64]
+	Backward(gradOut *tensor.Matrix[float64]) *tensor.Matrix[float64]
+}
+
+// newDense creates an in×out dense layer with Xavier-initialized weights
+// and no activation.
+func newDense(in, out int, rng *rand.Rand) *Dense[float64] {
+	n := in*out + out
+	return newDenseArena(in, out, ActNone, make([]float64, n), make([]float64, n), rng)
+}
+
+// refTanh is a standalone hyperbolic-tangent activation layer.
+type refTanh struct {
+	output *tensor.Matrix[float64]
+	gradIn *tensor.Matrix[float64]
+}
+
+// Forward applies tanh elementwise.
+func (t *refTanh) Forward(in *tensor.Matrix[float64]) *tensor.Matrix[float64] {
+	if t.output == nil || t.output.Rows != in.Rows || t.output.Cols != in.Cols {
+		t.output = tensor.New[float64](in.Rows, in.Cols)
+		t.gradIn = tensor.New[float64](in.Rows, in.Cols)
+	}
+	for i, v := range in.Data {
+		t.output.Data[i] = math.Tanh(v)
+	}
+	return t.output
+}
+
+// Backward uses d tanh(x)/dx = 1 − tanh²(x), computed from the cached
+// forward output.
+func (t *refTanh) Backward(gradOut *tensor.Matrix[float64]) *tensor.Matrix[float64] {
+	for i, y := range t.output.Data {
+		t.gradIn.Data[i] = gradOut.Data[i] * (1 - y*y)
+	}
+	return t.gradIn
+}
+
+// refReLU is a standalone rectifier layer.
+type refReLU struct {
+	output *tensor.Matrix[float64]
+	gradIn *tensor.Matrix[float64]
+}
+
+// Forward applies max(0,x) elementwise.
+func (r *refReLU) Forward(in *tensor.Matrix[float64]) *tensor.Matrix[float64] {
+	if r.output == nil || r.output.Rows != in.Rows || r.output.Cols != in.Cols {
+		r.output = tensor.New[float64](in.Rows, in.Cols)
+		r.gradIn = tensor.New[float64](in.Rows, in.Cols)
+	}
+	for i, v := range in.Data {
+		r.output.Data[i] = max(v, 0)
+	}
+	return r.output
+}
+
+// Backward passes gradient where the forward input was positive.
+func (r *refReLU) Backward(gradOut *tensor.Matrix[float64]) *tensor.Matrix[float64] {
+	for i, y := range r.output.Data {
+		if y > 0 {
+			r.gradIn.Data[i] = gradOut.Data[i]
+		} else {
+			r.gradIn.Data[i] = 0
+		}
+	}
+	return r.gradIn
+}
+
+// approxEqual reports whether a and b match within tol elementwise.
+func approxEqual(a, b *tensor.Matrix[float64], tol float64) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i, v := range a.Data {
+		if math.Abs(v-b.Data[i]) > tol {
+			return false
+		}
+	}
+	return true
 }
 
 func (r *refStack) forward(in *tensor.Matrix[float64]) *tensor.Matrix[float64] {
@@ -50,17 +134,17 @@ func TestFusedDenseMatchesReference(t *testing.T) {
 	for _, act := range []Activation{ActTanh, ActReLU, ActNone} {
 		for _, sh := range fusedShapes {
 			rng := rand.New(rand.NewSource(17))
-			fused := NewDense[float64](sh.in, sh.out, rng)
+			fused := newDense(sh.in, sh.out, rng)
 			fused.Act = act
 
-			ref := &refStack{d: NewDense[float64](sh.in, sh.out, rand.New(rand.NewSource(99)))}
-			ref.d.W.CopyFrom(fused.W)
+			ref := &refStack{d: newDense(sh.in, sh.out, rand.New(rand.NewSource(99)))}
+			copy(ref.d.W.Data, fused.W.Data)
 			copy(ref.d.B, fused.B)
 			switch act {
 			case ActTanh:
-				ref.act = &Tanh[float64]{}
+				ref.act = &refTanh{}
 			case ActReLU:
-				ref.act = &ReLU[float64]{}
+				ref.act = &refReLU{}
 			}
 			// Nonzero biases so the fused bias-add is actually exercised.
 			for i := range fused.B {
@@ -74,7 +158,7 @@ func TestFusedDenseMatchesReference(t *testing.T) {
 			}
 			gotOut := fused.Forward(in)
 			wantOut := ref.forward(in)
-			if !tensor.ApproxEqual(gotOut, wantOut, tol) {
+			if !approxEqual(gotOut, wantOut, tol) {
 				t.Fatalf("%v %dx%d->%d: fused forward deviates from reference", act, sh.batch, sh.in, sh.out)
 			}
 
@@ -84,10 +168,10 @@ func TestFusedDenseMatchesReference(t *testing.T) {
 			}
 			gotIn := fused.Backward(gradOut)
 			wantIn := ref.backward(gradOut)
-			if !tensor.ApproxEqual(gotIn, wantIn, tol) {
+			if !approxEqual(gotIn, wantIn, tol) {
 				t.Fatalf("%v %dx%d->%d: fused backward ∂L/∂in deviates", act, sh.batch, sh.in, sh.out)
 			}
-			if !tensor.ApproxEqual(fused.GradW, ref.d.GradW, tol) {
+			if !approxEqual(fused.GradW, ref.d.GradW, tol) {
 				t.Fatalf("%v %dx%d->%d: fused GradW deviates", act, sh.batch, sh.in, sh.out)
 			}
 			for j := range fused.GradB {
@@ -139,7 +223,7 @@ func TestStepFlatMatchesStep(t *testing.T) {
 			b.FlatGrads()[i] = g
 		}
 		optA.Step(a.Params(), a.Grads())
-		optB.StepFlat(b.FlatParams(), b.FlatGrads())
+		optB.FusedStep(b.FlatParams(), b.FlatGrads(), 1, nil, 0)
 		for i, v := range a.FlatParams() {
 			diff := v - b.FlatParams()[i]
 			if diff < -1e-12 || diff > 1e-12 {

@@ -76,13 +76,6 @@ type Dense[E tensor.Element] struct {
 	cur      *denseScratch[E]  // scratch used by the last Forward
 }
 
-// NewDense creates an in×out dense layer with Xavier-initialized weights
-// and no activation (set Act, or use NewMLP, for fused nonlinearities).
-func NewDense[E tensor.Element](in, out int, rng *rand.Rand) *Dense[E] {
-	n := in*out + out
-	return newDenseArena(in, out, ActNone, make([]E, n), make([]E, n), rng)
-}
-
 // newDenseArena builds a Dense whose parameters and gradients are views
 // into caller-provided backing slices of length in*out+out (weights
 // first, then bias). NewMLP passes segments of its contiguous parameter
@@ -242,88 +235,3 @@ func (d *Dense[E]) Params() []*tensor.Matrix[E] {
 func (d *Dense[E]) Grads() []*tensor.Matrix[E] {
 	return d.gviews[:]
 }
-
-// Tanh is a standalone hyperbolic-tangent activation layer. The MLP
-// fuses tanh into its Dense layers; this layer type remains for
-// composing custom stacks (and as the reference implementation the
-// fused-kernel equivalence tests compare against).
-type Tanh[E tensor.Element] struct {
-	output *tensor.Matrix[E]
-	gradIn *tensor.Matrix[E]
-}
-
-// Forward applies tanh elementwise.
-func (t *Tanh[E]) Forward(in *tensor.Matrix[E]) *tensor.Matrix[E] {
-	if t.output == nil || t.output.Rows != in.Rows || t.output.Cols != in.Cols {
-		t.output = tensor.New[E](in.Rows, in.Cols)
-		t.gradIn = tensor.New[E](in.Rows, in.Cols)
-	}
-	for i, v := range in.Data {
-		t.output.Data[i] = tensor.Tanh(v)
-	}
-	return t.output
-}
-
-// Backward uses d tanh(x)/dx = 1 − tanh²(x), computed from the cached
-// forward output.
-func (t *Tanh[E]) Backward(gradOut *tensor.Matrix[E]) *tensor.Matrix[E] {
-	for i, y := range t.output.Data {
-		t.gradIn.Data[i] = gradOut.Data[i] * (1 - y*y)
-	}
-	return t.gradIn
-}
-
-// ReLU is the standalone rectifier layer, kept for the ablation benches
-// comparing activation choices; the paper's network uses tanh.
-type ReLU[E tensor.Element] struct {
-	output *tensor.Matrix[E]
-	gradIn *tensor.Matrix[E]
-}
-
-// Forward applies max(0,x) elementwise.
-func (r *ReLU[E]) Forward(in *tensor.Matrix[E]) *tensor.Matrix[E] {
-	if r.output == nil || r.output.Rows != in.Rows || r.output.Cols != in.Cols {
-		r.output = tensor.New[E](in.Rows, in.Cols)
-		r.gradIn = tensor.New[E](in.Rows, in.Cols)
-	}
-	for i, v := range in.Data {
-		if v > 0 {
-			r.output.Data[i] = v
-		} else {
-			r.output.Data[i] = 0
-		}
-	}
-	return r.output
-}
-
-// Backward passes gradient where the forward input was positive.
-func (r *ReLU[E]) Backward(gradOut *tensor.Matrix[E]) *tensor.Matrix[E] {
-	for i, y := range r.output.Data {
-		if y > 0 {
-			r.gradIn.Data[i] = gradOut.Data[i]
-		} else {
-			r.gradIn.Data[i] = 0
-		}
-	}
-	return r.gradIn
-}
-
-// Layer is the interface satisfied by Dense, Tanh and ReLU.
-type Layer[E tensor.Element] interface {
-	Forward(in *tensor.Matrix[E]) *tensor.Matrix[E]
-	Backward(gradOut *tensor.Matrix[E]) *tensor.Matrix[E]
-}
-
-// ParamLayer is a Layer with trainable parameters.
-type ParamLayer[E tensor.Element] interface {
-	Layer[E]
-	Params() []*tensor.Matrix[E]
-	Grads() []*tensor.Matrix[E]
-}
-
-var (
-	_ ParamLayer[float64] = (*Dense[float64])(nil)
-	_ ParamLayer[float32] = (*Dense[float32])(nil)
-	_ Layer[float64]      = (*Tanh[float64])(nil)
-	_ Layer[float32]      = (*ReLU[float32])(nil)
-)

@@ -45,23 +45,6 @@ func MaskedMSE[E tensor.Element](pred *tensor.Matrix[E], actions []int, targets 
 	return loss / n
 }
 
-// MSE computes the plain mean-squared error between pred and target over
-// all outputs, writing the gradient into gradOut. Used by the supervised
-// sanity tests and the prediction-error metric of Figure 5.
-func MSE[E tensor.Element](pred, target, gradOut *tensor.Matrix[E]) float64 {
-	if pred.Rows != target.Rows || pred.Cols != target.Cols {
-		panic("nn: MSE shape mismatch")
-	}
-	n := float64(len(pred.Data))
-	var loss float64
-	for i, p := range pred.Data {
-		diff := float64(p - target.Data[i])
-		loss += diff * diff
-		gradOut.Data[i] = E(2 * diff / n)
-	}
-	return loss / n
-}
-
 // FlatNorm returns the L2 norm of a flat gradient arena in one pass,
 // accumulated in float64 (a float32 accumulator could overflow exactly
 // when the norm matters most — mid-divergence). The training step uses

@@ -139,14 +139,8 @@ func (m *MLP[E]) Forward(in *tensor.Matrix[E]) *tensor.Matrix[E] {
 	return out
 }
 
-// ForwardVec runs a single observation (len == InputSize) and returns a
-// fresh copy of the output vector.
-func (m *MLP[E]) ForwardVec(obs []E) []E {
-	return m.ForwardVecInto(make([]E, m.OutputSize()), obs)
-}
-
-// ForwardVecInto is ForwardVec writing the Q-values into dst (len ==
-// OutputSize), which is also returned. It allocates nothing: the input
+// ForwardVecInto runs a single observation through the network and
+// writes the Q-values into dst (len == OutputSize), which it returns. It allocates nothing: the input
 // header and every layer buffer on the 1×N path are reused across calls,
 // so the per-tick action path stays off the garbage collector entirely.
 func (m *MLP[E]) ForwardVecInto(dst, obs []E) []E {
@@ -220,18 +214,6 @@ func (m *MLP[E]) CopyParamsFrom(src *MLP[E]) {
 		panic("nn: CopyParamsFrom shape mismatch")
 	}
 	copy(m.paramData, src.paramData)
-}
-
-// ConvertParamsFrom copies all parameters from an MLP of another
-// precision (same topology required): float32→float64 is exact,
-// float64→float32 rounds once per parameter. The precision tests use it
-// to build a float32 network from float64 weights.
-func ConvertParamsFrom[D, S tensor.Element](dst *MLP[D], src *MLP[S]) error {
-	if len(dst.paramData) != len(src.paramData) {
-		return fmt.Errorf("nn: convert params: %d vs %d parameters", len(dst.paramData), len(src.paramData))
-	}
-	tensor.Convert(dst.paramData, src.paramData)
-	return nil
 }
 
 // CheckFinite returns an error if any parameter is NaN/Inf, scanning the

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -13,8 +14,8 @@ import (
 
 func TestDenseForwardKnownValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	d := NewDense[float64](2, 2, rng)
-	d.W.CopyFrom(tensor.FromSlice(2, 2, []float64{1, 2, 3, 4}))
+	d := newDense(2, 2, rng)
+	copy(d.W.Data, []float64{1, 2, 3, 4})
 	copy(d.B, []float64{10, 20})
 	out := d.Forward(tensor.FromSlice(1, 2, []float64{1, 1}))
 	if out.At(0, 0) != 14 || out.At(0, 1) != 26 {
@@ -41,12 +42,12 @@ func TestBackpropNumericalGradient(t *testing.T) {
 			d := v - target.Data[i]
 			s += d * d / n
 		}
-		return s / n * n // keep formula identical to MSE: Σd²/n
+		return s / n * n // keep formula identical to mse: Σd²/n
 	}
 	// Analytic gradients.
 	out := m.Forward(in)
 	grad := tensor.New[float64](batch, 2)
-	MSE(out, target, grad)
+	mse(out, target, grad)
 	m.Backward(grad)
 
 	params, grads := m.Params(), m.Grads()
@@ -71,6 +72,19 @@ func TestBackpropNumericalGradient(t *testing.T) {
 	if checked < 10 {
 		t.Fatalf("only %d gradient entries checked", checked)
 	}
+}
+
+// mse computes the plain mean-squared error between pred and target over
+// all outputs, writing the gradient into gradOut.
+func mse(pred, target, gradOut *tensor.Matrix[float64]) float64 {
+	n := float64(len(pred.Data))
+	var loss float64
+	for i, p := range pred.Data {
+		diff := p - target.Data[i]
+		loss += diff * diff
+		gradOut.Data[i] = 2 * diff / n
+	}
+	return loss / n
 }
 
 func TestMaskedMSENumericalGradient(t *testing.T) {
@@ -130,7 +144,7 @@ func TestMLPLearnsXOR(t *testing.T) {
 	var loss float64
 	for i := 0; i < 2000; i++ {
 		out := m.Forward(in)
-		loss = MSE(out, target, grad)
+		loss = mse(out, target, grad)
 		m.Backward(grad)
 		opt.Step(m.Params(), m.Grads())
 	}
@@ -160,7 +174,7 @@ func TestReLULearnsRegression(t *testing.T) {
 	grad := tensor.New[float64](n, 1)
 	var loss float64
 	for i := 0; i < 3000; i++ {
-		loss = MSE(m.Forward(in), target, grad)
+		loss = mse(m.Forward(in), target, grad)
 		m.Backward(grad)
 		opt.Step(m.Params(), m.Grads())
 	}
@@ -174,7 +188,7 @@ func TestCloneAndCopyParams(t *testing.T) {
 	m := NewMLP[float64](rng, ActTanh, 3, 4, 2)
 	c := m.Clone()
 	for i, p := range m.Params() {
-		if !tensor.Equal(p, c.Params()[i]) {
+		if !slices.Equal(p.Data, c.Params()[i].Data) {
 			t.Fatalf("clone param %d differs", i)
 		}
 	}
@@ -213,7 +227,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("loaded shape %d→%d", got.InputSize(), got.OutputSize())
 	}
 	for i, p := range m.Params() {
-		if !tensor.Equal(p, got.Params()[i]) {
+		if !slices.Equal(p.Data, got.Params()[i].Data) {
 			t.Fatalf("param %d differs after round trip", i)
 		}
 	}
@@ -282,54 +296,13 @@ func TestCAPESNetworkShape(t *testing.T) {
 	}
 }
 
-func TestAdamReducesLossFasterThanSGDOnIllConditioned(t *testing.T) {
-	// A quadratic bowl with very different curvatures per axis; Adam's
-	// per-parameter scaling should dominate plain SGD.
-	run := func(opt Optimizer[float64]) float64 {
-		p := tensor.FromSlice(1, 2, []float64{5, 5})
-		g := tensor.New[float64](1, 2)
-		params, grads := []*tensor.Matrix[float64]{p}, []*tensor.Matrix[float64]{g}
-		for i := 0; i < 300; i++ {
-			g.Set(0, 0, 2*100*p.At(0, 0))  // steep axis
-			g.Set(0, 1, 2*0.01*p.At(0, 1)) // shallow axis
-			opt.Step(params, grads)
-		}
-		return 100*p.At(0, 0)*p.At(0, 0) + 0.01*p.At(0, 1)*p.At(0, 1)
-	}
-	adamLoss := run(NewAdam[float64](0.1))
-	sgdLoss := run(NewSGD[float64](0.001, 0))
-	if adamLoss >= sgdLoss {
-		t.Fatalf("Adam loss %g not better than SGD %g", adamLoss, sgdLoss)
-	}
-}
-
-func TestAdamResetAndStepCount(t *testing.T) {
+func TestAdamStepCount(t *testing.T) {
 	a := NewAdam[float64](0.001)
 	p := tensor.FromSlice(1, 1, []float64{1})
 	g := tensor.FromSlice(1, 1, []float64{1})
 	a.Step([]*tensor.Matrix[float64]{p}, []*tensor.Matrix[float64]{g})
 	if a.StepCount() != 1 {
 		t.Fatalf("StepCount = %d", a.StepCount())
-	}
-	a.Reset()
-	if a.StepCount() != 0 {
-		t.Fatal("Reset did not clear step count")
-	}
-}
-
-func TestSGDMomentumAccelerates(t *testing.T) {
-	run := func(momentum float64) float64 {
-		p := tensor.FromSlice(1, 1, []float64{10})
-		g := tensor.New[float64](1, 1)
-		opt := NewSGD[float64](0.01, momentum)
-		for i := 0; i < 100; i++ {
-			g.Set(0, 0, 2*p.At(0, 0))
-			opt.Step([]*tensor.Matrix[float64]{p}, []*tensor.Matrix[float64]{g})
-		}
-		return math.Abs(p.At(0, 0))
-	}
-	if run(0.9) >= run(0) {
-		t.Fatal("momentum should reach the optimum faster on a smooth bowl")
 	}
 }
 

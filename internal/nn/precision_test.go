@@ -151,9 +151,7 @@ func TestMLPFloat32MatchesFloat64Forward(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	m64 := NewCAPESNetwork[float64](rng, 64, 5)
 	m32 := NewCAPESNetwork[float32](rand.New(rand.NewSource(0)), 64, 5)
-	if err := ConvertParamsFrom(m32, m64); err != nil {
-		t.Fatal(err)
-	}
+	tensor.Convert(m32.FlatParams(), m64.FlatParams())
 	obs64 := make([]float64, 64)
 	obs32 := make([]float32, 64)
 	for i := range obs64 {
@@ -164,7 +162,7 @@ func TestMLPFloat32MatchesFloat64Forward(t *testing.T) {
 	q32 := m32.ForwardVec(obs32)
 	// Two hidden layers of width 64 → error compounds over ~2×64-long
 	// accumulations plus the tanh rounding.
-	tol := 64 * 64 * tensor.Eps[float32]()
+	tol := 64 * 64 * 0x1p-23 // float32 epsilon
 	for i := range q64 {
 		if d := math.Abs(q64[i] - float64(q32[i])); d > tol {
 			t.Fatalf("Q[%d]: float32 %v vs float64 %v (|Δ|=%g > %g)", i, q32[i], q64[i], d, tol)

@@ -37,11 +37,11 @@ func checkState(t *testing.T, op int, ring *DB, gold *goldenDB, tickRange int64)
 	if ring.Len() != gold.len() {
 		t.Fatalf("op %d: Len ring=%d golden=%d", op, ring.Len(), gold.len())
 	}
-	if ring.Evictions() != gold.evictions {
-		t.Fatalf("op %d: Evictions ring=%d golden=%d", op, ring.Evictions(), gold.evictions)
+	if ring.evictions != gold.evictions {
+		t.Fatalf("op %d: Evictions ring=%d golden=%d", op, ring.evictions, gold.evictions)
 	}
-	if ring.Stale() != gold.stale {
-		t.Fatalf("op %d: Stale ring=%d golden=%d", op, ring.Stale(), gold.stale)
+	if ring.stale != gold.stale {
+		t.Fatalf("op %d: Stale ring=%d golden=%d", op, ring.stale, gold.stale)
 	}
 	rMin, rMax := ring.Bounds()
 	gMin, gMax := gold.bounds()
@@ -133,7 +133,7 @@ func runDifferential(t *testing.T, seed int64, ops int) {
 		case 9: // Algorithm 1 sampling: same seed, same draws, same rejections
 			n := 1 + rng.Intn(8)
 			sseed := rng.Int63()
-			rBatch, rErr := ring.ConstructMinibatch(rand.New(rand.NewSource(sseed)), n, diffReward)
+			rBatch, rErr := ConstructMinibatch[float64](ring, rand.New(rand.NewSource(sseed)), n, diffReward)
 			gBatch, gErr := gold.constructMinibatch(rand.New(rand.NewSource(sseed)), n, diffReward)
 			if (rErr == nil) != (gErr == nil) {
 				t.Fatalf("op %d: minibatch err ring=%v golden=%v", op, rErr, gErr)
@@ -247,9 +247,9 @@ func TestDifferentialDenseStream(t *testing.T) {
 			gold.putAction(tick, int(tick)%7)
 		}
 	}
-	if ring.Len() != gold.len() || ring.Evictions() != gold.evictions {
+	if ring.Len() != gold.len() || ring.evictions != gold.evictions {
 		t.Fatalf("ring Len=%d Evictions=%d, golden Len=%d Evictions=%d",
-			ring.Len(), ring.Evictions(), gold.len(), gold.evictions)
+			ring.Len(), ring.evictions, gold.len(), gold.evictions)
 	}
 	for _, tick := range gold.ticksSorted() {
 		rf, ok := ring.FrameAt(tick)
@@ -265,7 +265,7 @@ func TestDifferentialDenseStream(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		sseed := rng.Int63()
-		rb, rErr := ring.ConstructMinibatch(rand.New(rand.NewSource(sseed)), 16, diffReward)
+		rb, rErr := ConstructMinibatch[float64](ring, rand.New(rand.NewSource(sseed)), 16, diffReward)
 		gb, gErr := gold.constructMinibatch(rand.New(rand.NewSource(sseed)), 16, diffReward)
 		if (rErr == nil) != (gErr == nil) {
 			t.Fatalf("minibatch err ring=%v golden=%v", rErr, gErr)

@@ -236,7 +236,7 @@ func Load(r io.Reader) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Nothing in the file backs StackTicks, and the first Observation on
+	// Nothing in the file backs StackTicks, and the first observation on
 	// the loaded DB allocates FrameWidth × StackTicks values.
 	if stack > maxLoadWidth || width > maxLoadWidth/stack {
 		return nil, fmt.Errorf("replay: snapshot observation is %d × %d values, limit %d", width, stack, int64(maxLoadWidth))

@@ -36,8 +36,8 @@
 // minibatch path already converted on copy, so *observations* reaching
 // a float32 network are bit-identical to before (one rounding per
 // value, now at PutFrame instead of at batch assembly). The
-// float64-facing accessors (FrameAt, Observation, reward-function
-// inputs) widen the stored float32 values exactly, but they widen the
+// float64-facing accessors (FrameAt, ObservationInto at float64,
+// reward-function inputs) widen the stored float32 values exactly, but they widen the
 // *rounded* values: a RewardFunc now computes from float32-precision
 // frames, so rewards (and any other float64 consumer of stored frames)
 // can differ from the pre-ring values by up to ~1e-7 relative — the
@@ -337,22 +337,6 @@ func (db *DB) Len() int {
 	return db.count
 }
 
-// Evictions returns how many frames were dropped to honor Capacity.
-func (db *DB) Evictions() int64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.evictions
-}
-
-// Stale returns how many writes were dropped for arriving behind a
-// bounded window (late frames or actions that would already have been
-// evicted).
-func (db *DB) Stale() int64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.stale
-}
-
 // Bounds returns the smallest and largest tick holding a frame (-1,-1
 // when empty).
 func (db *DB) Bounds() (min, max int64) {
@@ -526,24 +510,6 @@ func observationIntoFor[E tensor.Element](db *DB, dst []E, t int64) error {
 	return nil
 }
 
-func (db *DB) observationInto(dst []float64, t int64) error {
-	return observationIntoFor(db, dst, t)
-}
-
-// Observation returns the stacked observation ending at tick t, applying
-// the missing-entry tolerance. This is the same observation layout used
-// on the action path, "the same observation data format is used in both
-// training and action steps" (§3.7).
-func (db *DB) Observation(t int64) ([]float64, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	dst := make([]float64, db.ObservationWidth())
-	if err := db.observationInto(dst, t); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
 // Batch is one training minibatch: transitions w_t = (s_t, s_{t+1}, a_t,
 // r_t) with observations flattened row-wise. The element type matches
 // the consuming network's precision — the float32 DQN engine samples
@@ -567,21 +533,12 @@ type Batch[E tensor.Element] struct {
 // minibatch request (fewer valid timestamps than needed).
 var ErrInsufficientData = errors.New("replay: not enough data for a minibatch")
 
-// ConstructMinibatch implements Algorithm 1: repeatedly draw uniform
+// ConstructMinibatchInto implements Algorithm 1: repeatedly draw uniform
 // timestamps over the stored range, keep those with enough data (a valid
 // s_t, s_{t+1} and recorded action), compute rewards via rf, until n
 // transitions are gathered. maxAttempts bounds the retry loop so a sparse
 // DB returns ErrInsufficientData instead of spinning. The element type E
-// selects the batch precision (see Batch).
-func ConstructMinibatch[E tensor.Element](db *DB, rng *rand.Rand, n int, rf RewardFunc) (*Batch[E], error) {
-	b := new(Batch[E])
-	if err := ConstructMinibatchInto(db, rng, n, rf, b); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// ConstructMinibatchInto is ConstructMinibatch sampling into a
+// selects the batch precision (see Batch). It samples into a
 // caller-owned batch, growing its buffers only when n or the observation
 // width changes — the steady-state training loop reuses one batch with
 // zero allocations per step. On error the batch contents are undefined.
@@ -645,18 +602,6 @@ func ConstructMinibatchInto[E tensor.Element](db *DB, rng *rand.Rand, n int, rf 
 	}
 	b.N = n
 	return nil
-}
-
-// ConstructMinibatch is the float64 method form, kept for callers that
-// predate the generic constructors (analysis and test code).
-func (db *DB) ConstructMinibatch(rng *rand.Rand, n int, rf RewardFunc) (*Batch[float64], error) {
-	return ConstructMinibatch[float64](db, rng, n, rf)
-}
-
-// ConstructMinibatchInto is the float64 method form of the generic
-// package function.
-func (db *DB) ConstructMinibatchInto(rng *rand.Rand, n int, rf RewardFunc, b *Batch[float64]) error {
-	return ConstructMinibatchInto(db, rng, n, rf, b)
 }
 
 // ObservationInto assembles the stacked observation ending at tick t

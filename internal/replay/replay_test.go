@@ -164,7 +164,7 @@ func TestConstructMinibatch(t *testing.T) {
 	fill(t, db, 0, 100)
 	rng := rand.New(rand.NewSource(1))
 	rf := func(cur, next Frame) float64 { return next[0] - cur[0] }
-	b, err := db.ConstructMinibatch(rng, 32, rf)
+	b, err := ConstructMinibatch[float64](db, rng, 32, rf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +197,11 @@ func TestConstructMinibatchInsufficient(t *testing.T) {
 	db := mustDB(t, Config{FrameWidth: 1, StackTicks: 5})
 	rng := rand.New(rand.NewSource(1))
 	rf := func(cur, next Frame) float64 { return 0 }
-	if _, err := db.ConstructMinibatch(rng, 4, rf); !errors.Is(err, ErrInsufficientData) {
+	if _, err := ConstructMinibatch[float64](db, rng, 4, rf); !errors.Is(err, ErrInsufficientData) {
 		t.Fatalf("empty DB: err = %v", err)
 	}
 	fill(t, db, 0, 3) // too few ticks for even one stacked observation
-	if _, err := db.ConstructMinibatch(rng, 4, rf); !errors.Is(err, ErrInsufficientData) {
+	if _, err := ConstructMinibatch[float64](db, rng, 4, rf); !errors.Is(err, ErrInsufficientData) {
 		t.Fatalf("short DB: err = %v", err)
 	}
 }
@@ -215,7 +215,7 @@ func TestConstructMinibatchSkipsActionlessTicks(t *testing.T) {
 		}
 	}
 	rng := rand.New(rand.NewSource(2))
-	b, err := db.ConstructMinibatch(rng, 16, func(c, n Frame) float64 { return 0 })
+	b, err := ConstructMinibatch[float64](db, rng, 16, func(c, n Frame) float64 { return 0 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,8 +242,8 @@ func TestCapacityEviction(t *testing.T) {
 	if mn != 15 || mx != 24 {
 		t.Fatalf("Bounds = %d,%d", mn, mx)
 	}
-	if db.Evictions() != 15 {
-		t.Fatalf("Evictions = %d", db.Evictions())
+	if db.evictions != 15 {
+		t.Fatalf("Evictions = %d", db.evictions)
 	}
 	if _, ok := db.FrameAt(5); ok {
 		t.Fatal("evicted frame still present")
@@ -333,7 +333,7 @@ func TestMinibatchStatesAreStoredFramesProperty(t *testing.T) {
 			db.PutFrame(tick, Frame{float64(tick)})
 			db.PutAction(tick, 0)
 		}
-		b, err := db.ConstructMinibatch(rng, 8, func(c, nx Frame) float64 { return 0 })
+		b, err := ConstructMinibatch[float64](db, rng, 8, func(c, nx Frame) float64 { return 0 })
 		if err != nil {
 			return false
 		}

@@ -104,7 +104,7 @@ func testTrainStepAllocFree[E tensor.Element](t *testing.T) {
 		agent.SelectAction(obs, 1)
 	})
 	if allocs != 0 {
-		t.Fatalf("TrainStep+SelectAction (%s) allocate %v per step in steady state", agent.Precision(), allocs)
+		t.Fatalf("TrainStep+SelectAction (%s) allocate %v per step in steady state", agent.Online.Precision(), allocs)
 	}
 }
 

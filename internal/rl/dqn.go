@@ -30,18 +30,6 @@ type Config struct {
 	HuberDelta float64
 }
 
-// DefaultConfig returns Table 1's values.
-func DefaultConfig() Config {
-	return Config{
-		Gamma:         0.99,
-		LearningRate:  1e-4,
-		TargetUpdateα: 0.01,
-		MinibatchSize: 32,
-		GradientClip:  10,
-		UseTargetNet:  true,
-	}
-}
-
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.Gamma < 0 || c.Gamma >= 1 {
@@ -178,14 +166,8 @@ func (a *Agent[E]) ensureScratch(n int) {
 	a.argmaxNext = make([]int, n)
 }
 
-// NumActions returns the size of the action space.
-func (a *Agent[E]) NumActions() int { return a.nActions }
-
 // Config returns the agent's hyperparameters.
 func (a *Agent[E]) Config() Config { return a.cfg }
-
-// Precision names the agent's working element type.
-func (a *Agent[E]) Precision() string { return a.Online.Precision() }
 
 // SelectAction applies the ε-greedy policy at the given tick: with
 // probability ε a uniformly random action, otherwise argmax_a Q(obs,a)
@@ -206,11 +188,6 @@ func (a *Agent[E]) SelectAction(obs []E, tick int64) int {
 // GreedyAction returns argmax_a Q(obs,a) ignoring ε (tuning phase).
 func (a *Agent[E]) GreedyAction(obs []E) int {
 	return tensor.ArgMax(a.Online.ForwardVecInto(a.qScratch, obs))
-}
-
-// QValues returns the Q-value vector for an observation.
-func (a *Agent[E]) QValues(obs []E) []E {
-	return a.Online.ForwardVec(obs)
 }
 
 // ActionCounts reports how many random vs. calculated actions were taken.

@@ -21,17 +21,6 @@ type EpsilonSchedule struct {
 	bumped   bool
 }
 
-// NewEpsilonSchedule returns the paper's schedule: 1.0 → 0.05 over
-// annealTicks, bump value 0.2.
-func NewEpsilonSchedule(annealTicks int64) *EpsilonSchedule {
-	return &EpsilonSchedule{
-		Initial:     1.0,
-		Final:       0.05,
-		AnnealTicks: annealTicks,
-		BumpValue:   0.2,
-	}
-}
-
 // Validate checks the schedule parameters.
 func (e *EpsilonSchedule) Validate() error {
 	if e.Initial < e.Final {

@@ -7,7 +7,6 @@ import (
 
 	"capes/internal/nn"
 	"capes/internal/replay"
-	"capes/internal/tensor"
 )
 
 func TestEpsilonScheduleAnneal(t *testing.T) {
@@ -154,12 +153,12 @@ func TestSelectActionEpsilonExtremes(t *testing.T) {
 func TestQValuesShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a, _ := NewAgent[float64](DefaultConfig(), nil, 6, 5, rng)
-	q := a.QValues(make([]float64, 6))
+	q := a.Online.ForwardVecInto(make([]float64, 5), make([]float64, 6))
 	if len(q) != 5 {
 		t.Fatalf("QValues len = %d", len(q))
 	}
-	if a.NumActions() != 5 {
-		t.Fatalf("NumActions = %d", a.NumActions())
+	if a.nActions != 5 {
+		t.Fatalf("NumActions = %d", a.nActions)
 	}
 }
 
@@ -282,8 +281,8 @@ func TestNewAgentWithNetworkRestoresShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.NumActions() != 4 {
-		t.Fatalf("NumActions = %d", a.NumActions())
+	if a.nActions != 4 {
+		t.Fatalf("NumActions = %d", a.nActions)
 	}
 	if a.Online != net {
 		t.Fatal("agent must wrap the provided network")
@@ -335,8 +334,8 @@ func TestDQNLearnsHillClimb(t *testing.T) {
 			p = 1
 		}
 		if tick > 64 && tick%2 == 0 {
-			b, err := db.ConstructMinibatch(rng, 32, rf)
-			if err != nil {
+			b := new(replay.Batch[float64])
+			if err := replay.ConstructMinibatchInto(db, rng, 32, rf, b); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := agent.TrainStep(b); err != nil {
@@ -369,7 +368,7 @@ func TestDQNLearnsHillClimb(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		act := agent.GreedyAction([]float64{p, 1})
 		p += step * float64(act-1)
-		p = tensor.Clamp(p, 0, 1)
+		p = min(max(p, 0), 1)
 	}
 	if math.Abs(p-target) > 0.1 {
 		t.Fatalf("greedy rollout settled at %v, want near %v", p, target)
@@ -431,10 +430,10 @@ func TestDoubleDQNLearns(t *testing.T) {
 		db.PutFrame(tick, replay.Frame(obs))
 		act := agent.SelectAction(obs, tick)
 		db.PutAction(tick, act)
-		p = tensor.Clamp(p+0.05*float64(act-1), 0, 1)
+		p = min(max(p+0.05*float64(act-1), 0), 1)
 		if tick > 64 && tick%2 == 0 {
-			b, err := db.ConstructMinibatch(rng, 32, rf)
-			if err != nil {
+			b := new(replay.Batch[float64])
+			if err := replay.ConstructMinibatchInto(db, rng, 32, rf, b); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := agent.TrainStep(b); err != nil {
@@ -444,7 +443,7 @@ func TestDoubleDQNLearns(t *testing.T) {
 	}
 	p = 0.05
 	for i := 0; i < 200; i++ {
-		p = tensor.Clamp(p+0.05*float64(agent.GreedyAction([]float64{p, 1})-1), 0, 1)
+		p = min(max(p+0.05*float64(agent.GreedyAction([]float64{p, 1})-1), 0), 1)
 	}
 	if math.Abs(p-target) > 0.12 {
 		t.Fatalf("Double DQN rollout settled at %v, want near %v", p, target)
@@ -518,7 +517,7 @@ func TestZeroHeadInitPrefersNull(t *testing.T) {
 		for i := range obs {
 			obs[i] = rng.NormFloat64()
 		}
-		q := a.QValues(obs)
+		q := a.Online.ForwardVecInto(make([]float64, a.nActions), obs)
 		for _, v := range q {
 			if v != 0 {
 				t.Fatalf("fresh Q-values not zero: %v", q)

@@ -5,8 +5,6 @@
 // preserving every schedule the paper defines in seconds or hours.
 package sim
 
-import "fmt"
-
 // Clock is a monotonically advancing virtual clock counted in ticks
 // (simulated seconds).
 type Clock struct {
@@ -16,34 +14,11 @@ type Clock struct {
 // NewClock returns a clock starting at tick 0.
 func NewClock() *Clock { return &Clock{} }
 
-// Now returns the current tick.
-func (c *Clock) Now() int64 { return c.now }
-
-// Advance moves the clock forward by n ticks (n must be ≥ 0).
-func (c *Clock) Advance(n int64) {
-	if n < 0 {
-		panic(fmt.Sprintf("sim: Advance(%d) would move time backwards", n))
-	}
-	c.now += n
-}
-
 // Step moves the clock forward by one tick and returns the new time.
 func (c *Clock) Step() int64 {
 	c.now++
 	return c.now
 }
-
-// Duration helpers: the paper specifies schedules in wall-clock units
-// (2 h exploration, 12/24 h training); these convert to ticks.
-
-// Seconds converts seconds to ticks (identity, for readability).
-func Seconds(s int64) int64 { return s }
-
-// Minutes converts minutes to ticks.
-func Minutes(m int64) int64 { return m * 60 }
-
-// Hours converts hours to ticks.
-func Hours(h float64) int64 { return int64(h * 3600) }
 
 // Ticker is anything advanced once per simulated second.
 type Ticker interface {
@@ -75,16 +50,3 @@ func (l *Loop) Run(n int64) {
 		}
 	}
 }
-
-// RunUntil advances until the clock reaches tick `end`.
-func (l *Loop) RunUntil(end int64) {
-	if end > l.Clock.Now() {
-		l.Run(end - l.Clock.Now())
-	}
-}
-
-// TickerFunc adapts a function to the Ticker interface.
-type TickerFunc func(now int64)
-
-// Tick implements Ticker.
-func (f TickerFunc) Tick(now int64) { f(now) }

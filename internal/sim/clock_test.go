@@ -4,39 +4,11 @@ import "testing"
 
 func TestClockAdvance(t *testing.T) {
 	c := NewClock()
-	if c.Now() != 0 {
-		t.Fatalf("fresh clock at %d", c.Now())
+	if c.now != 0 {
+		t.Fatalf("fresh clock at %d", c.now)
 	}
-	c.Advance(5)
-	if c.Now() != 5 {
-		t.Fatalf("Now = %d", c.Now())
-	}
-	if got := c.Step(); got != 6 {
+	if got := c.Step(); got != 1 || c.now != 1 {
 		t.Fatalf("Step = %d", got)
-	}
-}
-
-func TestClockAdvanceNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewClock().Advance(-1)
-}
-
-func TestDurationHelpers(t *testing.T) {
-	if Seconds(7) != 7 {
-		t.Fatal("Seconds")
-	}
-	if Minutes(2) != 120 {
-		t.Fatal("Minutes")
-	}
-	if Hours(2) != 7200 {
-		t.Fatal("Hours")
-	}
-	if Hours(0.5) != 1800 {
-		t.Fatal("fractional Hours")
 	}
 }
 
@@ -44,11 +16,11 @@ func TestLoopOrderAndCount(t *testing.T) {
 	l := NewLoop()
 	var order []string
 	var ticks []int64
-	l.Register(TickerFunc(func(now int64) {
+	l.Register(tickerFunc(func(now int64) {
 		order = append(order, "a")
 		ticks = append(ticks, now)
 	}))
-	l.Register(TickerFunc(func(now int64) {
+	l.Register(tickerFunc(func(now int64) {
 		order = append(order, "b")
 	}))
 	l.Run(3)
@@ -64,21 +36,12 @@ func TestLoopOrderAndCount(t *testing.T) {
 	if ticks[0] != 1 || ticks[2] != 3 {
 		t.Fatalf("ticks = %v", ticks)
 	}
-	if l.Clock.Now() != 3 {
-		t.Fatalf("clock = %d", l.Clock.Now())
+	if l.Clock.now != 3 {
+		t.Fatalf("clock = %d", l.Clock.now)
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	l := NewLoop()
-	n := 0
-	l.Register(TickerFunc(func(int64) { n++ }))
-	l.RunUntil(10)
-	if n != 10 || l.Clock.Now() != 10 {
-		t.Fatalf("n=%d now=%d", n, l.Clock.Now())
-	}
-	l.RunUntil(5) // already past; must be a no-op
-	if n != 10 {
-		t.Fatal("RunUntil went backwards")
-	}
-}
+// tickerFunc adapts a function to the Ticker interface.
+type tickerFunc func(now int64)
+
+func (f tickerFunc) Tick(now int64) { f(now) }

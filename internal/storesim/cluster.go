@@ -14,7 +14,7 @@
 // backlogs, clients issue requests subject to window and rate limit,
 // servers service their queues through the disk model (internal/disk)
 // with congestion-collapse overload, and the network fabric
-// (internal/netsim) caps transfers. The observable state — the nine
+// (network.go) caps transfers. The observable state — the nine
 // performance indicators of §4.1 — and the throughput objective come out
 // of the same arithmetic, so the tuner faces the response surface the
 // paper describes: write-heavy workloads reward a larger window up to an
@@ -26,7 +26,6 @@ import (
 	"math/rand"
 
 	"capes/internal/disk"
-	"capes/internal/netsim"
 	"capes/internal/workload"
 )
 
@@ -36,7 +35,6 @@ type Params struct {
 	Servers int // paper: 4
 
 	Disk disk.Params
-	Net  netsim.Params
 
 	// Congestion window (max_rpc_in_flight) per OSC.
 	WindowMin, WindowMax, WindowDefault float64
@@ -67,7 +65,6 @@ func DefaultParams() Params {
 		Clients:          5,
 		Servers:          4,
 		Disk:             disk.DefaultHDD(),
-		Net:              netsim.Default(),
 		WindowMin:        1,
 		WindowMax:        256,
 		WindowDefault:    8, // Lustre's default max_rpcs_in_flight
@@ -87,9 +84,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("storesim: need at least one client and one server")
 	}
 	if err := p.Disk.Validate(); err != nil {
-		return err
-	}
-	if err := p.Net.Validate(); err != nil {
 		return err
 	}
 	if p.WindowMin < 1 || p.WindowMax < p.WindowMin {
@@ -154,7 +148,7 @@ type Cluster struct {
 	P Params
 
 	dev     *disk.Device
-	fabric  *netsim.Fabric
+	fabric  *netFabric
 	rng     *rand.Rand
 	clients []clientState
 	servers []serverState
@@ -188,14 +182,10 @@ func New(p Params, gen workload.Generator) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	fab, err := netsim.New(p.Net)
-	if err != nil {
-		return nil, err
-	}
 	c := &Cluster{
 		P:           p,
 		dev:         dev,
-		fabric:      fab,
+		fabric:      &netFabric{p: evalNet},
 		rng:         rand.New(rand.NewSource(p.Seed)),
 		clients:     make([]clientState, p.Clients),
 		servers:     make([]serverState, p.Servers),
@@ -218,12 +208,6 @@ func New(p Params, gen workload.Generator) (*Cluster, error) {
 	}
 	return c, nil
 }
-
-// SetWorkload swaps the workload generator (used between sessions).
-func (c *Cluster) SetWorkload(gen workload.Generator) { c.gen = gen }
-
-// Workload returns the active generator.
-func (c *Cluster) Workload() workload.Generator { return c.gen }
 
 // SetWindow sets max_rpc_in_flight for every OSC of client i, clamped to
 // the valid range.
@@ -478,7 +462,7 @@ func (c *Cluster) Tick(now int64) {
 			wantBytes[client] += arr[cl] * p.Disk.BytesPerRequest(cl)
 		}
 	}
-	scales := c.fabric.Admit(wantBytes)
+	scales := c.fabric.admit(wantBytes)
 
 	// 5. Apply scaled completions: drain queues first, then replenish
 	// from backlog (consuming the remaining rate-limit budget — these
@@ -604,35 +588,6 @@ func ewma(prev, sample, alpha float64) float64 {
 // AggregateThroughput returns last tick's total bytes/s (read + write) —
 // the single-objective reward input for the evaluation.
 func (c *Cluster) AggregateThroughput() float64 { return c.aggReadBps + c.aggWriteBps }
-
-// AggregateRead returns last tick's total read bytes/s.
-func (c *Cluster) AggregateRead() float64 { return c.aggReadBps }
-
-// AggregateWrite returns last tick's total write bytes/s.
-func (c *Cluster) AggregateWrite() float64 { return c.aggWriteBps }
-
-// TotalBytes returns cumulative bytes moved since construction.
-func (c *Cluster) TotalBytes() float64 { return c.totalReadBytes + c.totalWriteBytes }
-
-// ShedBytes returns demand shed due to full caches (blocked applications).
-func (c *Cluster) ShedBytes() float64 { return c.shedBytes }
-
-// NumClients returns the client count.
-func (c *Cluster) NumClients() int { return c.P.Clients }
-
-// NumServers returns the server count.
-func (c *Cluster) NumServers() int { return c.P.Servers }
-
-// ServerQueueDepth returns the total outstanding requests at server s.
-func (c *Cluster) ServerQueueDepth(s int) float64 {
-	var t float64
-	for i := range c.clients {
-		for cl := disk.Class(0); cl < disk.NumClasses; cl++ {
-			t += c.clients[i].queued[s][cl]
-		}
-	}
-	return t
-}
 
 // PerturbLayout re-randomizes secondary device characteristics by up to
 // ±frac, modeling the between-session changes of the Figure 4 overfitting

@@ -31,7 +31,6 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.RateDefault = 1 },
 		func(p *Params) { p.WriteCacheBytes = 0 },
 		func(p *Params) { p.Disk.SeqReadMBps = 0 },
-		func(p *Params) { p.Net.AggregateMBps = 0 },
 	}
 	for i, mod := range mods {
 		p := DefaultParams()
@@ -61,7 +60,7 @@ func TestSettersClampToValidRanges(t *testing.T) {
 	}
 	c.SetAllWindows(16)
 	c.SetAllRateLimits(1000)
-	for i := 0; i < c.NumClients(); i++ {
+	for i := 0; i < c.P.Clients; i++ {
 		if c.Window(i) != 16 || c.RateLimit(i) != 1000 {
 			t.Fatal("SetAll did not reach every client")
 		}
@@ -141,20 +140,20 @@ func TestThroughputAccounting(t *testing.T) {
 	for tick := int64(0); tick < 100; tick++ {
 		c.Tick(tick)
 		sum += c.AggregateThroughput()
-		if got := c.AggregateRead() + c.AggregateWrite(); math.Abs(got-c.AggregateThroughput()) > 1e-6 {
+		if got := c.aggReadBps + c.aggWriteBps; math.Abs(got-c.AggregateThroughput()) > 1e-6 {
 			t.Fatal("read+write != total")
 		}
 		// Per-client throughputs sum to the aggregate.
 		var per float64
-		for i := 0; i < c.NumClients(); i++ {
-			per += c.ClientReadBps(i) + c.ClientWriteBps(i)
+		for i := 0; i < c.P.Clients; i++ {
+			per += c.clients[i].readBps + c.clients[i].writeBps
 		}
 		if math.Abs(per-c.AggregateThroughput()) > 1e-6 {
 			t.Fatal("per-client sum != aggregate")
 		}
 	}
-	if math.Abs(sum-c.TotalBytes()) > 1 {
-		t.Fatalf("TotalBytes %v != summed throughput %v", c.TotalBytes(), sum)
+	if math.Abs(sum-(c.totalReadBytes+c.totalWriteBytes)) > 1 {
+		t.Fatalf("TotalBytes %v != summed throughput %v", c.totalReadBytes+c.totalWriteBytes, sum)
 	}
 }
 
@@ -163,13 +162,13 @@ func TestQueuesRemainNonNegativeAndBounded(t *testing.T) {
 	c.SetAllWindows(32)
 	for tick := int64(0); tick < 300; tick++ {
 		c.Tick(tick)
-		for s := 0; s < c.NumServers(); s++ {
-			q := c.ServerQueueDepth(s)
+		for s := 0; s < c.P.Servers; s++ {
+			q := serverQueueDepth(c, s)
 			if q < -1e-9 {
 				t.Fatalf("negative queue at server %d: %v", s, q)
 			}
 			// Bounded by clients × window (plus float slack).
-			max := float64(c.NumClients())*32 + 1
+			max := float64(c.P.Clients)*32 + 1
 			if q > max {
 				t.Fatalf("queue %v exceeds window bound %v", q, max)
 			}
@@ -180,12 +179,12 @@ func TestQueuesRemainNonNegativeAndBounded(t *testing.T) {
 func TestSheddingWhenDemandExceedsCapacity(t *testing.T) {
 	c := mustCluster(t, DefaultParams(), workload.NewRandRW(1, 9, 4))
 	c.RunSteady(0, 300, 1)
-	if c.ShedBytes() <= 0 {
+	if c.shedBytes <= 0 {
 		t.Fatal("saturating random workload must shed blocked demand")
 	}
 	// Dirty bytes stay within the write cache.
-	for i := 0; i < c.NumClients(); i++ {
-		if d := c.DirtyBytes(i); d > c.P.WriteCacheBytes+1 {
+	for i := 0; i < c.P.Clients; i++ {
+		if d := c.clients[i].backlog[disk.RandWrite] + c.clients[i].backlog[disk.SeqWrite]; d > c.P.WriteCacheBytes+1 {
 			t.Fatalf("dirty bytes %v exceed cache %v", d, c.P.WriteCacheBytes)
 		}
 	}
@@ -212,7 +211,7 @@ func TestClientPIsShape(t *testing.T) {
 	// All PIs finite and in a sane range.
 	for i, v := range pis {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("PI %s is %v", PINames[i], v)
+			t.Fatalf("PI %d is %v", i, v)
 		}
 	}
 	// Frame is the concatenation over clients.
@@ -230,9 +229,9 @@ func TestClientPIsShape(t *testing.T) {
 func TestThroughputPIsMatchObservedThroughput(t *testing.T) {
 	c := mustCluster(t, DefaultParams(), workload.NewSeqWrite(5, 6))
 	c.RunSteady(0, 100, 1)
-	netCap := c.P.Net.AggregateMBps * 1e6
+	netCap := evalNet.aggregateMBps * 1e6
 	var piSum float64
-	for i := 0; i < c.NumClients(); i++ {
+	for i := 0; i < c.P.Clients; i++ {
 		pis := c.ClientPIs(i, nil)
 		piSum += (pis[2] + pis[3]) * netCap
 	}
@@ -242,12 +241,12 @@ func TestThroughputPIsMatchObservedThroughput(t *testing.T) {
 }
 
 func TestPingRisesUnderLoad(t *testing.T) {
-	idle := mustCluster(t, DefaultParams(), &workload.Constant{})
+	idle := mustCluster(t, DefaultParams(), constLoad{})
 	idle.RunSteady(0, 20, 1)
 	busy := mustCluster(t, DefaultParams(), workload.NewSeqWrite(5, 7))
 	busy.RunSteady(0, 100, 1)
-	if busy.PingMs() <= idle.PingMs() {
-		t.Fatalf("ping did not rise under load: idle %v, busy %v", idle.PingMs(), busy.PingMs())
+	if busy.fabric.pingMs() <= idle.fabric.pingMs() {
+		t.Fatalf("ping did not rise under load: idle %v, busy %v", idle.fabric.pingMs(), busy.fabric.pingMs())
 	}
 }
 
@@ -266,22 +265,9 @@ func TestPerturbLayoutChangesBehaviourSlightly(t *testing.T) {
 	}
 }
 
-func TestSetWorkloadSwitches(t *testing.T) {
-	c := mustCluster(t, DefaultParams(), workload.NewSeqWrite(5, 9))
-	before := c.RunSteady(0, 100, 50)
-	c.SetWorkload(workload.NewRandRW(9, 1, 9))
-	after := c.RunSteady(100, 200, 100)
-	if after >= before/10 {
-		t.Fatalf("workload switch had little effect: %v → %v", before, after)
-	}
-	if c.Workload().Name() != "randrw-9:1" {
-		t.Fatal("Workload() must reflect the switch")
-	}
-}
-
 func TestMetadataOpsConsumeServerTime(t *testing.T) {
 	// Same data demand, with vs without metadata load.
-	base := workload.Constant{D: workload.Demand{}}
+	base := constLoad{}
 	base.D.Bytes[disk.RandWrite] = 10e6
 	meta := base
 	meta.D.MetadataOps = 100 // 100 ops/s × 4 ms = 40% of device time
@@ -318,7 +304,7 @@ func TestServerPIs(t *testing.T) {
 	}
 	for i, v := range pis {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("server PI %s = %v", ServerPINames[i], v)
+			t.Fatalf("server PI %d = %v", i, v)
 		}
 	}
 }
@@ -330,7 +316,7 @@ func TestFullFrameLayout(t *testing.T) {
 	if len(full) != c.FullFrameWidth() {
 		t.Fatalf("full frame len = %d, want %d", len(full), c.FullFrameWidth())
 	}
-	if c.FullFrameWidth() != c.FrameWidth()+c.NumServers()*NumServerPIs {
+	if c.FullFrameWidth() != c.FrameWidth()+c.P.Servers*NumServerPIs {
 		t.Fatal("full frame width arithmetic wrong")
 	}
 	// Prefix must equal the client-only frame.
@@ -351,7 +337,7 @@ func TestFullFrameLayout(t *testing.T) {
 }
 
 func TestIdleServerPIsZeroShares(t *testing.T) {
-	c := mustCluster(t, DefaultParams(), &workload.Constant{})
+	c := mustCluster(t, DefaultParams(), constLoad{})
 	c.Tick(1)
 	pis := c.ServerPIs(0, nil)
 	if pis[2] != 0 || pis[3] != 0 {
@@ -362,17 +348,17 @@ func TestIdleServerPIsZeroShares(t *testing.T) {
 func TestOSCPIsSumToClientThroughput(t *testing.T) {
 	c := mustCluster(t, DefaultParams(), workload.NewRandRW(1, 4, 12))
 	c.RunSteady(0, 100, 1)
-	netCap := c.P.Net.AggregateMBps * 1e6
-	for i := 0; i < c.NumClients(); i++ {
+	netCap := evalNet.aggregateMBps * 1e6
+	for i := 0; i < c.P.Clients; i++ {
 		var oscSum float64
-		for s := 0; s < c.NumServers(); s++ {
+		for s := 0; s < c.P.Servers; s++ {
 			pis := c.OSCPIs(i, s, nil)
 			if len(pis) != NumOSCPIs {
 				t.Fatalf("OSC PIs = %d", len(pis))
 			}
 			oscSum += (pis[2] + pis[3]) * netCap
 		}
-		clientTput := c.ClientReadBps(i) + c.ClientWriteBps(i)
+		clientTput := c.clients[i].readBps + c.clients[i].writeBps
 		if math.Abs(oscSum-clientTput) > 1 {
 			t.Fatalf("client %d: OSC sum %v != client %v", i, oscSum, clientTput)
 		}
@@ -431,3 +417,20 @@ func TestClusterThroughputAlwaysFiniteProperty(t *testing.T) {
 		}
 	}
 }
+
+// serverQueueDepth returns the total outstanding requests at server s.
+func serverQueueDepth(c *Cluster, s int) float64 {
+	var t float64
+	for i := range c.clients {
+		for cl := disk.Class(0); cl < disk.NumClasses; cl++ {
+			t += c.clients[i].queued[s][cl]
+		}
+	}
+	return t
+}
+
+// constLoad offers the same demand D every tick.
+type constLoad struct{ D workload.Demand }
+
+func (constLoad) Name() string                        { return "constant" }
+func (c constLoad) Demand(int64, int) workload.Demand { return c.D }

@@ -24,20 +24,6 @@ import "capes/internal/disk"
 // NumClientPIs is the number of performance indicators per client.
 const NumClientPIs = 10
 
-// Names of the per-client indicators, index-aligned with ClientPIs.
-var PINames = [NumClientPIs]string{
-	"max_rpc_in_flight",
-	"io_rate_limit",
-	"read_throughput",
-	"write_throughput",
-	"dirty_bytes",
-	"write_cache_max",
-	"ping_latency",
-	"ack_ewma",
-	"send_ewma",
-	"pt_ratio",
-}
-
 // ClientPIs writes client i's normalized indicator vector into dst
 // (len ≥ NumClientPIs) and returns it; dst==nil allocates.
 func (c *Cluster) ClientPIs(i int, dst []float64) []float64 {
@@ -45,7 +31,7 @@ func (c *Cluster) ClientPIs(i int, dst []float64) []float64 {
 		dst = make([]float64, NumClientPIs)
 	}
 	cs := &c.clients[i]
-	netCap := c.P.Net.AggregateMBps * 1e6
+	netCap := evalNet.aggregateMBps * 1e6
 	dirty := cs.backlog[disk.RandWrite] + cs.backlog[disk.SeqWrite]
 	ptRatio := 1.0
 	if cs.ptBest > 0 && cs.ptBest < 1e8 && cs.ptCur > 0 {
@@ -57,7 +43,7 @@ func (c *Cluster) ClientPIs(i int, dst []float64) []float64 {
 	dst[3] = cs.writeBps / netCap
 	dst[4] = dirty / c.P.WriteCacheBytes
 	dst[5] = 1.0
-	dst[6] = c.fabric.PingMs() / 10
+	dst[6] = c.fabric.pingMs() / 10
 	dst[7] = cs.ackEWMA * 100
 	dst[8] = cs.sendEWMA * 100
 	dst[9] = ptRatio / 10
@@ -79,21 +65,6 @@ func (c *Cluster) Frame(dst []float64) []float64 {
 	}
 	return dst
 }
-
-// ClientReadBps returns client i's read throughput last tick (bytes/s).
-func (c *Cluster) ClientReadBps(i int) float64 { return c.clients[i].readBps }
-
-// ClientWriteBps returns client i's write throughput last tick (bytes/s).
-func (c *Cluster) ClientWriteBps(i int) float64 { return c.clients[i].writeBps }
-
-// DirtyBytes returns client i's write-cache backlog.
-func (c *Cluster) DirtyBytes(i int) float64 {
-	cs := &c.clients[i]
-	return cs.backlog[disk.RandWrite] + cs.backlog[disk.SeqWrite]
-}
-
-// PingMs returns the current fabric round-trip latency.
-func (c *Cluster) PingMs() float64 { return c.fabric.PingMs() }
 
 // RunSteady advances the cluster n ticks starting at the clock position
 // `from` and returns the mean aggregate throughput over the last
@@ -125,14 +96,6 @@ func (c *Cluster) RunSteady(from, n, measure int64) float64 {
 //	2 read share of the queue
 //	3 write share of the queue
 const NumServerPIs = 4
-
-// ServerPINames labels the per-server indicators.
-var ServerPINames = [NumServerPIs]string{
-	"queue_depth",
-	"process_time",
-	"read_queue_share",
-	"write_queue_share",
-}
 
 // ServerPIs writes server s's normalized indicator vector into dst
 // (len ≥ NumServerPIs) and returns it; dst==nil allocates.
@@ -200,7 +163,7 @@ func (c *Cluster) OSCPIs(i, s int, dst []float64) []float64 {
 	}
 	cs := &c.clients[i]
 	sv := &c.servers[s]
-	netCap := c.P.Net.AggregateMBps * 1e6
+	netCap := evalNet.aggregateMBps * 1e6
 	dirty := cs.backlog[disk.RandWrite] + cs.backlog[disk.SeqWrite]
 	ptRatio := 1.0
 	if sv.ptBest > 0 && sv.ptBest < 1e8 && sv.procTime > 0 {
@@ -212,7 +175,7 @@ func (c *Cluster) OSCPIs(i, s int, dst []float64) []float64 {
 	dst[3] = cs.oscWrite[s] / netCap
 	dst[4] = dirty / c.P.WriteCacheBytes
 	dst[5] = 1.0
-	dst[6] = c.fabric.PingMs() / 10
+	dst[6] = c.fabric.pingMs() / 10
 	dst[7] = cs.ackEWMA * 100
 	dst[8] = cs.sendEWMA * 100
 	dst[9] = ptRatio / 10

@@ -59,13 +59,6 @@ func MulInto[E Element](dst, a, b *Matrix[E]) {
 	mulRows(dst, a, b)
 }
 
-// Mul returns a·b in a fresh matrix.
-func Mul[E Element](a, b *Matrix[E]) *Matrix[E] {
-	dst := New[E](a.Rows, b.Cols)
-	MulInto(dst, a, b)
-	return dst
-}
-
 // MulTransAInto computes dst = aᵀ·b without materializing aᵀ.
 // dst must be a.Cols × b.Cols and must not alias a or b.
 func MulTransAInto[E Element](dst, a, b *Matrix[E]) {

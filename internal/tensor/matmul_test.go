@@ -41,7 +41,7 @@ func TestMulIntoMatchesNaive(t *testing.T) {
 		got, want := New[float64](r, c), New[float64](r, c)
 		MulInto(got, a, b)
 		mulNaiveInto(want, a, b)
-		if !ApproxEqual(got, want, tolEquiv) {
+		if !approxEqual(got, want, tolEquiv) {
 			t.Fatalf("MulInto %dx%dx%d deviates from naive reference", r, k, c)
 		}
 	}
@@ -57,7 +57,7 @@ func TestMulTransAMatchesNaive(t *testing.T) {
 		got, want := New[float64](r, c), New[float64](r, c)
 		MulTransAInto(got, a, b)
 		mulTransANaiveInto(want, a, b)
-		if !ApproxEqual(got, want, tolEquiv) {
+		if !approxEqual(got, want, tolEquiv) {
 			t.Fatalf("MulTransAInto %dx%dx%d deviates from naive reference", r, k, c)
 		}
 	}
@@ -72,7 +72,7 @@ func TestMulTransBMatchesNaive(t *testing.T) {
 		got, want := New[float64](r, c), New[float64](r, c)
 		MulTransBInto(got, a, b)
 		mulTransBNaiveInto(want, a, b)
-		if !ApproxEqual(got, want, tolEquiv) {
+		if !approxEqual(got, want, tolEquiv) {
 			t.Fatalf("MulTransBInto %dx%dx%d deviates from naive reference", r, k, c)
 		}
 	}
@@ -95,19 +95,19 @@ func TestMulIntoMatchesNaiveQuick(t *testing.T) {
 		got, want := New[float64](r, c), New[float64](r, c)
 		MulInto(got, a, b)
 		mulNaiveInto(want, a, b)
-		if !ApproxEqual(got, want, tolEquiv) {
+		if !approxEqual(got, want, tolEquiv) {
 			return false
 		}
 		gotTA, wantTA := New[float64](r, c), New[float64](r, c)
-		MulTransAInto(gotTA, Transpose(a), b)
-		mulTransANaiveInto(wantTA, Transpose(a), b)
-		if !ApproxEqual(gotTA, wantTA, tolEquiv) {
+		MulTransAInto(gotTA, transpose(a), b)
+		mulTransANaiveInto(wantTA, transpose(a), b)
+		if !approxEqual(gotTA, wantTA, tolEquiv) {
 			return false
 		}
 		gotTB, wantTB := New[float64](r, c), New[float64](r, c)
-		MulTransBInto(gotTB, a, Transpose(b))
-		mulTransBNaiveInto(wantTB, a, Transpose(b))
-		return ApproxEqual(gotTB, wantTB, tolEquiv)
+		MulTransBInto(gotTB, a, transpose(b))
+		mulTransBNaiveInto(wantTB, a, transpose(b))
+		return approxEqual(gotTB, wantTB, tolEquiv)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func concurrentCallers[E Element](t *testing.T) {
 			dst := New[E](rows, n)
 			for i := 0; i < 50; i++ {
 				MulInto(dst, a, b)
-				if !Equal(dst, want) {
+				if !equal(dst, want) {
 					done <- errMismatch
 					return
 				}

@@ -8,22 +8,31 @@ import (
 
 // equivTol returns the elementwise tolerance for holding an optimized
 // kernel at precision E to the float64 naive golden reference: the
-// k-long accumulation reassociates and rounds at Eps[E], so the bound
+// k-long accumulation reassociates and rounds at eps[E], so the bound
 // scales with both. The constant is generous (observed error is ~10×
 // smaller) but still ~5 decimal digits at float32/k=640.
 func equivTol[E Element](k int) float64 {
-	tol := 16 * Eps[E]() * float64(k)
-	if min := 64 * Eps[E](); tol < min {
+	tol := 16 * eps[E]() * float64(k)
+	if min := 64 * eps[E](); tol < min {
 		tol = min
 	}
 	return tol
+}
+
+// eps returns the machine epsilon of E (2⁻²³ for float32, 2⁻⁵² for
+// float64).
+func eps[E Element]() float64 {
+	if ElemSize[E]() == 4 {
+		return 0x1p-23
+	}
+	return 0x1p-52
 }
 
 // widen lifts a matrix of E into float64 exactly (float32→float64 is
 // lossless), so the golden kernels see the identical operand values.
 func widen[E Element](m *Matrix[E]) *Matrix[float64] {
 	w := New[float64](m.Rows, m.Cols)
-	ConvertFrom(w, m)
+	Convert(w.Data, m.Data)
 	return w
 }
 
@@ -63,7 +72,7 @@ func checkKernelsAgainstGolden[E Element](t *testing.T, shapes [][3]int) {
 }
 
 func approxEqualWidened[E Element](got *Matrix[E], want *Matrix[float64], tol float64) bool {
-	return ApproxEqual(widen(got), want, tol)
+	return approxEqual(widen(got), want, tol)
 }
 
 // TestKernelEquivalenceAcrossPrecisions is the cross-precision golden
@@ -99,8 +108,8 @@ func TestElemSizeAndEps(t *testing.T) {
 	if ElemSize[float32]() != 4 || ElemSize[float64]() != 8 {
 		t.Fatal("ElemSize wrong")
 	}
-	if Eps[float32]() != 0x1p-23 || Eps[float64]() != 0x1p-52 {
-		t.Fatal("Eps wrong")
+	if eps[float32]() != 0x1p-23 || eps[float64]() != 0x1p-52 {
+		t.Fatal("eps wrong")
 	}
 }
 

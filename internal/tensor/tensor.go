@@ -38,30 +38,12 @@ func ElemSize[E Element]() int {
 	return int(unsafe.Sizeof(z))
 }
 
-// Eps returns the machine epsilon of E (2⁻²³ for float32, 2⁻⁵² for
-// float64). Equivalence tests scale their tolerances by it so one
-// property test covers both precisions.
-func Eps[E Element]() float64 {
-	if ElemSize[E]() == 4 {
-		return 0x1p-23
-	}
-	return 0x1p-52
-}
-
 // Sqrt returns √x in the element type (compiles to the native sqrt
 // instruction for both precisions).
 func Sqrt[E Element](x E) E { return E(math.Sqrt(float64(x))) }
 
 // Tanh returns tanh(x), computed in float64 for accuracy and rounded to E.
 func Tanh[E Element](x E) E { return E(math.Tanh(float64(x))) }
-
-// Abs returns |x|.
-func Abs[E Element](x E) E {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
 
 // IsFinite reports whether x is neither NaN nor ±Inf.
 func IsFinite[E Element](x E) bool {
@@ -104,13 +86,6 @@ func FromSlice[E Element](rows, cols int, data []E) *Matrix[E] {
 	return &Matrix[E]{Rows: rows, Cols: cols, Data: data}
 }
 
-// Clone returns a deep copy of m.
-func (m *Matrix[E]) Clone() *Matrix[E] {
-	c := New[E](m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
 // At returns the element at row i, column j.
 func (m *Matrix[E]) At(i, j int) E {
 	return m.Data[i*m.Cols+j]
@@ -133,81 +108,8 @@ func (m *Matrix[E]) Zero() {
 	}
 }
 
-// CopyFrom copies src into m; dimensions must match.
-func (m *Matrix[E]) CopyFrom(src *Matrix[E]) {
-	if m.Rows != src.Rows || m.Cols != src.Cols {
-		panic(dimErr("CopyFrom", m, src))
-	}
-	copy(m.Data, src.Data)
-}
-
-// ConvertFrom copies src into m elementwise across precisions; shapes
-// must match. Used by the cross-precision equivalence tests to lift a
-// float32 operand into the float64 golden kernels.
-func ConvertFrom[D, S Element](dst *Matrix[D], src *Matrix[S]) {
-	if dst.Rows != src.Rows || dst.Cols != src.Cols {
-		panic(fmt.Sprintf("tensor: ConvertFrom shape mismatch %d×%d vs %d×%d",
-			dst.Rows, dst.Cols, src.Rows, src.Cols))
-	}
-	Convert(dst.Data, src.Data)
-}
-
-// Equal reports whether a and b have identical shape and elements.
-func Equal[E Element](a, b *Matrix[E]) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i, v := range a.Data {
-		if v != b.Data[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// ApproxEqual reports whether a and b match within tol elementwise.
-func ApproxEqual[E Element](a, b *Matrix[E], tol float64) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i, v := range a.Data {
-		if math.Abs(float64(v-b.Data[i])) > tol {
-			return false
-		}
-	}
-	return true
-}
-
 func dimErr[E Element](op string, a, b *Matrix[E]) string {
 	return fmt.Sprintf("tensor: %s dimension mismatch %d×%d vs %d×%d", op, a.Rows, a.Cols, b.Rows, b.Cols)
-}
-
-// Transpose returns mᵀ in a fresh matrix.
-func Transpose[E Element](m *Matrix[E]) *Matrix[E] {
-	t := New[E](m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Data[j*t.Cols+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return t
-}
-
-// Scale multiplies every element of m by s in place.
-func (m *Matrix[E]) Scale(s E) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}
-
-// AddScaled computes m += s·other in place (axpy).
-func (m *Matrix[E]) AddScaled(other *Matrix[E], s E) {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic(dimErr("AddScaled", m, other))
-	}
-	for i, v := range other.Data {
-		m.Data[i] += s * v
-	}
 }
 
 // AddRowVector adds the 1×Cols row vector v to every row of m in place.
@@ -270,22 +172,9 @@ func (m *Matrix[E]) XavierFill(rng *rand.Rand, fanIn, fanOut int) {
 	}
 }
 
-// ErrNonFinite is returned by CheckFinite when a matrix contains NaN/Inf.
+// ErrNonFinite is the error that the training divergence guards wrap
+// when they find NaN/Inf.
 var ErrNonFinite = errors.New("tensor: non-finite value")
-
-// CheckFinite returns ErrNonFinite if any element is NaN or ±Inf. Training
-// code calls this as a divergence guard (DQN with nonlinear approximators
-// is known to be unstable; the paper leans on replay + target networks,
-// we additionally fail fast on numeric blowup). The check is exact at
-// both precisions: float32→float64 conversion preserves NaN and ±Inf.
-func (m *Matrix[E]) CheckFinite() error {
-	for i, v := range m.Data {
-		if !IsFinite(v) {
-			return fmt.Errorf("%w at flat index %d: %v", ErrNonFinite, i, v)
-		}
-	}
-	return nil
-}
 
 // String renders small matrices for debugging.
 func (m *Matrix[E]) String() string {

@@ -25,15 +25,6 @@ type Demand struct {
 	MetadataOps float64                  // creates/deletes/stats this tick
 }
 
-// Total returns the total demanded bytes.
-func (d Demand) Total() float64 {
-	var t float64
-	for _, b := range d.Bytes {
-		t += b
-	}
-	return t
-}
-
 // Generator produces per-client demand each tick.
 type Generator interface {
 	// Name identifies the workload in reports.
@@ -210,30 +201,3 @@ func (w *Switching) current(now int64) Generator {
 	idx := (now / w.PhaseTicks) % int64(len(w.Phases))
 	return w.Phases[idx]
 }
-
-// PhaseName returns the active phase's name at a tick.
-func (w *Switching) PhaseName(now int64) string { return w.current(now).Name() }
-
-// SwitchedAt reports whether a phase boundary occurs exactly at tick now
-// (used to trigger the ε bump).
-func (w *Switching) SwitchedAt(now int64) bool {
-	return now > 0 && now%w.PhaseTicks == 0 && len(w.Phases) > 1
-}
-
-// Constant emits a fixed demand every tick; used by unit tests and the
-// custom-system example.
-type Constant struct {
-	WorkName string
-	D        Demand
-}
-
-// Name implements Generator.
-func (c *Constant) Name() string {
-	if c.WorkName == "" {
-		return "constant"
-	}
-	return c.WorkName
-}
-
-// Demand implements Generator.
-func (c *Constant) Demand(int64, int) Demand { return c.D }

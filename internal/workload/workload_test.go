@@ -64,7 +64,7 @@ func TestRandRWDemandIsNoisyButCentered(t *testing.T) {
 	var sum, sumsq float64
 	n := 2000
 	for i := 0; i < n; i++ {
-		tot := g.Demand(int64(i), 0).Total()
+		tot := total(g.Demand(int64(i), 0))
 		sum += tot
 		sumsq += tot * tot
 	}
@@ -123,8 +123,8 @@ func TestFileserverFluctuatesMoreThanRandRW(t *testing.T) {
 		}
 		return math.Sqrt(ss/float64(len(xs))) / mean
 	}
-	cvFS := cv(func(i int64) float64 { return fs.Demand(i, 0).Total() })
-	cvRR := cv(func(i int64) float64 { return rr.Demand(i, 0).Total() })
+	cvFS := cv(func(i int64) float64 { return total(fs.Demand(i, 0)) })
+	cvRR := cv(func(i int64) float64 { return total(rr.Demand(i, 0)) })
 	if cvFS <= cvRR {
 		t.Fatalf("fileserver CV %v should exceed randrw CV %v", cvFS, cvRR)
 	}
@@ -155,7 +155,7 @@ func TestSeqWritePure(t *testing.T) {
 func meanTotal(g Generator, n int64) float64 {
 	var sum float64
 	for i := int64(0); i < n; i++ {
-		sum += g.Demand(i, 0).Total()
+		sum += total(g.Demand(i, 0))
 	}
 	return sum / float64(n)
 }
@@ -210,20 +210,28 @@ func TestSwitchingValidation(t *testing.T) {
 	}
 }
 
-func TestConstantName(t *testing.T) {
-	if (&Constant{}).Name() != "constant" {
-		t.Fatal("default name")
-	}
-	if (&Constant{WorkName: "x"}).Name() != "x" {
-		t.Fatal("custom name")
-	}
+// Constant emits a fixed demand every tick.
+type Constant struct {
+	WorkName string
+	D        Demand
 }
 
-func TestDemandTotal(t *testing.T) {
-	var d Demand
-	d.Bytes[disk.RandRead] = 1
-	d.Bytes[disk.SeqWrite] = 2
-	if d.Total() != 3 {
-		t.Fatalf("Total = %v", d.Total())
+// Name implements Generator.
+func (c *Constant) Name() string {
+	if c.WorkName == "" {
+		return "constant"
 	}
+	return c.WorkName
+}
+
+// Demand implements Generator.
+func (c *Constant) Demand(int64, int) Demand { return c.D }
+
+// total returns the total demanded bytes.
+func total(d Demand) float64 {
+	var t float64
+	for _, b := range d.Bytes {
+		t += b
+	}
+	return t
 }
