@@ -19,7 +19,6 @@ import (
 	"capes/internal/nn"
 	"capes/internal/replay"
 	"capes/internal/rl"
-	"capes/internal/tensor"
 	"capes/internal/workload"
 )
 
@@ -131,23 +130,19 @@ func BenchmarkFig6TrainingImpact(b *testing.B) {
 }
 
 // BenchmarkTable2TrainStepCPU regenerates the Table 2 training-step
-// timing row: one 32-observation minibatch through the paper-shaped
-// network (1760-wide observations) on the CPU.
+// timing row on the path a session runs: Engine.Agent().TrainStep on one
+// float32 32-observation minibatch of paper-shaped (1760-wide)
+// observations.
 func BenchmarkTable2TrainStepCPU(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	net := nn.NewCAPESNetwork[float64](rng, 1760, 5)
-	opt := nn.NewAdam[float64](1e-4)
-	in := tensor.New[float64](32, 1760)
-	in.XavierFill(rng, 1760, 1760)
-	actions := make([]int, 32)
-	targets := make([]float64, 32)
-	grad := tensor.New[float64](32, 5)
+	step, err := experiment.NewTrainStep(1760, 32)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := net.Forward(in)
-		nn.MaskedMSE(out, actions, targets, grad)
-		net.Backward(grad)
-		opt.Step(net.Params(), net.Grads())
+		if err := step(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -2,9 +2,10 @@
 // target system: it advances the cluster on a wall-clock-driven virtual
 // clock and attaches one Monitoring/Control Agent per simulated client,
 // all connecting to a capesd Interface Daemon. Together with capesd this
-// demonstrates the full distributed deployment of Figure 1 on localhost:
+// demonstrates the full distributed deployment of Figure 1 on localhost,
+// with capesd.json declaring one 5-client session listening on :7070:
 //
-//	capesd    -listen 127.0.0.1:7070 -clients 5 &
+//	capesd    -config capesd.json &
 //	capes-sim -daemon 127.0.0.1:7070 -workload randrw-1:9 -tick-ms 5
 //
 // -tick-ms compresses time: each real 5 ms is one simulated second.

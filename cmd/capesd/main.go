@@ -1,11 +1,11 @@
 // capesd is the CAPES control node: it hosts one or more tuning
 // sessions, each an Interface Daemon + DRL engine pair (Figure 1) with
-// its own action space, objective and checkpoint directory, all sharing
-// the process-wide tensor worker pool. Sessions are declared in a JSON
-// config file and managed at runtime over an HTTP/JSON control plane
-// (see internal/capesd for the config format and endpoints).
+// its own action space, objective and checkpoint directory. Sessions are
+// declared in a JSON config file and managed at runtime over an
+// HTTP/JSON control plane. README's "capesd configuration reference"
+// lists every key.
 //
-// Multi-session usage:
+// Usage:
 //
 //	capesd -config capesd.json
 //
@@ -19,11 +19,6 @@
 //	    {"name": "beta", "listen": "127.0.0.1:7071", "clients": 3}
 //	  ]
 //	}
-//
-// The legacy single-session flags still work and synthesize a
-// one-session config:
-//
-//	capesd -listen :7070 -clients 5 -session /var/lib/capes/session
 //
 // On SIGINT/SIGTERM the process drains gracefully: every session is
 // paused (no further actions or train steps), a final checkpoint is
@@ -99,66 +94,21 @@ func main() {
 	os.Exit(exit)
 }
 
-// buildConfig resolves flags into a capesd.Config: either a declarative
-// -config file (optionally overridden by -http), or a single session
-// synthesized from the legacy flags.
+// buildConfig loads the -config file, capesd's one flag.
 func buildConfig(args []string, errOut *os.File) (capesd.Config, error) {
 	fs := flag.NewFlagSet("capesd", flag.ContinueOnError)
 	fs.SetOutput(errOut)
-	var (
-		config    = fs.String("config", "", "multi-session JSON config file (see internal/capesd)")
-		httpAddr  = fs.String("http", "", "control-plane listen address (overrides the config's)")
-		authToken = fs.String("auth-token", "", "bearer token required on mutating control-plane endpoints (overrides the config's)")
-		listen    = fs.String("listen", "127.0.0.1:7070", "address to listen for agents (single-session mode)")
-		clients   = fs.Int("clients", 5, "number of monitored client nodes (single-session mode)")
-		obsTicks  = fs.Int("obs-ticks", 5, "sampling ticks per observation (single-session mode)")
-		session   = fs.String("session", "", "session directory for checkpoint save/restore (single-session mode)")
-		noTune    = fs.Bool("monitor-only", false, "collect and train but never issue actions")
-		exploit   = fs.Bool("exploit", false, "greedy policy, no training (measured tuning phase)")
-
-		cluRole   = fs.String("cluster-role", "", "data-parallel co-training role: leader or follower (single-session mode)")
-		cluListen = fs.String("cluster-listen", "", "leader's gradient-plane listen address (cluster-role=leader)")
-		cluLeader = fs.String("cluster-leader", "", "leader address to dial (cluster-role=follower)")
-		cluRank   = fs.Int("cluster-rank", 0, "this follower's unique reduction rank, >= 1 (cluster-role=follower)")
-	)
+	config := fs.String("config", "", "JSON config file (README: capesd configuration reference)")
 	if err := fs.Parse(args); err != nil {
 		return capesd.Config{}, err
 	}
-	if *config != "" {
-		cfg, err := capesd.LoadConfig(*config)
-		if err != nil {
-			return capesd.Config{}, err
-		}
-		if *httpAddr != "" {
-			cfg.HTTP = *httpAddr
-		}
-		if *authToken != "" {
-			cfg.AuthToken = *authToken
-		}
-		return cfg, nil
+	if fs.NArg() != 0 {
+		return capesd.Config{}, fmt.Errorf("unexpected arguments %q", fs.Args())
 	}
-	cfg := capesd.Config{
-		HTTP:      *httpAddr,
-		AuthToken: *authToken,
-		Sessions: []capesd.SessionConfig{{
-			Name:          "default",
-			Listen:        *listen,
-			Clients:       *clients,
-			ObsTicks:      *obsTicks,
-			CheckpointDir: *session,
-			MonitorOnly:   *noTune,
-			Exploit:       *exploit,
-		}},
+	if *config == "" {
+		return capesd.Config{}, errors.New("-config is required")
 	}
-	if *cluRole != "" {
-		cfg.Sessions[0].Cluster = &capesd.ClusterConfig{
-			Role:   *cluRole,
-			Listen: *cluListen,
-			Leader: *cluLeader,
-			Rank:   *cluRank,
-		}
-	}
-	return cfg, cfg.Validate()
+	return capesd.LoadConfig(*config)
 }
 
 func fatal(err error) {

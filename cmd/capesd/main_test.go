@@ -16,27 +16,32 @@ import (
 	"capes/internal/workload"
 )
 
-func TestBuildConfigFromLegacyFlags(t *testing.T) {
-	cfg, err := buildConfig([]string{
-		"-listen", "127.0.0.1:0", "-clients", "3", "-obs-ticks", "4",
-		"-session", "/tmp/ckpt", "-exploit",
-	}, os.Stderr)
-	if err != nil {
+// TestBuildConfigRejectsLegacyFlags: -config is capesd's one flag. The
+// single-session flags and the -http/-auth-token overrides are gone, and
+// a missing -config is an error, not a default session.
+func TestBuildConfigRejectsLegacyFlags(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "capesd.json")
+	if err := os.WriteFile(path, []byte(`{"sessions": [{"name": "a", "clients": 2}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if len(cfg.Sessions) != 1 {
-		t.Fatalf("sessions = %d", len(cfg.Sessions))
-	}
-	s := cfg.Sessions[0]
-	if s.Name != "default" || s.Clients != 3 || s.ObsTicks != 4 ||
-		s.CheckpointDir != "/tmp/ckpt" || !s.Exploit || s.MonitorOnly {
-		t.Fatalf("synthesized session = %+v", s)
+	for _, args := range [][]string{
+		nil,
+		{"-listen", "127.0.0.1:0", "-clients", "3"},
+		{"-session", "/tmp/ckpt", "-exploit"},
+		{"-cluster-role", "leader"},
+		{"-config", path, "-http", "127.0.0.1:0"},
+		{"-config", path, "-auth-token", "secret"},
+		{"-config", path, "extra"},
+	} {
+		if _, err := buildConfig(args, os.Stderr); err == nil {
+			t.Errorf("capesd %q accepted", args)
+		}
 	}
 }
 
 func TestBuildConfigFromFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "capesd.json")
-	body := `{"http": "127.0.0.1:9", "sessions": [{"name": "a", "clients": 2}]}`
+	body := `{"http": "127.0.0.1:9", "auth_token": "s3cret", "sessions": [{"name": "a", "clients": 2}]}`
 	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -44,16 +49,8 @@ func TestBuildConfigFromFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.HTTP != "127.0.0.1:9" || len(cfg.Sessions) != 1 || cfg.Sessions[0].Name != "a" {
+	if cfg.HTTP != "127.0.0.1:9" || cfg.AuthToken != "s3cret" || len(cfg.Sessions) != 1 || cfg.Sessions[0].Name != "a" {
 		t.Fatalf("cfg = %+v", cfg)
-	}
-	// -http overrides the file's control-plane address.
-	cfg, err = buildConfig([]string{"-config", path, "-http", "127.0.0.1:0"}, os.Stderr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.HTTP != "127.0.0.1:0" {
-		t.Fatalf("http override = %q", cfg.HTTP)
 	}
 	if _, err := buildConfig([]string{"-config", "/nonexistent.json"}, os.Stderr); err == nil {
 		t.Fatal("missing config file accepted")

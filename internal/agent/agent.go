@@ -41,19 +41,13 @@ type DaemonOpts struct {
 	// PartialFrameTimeout bounds how long an incomplete tick may wait
 	// for stragglers before it is gap-filled or dropped. Negative
 	// disables the sweeper (the MaxPendingTicks bound still applies).
-	// Default 10s.
+	// Default 10s. The sweeper runs every PartialFrameTimeout/4, clamped
+	// to [10ms, 1s].
 	PartialFrameTimeout time.Duration
-	// SweepInterval is how often the partial-frame sweeper runs.
-	// Default PartialFrameTimeout/4, clamped to [10ms, 1s].
-	SweepInterval time.Duration
 	// MaxPendingTicks bounds the incomplete-tick assembly map: when a
 	// new tick would exceed it, the oldest pending tick is resolved
 	// (gap-filled or dropped) immediately. Default 256.
 	MaxPendingTicks int
-	// DropIncomplete disables gap-filling: expired partial frames are
-	// dropped (and counted) instead of being completed from each
-	// missing node's latest known vector.
-	DropIncomplete bool
 	// BroadcastTimeout bounds one action write to a control agent.
 	// Default 10s.
 	BroadcastTimeout time.Duration
@@ -65,15 +59,6 @@ func (o DaemonOpts) withDefaults() DaemonOpts {
 	}
 	if o.PartialFrameTimeout == 0 {
 		o.PartialFrameTimeout = 10 * time.Second
-	}
-	if o.SweepInterval == 0 {
-		o.SweepInterval = o.PartialFrameTimeout / 4
-		if o.SweepInterval < 10*time.Millisecond {
-			o.SweepInterval = 10 * time.Millisecond
-		}
-		if o.SweepInterval > time.Second {
-			o.SweepInterval = time.Second
-		}
 	}
 	if o.MaxPendingTicks == 0 {
 		o.MaxPendingTicks = 256
@@ -457,7 +442,7 @@ func (d *Daemon) resolveLocked(tick int64) ([]float64, bool) {
 		return nil, false
 	}
 	missing := d.nodes - p.n
-	fillable := !d.opts.DropIncomplete
+	fillable := true
 	for n := 0; n < d.nodes && fillable; n++ {
 		// Nothing ever received from a missing node: a gap-filled slot
 		// would be fabricated, not stale. Drop instead.
@@ -477,7 +462,7 @@ func (d *Daemon) resolveLocked(tick int64) ([]float64, bool) {
 // so the control loop keeps ticking when a node dies mid-frame.
 func (d *Daemon) sweepLoop() {
 	defer d.wg.Done()
-	t := time.NewTicker(d.opts.SweepInterval)
+	t := time.NewTicker(min(max(d.opts.PartialFrameTimeout/4, 10*time.Millisecond), time.Second))
 	defer t.Stop()
 	for {
 		select {

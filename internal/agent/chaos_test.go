@@ -79,7 +79,6 @@ func TestChaosSoak(t *testing.T) {
 	d, err := NewDaemonOpts("127.0.0.1:0", nodes, numPIs, onFrame, nil, DaemonOpts{
 		LivenessTimeout:     150 * time.Millisecond,
 		PartialFrameTimeout: 60 * time.Millisecond,
-		SweepInterval:       15 * time.Millisecond,
 		MaxPendingTicks:     64,
 		BroadcastTimeout:    500 * time.Millisecond,
 	})

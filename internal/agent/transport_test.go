@@ -186,7 +186,6 @@ func TestPartialFrameGapFill(t *testing.T) {
 		mu.Unlock()
 	}, nil, DaemonOpts{
 		PartialFrameTimeout: 40 * time.Millisecond,
-		SweepInterval:       10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -503,7 +502,7 @@ func TestFramesDeliveredInResolutionOrder(t *testing.T) {
 		if tick == 1 {
 			<-release
 		}
-	}, nil, DaemonOpts{PartialFrameTimeout: 20 * time.Millisecond, SweepInterval: 5 * time.Millisecond})
+	}, nil, DaemonOpts{PartialFrameTimeout: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

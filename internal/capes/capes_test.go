@@ -14,9 +14,6 @@ func TestDefaultHyperparametersMatchTable1(t *testing.T) {
 	if err := h.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if h.ActionTickLength != 1 || h.SamplingTickLength != 1 {
-		t.Fatal("tick lengths must be 1 s")
-	}
 	if h.EpsilonInitial != 1.0 || h.EpsilonFinal != 0.05 || h.EpsilonBump != 0.2 {
 		t.Fatal("epsilon schedule mismatch")
 	}
@@ -32,9 +29,6 @@ func TestDefaultHyperparametersMatchTable1(t *testing.T) {
 	if h.MissingTolerance != 0.20 {
 		t.Fatal("missing tolerance must be 20%")
 	}
-	if h.NumHiddenLayers != 2 {
-		t.Fatal("two hidden layers")
-	}
 	if h.AdamLearningRate != 0.0001 {
 		t.Fatal("Adam LR must be 1e-4")
 	}
@@ -46,6 +40,23 @@ func TestDefaultHyperparametersMatchTable1(t *testing.T) {
 	}
 	if len(h.Table1()) != 12 {
 		t.Fatalf("Table1 has %d rows, want 12", len(h.Table1()))
+	}
+	rows := map[string]string{}
+	for _, r := range h.Table1() {
+		rows[r[0]] = r[1]
+	}
+	if rows["action tick length"] != "1" || rows["sampling tick length"] != "1" {
+		t.Fatal("tick lengths must be 1 s")
+	}
+	// The printed layer count is the one the engine builds.
+	cfg, _ := smallConfig(t, false, true)
+	eng, err := NewEngine(cfg, func() (replay.Frame, error) { return nil, nil }, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Stop()
+	if hidden := len(eng.Agent().Online.Sizes) - 2; rows["number of hidden layers"] != "2" || hidden != hiddenLayers {
+		t.Fatalf("Table 1 prints %s hidden layers, the engine builds %d", rows["number of hidden layers"], hidden)
 	}
 }
 
@@ -71,13 +82,11 @@ func TestHyperparametersScaled(t *testing.T) {
 
 func TestHyperparametersValidate(t *testing.T) {
 	mods := []func(*Hyperparameters){
-		func(h *Hyperparameters) { h.ActionTickLength = 0 },
 		func(h *Hyperparameters) { h.EpsilonInitial = 0.01 },
 		func(h *Hyperparameters) { h.DiscountRate = 1 },
 		func(h *Hyperparameters) { h.ExplorationPeriod = 0 },
 		func(h *Hyperparameters) { h.MinibatchSize = 0 },
 		func(h *Hyperparameters) { h.MissingTolerance = 1 },
-		func(h *Hyperparameters) { h.NumHiddenLayers = 0 },
 		func(h *Hyperparameters) { h.AdamLearningRate = 0 },
 		func(h *Hyperparameters) { h.TicksPerObservation = 0 },
 		func(h *Hyperparameters) { h.TargetUpdateRate = 0 },

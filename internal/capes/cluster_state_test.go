@@ -98,92 +98,87 @@ func assertSameOptimizerState(t *testing.T, when string, workers []worker) {
 // but the optimizer's moments and step count too. Every worker here
 // trains on its own data (its own seed), so the mean differs from every
 // local gradient and a worker that stepped on anything else would show.
-// Checked in soft- and hard-update mode, after a run, after a follower
+// Checked after a run, after a follower
 // is killed and a new process takes its rank while the leader's moments
 // are non-zero (a sync without them would hold the same θ and drift from
 // the next step on), and after a leader-side restore, which leaves the
 // optimizer's step count behind the global step.
 func TestClusterWorkersHoldLeaderOptimizerState(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		hard int64
-	}{{"soft", 0}, {"hard", 7}} {
-		t.Run(mode.name, func(t *testing.T) {
-			seeded := func(seed int64) func(*Config) {
-				return func(c *Config) { c.Seed, c.Hyper.HardUpdateEvery = seed, mode.hard }
-			}
-			leader, ltick := clusterEngineWith(t, &ClusterConfig{
-				Role: ClusterLeader, Listen: "127.0.0.1:0", CollectTimeout: 20 * time.Second,
-			}, seeded(1))
-			defer leader.Stop()
-			join := func(rank int, seed int64) worker {
-				eng, tick := clusterEngineWith(t, &ClusterConfig{
-					Role: ClusterFollower, LeaderAddr: leader.ClusterAddr(), Rank: rank, SyncTimeout: 20 * time.Second,
-				}, seeded(seed))
-				t.Cleanup(eng.Stop)
-				if err := eng.ClusterSync(); err != nil {
-					t.Fatal(err)
-				}
-				return worker{eng, tick}
-			}
-			workers := []worker{{leader, ltick}, join(1, 2), join(2, 3)}
-
-			const n = 60
-			driveTogether(t, workers, 1, n)
-			assertSameOptimizerState(t, "after the first run", workers)
-			la := leader.Agent()
-			if la.Steps() != n-16+1 || la.Opt.StepCount() != int(la.Steps()) {
-				t.Fatalf("leader at step %d (optimizer %d) after %d ticks", la.Steps(), la.Opt.StepCount(), n)
-			}
-			if cs := leader.Stats().Cluster; cs.AggrSteps != la.Steps() || cs.FramesAccepted != 2*la.Steps() || cs.FramesStale+cs.CollectTimeouts+cs.Evictions != 0 {
-				t.Fatalf("first run was not %d three-worker steps: %+v", la.Steps(), cs)
-			}
-			if m, _ := la.Opt.FlatMoments(); len(m) == 0 || m[0] == 0 {
-				t.Fatal("the leader's moments are still zero: the rejoin below would prove nothing")
-			}
-
-			// Kill rank 1; a new process with nothing in its ring or its
-			// optimizer takes the rank over.
-			workers[1].eng.Stop()
-			for deadline := time.Now().Add(10 * time.Second); leader.Stats().Cluster.Followers != 1; {
-				if time.Now().After(deadline) {
-					t.Fatal("leader never noticed the dead follower")
-				}
-				time.Sleep(time.Millisecond)
-			}
-			workers[1] = join(1, 4)
-			assertSameOptimizerState(t, "at the rejoin", workers)
-			driveTogether(t, workers, n+1, 2*n)
-			assertSameOptimizerState(t, "after the rejoin", workers)
-			if got := leader.Agent().Steps(); got != 2*n-16+1 {
-				t.Fatalf("leader at step %d after %d ticks", got, 2*n)
-			}
-
-			// A restore on the leader keeps the global step it saved and
-			// starts the optimizer afresh; followers learn of it from
-			// their next exchange and come back through the full sync.
-			dir := t.TempDir() + "/ckpt"
-			if err := leader.SaveSession(dir); err != nil {
+	t.Run("soft", func(t *testing.T) {
+		seeded := func(seed int64) func(*Config) {
+			return func(c *Config) { c.Seed = seed }
+		}
+		leader, ltick := clusterEngineWith(t, &ClusterConfig{
+			Role: ClusterLeader, Listen: "127.0.0.1:0", CollectTimeout: 20 * time.Second,
+		}, seeded(1))
+		defer leader.Stop()
+		join := func(rank int, seed int64) worker {
+			eng, tick := clusterEngineWith(t, &ClusterConfig{
+				Role: ClusterFollower, LeaderAddr: leader.ClusterAddr(), Rank: rank, SyncTimeout: 20 * time.Second,
+			}, seeded(seed))
+			t.Cleanup(eng.Stop)
+			if err := eng.ClusterSync(); err != nil {
 				t.Fatal(err)
 			}
-			if err := leader.RestoreSession(dir); err != nil {
+			return worker{eng, tick}
+		}
+		workers := []worker{{leader, ltick}, join(1, 2), join(2, 3)}
+
+		const n = 60
+		driveTogether(t, workers, 1, n)
+		assertSameOptimizerState(t, "after the first run", workers)
+		la := leader.Agent()
+		if la.Steps() != n-16+1 || la.Opt.StepCount() != int(la.Steps()) {
+			t.Fatalf("leader at step %d (optimizer %d) after %d ticks", la.Steps(), la.Opt.StepCount(), n)
+		}
+		if cs := leader.Stats().Cluster; cs.AggrSteps != la.Steps() || cs.FramesAccepted != 2*la.Steps() || cs.FramesStale+cs.CollectTimeouts+cs.Evictions != 0 {
+			t.Fatalf("first run was not %d three-worker steps: %+v", la.Steps(), cs)
+		}
+		if m, _ := la.Opt.FlatMoments(); len(m) == 0 || m[0] == 0 {
+			t.Fatal("the leader's moments are still zero: the rejoin below would prove nothing")
+		}
+
+		// Kill rank 1; a new process with nothing in its ring or its
+		// optimizer takes the rank over.
+		workers[1].eng.Stop()
+		for deadline := time.Now().Add(10 * time.Second); leader.Stats().Cluster.Followers != 1; {
+			if time.Now().After(deadline) {
+				t.Fatal("leader never noticed the dead follower")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		workers[1] = join(1, 4)
+		assertSameOptimizerState(t, "at the rejoin", workers)
+		driveTogether(t, workers, n+1, 2*n)
+		assertSameOptimizerState(t, "after the rejoin", workers)
+		if got := leader.Agent().Steps(); got != 2*n-16+1 {
+			t.Fatalf("leader at step %d after %d ticks", got, 2*n)
+		}
+
+		// A restore on the leader keeps the global step it saved and
+		// starts the optimizer afresh; followers learn of it from
+		// their next exchange and come back through the full sync.
+		dir := t.TempDir() + "/ckpt"
+		if err := leader.SaveSession(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := leader.RestoreSession(dir); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range workers[1:] {
+			*w.tick = 2*n + 1
+			w.eng.Tick(*w.tick) // finds the connection gone
+			if err := w.eng.ClusterSync(); err != nil {
 				t.Fatal(err)
 			}
-			for _, w := range workers[1:] {
-				*w.tick = 2*n + 1
-				w.eng.Tick(*w.tick) // finds the connection gone
-				if err := w.eng.ClusterSync(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			driveTogether(t, workers, 2*n+2, 2*n+21)
-			assertSameOptimizerState(t, "after the leader's restore", workers)
-			la = leader.Agent()
-			if la.Opt.StepCount() != 20 || la.Steps() != 2*n-16+1+20 {
-				t.Fatalf("after the restore the leader is at step %d, optimizer step %d", la.Steps(), la.Opt.StepCount())
-			}
-		})
-	}
+		}
+		driveTogether(t, workers, 2*n+2, 2*n+21)
+		assertSameOptimizerState(t, "after the leader's restore", workers)
+		la = leader.Agent()
+		if la.Opt.StepCount() != 20 || la.Steps() != 2*n-16+1+20 {
+			t.Fatalf("after the restore the leader is at step %d, optimizer step %d", la.Steps(), la.Opt.StepCount())
+		}
+	})
 }
 
 // benchCluster builds a leader and one follower in this process, over

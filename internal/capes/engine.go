@@ -207,19 +207,11 @@ func NewEngine(cfg Config, collector Collector, controller Controller) (*Engine,
 		}
 		controller = func([]float64) error { return nil }
 	}
-	// The ring's Capacity is in ticks; the hyperparameter promises N
-	// retained frames. The engine writes one frame per sampling tick,
-	// so scale by the sampling interval to keep that promise when
-	// SamplingTickLength > 1.
-	replayCap := cfg.Hyper.ReplayCapacity
-	if replayCap > 0 && cfg.Hyper.SamplingTickLength > 1 {
-		replayCap = int(int64(replayCap) * cfg.Hyper.SamplingTickLength)
-	}
 	db, err := replay.New(replay.Config{
 		FrameWidth:       cfg.FrameWidth,
 		StackTicks:       cfg.Hyper.TicksPerObservation,
 		MissingTolerance: cfg.Hyper.MissingTolerance,
-		Capacity:         replayCap,
+		Capacity:         cfg.Hyper.ReplayCapacity,
 	})
 	if err != nil {
 		return nil, err
@@ -232,13 +224,12 @@ func NewEngine(cfg Config, collector Collector, controller Controller) (*Engine,
 		BumpValue:   cfg.Hyper.EpsilonBump,
 	}
 	agentCfg := rl.Config{
-		Gamma:           cfg.Hyper.DiscountRate,
-		LearningRate:    cfg.Hyper.AdamLearningRate,
-		TargetUpdateα:   cfg.Hyper.TargetUpdateRate,
-		MinibatchSize:   cfg.Hyper.MinibatchSize,
-		GradientClip:    cfg.Hyper.GradientClip,
-		UseTargetNet:    true,
-		HardUpdateEvery: cfg.Hyper.HardUpdateEvery,
+		Gamma:         cfg.Hyper.DiscountRate,
+		LearningRate:  cfg.Hyper.AdamLearningRate,
+		TargetUpdateα: cfg.Hyper.TargetUpdateRate,
+		MinibatchSize: cfg.Hyper.MinibatchSize,
+		GradientClip:  cfg.Hyper.GradientClip,
+		UseTargetNet:  true,
 	}
 	agent, err := rl.NewAgent[EnginePrecision](agentCfg, eps, db.ObservationWidth(), cfg.Space.NumActions(), rng)
 	if err != nil {
@@ -287,8 +278,8 @@ func NewEngine(cfg Config, collector Collector, controller Controller) (*Engine,
 	return e, nil
 }
 
-// Tick implements sim.Ticker: one sampling tick, one action tick (when
-// due) and one training step (when due). After Stop, Tick is a no-op so
+// Tick implements sim.Ticker: one sample, one action (when tuning) and
+// one training step (when due). After Stop, Tick is a no-op so
 // in-flight agent callbacks drain harmlessly.
 func (e *Engine) Tick(now int64) {
 	e.mu.Lock()
@@ -303,16 +294,14 @@ func (e *Engine) Tick(now int64) {
 	h := &e.cfg.Hyper
 
 	// Sampling tick: collect a frame and relay it to the Replay DB.
-	if now%h.SamplingTickLength == 0 {
-		frame, err := e.collector()
-		if err != nil {
+	frame, err := e.collector()
+	if err != nil {
+		e.missedSamples++
+	} else {
+		e.lastReward = e.cfg.Objective(frame)
+		e.noteRewardLocked(e.lastReward)
+		if err := e.db.PutFrame(now, frame); err != nil {
 			e.missedSamples++
-		} else {
-			e.lastReward = e.cfg.Objective(frame)
-			e.noteRewardLocked(e.lastReward)
-			if err := e.db.PutFrame(now, frame); err != nil {
-				e.missedSamples++
-			}
 		}
 	}
 
@@ -320,7 +309,7 @@ func (e *Engine) Tick(now int64) {
 	// no actions leave a diverged network, and no training compounds the
 	// excursion, until the supervisor rolls the session back (or an
 	// operator clears the trip). Collection above keeps running.
-	if e.cfg.Tuning && !e.divGate && now%h.ActionTickLength == 0 {
+	if e.cfg.Tuning && !e.divGate {
 		action := e.chooseAction(now)
 		proposed := e.cfg.Space.Apply(e.proposed, action, e.current)
 		if err := e.checker(proposed); err != nil {

@@ -12,12 +12,19 @@ import (
 	"fmt"
 )
 
+// Table 1 values the engine runs as fixed structure, not settings: every
+// tick samples one frame and takes one action, and the Q-network has two
+// hidden layers the width of its input (nn.NewCAPESNetwork).
+const (
+	actionTickLength   = 1 // one action per tick
+	samplingTickLength = 1 // one sample per tick
+	hiddenLayers       = 2
+)
+
 // Hyperparameters mirrors Table 1 of the paper. Durations are in ticks
 // (1 tick = 1 simulated second), so the values match the paper's seconds
 // and hours directly.
 type Hyperparameters struct {
-	ActionTickLength    int64   // one action per this many ticks (1)
-	SamplingTickLength  int64   // one sample per this many ticks (1)
 	EpsilonInitial      float64 // 1.0 — all actions random at start
 	EpsilonFinal        float64 // 0.05
 	EpsilonBump         float64 // 0.2 on workload change (§3.6)
@@ -25,7 +32,6 @@ type Hyperparameters struct {
 	ExplorationPeriod   int64   // linear anneal duration (2 h = 7200 ticks)
 	MinibatchSize       int     // 32
 	MissingTolerance    float64 // 0.20 of an observation may be missing
-	NumHiddenLayers     int     // 2, each the size of the input layer
 	AdamLearningRate    float64 // 0.0001
 	TicksPerObservation int     // 10 sampling ticks stacked per observation
 	TargetUpdateRate    float64 // α = 0.01
@@ -38,22 +44,15 @@ type Hyperparameters struct {
 	TrainStartTicks int64
 	// ReplayCapacity bounds the Replay DB to the newest N frames
 	// (0 = unbounded, as the paper's 70-hour SQLite DB effectively
-	// was). The engine scales it by SamplingTickLength when sizing the
-	// replay ring, whose own window unit is ticks.
+	// was). One frame per tick, so it is also the ring's window in ticks.
 	ReplayCapacity int
 	// GradientClip bounds the global gradient norm (0 disables).
 	GradientClip float64
-	// HardUpdateEvery, when positive, replaces the soft target update
-	// with a full θ→θ⁻ copy every N train steps (the classic DQN
-	// schedule). 0 keeps the paper's soft updates at TargetUpdateRate.
-	HardUpdateEvery int64
 }
 
 // DefaultHyperparameters returns Table 1's values.
 func DefaultHyperparameters() Hyperparameters {
 	return Hyperparameters{
-		ActionTickLength:    1,
-		SamplingTickLength:  1,
 		EpsilonInitial:      1.0,
 		EpsilonFinal:        0.05,
 		EpsilonBump:         0.2,
@@ -61,7 +60,6 @@ func DefaultHyperparameters() Hyperparameters {
 		ExplorationPeriod:   7200, // 2 hours
 		MinibatchSize:       32,
 		MissingTolerance:    0.20,
-		NumHiddenLayers:     2,
 		AdamLearningRate:    0.0001,
 		TicksPerObservation: 10,
 		TargetUpdateRate:    0.01,
@@ -89,9 +87,6 @@ func (h Hyperparameters) Scaled(scale float64) Hyperparameters {
 
 // Validate checks the hyperparameters.
 func (h Hyperparameters) Validate() error {
-	if h.ActionTickLength <= 0 || h.SamplingTickLength <= 0 {
-		return fmt.Errorf("capes: tick lengths must be positive")
-	}
 	if h.EpsilonInitial < h.EpsilonFinal || h.EpsilonInitial > 1 || h.EpsilonFinal < 0 {
 		return fmt.Errorf("capes: invalid epsilon range [%v,%v]", h.EpsilonFinal, h.EpsilonInitial)
 	}
@@ -107,9 +102,6 @@ func (h Hyperparameters) Validate() error {
 	if h.MissingTolerance < 0 || h.MissingTolerance >= 1 {
 		return fmt.Errorf("capes: missing tolerance %v outside [0,1)", h.MissingTolerance)
 	}
-	if h.NumHiddenLayers <= 0 {
-		return fmt.Errorf("capes: need at least one hidden layer")
-	}
 	if h.AdamLearningRate <= 0 {
 		return fmt.Errorf("capes: learning rate must be positive")
 	}
@@ -122,26 +114,23 @@ func (h Hyperparameters) Validate() error {
 	if h.TrainEvery <= 0 {
 		return fmt.Errorf("capes: TrainEvery must be positive")
 	}
-	if h.HardUpdateEvery < 0 {
-		return fmt.Errorf("capes: HardUpdateEvery must be non-negative")
-	}
 	return nil
 }
 
-// Table1 renders the hyperparameters as the rows of Table 1 for the
-// bench harness.
+// Table1 renders the hyperparameters, and the fixed tick lengths and
+// layer count, as the rows of Table 1 for the bench harness.
 func (h Hyperparameters) Table1() [][2]string {
 	return [][2]string{
-		{"action tick length", fmt.Sprintf("%d", h.ActionTickLength)},
+		{"action tick length", fmt.Sprintf("%d", actionTickLength)},
 		{"epsilon initial value", fmt.Sprintf("%g", h.EpsilonInitial)},
 		{"epsilon final value", fmt.Sprintf("%g", h.EpsilonFinal)},
 		{"discount rate (gamma)", fmt.Sprintf("%g", h.DiscountRate)},
 		{"initial exploration period", fmt.Sprintf("%d ticks", h.ExplorationPeriod)},
 		{"minibatch size", fmt.Sprintf("%d", h.MinibatchSize)},
 		{"missing entry tolerance", fmt.Sprintf("%g%%", h.MissingTolerance*100)},
-		{"number of hidden layers", fmt.Sprintf("%d", h.NumHiddenLayers)},
+		{"number of hidden layers", fmt.Sprintf("%d", hiddenLayers)},
 		{"Adam learning rate", fmt.Sprintf("%g", h.AdamLearningRate)},
-		{"sampling tick length", fmt.Sprintf("%d", h.SamplingTickLength)},
+		{"sampling tick length", fmt.Sprintf("%d", samplingTickLength)},
 		{"sampling ticks per observation", fmt.Sprintf("%d", h.TicksPerObservation)},
 		{"target network update rate (alpha)", fmt.Sprintf("%g", h.TargetUpdateRate)},
 	}

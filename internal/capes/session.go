@@ -68,8 +68,8 @@ const manifestVersion = 2
 // sessionManifest is the checkpoint manifest. Fields consumed on
 // restore: FrameWidth/NumActions gate compatibility, CurrentValues
 // restores the engine's view of the applied parameters, TrainSteps
-// restores the agent's global step counter (hard-update phase, EWMA
-// seeding and the divergence-scan schedule all key off it), and the
+// restores the agent's global step counter (EWMA seeding and the
+// divergence-scan schedule key off it), and the
 // telemetry fields keep Stats/history monotonic across a resume.
 type sessionManifest struct {
 	Version       int       `json:"version"`
@@ -309,8 +309,7 @@ func (e *Engine) restoreLocked(cp *Checkpoint) error {
 	if err != nil {
 		return err
 	}
-	// Step-exact resume: the restored counter keeps the
-	// (steps+1)%HardUpdateEvery target-sync phase, the first-step EWMA
+	// Step-exact resume: the restored counter keeps the first-step EWMA
 	// seeding and the divergence-scan schedule on the same global steps
 	// an uninterrupted run would hit.
 	if err := agent.RestoreSteps(m.TrainSteps); err != nil {

@@ -56,8 +56,7 @@ type SessionConfig struct {
 	Clients int `json:"clients"`
 	// PIsPerClient defaults to storesim.NumClientPIs.
 	PIsPerClient int `json:"pis_per_client,omitempty"`
-	// ObsTicks is the sampling ticks stacked per observation (default 5,
-	// matching the old capesd -obs-ticks flag).
+	// ObsTicks is the sampling ticks stacked per observation (default 5).
 	ObsTicks int `json:"obs_ticks,omitempty"`
 	// CheckpointDir enables save/restore for this session ("" disables).
 	CheckpointDir string `json:"checkpoint_dir,omitempty"`
@@ -80,26 +79,16 @@ type SessionConfig struct {
 	// step.
 	Cluster *ClusterConfig `json:"cluster,omitempty"`
 
-	// Transport fault-tolerance knobs (zero = agent package defaults).
 	// LivenessTimeoutMs evicts an agent connection that sends nothing —
-	// not even a heartbeat — for this long.
+	// not even a heartbeat — for this long (0 = the agent package's
+	// default, 30 s).
 	LivenessTimeoutMs int `json:"liveness_timeout_ms,omitempty"`
-	// PartialFrameMs bounds how long the daemon waits for stragglers
-	// before resolving a tick by gap-filling from each missing node's
-	// last known vector (or dropping it, see DropIncomplete).
-	PartialFrameMs int `json:"partial_frame_ms,omitempty"`
-	// MaxPendingTicks bounds the in-flight tick assembly map; the oldest
-	// tick is force-resolved when the bound is exceeded.
-	MaxPendingTicks int `json:"max_pending_ticks,omitempty"`
-	// DropIncomplete drops ticks that time out instead of gap-filling.
-	DropIncomplete bool `json:"drop_incomplete,omitempty"`
 
 	// Optional hyperparameter overrides (zero = Table 1 default).
-	TrainStartTicks   int64 `json:"train_start_ticks,omitempty"`
-	TrainEvery        int64 `json:"train_every,omitempty"`
-	MinibatchSize     int   `json:"minibatch_size,omitempty"`
-	ReplayCapacity    int   `json:"replay_capacity,omitempty"`
-	ExplorationPeriod int64 `json:"exploration_period,omitempty"`
+	TrainStartTicks int64 `json:"train_start_ticks,omitempty"`
+	TrainEvery      int64 `json:"train_every,omitempty"`
+	MinibatchSize   int   `json:"minibatch_size,omitempty"`
+	ReplayCapacity  int   `json:"replay_capacity,omitempty"`
 
 	// Training-telemetry ring knobs (zero = engine defaults: one sample
 	// per 10 ticks, 1024 retained). history_every: -1 disables.
@@ -263,8 +252,11 @@ func (sc *SessionConfig) Validate() error {
 	if sc.PIsPerClient < 0 || sc.ObsTicks < 0 {
 		return fmt.Errorf("session %s: negative pis_per_client/obs_ticks", sc.Name)
 	}
-	if sc.LivenessTimeoutMs < 0 || sc.PartialFrameMs < 0 || sc.MaxPendingTicks < 0 {
-		return fmt.Errorf("session %s: negative transport knob (liveness_timeout_ms/partial_frame_ms/max_pending_ticks)", sc.Name)
+	if sc.LivenessTimeoutMs < 0 {
+		return fmt.Errorf("session %s: negative liveness_timeout_ms", sc.Name)
+	}
+	if sc.TrainStartTicks < 0 || sc.TrainEvery < 0 || sc.MinibatchSize < 0 || sc.ReplayCapacity < 0 {
+		return fmt.Errorf("session %s: negative hyperparameter override (train_start_ticks/train_every/minibatch_size/replay_capacity)", sc.Name)
 	}
 	if sc.HistoryCap < 0 {
 		return fmt.Errorf("session %s: negative history_cap", sc.Name)
@@ -293,7 +285,7 @@ func (sc *SessionConfig) Validate() error {
 		}
 	}
 	// monitor_only + exploit together is valid: a pure-collection daemon
-	// that neither trains nor acts (the old capesd accepted both flags).
+	// that neither trains nor acts.
 	switch sc.RewardMode {
 	case "", "delta", "absolute":
 	default:
@@ -370,9 +362,6 @@ func (sc *SessionConfig) engineConfig() (capes.Config, error) {
 	}
 	if sc.ReplayCapacity > 0 {
 		hyper.ReplayCapacity = sc.ReplayCapacity
-	}
-	if sc.ExplorationPeriod > 0 {
-		hyper.ExplorationPeriod = sc.ExplorationPeriod
 	}
 
 	// Offsets index into per-client PI vectors at runtime; reject

@@ -88,12 +88,21 @@ func TestLoadConfigRejections(t *testing.T) {
 		"shared checkpoint_dir": `{"sessions": [
 			{"name": "a", "clients": 1, "checkpoint_dir": "/tmp/x"},
 			{"name": "b", "clients": 1, "checkpoint_dir": "/tmp/x/"}]}`,
-		"bad cluster role":      `{"sessions": [{"name": "a", "clients": 1, "cluster": {"role": "observer"}}]}`,
-		"leader sans listen":    `{"sessions": [{"name": "a", "clients": 1, "cluster": {"role": "leader"}}]}`,
-		"follower sans leader":  `{"sessions": [{"name": "a", "clients": 1, "cluster": {"role": "follower", "rank": 1}}]}`,
-		"follower sans rank":    `{"sessions": [{"name": "a", "clients": 1, "cluster": {"role": "follower", "leader": "x:1"}}]}`,
-		"removed pipeline knob": `{"sessions": [{"name": "a", "clients": 1, "pipeline": true}]}`,
-		"negative cluster knob": `{"sessions": [{"name": "a", "clients": 1, "cluster": {"role": "leader", "listen": ":0", "collect_timeout_ms": -5}}]}`,
+		"bad cluster role":           `{"sessions": [{"name": "a", "clients": 1, "cluster": {"role": "observer"}}]}`,
+		"leader sans listen":         `{"sessions": [{"name": "a", "clients": 1, "cluster": {"role": "leader"}}]}`,
+		"follower sans leader":       `{"sessions": [{"name": "a", "clients": 1, "cluster": {"role": "follower", "rank": 1}}]}`,
+		"follower sans rank":         `{"sessions": [{"name": "a", "clients": 1, "cluster": {"role": "follower", "leader": "x:1"}}]}`,
+		"removed pipeline knob":      `{"sessions": [{"name": "a", "clients": 1, "pipeline": true}]}`,
+		"negative cluster knob":      `{"sessions": [{"name": "a", "clients": 1, "cluster": {"role": "leader", "listen": ":0", "collect_timeout_ms": -5}}]}`,
+		"negative train_start_ticks": `{"sessions": [{"name": "a", "clients": 1, "train_start_ticks": -1}]}`,
+		"negative train_every":       `{"sessions": [{"name": "a", "clients": 1, "train_every": -4}]}`,
+		"negative minibatch_size":    `{"sessions": [{"name": "a", "clients": 1, "minibatch_size": -32}]}`,
+		"negative replay_capacity":   `{"sessions": [{"name": "a", "clients": 1, "replay_capacity": -1}]}`,
+		"negative liveness":          `{"sessions": [{"name": "a", "clients": 1, "liveness_timeout_ms": -1}]}`,
+		"removed drop_incomplete":    `{"sessions": [{"name": "a", "clients": 1, "drop_incomplete": true}]}`,
+		"removed partial_frame_ms":   `{"sessions": [{"name": "a", "clients": 1, "partial_frame_ms": 100}]}`,
+		"removed max_pending_ticks":  `{"sessions": [{"name": "a", "clients": 1, "max_pending_ticks": 8}]}`,
+		"removed exploration_period": `{"sessions": [{"name": "a", "clients": 1, "exploration_period": 100}]}`,
 	}
 	for what, body := range cases {
 		if _, err := LoadConfig(writeConfig(t, body)); err == nil {
@@ -146,13 +155,67 @@ func TestSupervisionDefaults(t *testing.T) {
 			sc.TickDeadlineMs, sc.MaxFramesPerSec)
 	}
 	// Explicit settings survive the defaulting pass.
-	explicit := SessionConfig{Name: "e", Clients: 1, MaxRollbacks: 7, SuperviseEveryMs: -1}.withDefaults()
-	if explicit.MaxRollbacks != 7 || explicit.SuperviseEveryMs != -1 {
+	explicit := SessionConfig{Name: "e", Clients: 1, MaxRollbacks: 7, RollbackBackoffMs: 40, SuperviseEveryMs: -1}.withDefaults()
+	if explicit.MaxRollbacks != 7 || explicit.RollbackBackoffMs != 40 || explicit.SuperviseEveryMs != -1 {
 		t.Fatalf("explicit supervision knobs overwritten: %+v", explicit)
 	}
 }
 
+// TestSessionOverridesReachEngine: every hyperparameter, layout and
+// policy override a session sets arrives in the engine config, and a
+// session that sets none runs Table 1's hyperparameters.
+func TestSessionOverridesReachEngine(t *testing.T) {
+	cfg, err := LoadConfig(writeConfig(t, `{"sessions": [{"name": "o", "clients": 2,
+		"pis_per_client": 4, "seed": 9, "monitor_only": true,
+		"train_start_ticks": 100, "train_every": 4, "minibatch_size": 16, "replay_capacity": 5000,
+		"history_every": 3, "history_cap": 50,
+		"divergence": {"loss_explode_factor": 50, "min_steps": 10, "min_points": 4,
+		               "reward_collapse_factor": 2, "probe_every_steps": 128}}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := cfg.Sessions[0].withDefaults()
+	ec, err := sc.engineConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := ec.Hyper; h.TrainStartTicks != 100 || h.TrainEvery != 4 || h.MinibatchSize != 16 || h.ReplayCapacity != 5000 {
+		t.Fatalf("hyperparameter overrides lost: %+v", h)
+	}
+	if ec.FrameWidth != 2*4 || ec.Seed != 9 || ec.Tuning || !ec.Training {
+		t.Fatalf("layout/lifecycle overrides lost: width %d, seed %d, tuning %v, training %v",
+			ec.FrameWidth, ec.Seed, ec.Tuning, ec.Training)
+	}
+	if ec.HistoryEvery != 3 || ec.HistoryCap != 50 {
+		t.Fatalf("history ring = every %d, cap %d", ec.HistoryEvery, ec.HistoryCap)
+	}
+	want := capes.DivergencePolicy{LossExplodeFactor: 50, MinSteps: 10, MinPoints: 4, RewardCollapseFactor: 2, ProbeEverySteps: 128}
+	if ec.Divergence == nil || *ec.Divergence != want {
+		t.Fatalf("divergence policy = %+v, want %+v", ec.Divergence, want)
+	}
+
+	d := SessionConfig{Name: "d", Clients: 1}.withDefaults()
+	def, err := d.engineConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	table1 := capes.DefaultHyperparameters()
+	table1.TicksPerObservation = 5 // obs_ticks' default
+	if def.Hyper != table1 || def.Divergence != nil {
+		t.Fatalf("default session hyperparameters = %+v, want %+v", def.Hyper, table1)
+	}
+}
+
 func TestClusterConfigMapsToEngine(t *testing.T) {
+	leader := SessionConfig{Name: "l", Clients: 1, Cluster: &ClusterConfig{Role: "leader", Listen: "127.0.0.1:7710"}}.withDefaults()
+	lc, err := leader.engineConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cc := lc.Cluster; cc == nil || cc.Role != capes.ClusterLeader || cc.Listen != "127.0.0.1:7710" {
+		t.Fatalf("leader block mapped wrong: %+v", cc)
+	}
+
 	sc := SessionConfig{Name: "c", Clients: 1, Cluster: &ClusterConfig{
 		Role: "follower", Leader: "127.0.0.1:7710", Rank: 2,
 		CollectTimeoutMs: 250, SyncTimeoutMs: 1500,

@@ -168,12 +168,7 @@ func newSession(cfg SessionConfig) (*Session, error) {
 			s.workloadBumps++
 			s.mu.Unlock()
 		},
-		agent.DaemonOpts{
-			LivenessTimeout:     time.Duration(cfg.LivenessTimeoutMs) * time.Millisecond,
-			PartialFrameTimeout: time.Duration(cfg.PartialFrameMs) * time.Millisecond,
-			MaxPendingTicks:     cfg.MaxPendingTicks,
-			DropIncomplete:      cfg.DropIncomplete,
-		})
+		agent.DaemonOpts{LivenessTimeout: time.Duration(cfg.LivenessTimeoutMs) * time.Millisecond})
 	if err != nil {
 		return nil, fmt.Errorf("session %s: listen %s: %w", cfg.Name, cfg.Listen, err)
 	}

@@ -31,26 +31,8 @@ type Options struct {
 	// TrainEvery runs one SGD step per this many ticks (paper: the GPU
 	// trainer ran continuously ≈ every tick).
 	TrainEvery int64
-	// LearningRate overrides the Adam learning rate; 0 picks the paper's
-	// 1e-4 at Scale 1 and proportionally larger for shortened sessions
-	// (capped at 2e-3) so the optimizer sees a comparable total amount
-	// of learning.
-	LearningRate float64
 	// Seed drives all randomness.
 	Seed int64
-	// Gamma overrides the discount rate; 0 picks the paper's 0.99 at
-	// full scale and 0.9 for shortened sessions (the delta reward is
-	// already shaped, so a shorter bootstrap horizon preserves the
-	// optimal policy while cutting target variance — see EXPERIMENTS.md).
-	Gamma float64
-	// WindowStep overrides the congestion-window tuning step (default 8
-	// at reduced scale, 4 at full scale: shorter sessions need fewer
-	// actions to traverse the range).
-	WindowStep float64
-	// DoubleDQN enables the Double-DQN target rule (default on for
-	// scaled sessions — curbs the maximization bias that short noisy
-	// sessions amplify).
-	DoubleDQN *bool
 	// ServiceNoise overrides the cluster's service-rate noise (<0 keeps
 	// the storesim default).
 	ServiceNoise float64
@@ -70,8 +52,8 @@ type Options struct {
 	RateFloor float64
 	// Hyper, when non-nil, replaces the engine hyperparameters verbatim
 	// (durations must already be scaled); used by the grid search. The
-	// TicksPerObservation/TrainEvery/LearningRate options are ignored in
-	// that case.
+	// TicksPerObservation/TrainEvery options and the Scale-resolved
+	// learning rate and discount rate are ignored in that case.
 	Hyper *capes.Hyperparameters
 	// PaperObsWidth overrides the observation width used for the Table 2
 	// paper-shape measurements (train-step timing, model size). 0 keeps
@@ -126,11 +108,11 @@ func (o Options) Ticks(hours float64) int64 {
 	return t
 }
 
-// learningRate resolves the effective Adam learning rate.
+// learningRate resolves the effective Adam learning rate: the paper's
+// 1e-4 at Scale 1 and proportionally larger for shortened sessions
+// (capped at 1e-3) so the optimizer sees a comparable total amount of
+// learning.
 func (o Options) learningRate() float64 {
-	if o.LearningRate > 0 {
-		return o.LearningRate
-	}
 	lr := 1e-4 / o.Scale
 	if lr > 1e-3 {
 		lr = 1e-3
@@ -138,33 +120,31 @@ func (o Options) learningRate() float64 {
 	return lr
 }
 
-// gamma resolves the effective discount rate.
+// gamma resolves the effective discount rate: the paper's 0.99 at full
+// scale and 0.9 for shortened sessions (the delta reward is already
+// shaped, so a shorter bootstrap horizon preserves the optimal policy
+// while cutting target variance — see EXPERIMENTS.md).
 func (o Options) gamma() float64 {
-	if o.Gamma > 0 {
-		return o.Gamma
-	}
 	if o.Scale >= 0.5 {
 		return 0.99
 	}
 	return 0.9
 }
 
-// windowStep resolves the congestion-window step size.
+// windowStep resolves the congestion-window tuning step: 8 at reduced
+// scale, 4 at full scale (shorter sessions need fewer actions to
+// traverse the range).
 func (o Options) windowStep() float64 {
-	if o.WindowStep > 0 {
-		return o.WindowStep
-	}
 	if o.Scale >= 0.5 {
 		return 4
 	}
 	return 8
 }
 
-// doubleDQN resolves whether the Double-DQN target rule is used.
+// doubleDQN resolves whether the Double-DQN target rule is used: on for
+// scaled sessions, where it curbs the maximization bias that short
+// noisy sessions amplify.
 func (o Options) doubleDQN() bool {
-	if o.DoubleDQN != nil {
-		return *o.DoubleDQN
-	}
 	return o.Scale < 0.5
 }
 

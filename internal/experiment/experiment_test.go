@@ -52,11 +52,6 @@ func TestOptionsTicksAndLearningRate(t *testing.T) {
 	if PaperOptions().learningRate() != 1e-4 {
 		t.Fatalf("paper LR = %v", PaperOptions().learningRate())
 	}
-	o2 := DefaultOptions()
-	o2.LearningRate = 5e-4
-	if o2.learningRate() != 5e-4 {
-		t.Fatal("explicit LR must win")
-	}
 }
 
 func TestPaperOptionsShape(t *testing.T) {

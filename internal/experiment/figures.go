@@ -10,7 +10,6 @@ import (
 	"capes/internal/pilot"
 	"capes/internal/replay"
 	"capes/internal/storesim"
-	"capes/internal/tensor"
 	"capes/internal/wire"
 	"capes/internal/workload"
 )
@@ -22,7 +21,7 @@ type CIValue struct {
 }
 
 func summarize(series []float64) CIValue {
-	s, err := pilot.Analyze(series, pilot.Options{TrimWarmup: true})
+	s, err := pilot.Analyze(series)
 	if err != nil {
 		return CIValue{Mean: pilot.Mean(series)}
 	}
@@ -298,12 +297,17 @@ func RunTable2(o Options) (*Table2, error) {
 	if paperObs <= 0 {
 		paperObs = 1760
 	}
-	res.TrainStepSeconds = measureTrainStep(paperObs, 5, 32)
+	var err error
+	if res.TrainStepSeconds, err = measureTrainStep(paperObs, 32); err != nil {
+		return nil, err
+	}
 
 	// Train-step duration at this reproduction's observation size.
 	expObs := o.Clients * storesim.NumClientPIs * o.TicksPerObservation
 	res.ObservationSize = expObs
-	res.TrainStepSecondsExp = measureTrainStep(expObs, 5, 32)
+	if res.TrainStepSecondsExp, err = measureTrainStep(expObs, 32); err != nil {
+		return nil, err
+	}
 
 	// Model size at the paper shape, at the engine's deployed precision
 	// (float32 since the generic-precision numeric core landed).
@@ -369,31 +373,73 @@ func RunTable2(o Options) (*Table2, error) {
 	return res, nil
 }
 
-// measureTrainStep times the deployed float32 training path (the engine
-// precision) so the Table 2 row reflects what a session actually costs.
-func measureTrainStep(obsWidth, nActions, batch int) float64 {
-	rng := rand.New(rand.NewSource(2))
-	net := nn.NewCAPESNetwork[capes.EnginePrecision](rng, obsWidth, nActions)
-	opt := nn.NewAdam[capes.EnginePrecision](1e-4)
-	in := tensor.New[capes.EnginePrecision](batch, obsWidth)
-	in.XavierFill(rng, obsWidth, obsWidth)
-	actions := make([]int, batch)
-	targets := make([]capes.EnginePrecision, batch)
-	grad := tensor.New[capes.EnginePrecision](batch, nActions)
-	// Warm up once, then time a handful of steps.
-	step := func() {
-		out := net.Forward(in)
-		nn.MaskedMSE(out, actions, targets, grad)
-		net.Backward(grad)
-		opt.Step(net.Params(), net.Grads())
+// NewTrainStep returns one train step on the path a session runs —
+// Engine.Agent().TrainStep: forward, Equation-1 loss, backward,
+// global-norm clip, fused Adam sweep and soft target update — bound to a
+// fresh engine with Table 1's hyperparameters and the evaluation's five
+// actions, and to a random float32 minibatch of batch observations
+// obsWidth wide. Table 2's train-step rows time it.
+func NewTrainStep(obsWidth, batch int) (func() error, error) {
+	space, err := capes.NewActionSpace(capes.LustreTunables()...)
+	if err != nil {
+		return nil, err
 	}
-	step()
+	h := capes.DefaultHyperparameters()
+	h.TicksPerObservation = 1
+	h.MinibatchSize = batch
+	eng, err := capes.NewEngine(capes.Config{
+		Hyper:      h,
+		Space:      space,
+		Objective:  capes.SumIndices(0),
+		FrameWidth: obsWidth,
+		Seed:       2,
+		Training:   true,
+	}, func() (replay.Frame, error) { return nil, nil }, nil)
+	if err != nil {
+		return nil, err
+	}
+	rng := rand.New(rand.NewSource(2))
+	b := &replay.Batch[capes.EnginePrecision]{
+		States:     make([]capes.EnginePrecision, batch*obsWidth),
+		NextStates: make([]capes.EnginePrecision, batch*obsWidth),
+		Actions:    make([]int, batch),
+		Rewards:    make([]capes.EnginePrecision, batch),
+		N:          batch,
+		Width:      obsWidth,
+	}
+	for i := range b.States {
+		b.States[i] = capes.EnginePrecision(rng.NormFloat64())
+		b.NextStates[i] = capes.EnginePrecision(rng.NormFloat64())
+	}
+	for i := range b.Actions {
+		b.Actions[i] = rng.Intn(space.NumActions())
+		b.Rewards[i] = capes.EnginePrecision(rng.NormFloat64())
+	}
+	agent := eng.Agent()
+	return func() error {
+		_, err := agent.TrainStep(b)
+		return err
+	}, nil
+}
+
+// measureTrainStep times NewTrainStep's step: one warm-up, then the mean
+// of a handful.
+func measureTrainStep(obsWidth, batch int) (float64, error) {
+	step, err := NewTrainStep(obsWidth, batch)
+	if err != nil {
+		return 0, err
+	}
+	if err := step(); err != nil {
+		return 0, err
+	}
 	const reps = 3
 	start := time.Now()
 	for i := 0; i < reps; i++ {
-		step()
+		if err := step(); err != nil {
+			return 0, err
+		}
 	}
-	return time.Since(start).Seconds() / reps
+	return time.Since(start).Seconds() / reps, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -19,11 +19,8 @@ type Adam[E tensor.Element] struct {
 	Epsilon float64 // numerical-stability constant, default 1e-8
 
 	step int
-	m    []*tensor.Matrix[E] // first-moment estimates, aligned with params
-	v    []*tensor.Matrix[E] // second-moment estimates
-
-	fm []E // flat first moments (FusedStep), aligned with the arena
-	fv []E // flat second moments
+	fm   []E // flat first moments, aligned with the parameter arena
+	fv   []E // flat second moments
 }
 
 // NewAdam returns an Adam optimizer with the standard β/ε defaults. The
@@ -32,48 +29,16 @@ func NewAdam[E tensor.Element](lr float64) *Adam[E] {
 	return &Adam[E]{LR: lr, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8}
 }
 
-// Step applies one Adam update: params[i] -= lr · m̂/(√v̂+ε) using the
-// gradients in grads. Moment buffers are lazily allocated to match the
-// parameter shapes on the first call.
-func (a *Adam[E]) Step(params, grads []*tensor.Matrix[E]) {
-	if len(params) != len(grads) {
-		panic("nn: Adam params/grads length mismatch")
-	}
-	if a.m == nil {
-		a.m = make([]*tensor.Matrix[E], len(params))
-		a.v = make([]*tensor.Matrix[E], len(params))
-		for i, p := range params {
-			a.m[i] = tensor.New[E](p.Rows, p.Cols)
-			a.v[i] = tensor.New[E](p.Rows, p.Cols)
-		}
-	}
-	a.step++
-	// Bias-corrected learning rate: lr·√(1−β₂ᵗ)/(1−β₁ᵗ).
-	t := float64(a.step)
-	lrT := E(a.LR * math.Sqrt(1-math.Pow(a.Beta2, t)) / (1 - math.Pow(a.Beta1, t)))
-	b1, b2, eps := E(a.Beta1), E(a.Beta2), E(a.Epsilon)
-	for i, p := range params {
-		g := grads[i]
-		mi, vi := a.m[i], a.v[i]
-		for j, gj := range g.Data {
-			mi.Data[j] = b1*mi.Data[j] + (1-b1)*gj
-			vi.Data[j] = b2*vi.Data[j] + (1-b2)*gj*gj
-			p.Data[j] -= lrT * mi.Data[j] / (tensor.Sqrt(vi.Data[j]) + eps)
-		}
-	}
-}
-
 // FusedStep applies one Adam update over a flat parameter arena (see
 // MLP.FlatParams/FlatGrads) with the moments stored flat, and folds the
 // rest of the per-step parameter traffic into the same sweep: each gradient is scaled by gradScale as it
 // is read (global-norm clipping without a separate scale pass over the
 // arena — the grads slice itself is left unscaled), and when target is
-// non-nil the target network is updated with the freshly stepped
-// parameter in place: the soft update θ⁻ = θ⁻(1−α) + θα for α < 1, or a
-// straight copy θ⁻ = θ for α == 1 (the double-buffered hard update — the
-// "copy" costs nothing extra because the sweep already holds θ in a
-// register). One pass touches all five streams (params, grads, both
-// moments, target) instead of three separate kernels re-reading them.
+// non-nil the target network takes the soft update θ⁻ = θ⁻(1−α) + θα
+// with the freshly stepped parameter in place. At α = 1 that is
+// θ⁻·0 + θ·1, an exact copy of θ for any finite θ⁻. One pass touches all
+// five streams (params, grads, both moments, target) instead of three
+// separate kernels re-reading them.
 //
 // The sweep runs over the whole arena in one call on the calling
 // goroutine and allocates nothing in steady state. Concrete float32
@@ -106,12 +71,9 @@ func (a *Adam[E]) FusedStep(params, grads []E, gradScale float64, target []E, al
 		// loops' inline (1-b1)/(1-b2)/(1-al).
 		g32, fm32, fv32 := any(grads).([]float32), any(fm).([]float32), any(fv).([]float32)
 		lrT, b1, b2, eps, scale := float32(lrT), float32(b1), float32(b2), float32(eps), float32(scale)
-		switch {
-		case target == nil:
+		if target == nil {
 			tensor.AdamSweep32(p32, g32, fm32, fv32, lrT, b1, 1-b1, b2, 1-b2, eps, scale)
-		case alpha == 1:
-			tensor.AdamSweepHard32(p32, g32, fm32, fv32, any(target).([]float32), lrT, b1, 1-b1, b2, 1-b2, eps, scale)
-		default:
+		} else {
 			al := float32(al)
 			tensor.AdamSweepSoft32(p32, g32, fm32, fv32, any(target).([]float32), lrT, b1, 1-b1, b2, 1-b2, eps, scale, al, 1-al)
 		}
@@ -124,11 +86,7 @@ func (a *Adam[E]) FusedStep(params, grads []E, gradScale float64, target []E, al
 		fm[j], fv[j] = mj, vj
 		p := params[j] - lrT*mj/(tensor.Sqrt(vj)+eps)
 		params[j] = p
-		switch {
-		case target == nil:
-		case alpha == 1:
-			target[j] = p
-		default:
+		if target != nil {
 			target[j] = target[j]*(1-al) + p*al
 		}
 	}

@@ -51,7 +51,7 @@ func TestFusedStepBitIdenticalAcrossTiers(t *testing.T) {
 	if applied, _ := tensor.SetKernelTier("avx2"); applied != "avx2" {
 		t.Skip("host has no avx2 tier to hold to the scalar sweep")
 	}
-	for mode, name := range []string{"plain", "soft", "hard"} {
+	for mode, name := range []string{"plain", "soft", "alpha1"} {
 		refP, refT, refM := run("scalar", mode)
 		p, tg, fm := run("avx2", mode)
 		for i := range refM { // the swept n-1 prefix

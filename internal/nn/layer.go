@@ -66,9 +66,8 @@ type Dense[E tensor.Element] struct {
 	// as the layer's forward GEMM) and no scratch for its result.
 	noGradIn bool
 
-	// Parameter/gradient views handed out by Params/Grads, built once.
+	// Parameter views handed out by Params, built once.
 	pviews [2]*tensor.Matrix[E]
-	gviews [2]*tensor.Matrix[E]
 
 	input    *tensor.Matrix[E] // saved forward input (not owned)
 	scratch1 denseScratch[E]   // batch == 1 (action path)
@@ -113,7 +112,6 @@ func (d *Dense[E]) bindGrads(grads []E) {
 	}
 	d.GradW = tensor.FromSlice(d.In, d.Out, grads[:wN:wN])
 	d.GradB = grads[wN : wN+d.Out : wN+d.Out]
-	d.gviews = [2]*tensor.Matrix[E]{d.GradW, tensor.FromSlice(1, d.Out, d.GradB)}
 }
 
 // ensure returns scratch buffers for the batch size, reallocating only
@@ -223,15 +221,10 @@ func (d *Dense[E]) Backward(gradOut *tensor.Matrix[E]) *tensor.Matrix[E] {
 	return s.gradIn
 }
 
-// Params returns the layer's parameter matrices; the bias is exposed as
-// a 1×Out matrix view for uniform optimizer handling. The views share
-// storage with the layer (and its arena), so mutations through them are
-// seen by the flat-parameter fast paths too.
+// Params returns the layer's parameter matrices, the bias as a 1×Out
+// matrix view. The views share storage with the layer (and its arena),
+// so mutations through them are seen by the flat-parameter fast paths
+// too.
 func (d *Dense[E]) Params() []*tensor.Matrix[E] {
 	return d.pviews[:]
-}
-
-// Grads returns the gradient matrices aligned with Params.
-func (d *Dense[E]) Grads() []*tensor.Matrix[E] {
-	return d.gviews[:]
 }

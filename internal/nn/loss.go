@@ -64,42 +64,3 @@ func FlatNorm[E tensor.Element](grads []E) float64 {
 	}
 	return math.Sqrt(ss)
 }
-
-// MaskedHuber is the Huber-loss variant of MaskedMSE: quadratic within
-// ±delta of the target and linear beyond, which caps the gradient
-// magnitude of outlier Bellman targets (the classic DQN stabilizer; kept
-// optional since the paper's prototype used plain MSE).
-func MaskedHuber[E tensor.Element](pred *tensor.Matrix[E], actions []int, targets []E, delta float64, gradOut *tensor.Matrix[E]) float64 {
-	if len(actions) != pred.Rows || len(targets) != pred.Rows {
-		panic("nn: MaskedHuber batch size mismatch")
-	}
-	if gradOut.Rows != pred.Rows || gradOut.Cols != pred.Cols {
-		panic("nn: MaskedHuber gradOut shape mismatch")
-	}
-	if delta <= 0 {
-		panic("nn: MaskedHuber delta must be positive")
-	}
-	gradOut.Zero()
-	n := float64(pred.Rows)
-	var loss float64
-	for i := 0; i < pred.Rows; i++ {
-		a := actions[i]
-		if a < 0 || a >= pred.Cols {
-			panic("nn: MaskedHuber action index out of range")
-		}
-		diff := float64(pred.At(i, a) - targets[i])
-		ad := math.Abs(diff)
-		if ad <= delta {
-			loss += 0.5 * diff * diff
-			gradOut.Set(i, a, E(diff/n))
-		} else {
-			loss += delta * (ad - 0.5*delta)
-			g := delta / n
-			if diff < 0 {
-				g = -g
-			}
-			gradOut.Set(i, a, E(g))
-		}
-	}
-	return loss / n
-}

@@ -45,14 +45,13 @@ func (a Activation) String() string {
 // target-network updates run as single passes over flat memory instead
 // of per-matrix loops. The gradient arena exists only once something
 // asks for it (Backward, Grads, FlatGrads): a network that only runs
-// forward — the target and the hard-update spare — carries none.
+// forward — the target network — carries none.
 type MLP[E tensor.Element] struct {
 	Sizes      []int // layer widths: input, hidden..., output
 	Activation Activation
 
 	dense  []*Dense[E]         // the layers, in order
 	params []*tensor.Matrix[E] // cached per-matrix views into paramData
-	grads  []*tensor.Matrix[E] // cached per-matrix views into gradData; nil with it
 
 	paramData []E // flat parameter arena
 	gradData  []E // flat gradient arena; nil until bindGrads
@@ -118,7 +117,6 @@ func (m *MLP[E]) bindGrads() {
 		n := d.In*d.Out + d.Out
 		d.bindGrads(m.gradData[off : off+n : off+n])
 		off += n
-		m.grads = append(m.grads, d.Grads()...)
 	}
 }
 
@@ -168,12 +166,6 @@ func (m *MLP[E]) Backward(gradOut *tensor.Matrix[E]) {
 // alias FlatParams.
 func (m *MLP[E]) Params() []*tensor.Matrix[E] { return m.params }
 
-// Grads returns all gradient matrices aligned with Params.
-func (m *MLP[E]) Grads() []*tensor.Matrix[E] {
-	m.bindGrads()
-	return m.grads
-}
-
 // FlatParams returns the network's parameters as one contiguous slice,
 // laid out layer by layer (weights row-major, then bias). It aliases the
 // matrices returned by Params.
@@ -205,10 +197,7 @@ func (m *MLP[E]) Clone() *MLP[E] {
 	return c
 }
 
-// CopyParamsFrom copies all parameters from src (hard target update) in
-// one flat pass. The fused training path avoids even this: see
-// Adam.FusedStep's hard-update mode, which writes the target arena while
-// the parameters are already in cache.
+// CopyParamsFrom copies all parameters from src in one flat pass.
 func (m *MLP[E]) CopyParamsFrom(src *MLP[E]) {
 	if len(m.paramData) != len(src.paramData) {
 		panic("nn: CopyParamsFrom shape mismatch")

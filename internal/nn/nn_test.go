@@ -146,7 +146,7 @@ func TestMLPLearnsXOR(t *testing.T) {
 		out := m.Forward(in)
 		loss = mse(out, target, grad)
 		m.Backward(grad)
-		opt.Step(m.Params(), m.Grads())
+		opt.FusedStep(m.FlatParams(), m.FlatGrads(), 1, nil, 0)
 	}
 	if loss > 0.01 {
 		t.Fatalf("XOR not learned, final loss %g", loss)
@@ -176,7 +176,7 @@ func TestReLULearnsRegression(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		loss = mse(m.Forward(in), target, grad)
 		m.Backward(grad)
-		opt.Step(m.Params(), m.Grads())
+		opt.FusedStep(m.FlatParams(), m.FlatGrads(), 1, nil, 0)
 	}
 	if loss > 0.005 {
 		t.Fatalf("ReLU regression loss %g", loss)
@@ -298,9 +298,7 @@ func TestCAPESNetworkShape(t *testing.T) {
 
 func TestAdamStepCount(t *testing.T) {
 	a := NewAdam[float64](0.001)
-	p := tensor.FromSlice(1, 1, []float64{1})
-	g := tensor.FromSlice(1, 1, []float64{1})
-	a.Step([]*tensor.Matrix[float64]{p}, []*tensor.Matrix[float64]{g})
+	a.FusedStep([]float64{1}, []float64{1}, 1, nil, 0)
 	if a.StepCount() != 1 {
 		t.Fatalf("StepCount = %d", a.StepCount())
 	}
@@ -409,85 +407,7 @@ func BenchmarkTrainStep600(b *testing.B) {
 		out := m.Forward(in)
 		MaskedMSE(out, actions, targets, grad)
 		m.Backward(grad)
-		opt.Step(m.Params(), m.Grads())
-	}
-}
-
-func TestMaskedHuberMatchesMSEInsideDelta(t *testing.T) {
-	pred := tensor.FromSlice(2, 3, []float64{0.1, 0.5, 0.9, -0.2, 0.0, 0.3})
-	actions := []int{1, 2}
-	targets := []float64{0.4, 0.5}
-	gh := tensor.New[float64](2, 3)
-	lh := MaskedHuber(pred, actions, targets, 10, gh) // delta huge → pure quadratic
-	// Huber inside delta is 0.5·d² (vs d² for MSE): loss and grads halve.
-	gm := tensor.New[float64](2, 3)
-	lm := MaskedMSE(pred, actions, targets, gm)
-	if math.Abs(lh-lm/2) > 1e-12 {
-		t.Fatalf("huber %g vs mse/2 %g", lh, lm/2)
-	}
-	for i := range gh.Data {
-		if math.Abs(gh.Data[i]-gm.Data[i]/2) > 1e-12 {
-			t.Fatal("huber grad must be half the MSE grad inside delta")
-		}
-	}
-}
-
-func TestMaskedHuberCapsOutlierGradients(t *testing.T) {
-	pred := tensor.FromSlice(1, 2, []float64{100, 0})
-	g := tensor.New[float64](1, 2)
-	MaskedHuber(pred, []int{0}, []float64{0}, 1, g)
-	if math.Abs(g.At(0, 0)) > 1.0+1e-12 {
-		t.Fatalf("outlier gradient %v not capped at delta", g.At(0, 0))
-	}
-	// Negative side symmetric.
-	pred2 := tensor.FromSlice(1, 2, []float64{-100, 0})
-	MaskedHuber(pred2, []int{0}, []float64{0}, 1, g)
-	if math.Abs(g.At(0, 0)+1.0) > 1e-12 {
-		t.Fatalf("negative outlier grad = %v", g.At(0, 0))
-	}
-}
-
-func TestMaskedHuberNumericalGradient(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	m := NewMLP[float64](rng, ActTanh, 3, 5, 2)
-	in := tensor.New[float64](4, 3)
-	in.XavierFill(rng, 3, 3)
-	actions := []int{0, 1, 0, 1}
-	targets := []float64{5, -5, 0.1, -0.1} // mix of outliers and inliers
-	const delta = 0.5
-	loss := func() float64 {
-		out := m.Forward(in)
-		var s float64
-		for i, a := range actions {
-			d := out.At(i, a) - targets[i]
-			ad := math.Abs(d)
-			if ad <= delta {
-				s += 0.5 * d * d
-			} else {
-				s += delta * (ad - 0.5*delta)
-			}
-		}
-		return s / 4
-	}
-	out := m.Forward(in)
-	grad := tensor.New[float64](4, 2)
-	MaskedHuber(out, actions, targets, delta, grad)
-	m.Backward(grad)
-	params, grads := m.Params(), m.Grads()
-	const h = 1e-6
-	for pi, p := range params {
-		for j := 0; j < len(p.Data); j += 3 {
-			orig := p.Data[j]
-			p.Data[j] = orig + h
-			lp := loss()
-			p.Data[j] = orig - h
-			lm := loss()
-			p.Data[j] = orig
-			numeric := (lp - lm) / (2 * h)
-			if math.Abs(numeric-grads[pi].Data[j]) > 1e-5*(1+math.Abs(numeric)) {
-				t.Fatalf("huber grad %d[%d]: analytic %g vs numeric %g", pi, j, grads[pi].Data[j], numeric)
-			}
-		}
+		opt.FusedStep(m.FlatParams(), m.FlatGrads(), 1, nil, 0)
 	}
 }
 

@@ -121,24 +121,43 @@ func TestFusedStepGenericMatchesFloat32Sweep(t *testing.T) {
 	}
 }
 
-// TestFusedStepHardUpdateCopiesExactly: α=1 switches the sweep to the
-// double-buffer fill mode, which must leave target == params bit for bit
-// (and must not be poisoned by stale garbage in the spare buffer).
+// TestFusedStepHardUpdateCopiesExactly: α = 1, a hard update, runs the
+// soft sweep, which computes θ⁻·0 + θ·1 — exactly θ for any finite θ⁻.
+// Checked on every kernel tier the host has and on the generic loop.
 func TestFusedStepHardUpdateCopiesExactly(t *testing.T) {
-	const n = 64
-	params := make([]float64, n)
-	grads := make([]float64, n)
-	target := make([]float64, n)
-	for i := range params {
-		params[i] = float64(i) * 0.1
-		grads[i] = 0.01
-		target[i] = math.NaN() // stale spare contents must be overwritten
+	const n = 1003 // a ragged tail behind the vector loop
+	rng := rand.New(rand.NewSource(31))
+	fill := func() (params, grads, target []float32) {
+		params, grads, target = make([]float32, n), make([]float32, n), make([]float32, n)
+		for i := range params {
+			params[i] = float32(rng.NormFloat64())
+			grads[i] = float32(rng.NormFloat64())
+			target[i] = float32(rng.NormFloat64() * 1e30) // stale, far from θ
+		}
+		return params, grads, target
 	}
-	opt := NewAdam[float64](1e-2)
-	opt.FusedStep(params, grads, 1, target, 1)
+	orig := tensor.KernelTier()
+	defer tensor.SetKernelTier(orig)
+	for _, tier := range []string{"scalar", "avx2"} {
+		if applied, _ := tensor.SetKernelTier(tier); applied != tier {
+			continue
+		}
+		params, grads, target := fill()
+		NewAdam[float32](1e-2).FusedStep(params, grads, 1, target, 1)
+		for i := range params {
+			if target[i] != params[i] {
+				t.Fatalf("%s: α=1 target[%d] = %v, want %v", tier, i, target[i], params[i])
+			}
+		}
+	}
+	params, grads, target := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range params {
+		params[i], grads[i], target[i] = rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()*1e300
+	}
+	NewAdam[float64](1e-2).FusedStep(params, grads, 1, target, 1)
 	for i := range params {
 		if target[i] != params[i] {
-			t.Fatalf("hard update target[%d] = %v, want %v", i, target[i], params[i])
+			t.Fatalf("generic: α=1 target[%d] = %v, want %v", i, target[i], params[i])
 		}
 	}
 }

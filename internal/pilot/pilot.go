@@ -27,32 +27,12 @@ func (s Summary) String() string {
 	return fmt.Sprintf("%.4g ± %.2g (n=%d, merge=%d)", s.Mean, s.CI, s.N, s.MergeLevel)
 }
 
-// Options tunes the analysis; zero values select Appendix B's defaults.
-type Options struct {
-	// AutocorrLimit is the |lag-1 autocorrelation| above which subsession
-	// merging is applied (Appendix B: 0.1).
-	AutocorrLimit float64
-	// Confidence level for the interval (default 0.95).
-	Confidence float64
-	// MinSamples is the fewest merged samples allowed before the merge
-	// loop gives up (default 8).
-	MinSamples int
-	// TrimWarmup enables changepoint-based warm-up/cool-down removal.
-	TrimWarmup bool
-}
-
-func (o Options) withDefaults() Options {
-	if o.AutocorrLimit == 0 {
-		o.AutocorrLimit = 0.1
-	}
-	if o.Confidence == 0 {
-		o.Confidence = 0.95
-	}
-	if o.MinSamples == 0 {
-		o.MinSamples = 8
-	}
-	return o
-}
+// Appendix B's analysis constants.
+const (
+	autocorrLimit = 0.1  // |lag-1 autocorrelation| above which subsessions merge
+	confidence    = 0.95 // confidence level of the interval
+	minSamples    = 8    // fewest merged samples before the merge loop gives up
+)
 
 // Mean returns the arithmetic mean.
 func Mean(xs []float64) float64 {
@@ -120,30 +100,33 @@ func MergeAdjacent(xs []float64, k int) []float64 {
 	return out
 }
 
-// Analyze runs the full Appendix-B pipeline: optional warm-up trimming,
-// subsession merging until |ρ₁| falls below the limit (doubling the
-// merge factor each round), then a Student-t confidence interval.
-func Analyze(xs []float64, opts Options) (Summary, error) {
-	o := opts.withDefaults()
+// Analyze runs the full Appendix-B pipeline: warm-up and cool-down
+// trimming, subsession merging until |ρ₁| falls below the limit
+// (doubling the merge factor each round), then a Student-t confidence
+// interval.
+func Analyze(xs []float64) (Summary, error) {
 	if len(xs) < 4 {
 		return Summary{}, fmt.Errorf("pilot: need at least 4 samples, have %d", len(xs))
 	}
-	trimmed := 0
-	work := xs
-	if o.TrimWarmup {
-		work, trimmed = TrimTransients(xs)
-		if len(work) < 4 {
-			work, trimmed = xs, 0 // trimming ate everything; keep raw
-		}
+	work, trimmed := TrimTransients(xs)
+	if len(work) < 4 {
+		work, trimmed = xs, 0 // trimming ate everything; keep raw
 	}
+	return mergeAndSummarize(work, trimmed), nil
+}
+
+// mergeAndSummarize is Analyze after trimming: it merges adjacent
+// samples of the stable region work until they pass the i.i.d. check,
+// then computes the interval. trimmed is carried into the Summary.
+func mergeAndSummarize(work []float64, trimmed int) Summary {
 	merge := 1
 	cur := append([]float64(nil), work...)
 	for {
 		rho := Lag1Autocorr(cur)
-		if math.Abs(rho) <= o.AutocorrLimit || len(cur)/2 < o.MinSamples {
+		if math.Abs(rho) <= autocorrLimit || len(cur)/2 < minSamples {
 			mean := Mean(cur)
 			se := math.Sqrt(variance(cur) / float64(len(cur)))
-			tcrit := tCritical(o.Confidence, len(cur)-1)
+			tcrit := tCritical(confidence, len(cur)-1)
 			return Summary{
 				Mean:       mean,
 				CI:         tcrit * se,
@@ -151,7 +134,7 @@ func Analyze(xs []float64, opts Options) (Summary, error) {
 				MergeLevel: merge,
 				Autocorr:   rho,
 				Trimmed:    trimmed,
-			}, nil
+			}
 		}
 		merge *= 2
 		cur = MergeAdjacent(work, merge)

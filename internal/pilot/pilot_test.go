@@ -123,7 +123,7 @@ func TestTCDFSymmetry(t *testing.T) {
 }
 
 func TestAnalyzeIIDGaussianCoverage(t *testing.T) {
-	// The 95% CI from Analyze must contain the true mean ~95% of the
+	// The 95% CI of the untrimmed merge stage must contain the true mean ~95% of the
 	// time; check it does so at least 85/100 with a margin for luck.
 	rng := rand.New(rand.NewSource(4))
 	const trueMean = 10.0
@@ -133,10 +133,7 @@ func TestAnalyzeIIDGaussianCoverage(t *testing.T) {
 		for i := range xs {
 			xs[i] = trueMean + rng.NormFloat64()
 		}
-		s, err := Analyze(xs, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := mergeAndSummarize(xs, 0)
 		if math.Abs(s.Mean-trueMean) <= s.CI {
 			hits++
 		}
@@ -154,10 +151,7 @@ func TestAnalyzeMergesAutocorrelatedData(t *testing.T) {
 	for i := 1; i < len(xs); i++ {
 		xs[i] = 0.95*xs[i-1] + rng.NormFloat64()
 	}
-	s, err := Analyze(xs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mergeAndSummarize(xs, 0)
 	if s.MergeLevel < 2 {
 		t.Fatalf("AR(1) data must trigger merging, level = %d", s.MergeLevel)
 	}
@@ -170,7 +164,7 @@ func TestAnalyzeMergesAutocorrelatedData(t *testing.T) {
 }
 
 func TestAnalyzeErrors(t *testing.T) {
-	if _, err := Analyze([]float64{1, 2, 3}, Options{}); err == nil {
+	if _, err := Analyze([]float64{1, 2, 3}); err == nil {
 		t.Fatal("too-few samples must error")
 	}
 }
@@ -181,11 +175,8 @@ func TestAnalyzeMinSamplesStopsMerging(t *testing.T) {
 	for i := 1; i < len(xs); i++ {
 		xs[i] = 0.99*xs[i-1] + rng.NormFloat64()
 	}
-	s, err := Analyze(xs, Options{MinSamples: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N < 8 {
+	s := mergeAndSummarize(xs, 0)
+	if s.N < minSamples {
 		t.Fatalf("merged below MinSamples: n=%d", s.N)
 	}
 }
@@ -235,7 +226,7 @@ func TestAnalyzeWithTrim(t *testing.T) {
 	for i := 0; i < 270; i++ {
 		xs = append(xs, 60+rng.NormFloat64())
 	}
-	s, err := Analyze(xs, Options{TrimWarmup: true})
+	s, err := Analyze(xs)
 	if err != nil {
 		t.Fatal(err)
 	}

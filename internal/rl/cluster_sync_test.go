@@ -103,23 +103,6 @@ func TestApplyParamBroadcastReplicatesSoftTarget(t *testing.T) {
 	}
 }
 
-// TestApplyParamBroadcastReplicatesHardTarget: synced between two hard
-// updates, the follower's own (steps+1)%HardUpdateEvery schedule fires on
-// exactly the leader's steps — the global step travels with the sync.
-func TestApplyParamBroadcastReplicatesHardTarget(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.LearningRate = 1e-2
-	cfg.HardUpdateEvery = 5
-	leader, follower, b := syncPair(t, cfg, 11, 3)
-	if err := fullSync(leader, follower); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 17; i++ {
-		coStep(t, leader, follower, b)
-		assertSameState(t, leader, follower)
-	}
-}
-
 // TestApplyParamBroadcastGapNeedsSync: a follower that missed steps
 // cannot catch up by applying later gradients — and a sync that left the
 // optimizer state out would be just as wrong, silently: same θ and θ⁻

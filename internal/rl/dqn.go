@@ -12,22 +12,17 @@ import (
 
 // Config holds the DQN hyperparameters (Table 1).
 type Config struct {
-	Gamma           float64 // discount rate γ (0.99)
-	LearningRate    float64 // Adam learning rate (0.0001)
-	TargetUpdateα   float64 // target-network soft-update rate (0.01)
-	MinibatchSize   int     // observations per SGD update (32)
-	GradientClip    float64 // global-norm clip; 0 disables (stability aid)
-	UseTargetNet    bool    // disable for the ablation bench
-	HardUpdateEvery int64   // if >0, copy θ→θ⁻ every N steps instead of soft updates
+	Gamma         float64 // discount rate γ (0.99)
+	LearningRate  float64 // Adam learning rate (0.0001)
+	TargetUpdateα float64 // target-network soft-update rate (0.01; 1 copies θ→θ⁻ every step)
+	MinibatchSize int     // observations per SGD update (32)
+	GradientClip  float64 // global-norm clip; 0 disables (stability aid)
+	UseTargetNet  bool    // disable for the ablation bench
 	// DoubleDQN decouples action selection from evaluation in the
 	// Bellman target: a' = argmax_a Q(s',a;θ) but the value comes from
 	// Q(s',a';θ⁻), reducing maximization bias (van Hasselt et al.). One
 	// of the "new deep learning techniques" §6 proposes evaluating.
 	DoubleDQN bool
-	// HuberDelta, when positive, swaps the Equation-1 MSE for a Huber
-	// loss with the given transition point, capping the gradient of
-	// outlier Bellman targets. 0 keeps the paper's plain MSE.
-	HuberDelta float64
 }
 
 // Validate checks the configuration.
@@ -60,14 +55,6 @@ type Agent[E tensor.Element] struct {
 	Target  *nn.MLP[E]
 	Opt     *nn.Adam[E]
 	Epsilon *EpsilonSchedule
-
-	// spare is the target network's double buffer, allocated only in
-	// hard-update mode: when a hard update falls due, the fused Adam
-	// sweep writes the freshly stepped parameters into spare's arena (a
-	// free by-product of the pass that already holds each θ in a
-	// register) and the update itself is a pointer swap with Target —
-	// no separate full-arena copy pass.
-	spare *nn.MLP[E]
 
 	nActions int
 	rng      *rand.Rand
@@ -145,9 +132,6 @@ func newAgent[E tensor.Element](cfg Config, eps *EpsilonSchedule, online *nn.MLP
 		rng:      rng,
 		gamma:    E(cfg.Gamma),
 		qScratch: make([]E, online.OutputSize()),
-	}
-	if cfg.UseTargetNet && cfg.HardUpdateEvery > 0 {
-		a.spare = online.Clone()
 	}
 	a.ensureScratch(cfg.MinibatchSize)
 	return a
@@ -263,12 +247,7 @@ func (a *Agent[E]) ComputeGradients(b *replay.Batch[E]) (float64, error) {
 	// reuse internal buffers, and when tnet == Online the target pass
 	// would otherwise clobber the activations backprop needs.
 	pred := a.Online.Forward(states)
-	var loss float64
-	if a.cfg.HuberDelta > 0 {
-		loss = nn.MaskedHuber(pred, b.Actions, targets, a.cfg.HuberDelta, a.gradOut)
-	} else {
-		loss = nn.MaskedMSE(pred, b.Actions, targets, a.gradOut)
-	}
+	loss := nn.MaskedMSE(pred, b.Actions, targets, a.gradOut)
 	if math.IsNaN(loss) || math.IsInf(loss, 0) {
 		// Fail before the optimizer bakes non-finite gradients into the
 		// parameters and both moment buffers.
@@ -287,10 +266,7 @@ func (a *Agent[E]) ComputeGradients(b *replay.Batch[E]) (float64, error) {
 func (a *Agent[E]) ApplyGradients(loss float64) error {
 	// The optimizer pass fuses in the global-norm gradient clip (as a
 	// scale applied while gradients are read) and the target-network
-	// update, so the whole parameter working set is touched once. In
-	// soft-update mode the target is lerped every step; in hard-update
-	// mode the sweep fills the spare buffer on due steps (α=1) and the
-	// "update" below is a pointer swap.
+	// soft update, so the whole parameter working set is touched once.
 	gradScale := 1.0
 	if a.cfg.GradientClip > 0 {
 		if norm := nn.FlatNorm(a.Online.FlatGrads()); norm > a.cfg.GradientClip {
@@ -298,26 +274,12 @@ func (a *Agent[E]) ApplyGradients(loss float64) error {
 		}
 	}
 	var target []E
-	alpha := 0.0
-	hardDue := false
 	if a.cfg.UseTargetNet {
-		switch {
-		case a.cfg.HardUpdateEvery == 0:
-			target = a.Target.FlatParams()
-			alpha = a.cfg.TargetUpdateα
-		case (a.steps+1)%a.cfg.HardUpdateEvery == 0:
-			target = a.spare.FlatParams()
-			alpha = 1
-			hardDue = true
-		}
+		target = a.Target.FlatParams()
 	}
-	a.Opt.FusedStep(a.Online.FlatParams(), a.Online.FlatGrads(), gradScale, target, alpha)
+	a.Opt.FusedStep(a.Online.FlatParams(), a.Online.FlatGrads(), gradScale, target, a.cfg.TargetUpdateα)
 
 	a.steps++
-	if hardDue {
-		a.Target, a.spare = a.spare, a.Target
-	}
-
 	a.noteLoss(loss)
 	if a.steps%1000 == 0 {
 		if err := a.Online.CheckFinite(); err != nil {
@@ -383,9 +345,9 @@ func (a *Agent[E]) SetDoubleDQN(on bool) { a.cfg.DoubleDQN = on }
 
 // RestoreSteps sets the train-step counter, used when resuming a
 // checkpointed session (the manifest records Steps). Everything phased
-// off the counter — the (steps+1)%HardUpdateEvery target-sync schedule, the
-// first-step EWMA seeding, the every-1000-steps divergence scan —
-// continues from n exactly as an uninterrupted run would.
+// off the counter — the first-step EWMA seeding, the every-1000-steps
+// divergence scan — continues from n exactly as an uninterrupted run
+// would.
 func (a *Agent[E]) RestoreSteps(n int64) error {
 	if n < 0 {
 		return fmt.Errorf("rl: negative train-step counter %d", n)
@@ -416,12 +378,11 @@ func (a *Agent[E]) RestoreTelemetry(lastLoss, lossEWMA, tdErrEWMA float64, rando
 // count optStep (all empty for an optimizer that has not stepped — not
 // the same as step 0: a checkpoint restore keeps the global step and
 // starts the optimizer afresh), the step counter jumps to the leader's
-// global step — keeping the hard-update phase and the divergence-scan
-// schedule aligned — and the loss EWMA continues from the leader's.
-// From then on the worker applies the same mean gradients through the
-// same ApplyGradients as the leader; there is no second implementation
-// of the update rule to keep in step. Every length is checked before
-// anything is written.
+// global step — keeping the divergence-scan schedule aligned — and the
+// loss EWMA continues from the leader's. From then on the worker applies
+// the same mean gradients through the same ApplyGradients as the leader;
+// there is no second implementation of the update rule to keep in step.
+// Every length is checked before anything is written.
 func (a *Agent[E]) ApplyParamBroadcast(step int64, params, target, m, v []E, optStep int64, lossEWMA float64) error {
 	n := len(a.Online.FlatParams())
 	if step < 0 || optStep < 0 {

@@ -3,8 +3,8 @@ package tensor
 // Exported float32 fused-Adam sweeps. nn's Adam.FusedStep routes its
 // concrete-float32 arenas here so the moment/step/target update runs on
 // the active SIMD tier (SQRTPS/DIVPS on amd64) instead of scalar
-// sqrt/div — the sweep was ~11% of the float32 train step. All three
-// entry points are bit-identical to the scalar expression
+// sqrt/div — the sweep was ~11% of the float32 train step. Both entry
+// points are bit-identical to the scalar expression
 //
 //	gj = grads[j]·scale
 //	m  = β₁·m + (1−β₁)·gj
@@ -28,13 +28,4 @@ func AdamSweep32(params, grads, fm, fv []float32, lrT, b1, omb1, b2, omb2, eps, 
 // target[j] = target[j]·omal + p·al fused into the same pass.
 func AdamSweepSoft32(params, grads, fm, fv, target []float32, lrT, b1, omb1, b2, omb2, eps, scale, al, omal float32) {
 	adamSweepSoft32(params, grads, fm, fv, target, lrT, b1, omb1, b2, omb2, eps, scale, al, omal)
-}
-
-// AdamSweepHard32 is AdamSweep32 followed by the double-buffer fill
-// target = params (the α=1 hard-update mode). The copy runs over the
-// chunk just swept, so it stays cache-resident, and memmove is faster
-// than folding a third store stream into the vector loop.
-func AdamSweepHard32(params, grads, fm, fv, target []float32, lrT, b1, omb1, b2, omb2, eps, scale float32) {
-	adamSweep32(params, grads, fm, fv, lrT, b1, omb1, b2, omb2, eps, scale)
-	copy(target, params)
 }

@@ -194,11 +194,12 @@ func TestAdamSweepBitIdenticalAcrossTiers(t *testing.T) {
 				}
 			}
 
-			hard := clone(ref)
-			AdamSweepHard32(hard.p, hard.g, hard.fm, hard.fv, hard.tg, lrT, b1, 1-b1, b2, 1-b2, eps, scale)
+			// α = 1: θ⁻·0 + θ·1 leaves the target an exact copy of θ.
+			copyAll := clone(ref)
+			AdamSweepSoft32(copyAll.p, copyAll.g, copyAll.fm, copyAll.fv, copyAll.tg, lrT, b1, 1-b1, b2, 1-b2, eps, scale, 1, 0)
 			for j := 0; j < n; j++ {
-				if hard.p[j] != want.p[j] || hard.tg[j] != want.p[j] {
-					t.Fatalf("AdamSweepHard32 n=%d deviates at %d", n, j)
+				if copyAll.p[j] != want.p[j] || copyAll.tg[j] != want.p[j] {
+					t.Fatalf("AdamSweepSoft32 α=1 n=%d deviates at %d", n, j)
 				}
 			}
 		}

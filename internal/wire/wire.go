@@ -208,8 +208,8 @@ type GradFrame struct {
 // round.
 type ParamBcast struct {
 	// Step is the leader's global train step; the follower sets its
-	// counter to it, keeping hard-update phase and the divergence-scan
-	// schedule aligned cluster-wide.
+	// counter to it, keeping the divergence-scan schedule aligned
+	// cluster-wide.
 	Step int64
 	// Sync marks a full sync. Every ParamBcast this version sends is
 	// one; a follower ignores one that is not.
