@@ -201,6 +201,10 @@ func inspectStats(w io.Writer, addr string) error {
 		if tr.StaleIndicators > 0 {
 			fmt.Fprintf(w, "  stale drops:   %d (old-epoch indicators discarded)\n", tr.StaleIndicators)
 		}
+		if tr.NonFinitePIs > 0 || s.Engine.NonFinitePIs > 0 {
+			fmt.Fprintf(w, "  non-finite:    %d PIs received, %d replaced by their last finite value\n",
+				tr.NonFinitePIs, s.Engine.NonFinitePIs)
+		}
 	}
 	t := agg.Totals
 	fmt.Fprintf(w, "\ntotals: %d reconnects, %d evictions, %d partial frames, %d dropped ticks, %d dropped actions\n",

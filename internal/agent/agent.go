@@ -17,6 +17,7 @@ package agent
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"sort"
 	"sync"
@@ -80,6 +81,7 @@ type TransportStats struct {
 	Evictions        int64 `json:"evictions"`         // connections dropped by the liveness deadline
 	Heartbeats       int64 `json:"heartbeats"`        // heartbeat messages received
 	StaleIndicators  int64 `json:"stale_indicators"`  // indicators dropped for an old epoch
+	NonFinitePIs     int64 `json:"non_finite_pis"`    // PI values received as NaN or ±Inf
 	TicksStarted     int64 `json:"ticks_started"`     // ticks that began frame assembly
 	CompleteFrames   int64 `json:"complete_frames"`   // frames emitted with every node reporting
 	PartialFrames    int64 `json:"partial_frames"`    // frames emitted after gap-filling
@@ -373,6 +375,13 @@ func (d *Daemon) handleIndicators(msg *wire.Indicators, from net.Conn) {
 	if dec == nil || dec.Merge(msg) != nil {
 		d.mu.Unlock()
 		return
+	}
+	// A non-finite reading is counted here and repaired by the engine,
+	// which keeps the PI's last finite value.
+	for _, v := range msg.Values {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			d.stats.NonFinitePIs++
+		}
 	}
 	copy(d.latest[msg.NodeID*d.pisPerNode:], dec.Current())
 	d.reported[msg.NodeID] = true

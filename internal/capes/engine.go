@@ -2,6 +2,7 @@ package capes
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 
@@ -112,6 +113,7 @@ type Engine struct {
 	onAction ActionHook // optional observer of applied actions
 
 	missedSamples int64
+	nonFinitePIs  int64
 	vetoes        int64
 	trainErrors   int64
 	lastAction    int
@@ -131,6 +133,12 @@ type Engine struct {
 	hist       *History
 	histEvery  int64
 	lastReward float64
+
+	// lastPI holds each PI's newest finite value, and piScratch the
+	// frame a collected frame with a NaN or ±Inf PI is repaired into
+	// (see finiteFrameLocked).
+	lastPI    []float64
+	piScratch replay.Frame
 
 	// Hot-path scratch: the reusable minibatch every train tick samples
 	// into, and the observation buffer the action path fills. Both are
@@ -268,6 +276,8 @@ func NewEngine(cfg Config, collector Collector, controller Controller) (*Engine,
 		history:      newActionRing(256, len(cfg.Space.Tunables)),
 		hist:         newHistory(histCap),
 		histEvery:    histEvery,
+		lastPI:       make([]float64, cfg.FrameWidth),
+		piScratch:    make(replay.Frame, cfg.FrameWidth),
 		obsScratch:   make([]EnginePrecision, db.ObservationWidth()),
 	}
 	if clustered {
@@ -298,6 +308,7 @@ func (e *Engine) Tick(now int64) {
 	if err != nil {
 		e.missedSamples++
 	} else {
+		frame = e.finiteFrameLocked(frame)
 		e.lastReward = e.cfg.Objective(frame)
 		e.noteRewardLocked(e.lastReward)
 		if err := e.db.PutFrame(now, frame); err != nil {
@@ -524,12 +535,40 @@ func (e *Engine) HistorySince(cursor int64) []HistoryPoint {
 	return e.hist.Since(cursor)
 }
 
+// finiteFrameLocked returns the collected frame with each PI that is not
+// finite at the replay ring's float32 precision — NaN, ±Inf, or beyond
+// ±MaxFloat32 — replaced by that PI's last finite value (zero before the
+// first), counting each. A non-finite reading is not a change, as §3.3's
+// differential messages keep an unchanged PI's value: one bad reading on
+// a node must not reach the replay ring, the reward or a minibatch. A
+// frame of finite values is returned as it is, and nothing allocates.
+func (e *Engine) finiteFrameLocked(frame replay.Frame) replay.Frame {
+	if len(frame) != len(e.lastPI) {
+		return frame // PutFrame refuses the width
+	}
+	out, repaired := frame, false
+	for j, v := range frame {
+		if math.Abs(v) <= math.MaxFloat32 { // false for NaN
+			e.lastPI[j] = v
+			continue
+		}
+		if !repaired { // the collector's frame is never written
+			out, repaired = e.piScratch, true
+			copy(out, frame)
+		}
+		out[j] = e.lastPI[j]
+		e.nonFinitePIs++
+	}
+	return out
+}
+
 // Stats summarizes engine health counters plus the newest telemetry
 // sample (LastReward/SmoothedLoss/TDErrorEMA/Epsilon are zero until the
 // first HistoryPoint lands).
 type Stats struct {
 	TrainSteps    int64
 	MissedSamples int64
+	NonFinitePIs  int64 // NaN, ±Inf or out-of-float32-range PIs replaced by the PI's last finite value
 	Vetoes        int64
 	TrainErrors   int64
 	ReplayRecords int
@@ -563,6 +602,7 @@ func (e *Engine) Stats() Stats {
 	s := Stats{
 		TrainSteps:    e.agent.Steps(),
 		MissedSamples: e.missedSamples,
+		NonFinitePIs:  e.nonFinitePIs,
 		Vetoes:        e.vetoes,
 		TrainErrors:   e.trainErrors,
 		ReplayRecords: e.db.Len(),

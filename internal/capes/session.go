@@ -4,12 +4,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
 	"capes/internal/nn"
 	"capes/internal/replay"
 	"capes/internal/rl"
+	"capes/internal/wire"
 )
 
 // Session checkpointing (§A.4): "CAPES automatically checkpoints and
@@ -24,14 +26,30 @@ import (
 // "<dir>.old" until the swap lands. A reader therefore always finds
 // either the complete old checkpoint or the complete new one — never a
 // new model paired with a stale manifest, and never a torn manifest.
-// recoverCheckpointDir completes an interrupted swap on the next save
-// or restore:
 //
-//	crash while staging   → dir intact, torn tmp discarded
+// The superseded generation is not deleted: once the swap lands its
+// manifest is unlinked and it is renamed to "<dir>.tmp", the spare that
+// the next save overwrites in place. Rewriting the files of a kept
+// generation reuses their page cache and disk blocks, where creating
+// them anew and unlinking the old ones cost more than the write itself,
+// and renaming a new file over an old one cost more still (PERF.md,
+// "Negative results"). So two generations sit on disk at rest, as at
+// the peak of every save. Within the staging directory the files are
+// written in place, not through a per-file rename: the directory swap
+// is the atomic step, and nothing reads the spare.
+//
+// recoverCheckpointDir restores three invariants on the next save or
+// restore: dir exists iff a complete checkpoint exists; while dir
+// exists, tmp may exist but never holds a manifest; old never survives.
+//
+//	crash while staging   → dir intact, torn tmp kept as the spare
+//	crash before the swap → dir intact; tmp's manifest is unlinked, so
+//	                        the newer generation is never restored
 //	crash mid-swap        → dir absent; tmp is complete (its manifest
 //	                        landed before the swap began) and is
 //	                        promoted, else old is rolled back
-//	crash before cleanup  → dir complete, leftover old discarded
+//	crash after the swap  → dir complete; old loses its manifest and
+//	                        becomes the spare
 //
 // That is the whole crash model: the swap is atomic against the process
 // dying at any point, but nothing is fsynced, so a checkpoint is not
@@ -86,46 +104,67 @@ type sessionManifest struct {
 }
 
 // recoverCheckpointDir completes a SaveSession swap that a crash
-// interrupted, restoring the invariant that dir exists iff a complete
-// checkpoint exists, with no tmp/old leftovers. Safe to call any time;
-// both SaveSession and LoadCheckpoint run it first.
+// interrupted and restores the invariants of the crash model above.
+// Safe to call any time; both SaveSession and LoadCheckpoint run it
+// first.
 func recoverCheckpointDir(dir string) error {
 	tmp, old := dir+tmpSuffix, dir+oldSuffix
-	if _, err := os.Stat(dir); err == nil {
-		// A present dir is authoritative: any tmp is a torn staging
-		// attempt, any old is an already-superseded checkpoint.
-		if err := os.RemoveAll(tmp); err != nil {
-			return err
+	if _, err := os.Stat(dir); errors.Is(err, os.ErrNotExist) {
+		// dir is absent: a swap was cut mid-flight, or there is no
+		// checkpoint. The staged checkpoint is complete exactly when its
+		// manifest landed (the manifest is written last, before the swap
+		// begins): promote it; otherwise roll the parked previous
+		// checkpoint back.
+		switch {
+		case exists(filepath.Join(tmp, manifestFile)):
+			if err := os.Rename(tmp, dir); err != nil {
+				return err
+			}
+		case exists(old):
+			if err := os.Rename(old, dir); err != nil {
+				return err
+			}
+		default:
+			// No checkpoint at all; discard any torn staging dir.
+			return os.RemoveAll(tmp)
 		}
-		return os.RemoveAll(old)
-	} else if !errors.Is(err, os.ErrNotExist) {
+	} else if err != nil {
 		return err
 	}
-	// dir is absent: a swap was cut mid-flight. The staged checkpoint
-	// is complete exactly when its manifest landed (the manifest is
-	// written last, before the swap begins) — promote it; otherwise
-	// roll the parked previous checkpoint back.
-	if _, err := os.Stat(filepath.Join(tmp, manifestFile)); err == nil {
-		if err := os.Rename(tmp, dir); err != nil {
-			return err
-		}
-		return os.RemoveAll(old)
+	// dir is the authoritative checkpoint. A complete tmp is a save cut
+	// before its swap: it becomes a plain spare.
+	if err := os.Remove(filepath.Join(tmp, manifestFile)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
 	}
-	if _, err := os.Stat(old); err == nil {
-		if err := os.RemoveAll(tmp); err != nil {
-			return err
-		}
-		return os.Rename(old, dir)
+	if !exists(old) {
+		return nil
 	}
-	// No checkpoint at all; discard any torn staging dir.
-	return os.RemoveAll(tmp)
+	if exists(tmp) {
+		return os.RemoveAll(old) // one spare is enough
+	}
+	return keepSpare(old, tmp)
+}
+
+// keepSpare turns the superseded generation parked at old into the spare
+// at tmp. Its manifest goes first, so no crash leaves a second complete
+// checkpoint where recovery could promote it.
+func keepSpare(old, tmp string) error {
+	if err := os.Remove(filepath.Join(old, manifestFile)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	return os.Rename(old, tmp)
+}
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }
 
 // SaveSession writes the engine's model, replay DB, telemetry and state
 // to dir as one crash-atomic checkpoint (see the package comment above
 // for the staging/swap protocol). It holds the engine lock for the
 // duration, so a checkpoint taken while agents are ticking is
-// internally consistent.
+// internally consistent. Every call writes a full generation.
 func (e *Engine) SaveSession(dir string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -136,11 +175,18 @@ func (e *Engine) SaveSession(dir string) error {
 	if err := os.MkdirAll(tmp, 0o755); err != nil {
 		return err
 	}
-	if err := e.agent.Online.SaveFile(filepath.Join(tmp, modelFile)); err != nil {
+	// The model file is written on its own goroutine while this one
+	// writes the replay snapshot: each file's checksum and copy into the
+	// page cache run on a core of their own, and the engine lock is held
+	// for the longer of the two rather than their sum.
+	modelErr := make(chan error, 1)
+	go func() { modelErr <- wire.OverwriteFile(filepath.Join(tmp, modelFile), e.agent.Online.Save) }()
+	replayErr := wire.OverwriteFile(filepath.Join(tmp, replayFile), e.db.Save)
+	if err := <-modelErr; err != nil {
 		return fmt.Errorf("capes: save model: %w", err)
 	}
-	if err := e.db.SaveFile(filepath.Join(tmp, replayFile)); err != nil {
-		return fmt.Errorf("capes: save replay DB: %w", err)
+	if replayErr != nil {
+		return fmt.Errorf("capes: save replay DB: %w", replayErr)
 	}
 	// Telemetry travels with the checkpoint so a restored session keeps
 	// its reward/loss curves instead of starting the dashboard blank.
@@ -148,7 +194,7 @@ func (e *Engine) SaveSession(dir string) error {
 	if err != nil {
 		return fmt.Errorf("capes: save history: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(tmp, historyFile), hbuf, 0o644); err != nil {
+	if err := overwriteBytes(filepath.Join(tmp, historyFile), hbuf); err != nil {
 		return fmt.Errorf("capes: save history: %w", err)
 	}
 	random, calc := e.agent.ActionCounts()
@@ -171,27 +217,41 @@ func (e *Engine) SaveSession(dir string) error {
 	// The manifest is the staging completion marker: it is written last,
 	// so a tmp dir containing a manifest is by construction a complete
 	// checkpoint (recoverCheckpointDir relies on this).
-	if err := os.WriteFile(filepath.Join(tmp, manifestFile), buf, 0o644); err != nil {
+	if err := overwriteBytes(filepath.Join(tmp, manifestFile), buf); err != nil {
 		return err
 	}
 	// Swap: park the previous checkpoint, promote the staged one, then
-	// drop the parked copy. Every crash point here is recoverable.
+	// keep the parked copy as the next save's spare. Every crash point
+	// here is recoverable.
+	parked := false
 	if _, err := os.Stat(dir); err == nil {
 		if err := os.Rename(dir, old); err != nil {
 			return err
 		}
+		parked = true
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
 	if err := os.Rename(tmp, dir); err != nil {
 		// Best effort: put the previous checkpoint back so the session
 		// stays restorable even though this save failed.
-		if _, statErr := os.Stat(old); statErr == nil {
+		if parked {
 			_ = os.Rename(old, dir)
 		}
 		return err
 	}
-	return os.RemoveAll(old)
+	if !parked {
+		return nil // the first save: there is no spare yet
+	}
+	return keepSpare(old, tmp)
+}
+
+// overwriteBytes writes buf to path in place (see wire.OverwriteFile).
+func overwriteBytes(path string, buf []byte) error {
+	return wire.OverwriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(buf)
+		return err
+	})
 }
 
 // Checkpoint is a session checkpoint read from disk and validated on

@@ -2,6 +2,7 @@ package capes
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -211,10 +212,12 @@ func TestCheckpointAbsentIsErrNoSession(t *testing.T) {
 }
 
 // TestCheckpointSwapCrashRecovery reconstructs every window of the
-// save-time directory swap from two real checkpoints (S1 older, S2
-// newer) and asserts restore lands on a complete checkpoint — S2 when
-// the staged save had finished its manifest, S1 otherwise — and that
-// recovery cleans the leftovers.
+// save-time staging and swap from two real checkpoints (S1 older, S2
+// newer). In each, LoadCheckpoint must return exactly S1 or S2 — S2 only
+// once the swap has begun with a complete staged save — and leave the
+// crash model's invariants behind: dir holds that generation byte for
+// byte, no old survives, and the spare holds no manifest. The next save
+// must then succeed and be what loads.
 func TestCheckpointSwapCrashRecovery(t *testing.T) {
 	src, tick := checkpointEngine(t, nil)
 	defer src.Stop()
@@ -224,68 +227,223 @@ func TestCheckpointSwapCrashRecovery(t *testing.T) {
 	if err := src.SaveSession(s1); err != nil {
 		t.Fatal(err)
 	}
-	steps1 := src.Stats().TrainSteps
 	runTicks(src, tick, 101, 200)
 	if err := src.SaveSession(s2); err != nil {
 		t.Fatal(err)
 	}
-	steps2 := src.Stats().TrainSteps
-	if steps1 == steps2 || steps1 == 0 {
+	if steps1, steps2 := manifestSteps(t, s1), manifestSteps(t, s2); steps1 == steps2 || steps1 == 0 {
 		t.Fatalf("need two distinct checkpoints, got steps %d and %d", steps1, steps2)
 	}
+	removeManifest := func(t *testing.T, dir string) {
+		if err := os.Remove(filepath.Join(dir, manifestFile)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// tear cuts the model in half and garbles the replay snapshot's
+	// front, as an in-place overwrite cut short leaves them.
+	tear := func(t *testing.T, dir string) {
+		model := filepath.Join(dir, modelFile)
+		buf, err := os.ReadFile(model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(model, buf[:len(buf)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.OpenFile(filepath.Join(dir, replayFile), os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.Write([]byte("half a new generation")); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	// stage lays out one crash window under its own directory and
-	// returns the checkpoint path to restore.
+	// stage lays out one crash window under its own directory; want is
+	// the generation LoadCheckpoint must return.
 	cases := []struct {
-		name      string
-		wantSteps int64
-		stage     func(t *testing.T, dir string)
+		name  string
+		want  string
+		stage func(t *testing.T, dir string)
 	}{
-		{"crash-between-renames", steps2, func(t *testing.T, dir string) {
-			// dir was renamed away, staged tmp not yet promoted: the
+		{"crash-mid-stage", s1, func(t *testing.T, dir string) {
+			// Crash while the spare was being overwritten: dir still
+			// holds S1; the spare is torn and has no manifest.
+			copyDir(t, s1, dir)
+			copyDir(t, s2, dir+tmpSuffix)
+			removeManifest(t, dir+tmpSuffix)
+			tear(t, dir+tmpSuffix)
+		}},
+		{"crash-mid-stage-complete-tmp", s1, func(t *testing.T, dir string) {
+			// Staging finished but the swap never started: the spare
+			// holds a manifest while dir exists. dir wins; the staged
+			// generation is never promoted or restored.
+			copyDir(t, s1, dir)
+			copyDir(t, s2, dir+tmpSuffix)
+		}},
+		{"crash-between-renames", s2, func(t *testing.T, dir string) {
+			// dir was renamed away, the staged tmp not yet promoted: the
 			// tmp holds a complete (manifest-bearing) S2.
 			copyDir(t, s1, dir+oldSuffix)
 			copyDir(t, s2, dir+tmpSuffix)
 		}},
-		{"crash-mid-stage", steps1, func(t *testing.T, dir string) {
-			// Crash before the manifest was written: dir still holds
-			// S1; the torn tmp must be discarded.
-			copyDir(t, s1, dir)
+		{"crash-between-renames-torn-tmp", s1, func(t *testing.T, dir string) {
+			// Only reachable by damage: dir parked, tmp without a
+			// manifest. The parked generation rolls back.
+			copyDir(t, s1, dir+oldSuffix)
 			copyDir(t, s2, dir+tmpSuffix)
-			if err := os.Remove(filepath.Join(dir+tmpSuffix, manifestFile)); err != nil {
-				t.Fatal(err)
-			}
+			removeManifest(t, dir+tmpSuffix)
 		}},
-		{"crash-before-old-cleanup", steps2, func(t *testing.T, dir string) {
-			// Swap completed but the old generation was not removed.
+		{"crash-before-old-cleanup", s2, func(t *testing.T, dir string) {
+			// The swap landed; the superseded generation still has its
+			// manifest and was not yet turned into the spare.
 			copyDir(t, s1, dir+oldSuffix)
 			copyDir(t, s2, dir)
 		}},
-		{"crash-mid-stage-complete-tmp", steps1, func(t *testing.T, dir string) {
-			// Staging finished but the swap never started: dir (the
-			// live checkpoint) wins; the tmp is discarded.
-			copyDir(t, s1, dir)
-			copyDir(t, s2, dir+tmpSuffix)
+		{"crash-after-manifest-unlink", s2, func(t *testing.T, dir string) {
+			// The superseded manifest is gone, the rename to the spare
+			// never happened.
+			copyDir(t, s1, dir+oldSuffix)
+			removeManifest(t, dir+oldSuffix)
+			copyDir(t, s2, dir)
+		}},
+		{"old-and-spare", s2, func(t *testing.T, dir string) {
+			// A parked generation beside an existing spare (damage, not
+			// a crash window): one spare is kept, old goes.
+			copyDir(t, s2, dir)
+			copyDir(t, s1, dir+oldSuffix)
+			copyDir(t, s1, dir+tmpSuffix)
+			removeManifest(t, dir+tmpSuffix)
 		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "ckpt")
 			c.stage(t, dir)
-			eng, _ := checkpointEngine(t, nil)
-			defer eng.Stop()
-			if err := eng.RestoreSession(dir); err != nil {
+			cp, err := LoadCheckpoint(dir)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if got := eng.Stats().TrainSteps; got != c.wantSteps {
-				t.Fatalf("recovered the wrong generation: %d steps, want %d", got, c.wantSteps)
+			if got, want := cp.manifest.TrainSteps, manifestSteps(t, c.want); got != want {
+				t.Fatalf("recovered the wrong generation: %d steps, want %d", got, want)
 			}
-			for _, leftover := range []string{dir + tmpSuffix, dir + oldSuffix} {
-				if _, err := os.Stat(leftover); !errors.Is(err, fs.ErrNotExist) {
-					t.Fatalf("recovery left %s behind", leftover)
+			for _, f := range []string{modelFile, replayFile, historyFile, manifestFile} {
+				if !bytes.Equal(readFile(t, filepath.Join(dir, f)), readFile(t, filepath.Join(c.want, f))) {
+					t.Fatalf("recovered %s differs from the generation it claims", f)
 				}
 			}
+			checkAtRest(t, dir)
+
+			// The next save succeeds and is what loads.
+			next, ntick := checkpointEngine(t, nil)
+			defer next.Stop()
+			runTicks(next, ntick, 1, 50)
+			if err := next.SaveSession(dir); err != nil {
+				t.Fatal(err)
+			}
+			checkAtRest(t, dir)
+			if cp, err := LoadCheckpoint(dir); err != nil || cp.manifest.TrainSteps != next.Stats().TrainSteps {
+				t.Fatalf("after the next save: %v", err)
+			}
 		})
+	}
+}
+
+// checkAtRest asserts the invariants a checkpoint directory holds
+// between saves: no parked generation, and a spare, if any, without a
+// manifest.
+func checkAtRest(t *testing.T, dir string) {
+	t.Helper()
+	if _, err := os.Stat(dir + oldSuffix); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("%s survived: %v", dir+oldSuffix, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir+tmpSuffix, manifestFile)); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("the spare holds a manifest: %v", err)
+	}
+}
+
+func manifestSteps(t *testing.T, dir string) int64 {
+	t.Helper()
+	var m sessionManifest
+	if err := json.Unmarshal(readFile(t, filepath.Join(dir, manifestFile)), &m); err != nil {
+		t.Fatal(err)
+	}
+	return m.TrainSteps
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// TestCheckpointInPlaceOverwriteExact: a save that overwrites a spare
+// holding a longer generation writes exactly the bytes a save into a
+// fresh directory does — nothing of the longer files survives past the
+// new length — and twenty saves leave the checkpoint files in the
+// checkpoint and its spare, and nothing else: no per-file *.tmp, no
+// parked generation.
+func TestCheckpointInPlaceOverwriteExact(t *testing.T) {
+	big, btick := checkpointEngine(t, func(c *Config) { c.Hyper.ReplayCapacity = 256 })
+	defer big.Stop()
+	runTicks(big, btick, 1, 600) // a full, wrapped ring and a long history
+	small, stick := checkpointEngine(t, func(c *Config) { c.Hyper.ReplayCapacity = 256 })
+	defer small.Stop()
+	runTicks(small, stick, 1, 40)
+
+	base := t.TempDir()
+	dir, fresh := filepath.Join(base, "ckpt"), filepath.Join(base, "fresh")
+	for _, save := range []*Engine{big, small, small} { // the last overwrites big's generation
+		if err := save.SaveSession(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := small.SaveSession(fresh); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{modelFile, replayFile, historyFile, manifestFile} {
+		got, want := readFile(t, filepath.Join(dir, f)), readFile(t, filepath.Join(fresh, f))
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: %d bytes written over the longer generation, %d in a fresh directory, contents differ", f, len(got), len(want))
+		}
+	}
+
+	for i := 0; i < 20; i++ {
+		runTicks(small, stick, *stick, *stick+5)
+		if err := small.SaveSession(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The checkpoint holds the four files; the spare the same less the
+	// manifest unlinked when it was superseded.
+	for d, want := range map[string][]string{
+		dir:             {historyFile, modelFile, replayFile, manifestFile},
+		dir + tmpSuffix: {historyFile, modelFile, replayFile},
+	} {
+		ents, err := os.ReadDir(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		if slices.Sort(want); !slices.Equal(names, want) {
+			t.Errorf("%s holds %v, want %v", d, names, want)
+		}
+	}
+	ents, err := os.ReadDir(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if n := e.Name(); n != "ckpt" && n != "ckpt"+tmpSuffix && n != "fresh" {
+			t.Errorf("stray %s beside the checkpoint", n)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package capesd
 
 import (
+	"math"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -284,5 +285,56 @@ func TestRestoreFailsLoudlyOnCorruptCheckpoint(t *testing.T) {
 	fresh := testSession("c", filepath.Join(t.TempDir(), "empty"))
 	if _, err := m.Create(fresh); err != nil {
 		t.Fatalf("fresh checkpoint dir must not fail: %v", err)
+	}
+}
+
+// TestNonFinitePIThroughAgent sends a NaN, a +Inf and a −Inf reading
+// through real agent connections: the daemon counts each as it arrives,
+// the engine keeps the PIs' last finite values and counts them too, and
+// the session trains on without a divergence trip.
+func TestNonFinitePIThroughAgent(t *testing.T) {
+	m := NewManager()
+	defer m.Shutdown()
+	s, err := m.Create(testSession("nan", filepath.Join(t.TempDir(), "ckpt")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clients, pis = 2, 4
+	agents := make([]*agent.NodeAgent, clients)
+	for i := range agents {
+		role := "monitor"
+		if i == 0 {
+			role = "monitor+control"
+		}
+		if agents[i], err = agent.Dial(s.Addr(), i, pis, role); err != nil {
+			t.Fatal(err)
+		}
+		defer agents[i].Close()
+	}
+	// Lockstep: each tick's frame is assembled before the next is sent,
+	// so every frame is complete and carries exactly the values sent.
+	bad := map[int64]float64{40: math.NaN(), 41: math.Inf(1), 42: math.Inf(-1)}
+	buf := make([]float64, pis)
+	for tick := int64(1); tick <= 100; tick++ {
+		for n, a := range agents {
+			for j := range buf {
+				buf[j] = float64((tick*7+int64(n)*3+int64(j))%11) / 10
+			}
+			if v, ok := bad[tick]; ok && n == 1 {
+				buf[2] = v
+			}
+			if err := a.SendIndicators(tick, buf); err != nil {
+				t.Fatalf("send tick %d node %d: %v", tick, n, err)
+			}
+		}
+		waitFor(t, func() bool { return s.Stats().Transport.CompleteFrames == tick }, "frame assembled")
+	}
+	waitFor(t, func() bool { return s.Stats().Engine.NonFinitePIs == int64(len(bad)) }, "the engine counted every non-finite PI")
+	st := s.Stats()
+	if st.Transport.NonFinitePIs != int64(len(bad)) {
+		t.Fatalf("transport counted %d non-finite PIs, want %d", st.Transport.NonFinitePIs, len(bad))
+	}
+	if st.Engine.Diverged || st.Engine.DivergenceTrips != 0 || st.Engine.TrainErrors != 0 || st.Engine.TrainSteps == 0 {
+		t.Fatalf("engine after the bad readings: %+v", st.Engine)
 	}
 }

@@ -1,11 +1,13 @@
 package replay
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"os"
 
+	"capes/internal/tensor"
 	"capes/internal/wire"
 )
 
@@ -184,25 +186,39 @@ func (db *DB) Save(w io.Writer) error {
 	fw.Uint64(ticks)
 	fw.Uint64(frames)
 	fw.Uint64(acts)
+	// The tick, flag and action tables are appended to the writer's
+	// buffer a BulkChunk batch at a time.
 	db.eachWindowRangeLocked(func(from, to int, tick int64) {
-		for i, f := range db.flags[from:to] {
-			if f != 0 {
-				fw.Uint64(uint64(tick + int64(i)))
+		for s := from; s < to; {
+			b := fw.Avail(8)
+			for ; s < to && len(b)+8 <= cap(b); s++ {
+				if db.flags[s] != 0 {
+					b = binary.LittleEndian.AppendUint64(b, uint64(tick+int64(s-from)))
+				}
 			}
+			fw.Commit(b)
 		}
 	})
 	db.eachWindowRangeLocked(func(from, to int, _ int64) {
-		for _, f := range db.flags[from:to] {
-			if f != 0 {
-				fw.Byte(f)
+		for s := from; s < to; {
+			b := fw.Avail(1)
+			for ; s < to && len(b) < cap(b); s++ {
+				if f := db.flags[s]; f != 0 {
+					b = append(b, f)
+				}
 			}
+			fw.Commit(b)
 		}
 	})
 	db.eachWindowRangeLocked(func(from, to int, _ int64) {
-		for s := from; s < to; s++ {
-			if db.flags[s]&slotAction != 0 {
-				fw.Uint32(uint32(db.acts[s]))
+		for s := from; s < to; {
+			b := fw.Avail(4)
+			for ; s < to && len(b)+4 <= cap(b); s++ {
+				if db.flags[s]&slotAction != 0 {
+					b = binary.LittleEndian.AppendUint32(b, uint32(db.acts[s]))
+				}
 			}
+			fw.Commit(b)
 		}
 	})
 	db.eachFrameRunLocked(fw.Float32s)
@@ -251,17 +267,43 @@ func Load(r io.Reader) (*DB, error) {
 		return nil, fmt.Errorf("replay: snapshot claims %d ticks, %d frames of width %d and %d actions with %d bytes left",
 			nTicks, nFrames, width, nActs, left)
 	}
+	// The tables are decoded straight out of the reader's buffer, a
+	// BulkChunk batch at a time.
 	ticks := make([]int64, nTicks)
-	for i := range ticks {
-		ticks[i] = int64(fr.Uint64())
+	for i := 0; i < len(ticks); {
+		b := fr.Buffered(8)
+		if b == nil {
+			break
+		}
+		batch := ticks[i:min(len(ticks), i+len(b)/8)]
+		for j := range batch {
+			batch[j] = int64(binary.LittleEndian.Uint64(b[8*j:]))
+		}
+		fr.Discard(8 * len(batch))
+		i += len(batch)
 	}
 	flags := make([]uint8, nTicks)
-	for i := range flags {
-		flags[i] = fr.Byte()
+	for i := 0; i < len(flags); {
+		b := fr.Buffered(1)
+		if b == nil {
+			break
+		}
+		k := copy(flags[i:], b)
+		fr.Discard(k)
+		i += k
 	}
 	acts := make([]int32, nActs)
-	for i := range acts {
-		acts[i] = int32(fr.Uint32())
+	for i := 0; i < len(acts); {
+		b := fr.Buffered(4)
+		if b == nil {
+			break
+		}
+		batch := acts[i:min(len(acts), i+len(b)/4)]
+		for j := range batch {
+			batch[j] = int32(binary.LittleEndian.Uint32(b[4*j:]))
+		}
+		fr.Discard(4 * len(batch))
+		i += len(batch)
 	}
 	if err := fr.Err(); err != nil {
 		return nil, fmt.Errorf("replay: read snapshot: %w", err)
@@ -272,12 +314,22 @@ func Load(r io.Reader) (*DB, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.restoreLocked(ticks, flags, acts)
-	db.eachFrameRunLocked(fr.Float32s)
+	db.eachFrameRunLocked(func(rows []float32) { fr.Float32sCheck(rows, finiteRows) })
 	if err := fr.Close(); err != nil {
 		return nil, fmt.Errorf("replay: read snapshot: %w", err)
 	}
 	db.evictions, db.stale = int64(evictions), int64(stale)
 	return db, nil
+}
+
+// finiteRows refuses frame rows holding a NaN or ±Inf: a ring that held
+// one would poison every minibatch that samples it, on every restore.
+// SumSquares32 is finite exactly when every value is.
+func finiteRows(rows []float32) error {
+	if !tensor.IsFinite(tensor.SumSquares32(rows)) {
+		return fmt.Errorf("replay: snapshot frame rows: %w", tensor.ErrNonFinite)
+	}
+	return nil
 }
 
 // restoreLocked sets an empty ring to the window, flags, actions and

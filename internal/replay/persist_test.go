@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"capes/internal/tensor"
 	"capes/internal/wire"
 )
 
@@ -118,18 +119,16 @@ func TestSnapshotDeterministic(t *testing.T) {
 	}
 }
 
-// TestSnapshotSpecialFloatsBitExact: the slab round-trips as bits — NaN
-// payloads, −0 and ±Inf included.
+// TestSnapshotSpecialFloatsBitExact: the slab round-trips as bits for
+// every finite special value (−0, the smallest subnormal, ±MaxFloat32),
+// and a ring holding a NaN of any payload or ±Inf is refused at load,
+// both in a small run and in the last piece of a bulk run.
 func TestSnapshotSpecialFloatsBitExact(t *testing.T) {
 	row := []float32{
-		math.Float32frombits(0x7fc00001), math.Float32frombits(0xffa5a5a5), // quiet and signalling NaN payloads
-		float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
-		math.SmallestNonzeroFloat32,
+		float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32,
+		math.MaxFloat32, -math.MaxFloat32,
 	}
-	db, err := New(Config{FrameWidth: len(row), StackTicks: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := mustDB(t, Config{FrameWidth: len(row), StackTicks: 1})
 	db.mu.Lock()
 	db.putRowLocked(3, row)
 	db.mu.Unlock()
@@ -141,6 +140,32 @@ func TestSnapshotSpecialFloatsBitExact(t *testing.T) {
 	for i, v := range row {
 		if math.Float32bits(got[i]) != math.Float32bits(v) {
 			t.Fatalf("value %d: bits %#x → %#x", i, math.Float32bits(v), math.Float32bits(got[i]))
+		}
+	}
+
+	const width, frames = 1024, 300 // 1.2 MB of rows: a bulk run of several pieces
+	for _, bad := range []float32{
+		math.Float32frombits(0x7fc00001), math.Float32frombits(0xffa5a5a5), // quiet and signalling NaN payloads
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+	} {
+		small := mustDB(t, Config{FrameWidth: len(row), StackTicks: 1})
+		big := mustDB(t, Config{FrameWidth: width, StackTicks: 1})
+		small.mu.Lock()
+		small.putRowLocked(3, append(append([]float32(nil), row...), bad)[1:])
+		small.mu.Unlock()
+		big.mu.Lock()
+		for tick := int64(1); tick <= frames; tick++ {
+			r := make([]float32, width)
+			if tick == frames {
+				r[width-1] = bad
+			}
+			big.putRowLocked(tick, r)
+		}
+		big.mu.Unlock()
+		for name, db := range map[string]*DB{"small": small, "bulk": big} {
+			if _, err := Load(bytes.NewReader(snapshotBytes(t, db))); !errors.Is(err, tensor.ErrNonFinite) {
+				t.Fatalf("%s run holding %v: got %v, want a non-finite refusal", name, bad, err)
+			}
 		}
 	}
 }
@@ -307,4 +332,53 @@ func TestCheckLoadCellsAbsoluteCap(t *testing.T) {
 	if err := checkLoadCells(0, 252000-1, 1760, 252000*1760+252000); err != nil {
 		t.Fatalf("paper-scale snapshot rejected: %v", err)
 	}
+}
+
+// TestSnapshotLargeTablesMatchLayout: a gappy ring whose tick, flag and
+// action tables each span several write buffers — so every batch
+// boundary falls at an odd offset — saves to exactly the bytes the
+// layout in persist.go spells out field by field, and loads back to the
+// same ring.
+func TestSnapshotLargeTablesMatchLayout(t *testing.T) {
+	db := wrappedSnapshot(t, 3, 20000, 30000)
+	db.mu.RLock()
+	ref := []byte(snapshotMagic)
+	ref = binary.LittleEndian.AppendUint32(ref, snapshotVersion)
+	ticks, frames, acts := db.occupancyLocked()
+	if ticks*8 < 4*wire.BulkChunk {
+		t.Fatalf("the tick table (%d ticks) must span several buffers", ticks)
+	}
+	for _, v := range []uint64{uint64(db.cfg.FrameWidth), uint64(db.cfg.StackTicks), math.Float64bits(db.cfg.MissingTolerance),
+		uint64(db.cfg.Capacity), uint64(db.evictions), uint64(db.stale), ticks, frames, acts} {
+		ref = binary.LittleEndian.AppendUint64(ref, v)
+	}
+	var flags, actions, rows []byte
+	for tick := db.lo; tick <= db.hi; tick++ {
+		s := db.slotOf(tick)
+		f := db.flags[s]
+		if f == 0 {
+			continue
+		}
+		ref = binary.LittleEndian.AppendUint64(ref, uint64(tick))
+		flags = append(flags, f)
+		if f&slotAction != 0 {
+			actions = binary.LittleEndian.AppendUint32(actions, uint32(db.acts[s]))
+		}
+		if f&slotFrame != 0 {
+			rows = wire.AppendFloat32s(rows, db.slab[s*db.cfg.FrameWidth:(s+1)*db.cfg.FrameWidth])
+		}
+	}
+	db.mu.RUnlock()
+	ref = append(append(append(ref, flags...), actions...), rows...)
+	ref = binary.LittleEndian.AppendUint32(ref, crc32.Checksum(ref, crc32.MakeTable(crc32.Castagnoli)))
+
+	file := snapshotBytes(t, db)
+	if !bytes.Equal(file, ref) {
+		t.Fatalf("snapshot (%d bytes) differs from its layout (%d bytes)", len(file), len(ref))
+	}
+	loaded, err := Load(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRing(t, loaded, db)
 }

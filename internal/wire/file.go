@@ -21,14 +21,17 @@ import (
 // with Remaining before it allocates anything. There is no compression:
 // a format whose decoded size is its file size needs no other allocation
 // bound, and deflating the floats cost more time than everything else in
-// a save or a load together (PERF.md, "Persistence").
+// a save or a load together (PERF.md, "Negative results").
 //
 // Fields go through a BulkChunk buffer. A float run of at least
 // BulkChunk bytes on a little-endian target skips it: the run's own
 // memory is already the bytes the format defines, so it is hashed and
 // written in filePiece pieces straight from the caller's arena, and read
 // back by filling the arena a piece at a time and hashing what landed.
-// Each piece is hashed while it is still in cache from the copy.
+// Each piece is hashed while it is still in cache from the copy. A table
+// of small fields can skip the per-field calls too: FileWriter.Avail
+// lends the buffer's free space to append a batch in place, and
+// FileReader.Buffered lends the unread bytes to decode one.
 
 // Errors a FileReader reports; callers test them with errors.Is.
 var (
@@ -94,9 +97,18 @@ func (w *FileWriter) bulk(b []byte) {
 	}
 }
 
-func (w *FileWriter) Byte(v byte) {
-	w.room(1)
-	w.buf = append(w.buf, v)
+// Avail returns the buffer's free space as an empty slice with room for
+// at least n bytes, flushing first if it has less: a batch of fields is
+// appended to it in place, within its capacity, and handed to Commit.
+func (w *FileWriter) Avail(n int) []byte {
+	w.room(n)
+	return w.buf[len(w.buf):len(w.buf)]
+}
+
+// Commit takes the bytes appended to the slice Avail returned into the
+// file.
+func (w *FileWriter) Commit(b []byte) {
+	w.buf = w.buf[:len(w.buf)+len(b)]
 }
 
 func (w *FileWriter) Uint32(v uint32) {
@@ -240,7 +252,20 @@ func (r *FileReader) next(n int) []byte {
 	return b
 }
 
-func (r *FileReader) Byte() byte     { return r.next(1)[0] }
+// Buffered returns the unread bytes in the buffer, reading more of the
+// body first if fewer than n ≤ BulkChunk are buffered, so a batch of
+// fields is decoded in place and handed to Discard. It returns nil after
+// an error.
+func (r *FileReader) Buffered(n int) []byte {
+	if r.end-r.pos < n && !r.fill(n) {
+		return nil
+	}
+	return r.buf[r.pos:r.end]
+}
+
+// Discard consumes the first n bytes Buffered returned.
+func (r *FileReader) Discard(n int) { r.pos += n }
+
 func (r *FileReader) Uint32() uint32 { return binary.LittleEndian.Uint32(r.next(4)) }
 func (r *FileReader) Uint64() uint64 { return binary.LittleEndian.Uint64(r.next(8)) }
 
@@ -274,19 +299,34 @@ func (r *FileReader) bulk(b []byte) {
 // Float32s fills dst with the next len(dst) raw float32 values: a run of
 // at least BulkChunk bytes straight into dst on a little-endian target,
 // otherwise converted out of the buffer.
-func (r *FileReader) Float32s(dst []float32) {
-	if b, ok := float32Slab(dst); ok && len(b) >= BulkChunk {
-		r.bulk(b)
-		return
-	}
-	for len(dst) > 0 {
-		if r.end-r.pos < 4 && !r.fill(4) {
-			return
+func (r *FileReader) Float32s(dst []float32) { r.Float32sCheck(dst, nil) }
+
+// Float32sCheck is Float32s that hands check each part of dst as soon as
+// it has landed: a bulk run is read a filePiece at a time, so each piece
+// is checked while it is still in cache from its checksum pass. The
+// first error check returns stops the read and becomes the reader's
+// error. A nil check checks nothing.
+func (r *FileReader) Float32sCheck(dst []float32, check func([]float32) error) {
+	_, le := float32Slab(dst)
+	bulk := le && 4*len(dst) >= BulkChunk
+	for r.err == nil && len(dst) > 0 {
+		var part []float32
+		if bulk {
+			part = dst[:min(len(dst), filePiece/4)]
+			b, _ := float32Slab(part)
+			r.bulk(b)
+		} else {
+			if r.end-r.pos < 4 && !r.fill(4) {
+				return
+			}
+			part = dst[:min(len(dst), (r.end-r.pos)/4)]
+			Float32s(part, r.buf[r.pos:])
+			r.pos += 4 * len(part)
 		}
-		k := min(len(dst), (r.end-r.pos)/4)
-		Float32s(dst[:k], r.buf[r.pos:])
-		r.pos += 4 * k
-		dst = dst[k:]
+		if r.err == nil && check != nil {
+			r.err = check(part)
+		}
+		dst = dst[len(part):]
 	}
 }
 
@@ -330,6 +370,30 @@ func (r *FileReader) Close() error {
 		return ErrChecksum
 	}
 	return nil
+}
+
+// OverwriteFile writes a file through save into path in place: an
+// existing file is opened without truncation, rewritten from its start
+// and cut to the length written, so a save reuses the pages and blocks
+// of the file it replaces rather than freeing them and allocating new
+// ones. A crash leaves path torn; it is for files in a staging
+// directory whose swap is the atomic step.
+func OverwriteFile(path string, save func(io.Writer) error) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
+	if err != nil {
+		return err
+	}
+	err = save(f)
+	if err == nil {
+		var n int64
+		if n, err = f.Seek(0, io.SeekCurrent); err == nil {
+			err = f.Truncate(n)
+		}
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // WriteFileAtomic writes a file through save into path+".tmp" and renames

@@ -16,6 +16,15 @@ import (
 
 const testMagic = "WIRETEST"
 
+// Byte writes and reads one byte: the tests' way to put the fields after
+// it at odd offsets.
+func (w *FileWriter) Byte(v byte) {
+	w.room(1)
+	w.buf = append(w.buf, v)
+}
+
+func (r *FileReader) Byte() byte { return r.next(1)[0] }
+
 // writeTestFile writes a body that crosses several buffer boundaries at
 // odd offsets: a byte, then float32, u64 and float64 runs.
 func writeTestFile(t *testing.T, w io.Writer, f32 []float32, f64 []float64) {
@@ -157,6 +166,144 @@ func TestWriteFileAtomicKeepsOldFileOnError(t *testing.T) {
 	}
 	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("temporary left behind: %v", err)
+	}
+}
+
+// TestOverwriteFileInPlace: an overwrite of a longer file leaves exactly
+// the bytes written, through the same inode; a failed save reports its
+// error.
+func TestOverwriteFileInPlace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "f")
+	if err := os.WriteFile(path, bytes.Repeat([]byte("old generation "), 1000), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(b string) func(io.Writer) error {
+		return func(w io.Writer) error { _, err := w.Write([]byte(b)); return err }
+	}
+	if err := OverwriteFile(path, write("new")); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "new" {
+		t.Fatalf("file now holds %q", got)
+	}
+	if !os.SameFile(before, after) {
+		t.Fatal("the overwrite replaced the file instead of rewriting it")
+	}
+	failed := errors.New("save failed")
+	if err := OverwriteFile(path, func(io.Writer) error { return failed }); !errors.Is(err, failed) {
+		t.Fatalf("OverwriteFile = %v", err)
+	}
+	if err := OverwriteFile(filepath.Join(path, "not-a-dir"), write("x")); err == nil {
+		t.Fatal("OverwriteFile under a regular file succeeded")
+	}
+}
+
+// TestFileBatchesSameBytes: fields appended through Avail/Commit in
+// batches, across buffer boundaries at odd offsets, write the bytes the
+// per-field methods write, and Buffered/Discard read them back.
+func TestFileBatchesSameBytes(t *testing.T) {
+	const n = 3*BulkChunk/8 + 5 // u64 fields spanning several buffers
+	var want, got bytes.Buffer
+	ref := NewFileWriter(&want, testMagic, 7)
+	ref.Byte(1)
+	for i := range uint64(n) {
+		ref.Uint64(i * 0x9e3779b97f4a7c15)
+	}
+	if err := ref.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fw := NewFileWriter(&got, testMagic, 7)
+	fw.Byte(1)
+	for i := uint64(0); i < n; {
+		b := fw.Avail(8)
+		for ; i < n && len(b)+8 <= cap(b); i++ {
+			b = binary.LittleEndian.AppendUint64(b, i*0x9e3779b97f4a7c15)
+		}
+		fw.Commit(b)
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("batched fields differ from per-field ones")
+	}
+	fr, err := NewFileReader(bytes.NewReader(got.Bytes()), testMagic, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr.Byte()
+	for i := uint64(0); i < n; {
+		b := fr.Buffered(8)
+		if b == nil {
+			t.Fatalf("Buffered failed at field %d: %v", i, fr.Err())
+		}
+		k := min(n-i, uint64(len(b)/8))
+		for j := range k {
+			if v := binary.LittleEndian.Uint64(b[8*j:]); v != (i+j)*0x9e3779b97f4a7c15 {
+				t.Fatalf("field %d = %#x", i+j, v)
+			}
+		}
+		fr.Discard(int(8 * k))
+		i += k
+	}
+	if err := fr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	short := bulkFile(nil) // a 13-byte body
+	if fr, _ := NewFileReader(bytes.NewReader(short), testMagic, 7); fr.Buffered(16) != nil || !errors.Is(fr.Err(), io.ErrUnexpectedEOF) {
+		t.Fatal("Buffered past the end of the body did not report it")
+	}
+}
+
+// TestFloat32sCheckSeesEveryValue: Float32sCheck hands check every value
+// exactly once, in order, for small and bulk runs, and the first error
+// it returns is the reader's.
+func TestFloat32sCheckSeesEveryValue(t *testing.T) {
+	for _, n := range []int{3, BulkChunk/4 - 1, BulkChunk / 4, 2*filePiece/4 + 1001} {
+		raw := make([]byte, 4*n)
+		rand.New(rand.NewSource(int64(n))).Read(raw)
+		file := bulkFile(raw)
+		var seen []float32
+		fr, err := NewFileReader(bytes.NewReader(file), testMagic, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr.Byte()
+		fr.Uint64()
+		dst := make([]float32, n)
+		fr.Float32sCheck(dst, func(part []float32) error {
+			seen = append(seen, part...)
+			return nil
+		})
+		fr.Uint32()
+		if err := fr.Close(); err != nil {
+			t.Fatalf("%d values: %v", n, err)
+		}
+		if len(seen) != n {
+			t.Fatalf("%d values: check saw %d", n, len(seen))
+		}
+		for i := range dst {
+			if math.Float32bits(seen[i]) != math.Float32bits(dst[i]) {
+				t.Fatalf("%d values: check saw %v at %d, read %v", n, seen[i], i, dst[i])
+			}
+		}
+
+		stop := errors.New("refused")
+		fr, _ = NewFileReader(bytes.NewReader(file), testMagic, 7)
+		fr.Byte()
+		fr.Uint64()
+		fr.Float32sCheck(dst, func([]float32) error { return stop })
+		if err := fr.Close(); !errors.Is(err, stop) {
+			t.Fatalf("%d values: Close after a refused run = %v", n, err)
+		}
 	}
 }
 
