@@ -3,9 +3,9 @@
 #
 # Fails the nightly learning-quality job when CAPES converges
 # significantly slower than the committed baseline. <bench-dir> holds
-# the BENCH_convergence_<scenario>.json files a fresh capes-convergence
-# run wrote; <baseline.txt> (.github/convergence-baseline.txt) commits
-# one line per scenario:
+# the BENCH_convergence_<scenario>.json files a fresh
+# `capes-bench -experiment convergence` run wrote; <baseline.txt>
+# (.github/convergence-baseline.txt) commits one line per scenario:
 #
 #   <scenario> <time_to_threshold_ticks> <final_reward_mbps> <reward_auc>
 #

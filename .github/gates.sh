@@ -13,8 +13,9 @@
 #   perfbench     go -C perfbench test . (the benchmark's smoke test;
 #                 perfbench/ is a module of its own, so tier-1 skips it)
 #
-# `full` (race, fuzz smoke, coverage floor, convergence gate) is not
-# written yet; ROADMAP.md item 11 has its list.
+# `full` (race, fuzz smoke, coverage floor, and the convergence gate:
+# `capes-bench -experiment convergence` checked by convergence-gate.sh)
+# is not written yet; ROADMAP.md item 11 has its list.
 set -euo pipefail
 
 mode="${1:-fast}"

@@ -1,133 +1,20 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (§4), one benchmark per artifact, plus ablation benches for
-// the design decisions called out in DESIGN.md §4.
-//
-// Each figure bench runs the corresponding experiment at a reduced scale
-// (BenchScale) so `go test -bench=.` completes on a laptop; the printed
-// rows have the same schema as the paper's figures. cmd/capes-bench runs
-// the same runners at any scale (use --scale 1.0 for the full 12/24/70
-// hour sessions) and is what EXPERIMENTS.md numbers come from.
+// Ablation benches for CAPES's design decisions — the target network,
+// experience replay, observation stacking, the ε bump and the one-pass
+// Q-head — plus the Table 2 training-step timing row on the
+// engine's own path. The figures and tables of the evaluation (§4) come
+// from cmd/capes-bench, which runs every experiment runner at any scale.
 package capes_test
 
 import (
 	"math/rand"
-	"os"
 	"testing"
 
-	"capes/internal/capes"
 	"capes/internal/experiment"
 	"capes/internal/nn"
 	"capes/internal/replay"
 	"capes/internal/rl"
 	"capes/internal/workload"
 )
-
-// BenchScale is the session-duration scale used by the figure benches
-// (1.0 = the paper's wall-clock schedule).
-const BenchScale = 0.05
-
-func benchOptions() experiment.Options {
-	o := experiment.DefaultOptions()
-	o.Scale = BenchScale
-	return o
-}
-
-// BenchmarkTable1Hyperparameters regenerates Table 1 and asserts the
-// values match the paper.
-func BenchmarkTable1Hyperparameters(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := capes.DefaultHyperparameters()
-		if h.DiscountRate != 0.99 || h.MinibatchSize != 32 || h.TargetUpdateRate != 0.01 ||
-			h.EpsilonInitial != 1.0 || h.EpsilonFinal != 0.05 || h.AdamLearningRate != 1e-4 {
-			b.Fatal("hyperparameters deviate from Table 1")
-		}
-		if i == 0 {
-			experiment.WriteTable1(os.Stdout, h)
-		}
-	}
-}
-
-// BenchmarkFig2RandomRW regenerates Figure 2: the five random R/W ratios,
-// baseline vs 12 h vs 24 h of training.
-func BenchmarkFig2RandomRW(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiment.RunFig2(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			experiment.WriteFig2(os.Stdout, rows)
-			// Report the headline number: the write-heavy (1:9) gain.
-			b.ReportMetric(rows[4].Gain24Pct, "gain1:9_%")
-			b.ReportMetric(rows[0].Gain24Pct, "gain9:1_%")
-		}
-	}
-}
-
-// BenchmarkFig3FileserverSeqWrite regenerates Figure 3.
-func BenchmarkFig3FileserverSeqWrite(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiment.RunFig3(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			experiment.WriteFig3(os.Stdout, rows)
-			b.ReportMetric(rows[0].GainPct, "fileserver_gain_%")
-			b.ReportMetric(rows[1].GainPct, "seqwrite_gain_%")
-		}
-	}
-}
-
-// BenchmarkFig4Overfitting regenerates Figure 4: three tuned-vs-baseline
-// sessions with the storage layout perturbed between them.
-func BenchmarkFig4Overfitting(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sessions, err := experiment.RunFig4(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			experiment.WriteFig4(os.Stdout, sessions)
-			for k, s := range sessions {
-				b.ReportMetric(s.GainPct, []string{"s1_gain_%", "s2_gain_%", "s3_gain_%"}[k])
-			}
-		}
-	}
-}
-
-// BenchmarkFig5PredictionError regenerates Figure 5: prediction error
-// over the training session (must decrease after warm-up).
-func BenchmarkFig5PredictionError(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunFig5(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			experiment.WriteFig5(os.Stdout, res)
-			b.ReportMetric(res.EarlyMean, "early_loss")
-			b.ReportMetric(res.LateMean, "late_loss")
-		}
-	}
-}
-
-// BenchmarkFig6TrainingImpact regenerates Figure 6: a 70-hour training
-// session's overall throughput vs three baselines.
-func BenchmarkFig6TrainingImpact(b *testing.B) {
-	o := benchOptions()
-	o.Scale = BenchScale / 2 // 70 simulated hours is the longest session
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunFig6(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			experiment.WriteFig6(os.Stdout, res)
-			b.ReportMetric(res.RatioVsMeanBaseline, "training/baseline")
-		}
-	}
-}
 
 // BenchmarkTable2TrainStepCPU regenerates the Table 2 training-step
 // timing row on the path a session runs: Engine.Agent().TrainStep on one
@@ -146,47 +33,11 @@ func BenchmarkTable2TrainStepCPU(b *testing.B) {
 	}
 }
 
-// BenchmarkTable2Rows regenerates the remaining Table 2 measurements.
-func BenchmarkTable2Rows(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunTable2(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			experiment.WriteTable2(os.Stdout, res)
-			b.ReportMetric(res.TrainStepSeconds, "train_step_s")
-			b.ReportMetric(res.AvgMessageBytes, "msg_B")
-			b.ReportMetric(float64(res.ModelBytes)/1e6, "model_MB")
-		}
-	}
-}
-
-// BenchmarkComparisonTuners pits CAPES against the static default,
-// hill-climbing and random search (the §6 future-work comparison).
-func BenchmarkComparisonTuners(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiment.RunComparison(benchOptions(), func(seed int64) workload.Generator {
-			return workload.NewRandRW(1, 9, seed)
-		}, 12)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			experiment.WriteComparison(os.Stdout, rows)
-			for _, r := range rows {
-				if r.Tuner == "capes" {
-					b.ReportMetric(r.GainPct, "capes_gain_%")
-				}
-			}
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md §4). Each trains a DQN on the same 1-D hill-climb
-// task (a distilled congestion-window surface) and reports how close the
-// learned greedy policy's operating point lands to the optimum.
+// Ablations. Each trains a float32 DQN, the engine's precision, on the
+// same 1-D hill-climb task (a distilled congestion-window surface) and
+// reports how close the learned greedy policy's operating point lands to
+// the optimum.
 
 // ablationRun trains with the given rl.Config tweaks and returns the
 // final distance of a greedy rollout from the optimum (lower is better).
@@ -200,21 +51,21 @@ func ablationRun(b *testing.B, seed int64, mutate func(*rl.Config), stack int, u
 	)
 	f := func(p float64) float64 { d := p - target; return 1 - 4*d*d }
 	cfg := rl.Config{Gamma: 0.9, LearningRate: 1e-3, TargetUpdateα: 0.01,
-		MinibatchSize: 32, GradientClip: 10, UseTargetNet: true}
+		MinibatchSize: 32, GradientClip: 10}
 	mutate(&cfg)
 	db, err := replay.New(replay.Config{FrameWidth: 2, StackTicks: stack})
 	if err != nil {
 		b.Fatal(err)
 	}
-	net := nn.NewMLP[float64](rng, nn.ActTanh, 2*stack, 24, 24, 3)
+	net := nn.NewMLP[float32](rng, nn.ActTanh, 2*stack, 24, 24, 3)
 	eps := &rl.EpsilonSchedule{Initial: 1, Final: 0.05, AnnealTicks: ticks / 2, BumpValue: 0.2}
 	agent, err := rl.NewAgentWithNetwork(cfg, eps, net, rng)
 	if err != nil {
 		b.Fatal(err)
 	}
 	rf := func(cur, next replay.Frame) float64 { return f(next[0]) - f(cur[0]) }
-	obsOf := func(t int64) []float64 {
-		obs := make([]float64, db.ObservationWidth())
+	obsOf := func(t int64) []float32 {
+		obs := make([]float32, db.ObservationWidth())
 		if err := replay.ObservationInto(db, obs, t); err != nil {
 			clear(obs)
 		}
@@ -228,7 +79,7 @@ func ablationRun(b *testing.B, seed int64, mutate func(*rl.Config), stack int, u
 		p += step * float64(act-1)
 		p = min(max(p, 0), 1)
 		if tick > 64 && tick%2 == 0 {
-			batch := new(replay.Batch[float64])
+			batch := new(replay.Batch[float32])
 			var err error
 			if useReplay {
 				err = replay.ConstructMinibatchInto(db, rng, 16, rf, batch)
@@ -264,11 +115,11 @@ func ablationRun(b *testing.B, seed int64, mutate func(*rl.Config), stack int, u
 	return d
 }
 
-func sequentialBatch(db *replay.DB, end int64, n int, rf replay.RewardFunc) (*replay.Batch[float64], error) {
+func sequentialBatch(db *replay.DB, end int64, n int, rf replay.RewardFunc) (*replay.Batch[float32], error) {
 	w := db.ObservationWidth()
-	b := &replay.Batch[float64]{
-		States:     make([]float64, n*w),
-		NextStates: make([]float64, n*w),
+	b := &replay.Batch[float32]{
+		States:     make([]float32, n*w),
+		NextStates: make([]float32, n*w),
 		N:          n,
 		Width:      w,
 	}
@@ -290,16 +141,18 @@ func sequentialBatch(db *replay.DB, end int64, n int, rf replay.RewardFunc) (*re
 			return nil, replay.ErrInsufficientData
 		}
 		b.Actions = append(b.Actions, a)
-		b.Rewards = append(b.Rewards, rf(cur, next))
+		b.Rewards = append(b.Rewards, float32(rf(cur, next)))
 	}
 	return b, nil
 }
 
-// BenchmarkAblationTargetNetwork compares soft-update vs no target net.
+// BenchmarkAblationTargetNetwork compares the soft-updated target network
+// with none. No target network is α = 1: θ⁻ is a copy of θ after every
+// step, so the Bellman targets come from the online network itself.
 func BenchmarkAblationTargetNetwork(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		with := ablationRun(b, 42, func(c *rl.Config) {}, 1, true)
-		without := ablationRun(b, 42, func(c *rl.Config) { c.UseTargetNet = false }, 1, true)
+		without := ablationRun(b, 42, func(c *rl.Config) { c.TargetUpdateα = 1 }, 1, true)
 		if i == 0 {
 			b.ReportMetric(with, "dist_with_target")
 			b.ReportMetric(without, "dist_no_target")
@@ -336,7 +189,7 @@ func BenchmarkAblationStacking(b *testing.B) {
 // with and without the ε bump of §3.6.
 func BenchmarkAblationEpsilonBump(b *testing.B) {
 	run := func(bump bool) float64 {
-		o := benchOptions()
+		o := experiment.DefaultOptions()
 		gen := workload.NewSwitching(o.Ticks(6),
 			workload.NewRandRW(1, 9, 5),
 			workload.NewRandRW(9, 1, 5))
@@ -374,20 +227,20 @@ func BenchmarkAblationEpsilonBump(b *testing.B) {
 func BenchmarkAblationQHead(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	const obsW, nActions = 250, 5
-	multi := nn.NewCAPESNetwork[float64](rng, obsW, nActions)
+	multi := nn.NewCAPESNetwork[float32](rng, obsW, nActions)
 	// Pair network: observation + one-hot action → scalar.
-	pair := nn.NewMLP[float64](rng, nn.ActTanh, obsW+nActions, obsW, obsW, 1)
-	obs := make([]float64, obsW)
+	pair := nn.NewMLP[float32](rng, nn.ActTanh, obsW+nActions, obsW, obsW, 1)
+	obs := make([]float32, obsW)
 	for i := range obs {
-		obs[i] = rng.Float64()
+		obs[i] = rng.Float32()
 	}
 	b.Run("single-pass-all-actions", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = multi.ForwardVecInto(make([]float64, nActions), obs)
+			_ = multi.ForwardVecInto(make([]float32, nActions), obs)
 		}
 	})
 	b.Run("per-action-passes", func(b *testing.B) {
-		in := make([]float64, obsW+nActions)
+		in := make([]float32, obsW+nActions)
 		copy(in, obs)
 		for i := 0; i < b.N; i++ {
 			for a := 0; a < nActions; a++ {
@@ -395,39 +248,8 @@ func BenchmarkAblationQHead(b *testing.B) {
 					in[obsW+k] = 0
 				}
 				in[obsW+a] = 1
-				_ = pair.ForwardVecInto(make([]float64, 1), in)
+				_ = pair.ForwardVecInto(make([]float32, 1), in)
 			}
 		}
 	})
-}
-
-// BenchmarkWhatIfSSD is the negative control: on an SSD-backed cluster
-// there is almost no queueing headroom, so CAPES must find ≈0% gain —
-// and must not regress the workload.
-func BenchmarkWhatIfSSD(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunSSDControl(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			experiment.WriteSSDControl(os.Stdout, res)
-			b.ReportMetric(res.GainPct, "ssd_gain_%")
-		}
-	}
-}
-
-// BenchmarkHypersearch exercises the §6 grid search over a small axis.
-func BenchmarkHypersearch(b *testing.B) {
-	axes := []experiment.HyperAxis{{Name: "learning_rate", Values: []float64{1e-3, 2e-3}}}
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunHypersearch(benchOptions(), axes, []int64{1}, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			experiment.WriteHypersearch(os.Stdout, res)
-			b.ReportMetric(res.Best.AdamLearningRate, "best_lr")
-		}
-	}
 }

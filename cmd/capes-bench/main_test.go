@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -32,5 +35,59 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Fatalf("ran before rejecting the list:\n%s", out.String())
+	}
+}
+
+// TestRunWritesDeterministicJSON drives the convergence harness twice at
+// test scale: the trajectory files must appear under -json-dir and be
+// byte-identical across runs with the same seed — the property the CI
+// gate depends on.
+func TestRunWritesDeterministicJSON(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-experiment", "convergence", "-scale", "0.002", "-json-dir"}
+	for _, sub := range []string{"a", "b"} {
+		if err := run(append(args, filepath.Join(dir, sub)), io.Discard); err != nil {
+			// At 0.002 scale a threshold may legitimately not fall — the
+			// harness then fails but must still write the JSON.
+			if !strings.Contains(err.Error(), "did not reach") {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, sc := range []string{"randrw-1-9", "randrw-1-4", "fileserver"} {
+		name := "BENCH_convergence_" + sc + ".json"
+		a, err := os.ReadFile(filepath.Join(dir, "a", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(dir, "b", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("%s: same seed produced different BENCH JSON", sc)
+		}
+		for _, want := range []string{`"scenario": "` + sc + `"`, `"curve"`, `"time_to_threshold_ticks"`} {
+			if !strings.Contains(string(a), want) {
+				t.Fatalf("trajectory JSON missing %s:\n%s", want, a)
+			}
+		}
+		if !bytes.HasSuffix(a, []byte("}\n")) {
+			t.Fatalf("%s does not end in a newline", name)
+		}
+	}
+}
+
+// TestRunChartOutput: the convergence experiment always prints the
+// smoothed-reward chart, once per scenario.
+func TestRunChartOutput(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-experiment", "convergence", "-scale", "0.002",
+		"-json-dir", t.TempDir()}, &out)
+	if err != nil && !strings.Contains(err.Error(), "did not reach") {
+		t.Fatal(err)
+	}
+	if n := strings.Count(out.String(), "smoothed reward"); n != 3 {
+		t.Fatalf("printed %d reward curves, want 3:\n%s", n, out.String())
 	}
 }

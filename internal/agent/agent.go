@@ -74,13 +74,16 @@ func (o DaemonOpts) withDefaults() DaemonOpts {
 // (checked by the chaos harness): TicksStarted == CompleteFrames +
 // PartialFrames + DroppedTicks + PendingTicks, and ActionsAttempted ==
 // ActionsSent + DroppedActions — every tick and action is accounted
-// for, none lost silently.
+// for, none lost silently. A tick is started, and so emitted, at most
+// once: a message for a tick at or behind the newest resolved one
+// updates its node's latest vector and counts as LateIndicators.
 type TransportStats struct {
 	Hellos           int64 `json:"hellos"`            // successful registrations
 	Reconnects       int64 `json:"reconnects"`        // re-registrations of an already-seen node
 	Evictions        int64 `json:"evictions"`         // connections dropped by the liveness deadline
 	Heartbeats       int64 `json:"heartbeats"`        // heartbeat messages received
 	StaleIndicators  int64 `json:"stale_indicators"`  // indicators dropped for an old epoch
+	LateIndicators   int64 `json:"late_indicators"`   // indicators for an already-resolved tick (latest updated, no frame)
 	NonFinitePIs     int64 `json:"non_finite_pis"`    // PI values received as NaN or ±Inf
 	TicksStarted     int64 `json:"ticks_started"`     // ticks that began frame assembly
 	CompleteFrames   int64 `json:"complete_frames"`   // frames emitted with every node reporting
@@ -130,6 +133,7 @@ type Daemon struct {
 	latest   []float64        // most recent full PI vector of every node, in frame layout
 	reported []bool           // whether latest holds anything a node ever sent
 	seen     map[int64]*pendingTick
+	resolved int64                 // newest tick resolved (completed, forced or swept)
 	spare    []*pendingTick        // resolved ticks, cleared for reuse
 	controls map[int]net.Conn      // control-agent connections by node
 	conns    map[net.Conn]struct{} // every live connection (monitor + control)
@@ -172,6 +176,7 @@ func NewDaemonOpts(addr string, nodes, pisPerNode int, onFrame FrameSink, onChan
 		latest:     make([]float64, nodes*pisPerNode),
 		reported:   make([]bool, nodes),
 		seen:       make(map[int64]*pendingTick),
+		resolved:   math.MinInt64,
 		controls:   make(map[int]net.Conn),
 		conns:      make(map[net.Conn]struct{}),
 		done:       make(chan struct{}),
@@ -387,6 +392,14 @@ func (d *Daemon) handleIndicators(msg *wire.Indicators, from net.Conn) {
 	d.reported[msg.NodeID] = true
 	p := d.seen[msg.Tick]
 	if p == nil {
+		if msg.Tick <= d.resolved {
+			// A straggler for a tick already emitted or dropped (forced
+			// out by MaxPendingTicks, or swept): starting it again would
+			// emit the tick twice.
+			d.stats.LateIndicators++
+			d.mu.Unlock()
+			return
+		}
 		p = d.newPendingLocked()
 		d.seen[msg.Tick] = p
 		d.stats.TicksStarted++
@@ -431,6 +444,7 @@ func (d *Daemon) newPendingLocked() *pendingTick {
 // it for reuse.
 func (d *Daemon) releaseLocked(tick int64, p *pendingTick) {
 	delete(d.seen, tick)
+	d.resolved = max(d.resolved, tick)
 	clear(p.got)
 	p.n = 0
 	d.spare = append(d.spare, p)

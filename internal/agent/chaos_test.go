@@ -23,7 +23,8 @@ import (
 //     diffs from the wrong epoch would corrupt this immediately.
 //  2. Exact accounting: every tick the daemon started is a complete
 //     frame, a gap-filled partial, a dropped tick, or still pending;
-//     every action attempt was sent or dropped. Nothing leaks.
+//     every action attempt was sent or dropped. Nothing leaks, and no
+//     tick reaches the sink twice.
 //  3. Liveness: the control loop keeps emitting frames through the
 //     chaos (gap-fill from latest), and reconnects actually happened.
 func TestChaosSoak(t *testing.T) {
@@ -41,12 +42,18 @@ func TestChaosSoak(t *testing.T) {
 		frameErr  string
 		frames    int64
 		lastTicks = make([]int64, nodes) // newest tick seen per node slot
+		delivered = map[int64]bool{}     // ticks the sink has received
 	)
 	frameCh := make(chan int64, 256)
 	onFrame := func(tick int64, f []float64) {
 		frameMu.Lock()
 		defer frameMu.Unlock()
 		frames++
+		if delivered[tick] {
+			frameErr = fmt.Sprintf("tick %d delivered twice", tick)
+			return
+		}
+		delivered[tick] = true
 		// Each node's segment carries pis[j] = tick*10000 + node*100 + j.
 		// Gap-filled slots may lag the frame tick but must never go
 		// backwards, mix ticks within a segment, or exceed what was sent.
@@ -229,10 +236,10 @@ func TestChaosSoak(t *testing.T) {
 	}
 
 	t.Logf("chaos soak: %d/%d frames (%d complete, %d partial, %d gap-filled slots, %d dropped ticks), "+
-		"%d reconnects, %d evictions, %d stale drops, actions %d sent / %d dropped / %d seen by agents, "+
+		"%d reconnects, %d evictions, %d stale drops, %d late drops, actions %d sent / %d dropped / %d seen by agents, "+
 		"proxy: %d kills, %d stalls, %d partitions, %d sends skipped",
 		emitted, totalTicks, st.CompleteFrames, st.PartialFrames, st.GapFilledSlots, st.DroppedTicks,
-		st.Reconnects, st.Evictions, st.StaleIndicators,
+		st.Reconnects, st.Evictions, st.StaleIndicators, st.LateIndicators,
 		st.ActionsSent, st.DroppedActions, atomic.LoadInt64(&actionsSeen),
 		pst.Kills, pst.Stalls, pst.Partitions, atomic.LoadInt64(&skipped))
 }

@@ -278,6 +278,95 @@ func TestSeenMapBoundedUnderPermanentlyMissingNode(t *testing.T) {
 	}
 }
 
+// TestForcedTickIsEmittedOnce: node 0 runs more than MaxPendingTicks
+// ahead of node 1, so the oldest pending ticks are force-resolved as
+// gap-filled frames. Node 1's late messages for those ticks must not
+// start them again: every tick reaches the sink at most once, and the
+// late messages still feed node 1's vector (its differential stream
+// stays in step, so the frames it completes carry its own values).
+func TestForcedTickIsEmittedOnce(t *testing.T) {
+	const ticks, maxPending = 300, 256
+	var mu sync.Mutex
+	emitted := map[int64][]float64{}
+	repeats := 0
+	d, err := NewDaemonOpts("127.0.0.1:0", 2, 1, func(tick int64, f []float64) {
+		mu.Lock()
+		defer mu.Unlock()
+		if _, dup := emitted[tick]; dup {
+			repeats++
+		}
+		emitted[tick] = f
+	}, nil, DaemonOpts{
+		// Sweeper effectively off: only the MaxPendingTicks bound acts.
+		PartialFrameTimeout: time.Hour,
+		MaxPendingTicks:     maxPending,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	var agents [2]*NodeAgent
+	for n := range agents {
+		if agents[n], err = DialOpts(d.Addr(), n, 1, "monitor", fastOpts()); err != nil {
+			t.Fatal(err)
+		}
+		defer agents[n].Close()
+	}
+	send := func(node int, tick int64) {
+		t.Helper()
+		if err := agents[node].SendIndicators(tick, []float64{float64(1000*node) + float64(tick)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Both nodes report tick 1, so node 1's slot can be gap-filled.
+	send(0, 1)
+	send(1, 1)
+	waitFor(t, func() bool { return d.TransportStats().CompleteFrames == 1 }, "tick 1 complete")
+	for tick := int64(2); tick <= ticks; tick++ {
+		send(0, tick)
+	}
+	waitFor(t, func() bool { return d.TransportStats().TicksStarted >= ticks }, "node 0's ticks ingested")
+	for tick := int64(2); tick <= ticks; tick++ {
+		send(1, tick)
+	}
+	forced := int64(ticks - 1 - maxPending) // ticks 2..44
+	waitFor(t, func() bool {
+		st := d.TransportStats()
+		mu.Lock()
+		delivered := int64(len(emitted) + repeats)
+		mu.Unlock()
+		return st.CompleteFrames == ticks-forced && delivered == st.CompleteFrames+st.PartialFrames
+	}, "node 1's ticks ingested and delivered")
+
+	st := d.TransportStats()
+	mu.Lock()
+	defer mu.Unlock()
+	if repeats != 0 {
+		t.Fatalf("%d ticks emitted more than once (stats %+v)", repeats, st)
+	}
+	if len(emitted) != ticks {
+		t.Fatalf("emitted %d distinct ticks, want %d", len(emitted), ticks)
+	}
+	if st.TicksStarted != ticks || st.PartialFrames != forced || st.LateIndicators != forced || st.PendingTicks != 0 {
+		t.Fatalf("stats = %+v, want %d started, %d partial, %d late", st, ticks, forced, forced)
+	}
+	if st.TicksStarted != st.CompleteFrames+st.PartialFrames+st.DroppedTicks+int64(st.PendingTicks) {
+		t.Fatalf("accounting broken: %+v", st)
+	}
+	// A frame carries each node's latest vector when it resolves; node
+	// 1's slot holds its own value for the ticks it completed and its
+	// tick-1 value where it was gap-filled.
+	for tick := int64(2); tick <= ticks; tick++ {
+		want := 1001.0
+		if tick > 1+forced {
+			want = 1000 + float64(tick)
+		}
+		if f := emitted[tick]; f[1] != want {
+			t.Fatalf("tick %d: node 1 slot %v, want %v", tick, f[1], want)
+		}
+	}
+}
+
 // TestSendWorkloadChangeRespectsLifecycle: the satellite fix — it used
 // to write to the raw conn even after Close.
 func TestSendWorkloadChangeRespectsLifecycle(t *testing.T) {

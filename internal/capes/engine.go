@@ -237,7 +237,6 @@ func NewEngine(cfg Config, collector Collector, controller Controller) (*Engine,
 		TargetUpdateα: cfg.Hyper.TargetUpdateRate,
 		MinibatchSize: cfg.Hyper.MinibatchSize,
 		GradientClip:  cfg.Hyper.GradientClip,
-		UseTargetNet:  true,
 	}
 	agent, err := rl.NewAgent[EnginePrecision](agentCfg, eps, db.ObservationWidth(), cfg.Space.NumActions(), rng)
 	if err != nil {

@@ -72,7 +72,7 @@ func DefaultHyperparameters() Hyperparameters {
 
 // Scaled returns a copy with every duration hyperparameter multiplied by
 // scale, preserving the schedule's shape when experiments run shortened
-// sessions (see DESIGN.md §5). Non-duration values are unchanged.
+// sessions. Non-duration values are unchanged.
 func (h Hyperparameters) Scaled(scale float64) Hyperparameters {
 	if scale <= 0 {
 		panic(fmt.Sprintf("capes: non-positive scale %v", scale))

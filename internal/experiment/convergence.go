@@ -1,23 +1,23 @@
-// Package convergence measures learning quality: how fast a CAPES
-// training session on a fixed simulated-cluster scenario drives the
-// smoothed cluster throughput past a committed per-scenario threshold.
-// It is the counterpart to the kernel perf bench suite — that one gates
-// "did the code get slower", this one gates "did the agent get dumber".
-//
-// Everything is deterministic: a scenario run with the same seed and
-// scale produces a byte-identical Result (and therefore byte-identical
-// BENCH_convergence_<scenario>.json), which is what lets CI diff runs
-// against committed baselines with a plain tolerance check.
-package convergence
+package experiment
 
 import (
 	"fmt"
 	"io"
 
 	"capes/internal/chart"
-	"capes/internal/experiment"
 	"capes/internal/workload"
 )
+
+// The learning-quality harness: how fast a CAPES training session on a
+// fixed simulated-cluster scenario drives the smoothed cluster
+// throughput past a committed per-scenario threshold. It is the
+// counterpart to the kernel perf bench suite — that one gates "did the
+// code get slower", this one gates "did the agent get dumber".
+//
+// Everything is deterministic: a scenario run with the same seed and
+// scale produces a byte-identical ConvergenceResult (and therefore
+// byte-identical BENCH_convergence_<scenario>.json), which is what lets
+// CI diff runs against committed baselines with a plain tolerance check.
 
 // rewardEMAAlpha smooths the per-tick aggregate throughput before the
 // threshold test. Per-tick throughput is noisy (workload demand noise,
@@ -25,27 +25,28 @@ import (
 // not one lucky tick. 0.02 ≈ a 50-tick horizon at CI scale.
 const rewardEMAAlpha = 0.02
 
-// curvePoints is the downsampled trajectory length kept in a Result —
-// enough for a 64-column chart, small enough to commit as JSON.
+// curvePoints is the downsampled trajectory length kept in a
+// ConvergenceResult — enough for a 64-column chart, small enough to
+// commit as JSON.
 const curvePoints = 128
 
-// Scenario is one committed learning-quality preset: a workload, a
-// paper-scale training duration and the smoothed-throughput bar (MB/s)
-// the agent must clear.
-type Scenario struct {
+// ConvergenceScenario is one committed learning-quality preset: a
+// workload, a paper-scale training duration and the smoothed-throughput
+// bar (MB/s) the agent must clear.
+type ConvergenceScenario struct {
 	Name      string
 	Hours     float64 // paper-scale training duration
 	Threshold float64 // smoothed aggregate throughput, MB/s
 	Workload  func(seed int64) workload.Generator
 }
 
-// Scenarios returns the committed presets. The thresholds sit between
-// the untuned plateau and the trained plateau of each workload at the
-// default seed/scale, so time-to-threshold lands mid-run and moves when
-// learning speed moves (see .github/convergence-baseline.json for the
-// expected values).
-func Scenarios() []Scenario {
-	return []Scenario{
+// ConvergenceScenarios returns the committed presets. The thresholds
+// sit between the untuned plateau and the trained plateau of each
+// workload at the default seed/scale, so time-to-threshold lands mid-run
+// and moves when learning speed moves (see .github/convergence-baseline.txt
+// for the expected values).
+func ConvergenceScenarios() []ConvergenceScenario {
+	return []ConvergenceScenario{
 		{
 			// The paper's headline workload: write-heavy random I/O,
 			// where congestion-window tuning pays the most. Untuned the
@@ -76,31 +77,21 @@ func Scenarios() []Scenario {
 	}
 }
 
-// ScenarioByName looks a committed preset up.
-func ScenarioByName(name string) (Scenario, bool) {
-	for _, sc := range Scenarios() {
-		if sc.Name == name {
-			return sc, true
-		}
-	}
-	return Scenario{}, false
-}
-
 // CurvePoint is one downsampled trajectory sample.
 type CurvePoint struct {
 	Tick   int64   `json:"tick"`
 	Reward float64 `json:"reward"` // smoothed aggregate throughput, MB/s
 }
 
-// Result is one scenario's learning trajectory. TimeToThreshold is the
-// start of the earliest window in which the smoothed reward held at or
+// ConvergenceResult is one scenario's learning trajectory.
+// TimeToThreshold is the start of the earliest window in which the smoothed reward held at or
 // above Threshold for a tenth of the session (-1 when the run never
 // converged) — a dwell requirement, because ε-greedy exploration can
 // spike the EMA past the bar for a few dozen ticks long before the
 // policy has actually settled. RewardAUC is the run's mean smoothed
 // reward (the area under the curve normalized by ticks), which degrades
 // when learning is slower even if the threshold is eventually reached.
-type Result struct {
+type ConvergenceResult struct {
 	Scenario        string       `json:"scenario"`
 	Workload        string       `json:"workload"`
 	Seed            int64        `json:"seed"`
@@ -116,14 +107,14 @@ type Result struct {
 	Curve           []CurvePoint `json:"curve"`
 }
 
-// Run trains one scenario to completion and returns its trajectory.
-// The engine trains ε-greedy for the scenario's full duration — the
+// RunConvergence trains one scenario to completion and returns its
+// trajectory. The engine trains ε-greedy for the scenario's full duration — the
 // run is NOT cut short at the threshold, so FinalReward and RewardAUC
 // always describe the same number of ticks regardless of how fast the
 // threshold fell.
-func Run(sc Scenario, o experiment.Options) (*Result, error) {
+func RunConvergence(sc ConvergenceScenario, o Options) (*ConvergenceResult, error) {
 	gen := sc.Workload(o.Seed)
-	env, err := experiment.NewEnv(o, gen)
+	env, err := NewEnv(o, gen)
 	if err != nil {
 		return nil, fmt.Errorf("convergence %s: %w", sc.Name, err)
 	}
@@ -136,7 +127,7 @@ func Run(sc Scenario, o experiment.Options) (*Result, error) {
 	if sampleEvery < 1 {
 		sampleEvery = 1
 	}
-	res := &Result{
+	res := &ConvergenceResult{
 		Scenario:        sc.Name,
 		Workload:        gen.Name(),
 		Seed:            o.Seed,
@@ -184,9 +175,9 @@ func Run(sc Scenario, o experiment.Options) (*Result, error) {
 	return res, nil
 }
 
-// Render writes a Result as a reward curve plus a summary line — the
-// chart CI embeds into the job summary.
-func Render(w io.Writer, res *Result) {
+// WriteConvergence renders a ConvergenceResult as a summary line plus a
+// reward curve — the chart CI embeds into the job summary.
+func WriteConvergence(w io.Writer, res *ConvergenceResult) {
 	status := "DID NOT CONVERGE"
 	if res.Converged {
 		status = fmt.Sprintf("converged at tick %d", res.TimeToThreshold)

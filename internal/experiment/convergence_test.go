@@ -1,36 +1,40 @@
-package convergence
+package experiment
 
 import (
 	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"capes/internal/experiment"
 )
 
-// tinyOptions shrinks a scenario to CI-test size: ~86 ticks per
+// convergenceOptions shrinks a scenario to CI-test size: ~86 ticks per
 // 12-hour scenario, a couple of seconds total.
-func tinyOptions() experiment.Options {
-	o := experiment.DefaultOptions()
+func convergenceOptions() Options {
+	o := tinyOptions()
 	o.Scale = 0.002
-	o.Clients = 2
-	o.Servers = 2
-	o.TicksPerObservation = 2
 	return o
 }
 
-func TestRunDeterministicJSON(t *testing.T) {
-	sc, ok := ScenarioByName("randrw-1-9")
-	if !ok {
-		t.Fatal("committed scenario missing")
+// convergenceScenario looks a committed preset up by name.
+func convergenceScenario(t *testing.T, name string) ConvergenceScenario {
+	t.Helper()
+	for _, sc := range ConvergenceScenarios() {
+		if sc.Name == name {
+			return sc
+		}
 	}
-	o := tinyOptions()
-	a, err := Run(sc, o)
+	t.Fatalf("committed scenario %q missing", name)
+	return ConvergenceScenario{}
+}
+
+func TestRunDeterministicJSON(t *testing.T) {
+	sc := convergenceScenario(t, "randrw-1-9")
+	o := convergenceOptions()
+	a, err := RunConvergence(sc, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(sc, o)
+	b, err := RunConvergence(sc, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +46,7 @@ func TestRunDeterministicJSON(t *testing.T) {
 }
 
 func TestRunTrajectoryShape(t *testing.T) {
-	sc, ok := ScenarioByName("randrw-1-4")
-	if !ok {
-		t.Fatal("committed scenario missing")
-	}
-	res, err := Run(sc, tinyOptions())
+	res, err := RunConvergence(convergenceScenario(t, "randrw-1-4"), convergenceOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestRunTrajectoryShape(t *testing.T) {
 }
 
 func TestScenariosCommitted(t *testing.T) {
-	scs := Scenarios()
+	scs := ConvergenceScenarios()
 	if len(scs) < 2 || len(scs) > 3 {
 		t.Fatalf("want 2–3 committed scenarios, have %d", len(scs))
 	}
@@ -92,13 +92,10 @@ func TestScenariosCommitted(t *testing.T) {
 			t.Fatalf("scenario %q builds no workload", sc.Name)
 		}
 	}
-	if _, ok := ScenarioByName("no-such-scenario"); ok {
-		t.Fatal("lookup invented a scenario")
-	}
 }
 
 func TestRenderChart(t *testing.T) {
-	res := &Result{
+	res := &ConvergenceResult{
 		Scenario:        "demo",
 		Workload:        "randrw-1:9",
 		Seed:            1,
@@ -114,7 +111,7 @@ func TestRenderChart(t *testing.T) {
 		},
 	}
 	var buf bytes.Buffer
-	Render(&buf, res)
+	WriteConvergence(&buf, res)
 	out := buf.String()
 	for _, want := range []string{"demo", "converged at tick 40", "smoothed reward"} {
 		if !strings.Contains(out, want) {
@@ -124,7 +121,7 @@ func TestRenderChart(t *testing.T) {
 	res.Converged = false
 	res.TimeToThreshold = -1
 	buf.Reset()
-	Render(&buf, res)
+	WriteConvergence(&buf, res)
 	if !strings.Contains(buf.String(), "DID NOT CONVERGE") {
 		t.Fatalf("non-converged render:\n%s", buf.String())
 	}

@@ -25,8 +25,8 @@ type Options struct {
 	// Clients and Servers size the cluster (paper: 5 and 4).
 	Clients, Servers int
 	// TicksPerObservation is the observation stack depth. The paper uses
-	// 10; the default bench configuration uses 5 to fit the single-core
-	// host (documented in EXPERIMENTS.md).
+	// 10; the default bench configuration uses 5 to fit a single-core
+	// host.
 	TicksPerObservation int
 	// TrainEvery runs one SGD step per this many ticks (paper: the GPU
 	// trainer ran continuously ≈ every tick).
@@ -123,7 +123,7 @@ func (o Options) learningRate() float64 {
 // gamma resolves the effective discount rate: the paper's 0.99 at full
 // scale and 0.9 for shortened sessions (the delta reward is already
 // shaped, so a shorter bootstrap horizon preserves the optimal policy
-// while cutting target variance — see EXPERIMENTS.md).
+// while cutting target variance).
 func (o Options) gamma() float64 {
 	if o.Scale >= 0.5 {
 		return 0.99

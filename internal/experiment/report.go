@@ -9,7 +9,7 @@ import (
 )
 
 // Report writers: each Run* result can be rendered as the text table the
-// paper's figure/table reports, for cmd/capes-bench and EXPERIMENTS.md.
+// paper's figure/table reports, for cmd/capes-bench.
 
 func mb(v float64) float64 { return v / 1e6 }
 

@@ -17,7 +17,6 @@ type Config struct {
 	TargetUpdateα float64 // target-network soft-update rate (0.01; 1 copies θ→θ⁻ every step)
 	MinibatchSize int     // observations per SGD update (32)
 	GradientClip  float64 // global-norm clip; 0 disables (stability aid)
-	UseTargetNet  bool    // disable for the ablation bench
 	// DoubleDQN decouples action selection from evaluation in the
 	// Bellman target: a' = argmax_a Q(s',a;θ) but the value comes from
 	// Q(s',a';θ⁻), reducing maximization bias (van Hasselt et al.). One
@@ -47,8 +46,8 @@ func (c Config) Validate() error {
 // type E selects the arithmetic precision of the whole training and
 // action path; the CAPES engine instantiates Agent[float32] (the train
 // step is memory-bound, so halving the element size is the dominant
-// lever), while Agent[float64] remains available for reference runs and
-// the ablation suite.
+// lever), while Agent[float64] remains available for reference runs
+// and tests.
 type Agent[E tensor.Element] struct {
 	cfg     Config
 	Online  *nn.MLP[E]
@@ -218,14 +217,10 @@ func (a *Agent[E]) ComputeGradients(b *replay.Batch[E]) (float64, error) {
 	states.Rows, states.Cols, states.Data = b.N, b.Width, b.States
 	nextStates.Rows, nextStates.Cols, nextStates.Data = b.N, b.Width, b.NextStates
 
-	// Bellman targets from the target network (or online net in the
-	// no-target-net ablation).
-	tnet := a.Target
-	if !a.cfg.UseTargetNet {
-		tnet = a.Online
-	}
+	// Bellman targets from the target network. A run without a target
+	// network is α = 1: θ⁻ is an exact copy of θ after every step.
 	targets := a.targets
-	if a.cfg.DoubleDQN && a.cfg.UseTargetNet {
+	if a.cfg.DoubleDQN {
 		// Double DQN: pick a' with the online network, evaluate it with
 		// the target network. The online pass runs first; its argmax is
 		// captured before the target pass reuses the forward buffers.
@@ -236,16 +231,16 @@ func (a *Agent[E]) ComputeGradients(b *replay.Batch[E]) (float64, error) {
 			targets[i] = b.Rewards[i] + a.gamma*targetNext.At(i, a.argmaxNext[i])
 		}
 	} else {
-		nextQ := tnet.Forward(nextStates)
+		nextQ := a.Target.Forward(nextStates)
 		nextQ.MaxPerRowInto(a.maxNext, a.argmaxNext)
 		for i := range targets {
 			targets[i] = b.Rewards[i] + a.gamma*a.maxNext[i]
 		}
 	}
 
-	// Forward the online network *after* the target pass: both networks
-	// reuse internal buffers, and when tnet == Online the target pass
-	// would otherwise clobber the activations backprop needs.
+	// Forward the online network *after* the target pass: under Double
+	// DQN the online network's next-state pass would otherwise clobber
+	// the activations backprop needs.
 	pred := a.Online.Forward(states)
 	loss := nn.MaskedMSE(pred, b.Actions, targets, a.gradOut)
 	if math.IsNaN(loss) || math.IsInf(loss, 0) {
@@ -273,11 +268,7 @@ func (a *Agent[E]) ApplyGradients(loss float64) error {
 			gradScale = a.cfg.GradientClip / norm
 		}
 	}
-	var target []E
-	if a.cfg.UseTargetNet {
-		target = a.Target.FlatParams()
-	}
-	a.Opt.FusedStep(a.Online.FlatParams(), a.Online.FlatGrads(), gradScale, target, a.cfg.TargetUpdateα)
+	a.Opt.FusedStep(a.Online.FlatParams(), a.Online.FlatGrads(), gradScale, a.Target.FlatParams(), a.cfg.TargetUpdateα)
 
 	a.steps++
 	a.noteLoss(loss)
@@ -300,10 +291,8 @@ func (a *Agent[E]) ProbeFinite() error {
 	if err := a.Online.CheckFinite(); err != nil {
 		return fmt.Errorf("rl: online network: %w", err)
 	}
-	if a.cfg.UseTargetNet {
-		if err := a.Target.CheckFinite(); err != nil {
-			return fmt.Errorf("rl: target network: %w", err)
-		}
+	if err := a.Target.CheckFinite(); err != nil {
+		return fmt.Errorf("rl: target network: %w", err)
 	}
 	return nil
 }

@@ -8,7 +8,6 @@ func DefaultConfig() Config {
 		TargetUpdateα: 0.01,
 		MinibatchSize: 32,
 		GradientClip:  10,
-		UseTargetNet:  true,
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"capes/internal/nn"
 	"capes/internal/replay"
+	"capes/internal/tensor"
 )
 
 func TestEpsilonScheduleAnneal(t *testing.T) {
@@ -262,19 +263,40 @@ func TestHardTargetUpdate(t *testing.T) {
 	}
 }
 
+// TestNoTargetNetAblation: training without a target network is α = 1.
+// θ⁻ is a copy of θ after every step, so each step's Bellman targets
+// r + γ·max_a' Q(s',a';θ) come from the online network itself: the loss
+// TrainStep returns equals, bit for bit, the loss recomputed from the
+// online network alone. (At α < 1 the target lags from the second step
+// on and the two differ.)
 func TestNoTargetNetAblation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cfg := DefaultConfig()
-	cfg.UseTargetNet = false
-	a, _ := NewAgent[float64](cfg, nil, 3, 2, rng)
+	cfg.TargetUpdateα = 1
+	a, err := NewAgent[float64](cfg, nil, 3, 2, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	b := syntheticBatch(rng, 8, 3, 2)
+	states := &tensor.Matrix[float64]{Rows: b.N, Cols: b.Width, Data: b.States}
+	next := &tensor.Matrix[float64]{Rows: b.N, Cols: b.Width, Data: b.NextStates}
+	maxNext, argmax := make([]float64, b.N), make([]int, b.N)
+	targets := make([]float64, b.N)
+	grad := tensor.New[float64](b.N, 2)
 	for i := 0; i < 10; i++ {
-		if _, err := a.TrainStep(b); err != nil {
+		a.Online.Forward(next).MaxPerRowInto(maxNext, argmax)
+		for j := range targets {
+			targets[j] = b.Rewards[j] + cfg.Gamma*maxNext[j]
+		}
+		want := nn.MaskedMSE(a.Online.Forward(states), b.Actions, targets, grad)
+		got, err := a.TrainStep(b)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if got != want {
+			t.Fatalf("step %d: loss %v, want %v from the online network's own targets", i+1, got, want)
+		}
 	}
-	// The target network is never touched in this mode.
-	// (It stays at the initial clone.)
 	if a.Steps() != 10 {
 		t.Fatalf("Steps = %d", a.Steps())
 	}
