@@ -59,7 +59,7 @@ func ablationRun(b *testing.B, seed int64, mutate func(*rl.Config), stack int, u
 	}
 	net := nn.NewMLP[float32](rng, nn.ActTanh, 2*stack, 24, 24, 3)
 	eps := &rl.EpsilonSchedule{Initial: 1, Final: 0.05, AnnealTicks: ticks / 2, BumpValue: 0.2}
-	agent, err := rl.NewAgentWithNetwork(cfg, eps, net, rng)
+	agent, err := rl.NewAgentWithNetwork(cfg, eps, net, net.Clone(), rng)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -102,7 +102,8 @@ func checkpointConfig(b *testing.B) Config {
 
 // BenchmarkSessionCheckpoint times SaveSession and RestoreSession
 // through real files, at the checkpoint-cycle shape with the ring full:
-// a frame and an action on every one of its 32 768 ticks.
+// a frame and an action on every one of its 32 768 ticks. boot times
+// BootEngine, the path capesd boots a session by.
 func BenchmarkSessionCheckpoint(b *testing.B) {
 	cfg := checkpointConfig(b)
 	noFrame := func() (replay.Frame, error) { return nil, errors.New("bench: no collector") }
@@ -145,6 +146,15 @@ func BenchmarkSessionCheckpoint(b *testing.B) {
 			if err := fresh.RestoreSession(dir); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+	b.Run("boot", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			booted, restored, err := BootEngine(cfg, noFrame, noop, dir)
+			if err != nil || !restored {
+				b.Fatalf("boot: restored %v, %v", restored, err)
+			}
+			booted.Stop()
 		}
 	})
 }

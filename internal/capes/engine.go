@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"capes/internal/nn"
 	"capes/internal/replay"
 	"capes/internal/rl"
 )
@@ -188,6 +189,18 @@ type ActionRecord struct {
 // NewEngine builds an engine. collector must not be nil; controller may
 // be nil only when cfg.Tuning is false.
 func NewEngine(cfg Config, collector Collector, controller Controller) (*Engine, error) {
+	return newEngine(cfg, collector, controller, false)
+}
+
+// newEngine is NewEngine; restoring builds the engine BootEngine is
+// about to Restore a checkpoint into, without the network Restore
+// replaces. Its random source is moved past the Xavier draws that
+// network would have taken, so once restored the engine is bit for bit
+// the one NewEngine followed by Restore gives. Until a Restore succeeds
+// such an engine has no network, and Restore and Stop are the only calls
+// it takes. A cluster engine is built in full: its leader serves the
+// network from the start.
+func newEngine(cfg Config, collector Collector, controller Controller, restoring bool) (*Engine, error) {
 	if err := cfg.Hyper.Validate(); err != nil {
 		return nil, err
 	}
@@ -224,22 +237,20 @@ func NewEngine(cfg Config, collector Collector, controller Controller) (*Engine,
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	eps := &rl.EpsilonSchedule{
-		Initial:     cfg.Hyper.EpsilonInitial,
-		Final:       cfg.Hyper.EpsilonFinal,
-		AnnealTicks: cfg.Hyper.ExplorationPeriod,
-		BumpValue:   cfg.Hyper.EpsilonBump,
-	}
-	agentCfg := rl.Config{
-		Gamma:         cfg.Hyper.DiscountRate,
-		LearningRate:  cfg.Hyper.AdamLearningRate,
-		TargetUpdateα: cfg.Hyper.TargetUpdateRate,
-		MinibatchSize: cfg.Hyper.MinibatchSize,
-		GradientClip:  cfg.Hyper.GradientClip,
-	}
-	agent, err := rl.NewAgent[EnginePrecision](agentCfg, eps, db.ObservationWidth(), cfg.Space.NumActions(), rng)
-	if err != nil {
+	src := newEngineSource(cfg.Seed)
+	rng := rand.New(src)
+	agentCfg, eps := agentConfig(cfg.Hyper)
+	var agent *rl.Agent[EnginePrecision]
+	if restoring && !clustered {
+		// Refuse what NewAgent would refuse, and draw what it would draw.
+		if err := agentCfg.Validate(); err != nil {
+			return nil, err
+		}
+		if err := eps.Validate(); err != nil {
+			return nil, err
+		}
+		src.SkipFloat64(nn.CAPESNetworkDraws(db.ObservationWidth(), cfg.Space.NumActions()))
+	} else if agent, err = rl.NewAgent[EnginePrecision](agentCfg, eps, db.ObservationWidth(), cfg.Space.NumActions(), rng); err != nil {
 		return nil, err
 	}
 	checker := cfg.Checker
@@ -285,6 +296,22 @@ func NewEngine(cfg Config, collector Collector, controller Controller) (*Engine,
 		}
 	}
 	return e, nil
+}
+
+// agentConfig is the learner Table 1's hyperparameters describe.
+func agentConfig(h Hyperparameters) (rl.Config, *rl.EpsilonSchedule) {
+	return rl.Config{
+			Gamma:         h.DiscountRate,
+			LearningRate:  h.AdamLearningRate,
+			TargetUpdateα: h.TargetUpdateRate,
+			MinibatchSize: h.MinibatchSize,
+			GradientClip:  h.GradientClip,
+		}, &rl.EpsilonSchedule{
+			Initial:     h.EpsilonInitial,
+			Final:       h.EpsilonFinal,
+			AnnealTicks: h.ExplorationPeriod,
+			BumpValue:   h.EpsilonBump,
+		}
 }
 
 // Tick implements sim.Ticker: one sample, one action (when tuning) and

@@ -59,8 +59,9 @@ import (
 // A restore is two steps: LoadCheckpoint reads and validates every file
 // without touching an engine, and Engine.Restore checks the result
 // against the engine and commits it. RestoreSession runs both under the
-// engine lock; a daemon booting a session can run the first while it
-// builds the engine.
+// engine lock. BootEngine, the way a daemon boots a session, runs the
+// first while it builds the engine without the network the restore
+// replaces.
 
 const (
 	modelFile    = "model.ckpt"
@@ -78,6 +79,11 @@ const (
 // checkpoint exists but could not be loaded — corrupt or mismatched —
 // and must not be silently ignored.
 var ErrNoSession = errors.New("capes: no saved session")
+
+// ErrBadCheckpoint reports a BootEngine whose directory holds a
+// checkpoint that cannot be restored: corrupt, torn or shaped for a
+// different engine.
+var ErrBadCheckpoint = errors.New("capes: checkpoint cannot be restored")
 
 // manifestVersion is the manifest schema; RestoreSession refuses any
 // other.
@@ -175,27 +181,24 @@ func (e *Engine) SaveSession(dir string) error {
 	if err := os.MkdirAll(tmp, 0o755); err != nil {
 		return err
 	}
-	// The model file is written on its own goroutine while this one
-	// writes the replay snapshot: each file's checksum and copy into the
-	// page cache run on a core of their own, and the engine lock is held
-	// for the longer of the two rather than their sum.
+	// The model file and the telemetry are written on their own
+	// goroutine while this one writes the replay snapshot: each file's
+	// copy into the page cache runs on a core of its own, and the engine
+	// lock is held for the longer of the two rather than their sum.
 	modelErr := make(chan error, 1)
-	go func() { modelErr <- wire.OverwriteFile(filepath.Join(tmp, modelFile), e.agent.Online.Save) }()
+	go func() {
+		if err := wire.OverwriteFile(filepath.Join(tmp, modelFile), e.agent.Online.Save); err != nil {
+			modelErr <- fmt.Errorf("capes: save model: %w", err)
+			return
+		}
+		modelErr <- e.saveHistory(filepath.Join(tmp, historyFile))
+	}()
 	replayErr := wire.OverwriteFile(filepath.Join(tmp, replayFile), e.db.Save)
 	if err := <-modelErr; err != nil {
-		return fmt.Errorf("capes: save model: %w", err)
+		return err
 	}
 	if replayErr != nil {
 		return fmt.Errorf("capes: save replay DB: %w", replayErr)
-	}
-	// Telemetry travels with the checkpoint so a restored session keeps
-	// its reward/loss curves instead of starting the dashboard blank.
-	hbuf, err := json.Marshal(e.hist.Snapshot())
-	if err != nil {
-		return fmt.Errorf("capes: save history: %w", err)
-	}
-	if err := overwriteBytes(filepath.Join(tmp, historyFile), hbuf); err != nil {
-		return fmt.Errorf("capes: save history: %w", err)
 	}
 	random, calc := e.agent.ActionCounts()
 	m := sessionManifest{
@@ -246,6 +249,20 @@ func (e *Engine) SaveSession(dir string) error {
 	return keepSpare(old, tmp)
 }
 
+// saveHistory writes the telemetry ring to path (e.mu held): it travels
+// with the checkpoint so a restored session keeps its reward/loss curves
+// instead of starting the dashboard blank.
+func (e *Engine) saveHistory(path string) error {
+	buf, err := json.Marshal(e.hist.Snapshot())
+	if err == nil {
+		err = overwriteBytes(path, buf)
+	}
+	if err != nil {
+		return fmt.Errorf("capes: save history: %w", err)
+	}
+	return nil
+}
+
 // overwriteBytes writes buf to path in place (see wire.OverwriteFile).
 func overwriteBytes(path string, buf []byte) error {
 	return wire.OverwriteFile(path, func(w io.Writer) error {
@@ -261,8 +278,9 @@ func overwriteBytes(path string, buf []byte) error {
 type Checkpoint struct {
 	manifest sessionManifest
 	model    *nn.MLP[EnginePrecision]
-	db       *replay.DB     // nil: a model-only checkpoint
-	history  []HistoryPoint // nil: a checkpoint without telemetry
+	target   *nn.MLP[EnginePrecision] // θ⁻ for the restored agent: a copy of model
+	db       *replay.DB               // nil: a model-only checkpoint
+	history  []HistoryPoint           // nil: a checkpoint without telemetry
 }
 
 // LoadCheckpoint reads the checkpoint saved in dir by SaveSession,
@@ -299,17 +317,32 @@ func LoadCheckpoint(dir string) (*Checkpoint, error) {
 	if v := cp.manifest.Version; v != manifestVersion {
 		return nil, fmt.Errorf("capes: session manifest version %d, this build reads %d", v, manifestVersion)
 	}
-	// The model restores bit-exactly at the engine precision; a
-	// checkpoint written at any other precision is an error.
-	if cp.model, err = nn.LoadFile[EnginePrecision](filepath.Join(dir, modelFile)); err != nil {
-		return nil, fmt.Errorf("capes: load model: %w", err)
-	}
-	if cp.db, err = loadReplaySnapshot(filepath.Join(dir, replayFile)); err != nil {
+	// The model, the target network copied from it and the telemetry are
+	// made on a goroutine of their own while this one reads the replay
+	// snapshot, the larger file: each file's read, checksum and decode
+	// run on a core of their own. The goroutine is waited for on every
+	// path.
+	modelErr := make(chan error, 1)
+	go func() {
+		var err error
+		// The model restores bit-exactly at the engine precision; a
+		// checkpoint written at any other precision is an error.
+		if cp.model, err = nn.LoadFile[EnginePrecision](filepath.Join(dir, modelFile)); err != nil {
+			modelErr <- fmt.Errorf("capes: load model: %w", err)
+			return
+		}
+		cp.target = cp.model.Clone()
+		cp.history, err = loadHistorySnapshot(filepath.Join(dir, historyFile))
+		modelErr <- err
+	}()
+	db, replayErr := loadReplaySnapshot(filepath.Join(dir, replayFile))
+	if err := <-modelErr; err != nil {
 		return nil, err
 	}
-	if cp.history, err = loadHistorySnapshot(filepath.Join(dir, historyFile)); err != nil {
-		return nil, err
+	if replayErr != nil {
+		return nil, replayErr
 	}
+	cp.db = db
 	return cp, nil
 }
 
@@ -328,6 +361,56 @@ func (e *Engine) RestoreSession(dir string) error {
 		return err
 	}
 	return e.restoreLocked(cp)
+}
+
+// BootEngine builds an engine and restores into it the checkpoint
+// SaveSession left in dir, as a daemon boots a session. LoadCheckpoint
+// reads dir on a second goroutine while the engine is built without the
+// network Restore replaces, its random stream moved past that network's
+// Xavier draws; Restore then commits the checkpoint. The engine is bit
+// for bit the one NewEngine followed by RestoreSession gives, RNG stream
+// included. restored reports whether dir held a checkpoint. A first
+// boot — dir "", empty or missing — is no error, and its engine is
+// built again in full: it is NewEngine's.
+//
+// An error wrapping ErrBadCheckpoint means dir holds a checkpoint that
+// cannot be restored; any other error is a Config NewEngine refuses.
+// The reader is waited for on every path, so no goroutine outlives the
+// call.
+func BootEngine(cfg Config, collector Collector, controller Controller, dir string) (e *Engine, restored bool, err error) {
+	if dir == "" {
+		e, err = NewEngine(cfg, collector, controller)
+		return e, false, err
+	}
+	type loaded struct {
+		cp  *Checkpoint
+		err error
+	}
+	ch := make(chan loaded, 1)
+	go func() {
+		cp, err := LoadCheckpoint(dir)
+		ch <- loaded{cp, err}
+	}()
+	e, err = newEngine(cfg, collector, controller, true)
+	ld := <-ch
+	if err != nil {
+		return nil, false, err
+	}
+	if errors.Is(ld.err, ErrNoSession) {
+		if e.agent == nil { // a cluster engine was built in full already
+			e.Stop()
+			e, err = NewEngine(cfg, collector, controller)
+		}
+		return e, false, err
+	}
+	if ld.err == nil {
+		ld.err = e.Restore(ld.cp)
+	}
+	if ld.err != nil {
+		e.Stop()
+		return nil, false, fmt.Errorf("%w: %s: %w", ErrBadCheckpoint, dir, ld.err)
+	}
+	return e, true, nil
 }
 
 // Restore commits a checkpoint read by LoadCheckpoint to the engine. The
@@ -364,8 +447,12 @@ func (e *Engine) restoreLocked(cp *Checkpoint) error {
 		return fmt.Errorf("capes: model shape %d→%d incompatible with engine %d→%d",
 			model.InputSize(), model.OutputSize(), e.db.ObservationWidth(), m.NumActions)
 	}
-	agentCfg := e.agent.Config()
-	agent, err := rl.NewAgentWithNetwork(agentCfg, e.agent.Epsilon, model, e.rng)
+	agentCfg, eps := agentConfig(e.cfg.Hyper)
+	if e.agent != nil {
+		// A live engine keeps its schedule, workload bumps included.
+		eps = e.agent.Epsilon
+	}
+	agent, err := rl.NewAgentWithNetwork(agentCfg, eps, model, cp.target, e.rng)
 	if err != nil {
 		return err
 	}
@@ -384,7 +471,7 @@ func (e *Engine) restoreLocked(cp *Checkpoint) error {
 	}
 
 	// Commit point: everything validated, replace engine state.
-	cp.model, cp.db = nil, nil
+	cp.model, cp.target, cp.db = nil, nil, nil
 	e.agent = agent
 	if db != nil {
 		e.db = db

@@ -172,6 +172,66 @@ func TestOverlappedBootMatchesSequentialRestore(t *testing.T) {
 	}
 }
 
+// TestFirstBootMatchesNewEngine: a session with no checkpoint on disk
+// boots an engine bit for bit like NewEngine's — the same parameters,
+// the same 300-tick action stream, the same parameters after it —
+// whether its checkpoint dir is empty or missing: the restore-mode
+// build the boot starts with gives way to a full one.
+func TestFirstBootMatchesNewEngine(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dir  func(t *testing.T) string
+	}{
+		{"empty-dir", func(t *testing.T) string { return t.TempDir() }},
+		{"missing-dir", func(t *testing.T) string { return filepath.Join(t.TempDir(), "ckpt") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := newSession(supervisedSession("first", tc.dir(t)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Stop()
+			if s.restored {
+				t.Fatal("a session without a checkpoint booted as restored")
+			}
+
+			var frame replay.Frame
+			ref, err := capes.NewEngine(s.engCfg,
+				func() (replay.Frame, error) { return frame, nil },
+				func([]float64) error { return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ref.Stop()
+			if got, want := paramChecksum(s.Engine()), paramChecksum(ref); got != want {
+				t.Fatalf("parameters after boot %s, NewEngine %s", got, want)
+			}
+			refActions, bootActions := recordActions(ref), recordActions(s.Engine())
+			const ticks = 300
+			for tick := int64(1); tick <= ticks; tick++ {
+				frame = bootFrame(s.engCfg.FrameWidth, tick)
+				ref.Tick(tick)
+			}
+			feedSession(s, 1, ticks)
+			if len(*refActions) == 0 || ref.Stats().TrainSteps == 0 {
+				t.Fatalf("reference applied %d actions in %d train steps; test setup is wrong",
+					len(*refActions), ref.Stats().TrainSteps)
+			}
+			if len(*bootActions) != len(*refActions) {
+				t.Fatalf("%d actions, NewEngine %d", len(*bootActions), len(*refActions))
+			}
+			for i, a := range *bootActions {
+				if a != (*refActions)[i] {
+					t.Fatalf("action %d is %+v, NewEngine's %+v", i, a, (*refActions)[i])
+				}
+			}
+			if got, want := paramChecksum(s.Engine()), paramChecksum(ref); got != want {
+				t.Fatalf("parameters after %d ticks %s, NewEngine %s", ticks, got, want)
+			}
+		})
+	}
+}
+
 // settledGoroutines waits until the goroutine count is back to at most
 // want, and fails with the count it saw otherwise.
 func settledGoroutines(t *testing.T, want int, what string) {
@@ -185,32 +245,57 @@ func settledGoroutines(t *testing.T, want int, what string) {
 	}
 }
 
-// TestBootFailuresLeaveNoGoroutine: a boot that fails — on a corrupt
-// checkpoint, or because the engine cannot be built while the
+// TestBootFailuresLeaveNoGoroutine: a boot that fails — on a corrupt or
+// torn checkpoint file, or because the engine cannot be built while the
 // checkpoint is being read — returns its error and leaves nothing
-// running.
+// running: not the checkpoint reader, not the goroutine that loads the
+// model beside the replay snapshot, not a checksum helper. A damaged
+// checkpoint is reported as one, not as a bad config.
 func TestBootFailuresLeaveNoGoroutine(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ckpt")
 	cfg := savedBootCheckpoint(t, dir)
 	before := runtime.NumGoroutine()
 
-	bad := &Session{cfg: cfg.withDefaults()} // a zero engCfg: NewEngine refuses it
-	if _, _, err := bad.bootEngine(); !errors.Is(err, ErrInvalidSession) {
-		t.Fatalf("engine that cannot be built: %v", err)
+	for _, ckptDir := range []string{dir, ""} {
+		bad := &Session{cfg: cfg.withDefaults()} // a zero engCfg: NewEngine refuses it
+		bad.cfg.CheckpointDir = ckptDir
+		if _, _, err := bad.bootEngine(); !errors.Is(err, ErrInvalidSession) {
+			t.Fatalf("engine that cannot be built (checkpoint dir %q): %v", ckptDir, err)
+		}
 	}
 	settledGoroutines(t, before, "after a build error")
 
-	model := filepath.Join(dir, "model.ckpt")
-	b, err := os.ReadFile(model)
+	for _, damage := range []struct {
+		name, file string
+		spoil      func([]byte) []byte
+	}{
+		{"bit flip in the model", "model.ckpt", func(b []byte) []byte { b[len(b)/2] ^= 0x40; return b }},
+		{"torn model", "model.ckpt", func(b []byte) []byte { return b[:len(b)/2] }},
+		{"torn replay snapshot, first half", "replay.db", func(b []byte) []byte { return b[:len(b)/4] }},
+		{"torn replay snapshot, second half", "replay.db", func(b []byte) []byte { return b[:3*len(b)/4] }},
+	} {
+		path := filepath.Join(dir, damage.file)
+		intact, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, damage.spoil(append([]byte(nil), intact...)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := newSession(cfg); !errors.Is(err, capes.ErrBadCheckpoint) || errors.Is(err, ErrInvalidSession) {
+			t.Fatalf("%s: boot error %v, want a bad checkpoint, not an invalid config", damage.name, err)
+		}
+		settledGoroutines(t, before, "after a "+damage.name)
+		if err := os.WriteFile(path, intact, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := newSession(cfg)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("the repaired checkpoint: %v", err)
 	}
-	b[len(b)/2] ^= 0x40
-	if err := os.WriteFile(model, b, 0o644); err != nil {
-		t.Fatal(err)
+	defer s.Stop()
+	if !s.restored {
+		t.Fatal("the repaired checkpoint did not restore")
 	}
-	if _, err := newSession(cfg); err == nil {
-		t.Fatal("session booted from a corrupt checkpoint")
-	}
-	settledGoroutines(t, before, "after a corrupt checkpoint")
 }

@@ -199,56 +199,14 @@ func newSession(cfg SessionConfig) (*Session, error) {
 	return s, nil
 }
 
-// bootEngine builds a fresh engine and restores the session's checkpoint
-// into it — at creation and on the watchdog restart path. The checkpoint
-// is read on a second goroutine while the engine is built, and committed
-// once both are done: the engine is built and restored exactly as
-// buildEngine followed by RestoreSession would, so its RNG draws and
-// every trajectory are the same. restored reports whether a checkpoint
-// was found; a directory without one is a first boot and no error. The
-// reader is always waited for, so no goroutine outlives the call.
+// bootEngine builds an engine and restores the session's checkpoint
+// into it (capes.BootEngine) — at creation and on the watchdog restart
+// path. The engine is bound to the session's shared frame buffer: the
+// closures capture s, not the engine, so they survive a watchdog swap.
+// restored reports whether a checkpoint was found; a directory without
+// one is a first boot and no error.
 func (s *Session) bootEngine() (*capes.Engine, bool, error) {
-	type checkpoint struct {
-		cp  *capes.Checkpoint
-		err error
-	}
-	loaded := make(chan checkpoint, 1)
-	if dir := s.cfg.CheckpointDir; dir == "" {
-		loaded <- checkpoint{err: capes.ErrNoSession}
-	} else {
-		go func() {
-			cp, err := capes.LoadCheckpoint(dir)
-			loaded <- checkpoint{cp, err}
-		}()
-	}
-	eng, err := s.buildEngine()
-	ld := <-loaded
-	if err != nil {
-		// buildEngine only rejects bad configuration (hyper, space, …).
-		return nil, false, fmt.Errorf("%w: session %s: %w", ErrInvalidSession, s.cfg.Name, err)
-	}
-	if ld.err == nil {
-		ld.err = eng.Restore(ld.cp)
-	}
-	switch {
-	case ld.err == nil:
-		return eng, true, nil
-	case errors.Is(ld.err, capes.ErrNoSession):
-		return eng, false, nil // first boot: nothing to restore, start fresh
-	default:
-		// A checkpoint exists but cannot be loaded — corrupt or shaped
-		// for a different session. Failing loudly beats silently
-		// retraining from scratch over it.
-		eng.Stop()
-		return nil, false, fmt.Errorf("session %s: restoring %s: %w", s.cfg.Name, s.cfg.CheckpointDir, ld.err)
-	}
-}
-
-// buildEngine constructs a fresh engine bound to the session's shared
-// frame buffer (the closures capture s, not the engine, so they survive
-// a watchdog swap).
-func (s *Session) buildEngine() (*capes.Engine, error) {
-	eng, err := capes.NewEngine(s.engCfg,
+	eng, restored, err := capes.BootEngine(s.engCfg,
 		func() (replay.Frame, error) {
 			s.frameMu.Lock()
 			defer s.frameMu.Unlock()
@@ -260,14 +218,22 @@ func (s *Session) buildEngine() (*capes.Engine, error) {
 		// The engine holds its lock while applying actions, so the
 		// controller must not call back into it; the ActionHook below
 		// carries the tick and action id to the broadcast instead.
-		func([]float64) error { return nil })
-	if err != nil {
-		return nil, err
+		func([]float64) error { return nil },
+		s.cfg.CheckpointDir)
+	switch {
+	case errors.Is(err, capes.ErrBadCheckpoint):
+		// A checkpoint exists but cannot be loaded — corrupt or shaped
+		// for a different session. Failing loudly beats silently
+		// retraining from scratch over it.
+		return nil, false, fmt.Errorf("session %s: %w", s.cfg.Name, err)
+	case err != nil:
+		// Everything else is bad configuration (hyper, space, …).
+		return nil, false, fmt.Errorf("%w: session %s: %w", ErrInvalidSession, s.cfg.Name, err)
 	}
 	if s.cfg.Exploit {
 		eng.SetExploit(true)
 	}
-	return eng, nil
+	return eng, restored, nil
 }
 
 // actionHook queues one applied action for the broadcast goroutine;

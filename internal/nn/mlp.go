@@ -102,7 +102,23 @@ func NewMLP[E tensor.Element](rng *rand.Rand, act Activation, sizes ...int) *MLP
 // NewCAPESNetwork builds the paper's Q-network shape: two hidden layers of
 // the same width as the input and a linear head with one output per action.
 func NewCAPESNetwork[E tensor.Element](rng *rand.Rand, inputSize, nActions int) *MLP[E] {
-	return NewMLP[E](rng, ActTanh, inputSize, inputSize, inputSize, nActions)
+	return NewMLP[E](rng, ActTanh, capesSizes(inputSize, nActions)...)
+}
+
+// CAPESNetworkDraws is how many rng.Float64 calls NewCAPESNetwork makes:
+// newDenseArena Xavier-fills each layer's weights, one draw apiece, and
+// leaves its biases zero.
+func CAPESNetworkDraws(inputSize, nActions int) int {
+	sizes := capesSizes(inputSize, nActions)
+	n := 0
+	for i := 0; i+1 < len(sizes); i++ {
+		n += sizes[i] * sizes[i+1]
+	}
+	return n
+}
+
+func capesSizes(inputSize, nActions int) []int {
+	return []int{inputSize, inputSize, inputSize, nActions}
 }
 
 // bindGrads allocates the gradient arena on first use and points every

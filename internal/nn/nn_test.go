@@ -431,3 +431,27 @@ func BenchmarkFlatNorm(b *testing.B) {
 		b.Fatal("zero norm")
 	}
 }
+
+// TestCAPESNetworkDrawsMatchesNewCAPESNetwork: NewCAPESNetwork leaves its
+// rng exactly CAPESNetworkDraws Float64 calls on, at either precision and
+// over shapes from a one-wide network to the paper rig's.
+func TestCAPESNetworkDrawsMatchesNewCAPESNetwork(t *testing.T) {
+	for _, sh := range []struct{ in, actions int }{{1, 1}, {4, 3}, {17, 5}, {64, 9}, {500, 5}} {
+		for _, wide := range []bool{false, true} {
+			built, stepped := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+			if wide {
+				NewCAPESNetwork[float64](built, sh.in, sh.actions)
+			} else {
+				NewCAPESNetwork[float32](built, sh.in, sh.actions)
+			}
+			for i := CAPESNetworkDraws(sh.in, sh.actions); i > 0; i-- {
+				stepped.Float64()
+			}
+			for i := 0; i < 1000; i++ {
+				if g, w := built.Uint64(), stepped.Uint64(); g != w {
+					t.Fatalf("%+v float64=%v: output %d after NewCAPESNetwork %#x, after CAPESNetworkDraws calls %#x", sh, wide, i, g, w)
+				}
+			}
+		}
+	}
+}

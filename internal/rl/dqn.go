@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"capes/internal/nn"
 	"capes/internal/replay"
@@ -80,7 +81,8 @@ type Agent[E tensor.Element] struct {
 
 // NewAgent builds an agent for the given observation width and action
 // count, using the paper's network shape (two hidden layers the width of
-// the input, linear Q-value head).
+// the input, linear Q-value head). It draws from rng only to initialise
+// that network (nn.CAPESNetworkDraws counts the draws).
 func NewAgent[E tensor.Element](cfg Config, eps *EpsilonSchedule, obsWidth, nActions int, rng *rand.Rand) (*Agent[E], error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -104,11 +106,13 @@ func NewAgent[E tensor.Element](cfg Config, eps *EpsilonSchedule, obsWidth, nAct
 	for _, p := range head {
 		p.Zero()
 	}
-	return newAgent(cfg, eps, online, rng), nil
+	return newAgent(cfg, eps, online, online.Clone(), rng), nil
 }
 
-// NewAgentWithNetwork wraps an existing network (checkpoint restore).
-func NewAgentWithNetwork[E tensor.Element](cfg Config, eps *EpsilonSchedule, online *nn.MLP[E], rng *rand.Rand) (*Agent[E], error) {
+// NewAgentWithNetwork wraps an existing online network and its target
+// network θ⁻ (checkpoint restore), which must have the same layer
+// widths. The agent owns both from then on.
+func NewAgentWithNetwork[E tensor.Element](cfg Config, eps *EpsilonSchedule, online, target *nn.MLP[E], rng *rand.Rand) (*Agent[E], error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -117,14 +121,17 @@ func NewAgentWithNetwork[E tensor.Element](cfg Config, eps *EpsilonSchedule, onl
 			return nil, err
 		}
 	}
-	return newAgent(cfg, eps, online, rng), nil
+	if !slices.Equal(online.Sizes, target.Sizes) {
+		return nil, fmt.Errorf("rl: target network %v does not match online network %v", target.Sizes, online.Sizes)
+	}
+	return newAgent(cfg, eps, online, target, rng), nil
 }
 
-func newAgent[E tensor.Element](cfg Config, eps *EpsilonSchedule, online *nn.MLP[E], rng *rand.Rand) *Agent[E] {
+func newAgent[E tensor.Element](cfg Config, eps *EpsilonSchedule, online, target *nn.MLP[E], rng *rand.Rand) *Agent[E] {
 	a := &Agent[E]{
 		cfg:      cfg,
 		Online:   online,
-		Target:   online.Clone(),
+		Target:   target,
 		Opt:      nn.NewAdam[E](cfg.LearningRate),
 		Epsilon:  eps,
 		nActions: online.OutputSize(),
@@ -148,9 +155,6 @@ func (a *Agent[E]) ensureScratch(n int) {
 	a.maxNext = make([]E, n)
 	a.argmaxNext = make([]int, n)
 }
-
-// Config returns the agent's hyperparameters.
-func (a *Agent[E]) Config() Config { return a.cfg }
 
 // SelectAction applies the ε-greedy policy at the given tick: with
 // probability ε a uniformly random action, otherwise argmax_a Q(obs,a)

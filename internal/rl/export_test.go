@@ -1,5 +1,8 @@
 package rl
 
+// Config returns the agent's hyperparameters.
+func (a *Agent[E]) Config() Config { return a.cfg }
+
 // DefaultConfig returns Table 1's values.
 func DefaultConfig() Config {
 	return Config{

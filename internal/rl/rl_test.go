@@ -305,7 +305,7 @@ func TestNoTargetNetAblation(t *testing.T) {
 func TestNewAgentWithNetworkRestoresShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	net := nn.NewMLP[float64](rng, nn.ActTanh, 5, 7, 4)
-	a, err := NewAgentWithNetwork(DefaultConfig(), nil, net, rng)
+	a, err := NewAgentWithNetwork(DefaultConfig(), nil, net, net.Clone(), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestDQNLearnsHillClimb(t *testing.T) {
 	cfg.LearningRate = 1e-3
 	net := nn.NewMLP[float64](rng, nn.ActTanh, 2, 24, 24, 3)
 	eps := NewEpsilonSchedule(ticks / 2)
-	agent, err := NewAgentWithNetwork(cfg, eps, net, rng)
+	agent, err := NewAgentWithNetwork(cfg, eps, net, net.Clone(), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestDoubleDQNLearns(t *testing.T) {
 	cfg.DoubleDQN = true
 	db, _ := replay.New(replay.Config{FrameWidth: 2, StackTicks: 1})
 	net := nn.NewMLP[float64](rng, nn.ActTanh, 2, 24, 24, 3)
-	agent, err := NewAgentWithNetwork(cfg, NewEpsilonSchedule(3000), net, rng)
+	agent, err := NewAgentWithNetwork(cfg, NewEpsilonSchedule(3000), net, net.Clone(), rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,12 +25,15 @@ import (
 //
 // Fields go through a BulkChunk buffer. A float run of at least
 // BulkChunk bytes on a little-endian target skips it: the run's own
-// memory is already the bytes the format defines, so it is hashed and
-// written in filePiece pieces straight from the caller's arena, and read
-// back by filling the arena a piece at a time and hashing what landed.
-// Each piece is hashed while it is still in cache from the copy. A table
-// of small fields can skip the per-field calls too: FileWriter.Avail
-// lends the buffer's free space to append a batch in place, and
+// memory is already the bytes the format defines, so it is written in
+// filePiece pieces straight from the caller's arena, and read back by
+// filling the arena a piece at a time. Such a run is hashed on a second
+// core: a helper goroutine computes the CRC-32C of the run, or of each
+// piece as it lands, while the write or read system calls move the
+// bytes, and is joined before the next field, error or not. The bytes
+// and the trailer are the same as hashing in line. A table of small
+// fields can skip the per-field calls too: FileWriter.Avail lends the
+// buffer's free space to append a batch in place, and
 // FileReader.Buffered lends the unread bytes to decode one.
 
 // Errors a FileReader reports; callers test them with errors.Is.
@@ -42,9 +45,8 @@ var (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// filePiece is the unit of a bulk float run: L2-sized, so the checksum
-// pass over a piece reads it from cache after the read or before the
-// write that moves it.
+// filePiece is the unit of a bulk float run: L2-sized, so a check of a
+// piece that has just been read finds it in cache.
 const filePiece = 256 << 10
 
 // FileWriter streams one checkpoint file through a BulkChunk buffer that
@@ -87,14 +89,18 @@ func (w *FileWriter) write(b []byte) {
 }
 
 // bulk writes what is buffered, then the bytes of an arena straight from
-// the caller's memory, one filePiece per Write.
+// the caller's memory, one filePiece per Write, while a helper goroutine
+// hashes the run. The helper is joined before bulk returns.
 func (w *FileWriter) bulk(b []byte) {
 	w.flush()
-	for len(b) > 0 {
+	h := startHasher(w.sum, 1)
+	h.add(b)
+	for len(b) > 0 && w.err == nil {
 		p := b[:min(len(b), filePiece)]
-		w.write(p)
+		_, w.err = w.w.Write(p)
 		b = b[len(p):]
 	}
+	w.sum = h.wait()
 }
 
 // Avail returns the buffer's free space as an empty slice with room for
@@ -270,10 +276,13 @@ func (r *FileReader) Uint32() uint32 { return binary.LittleEndian.Uint32(r.next(
 func (r *FileReader) Uint64() uint64 { return binary.LittleEndian.Uint64(r.next(8)) }
 
 // bulk fills the bytes of an arena: first from what is buffered, then
-// straight from the file one filePiece at a time, each piece hashed once
-// it has landed. It refuses a run longer than the file has left before
-// it reads any of it.
-func (r *FileReader) bulk(b []byte) {
+// straight from the file, the run's filePiece-sized pieces one at a time.
+// A helper goroutine hashes each piece once it has landed while the next
+// is read, and is joined before bulk returns. landed, unless nil, is
+// handed each piece's byte range [lo, hi) of b as soon as the piece is
+// in; the first error it returns stops the read. bulk refuses a run
+// longer than the file has left before it reads any of it.
+func (r *FileReader) bulk(b []byte, landed func(lo, hi int) error) {
 	if r.err != nil {
 		return
 	}
@@ -281,18 +290,26 @@ func (r *FileReader) bulk(b []byte) {
 		r.err = io.ErrUnexpectedEOF // the body ends inside the run
 		return
 	}
-	n := copy(b, r.buf[r.pos:r.end])
+	n := copy(b, r.buf[r.pos:r.end]) // hashed when it was buffered
 	r.pos += n
-	b = b[n:]
-	for len(b) > 0 {
-		p := b[:min(len(b), filePiece)]
-		if _, err := io.ReadFull(r.r, p); err != nil {
-			r.err = unexpectedEOF(err)
-			return
+	h := startHasher(r.sum, (len(b)+filePiece-1)/filePiece)
+	defer func() { r.sum = h.wait() }()
+	for lo := 0; lo < len(b); lo += filePiece {
+		hi := min(len(b), lo+filePiece)
+		if p := b[max(lo, n):hi]; len(p) > 0 {
+			if _, err := io.ReadFull(r.r, p); err != nil {
+				r.err = unexpectedEOF(err)
+				return
+			}
+			h.add(p)
+			r.left -= int64(len(p))
 		}
-		r.sum = crc32.Update(r.sum, castagnoli, p)
-		r.left -= int64(len(p))
-		b = b[len(p):]
+		if landed != nil {
+			if err := landed(lo, hi); err != nil {
+				r.err = err
+				return
+			}
+		}
 	}
 }
 
@@ -303,27 +320,26 @@ func (r *FileReader) Float32s(dst []float32) { r.Float32sCheck(dst, nil) }
 
 // Float32sCheck is Float32s that hands check each part of dst as soon as
 // it has landed: a bulk run is read a filePiece at a time, so each piece
-// is checked while it is still in cache from its checksum pass. The
-// first error check returns stops the read and becomes the reader's
-// error. A nil check checks nothing.
+// is checked while it is still in cache from the read. The first error
+// check returns stops the read and becomes the reader's error. A nil
+// check checks nothing.
 func (r *FileReader) Float32sCheck(dst []float32, check func([]float32) error) {
-	_, le := float32Slab(dst)
-	bulk := le && 4*len(dst) >= BulkChunk
-	for r.err == nil && len(dst) > 0 {
-		var part []float32
-		if bulk {
-			part = dst[:min(len(dst), filePiece/4)]
-			b, _ := float32Slab(part)
-			r.bulk(b)
-		} else {
-			if r.end-r.pos < 4 && !r.fill(4) {
-				return
-			}
-			part = dst[:min(len(dst), (r.end-r.pos)/4)]
-			Float32s(part, r.buf[r.pos:])
-			r.pos += 4 * len(part)
+	if b, ok := float32Slab(dst); ok && len(b) >= BulkChunk {
+		var landed func(lo, hi int) error
+		if check != nil {
+			landed = func(lo, hi int) error { return check(dst[lo/4 : hi/4]) }
 		}
-		if r.err == nil && check != nil {
+		r.bulk(b, landed)
+		return
+	}
+	for r.err == nil && len(dst) > 0 {
+		if r.end-r.pos < 4 && !r.fill(4) {
+			return
+		}
+		part := dst[:min(len(dst), (r.end-r.pos)/4)]
+		Float32s(part, r.buf[r.pos:])
+		r.pos += 4 * len(part)
+		if check != nil {
 			r.err = check(part)
 		}
 		dst = dst[len(part):]
@@ -333,7 +349,7 @@ func (r *FileReader) Float32sCheck(dst []float32, check func([]float32) error) {
 // Float64s is Float32s for float64 values.
 func (r *FileReader) Float64s(dst []float64) {
 	if b, ok := float64Slab(dst); ok && len(b) >= BulkChunk {
-		r.bulk(b)
+		r.bulk(b, nil)
 		return
 	}
 	for len(dst) > 0 {
@@ -345,6 +361,36 @@ func (r *FileReader) Float64s(dst []float64) {
 		r.pos += 8 * k
 		dst = dst[k:]
 	}
+}
+
+// hasher computes the CRC-32C of a bulk run on a goroutine of its own, so
+// the hash of one piece runs beside the read or write that moves the
+// next. Pieces are hashed in the order they are added.
+type hasher struct {
+	pieces chan []byte
+	sum    chan uint32
+}
+
+// startHasher starts a hasher that continues sum over up to n pieces.
+func startHasher(sum uint32, n int) *hasher {
+	h := &hasher{pieces: make(chan []byte, n), sum: make(chan uint32, 1)}
+	go func() {
+		for p := range h.pieces {
+			sum = crc32.Update(sum, castagnoli, p)
+		}
+		h.sum <- sum
+	}()
+	return h
+}
+
+// add queues a piece; it never blocks.
+func (h *hasher) add(p []byte) { h.pieces <- p }
+
+// wait returns the sum over every piece added, once the goroutine has
+// hashed them all and exited.
+func (h *hasher) wait() uint32 {
+	close(h.pieces)
+	return <-h.sum
 }
 
 // Remaining returns how many body bytes have not been consumed yet.

@@ -11,7 +11,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 )
 
 const testMagic = "WIRETEST"
@@ -482,5 +484,157 @@ func TestFileBulkRunRefusals(t *testing.T) {
 	flipped[cut] ^= 0x20
 	if err := read(bytes.NewReader(flipped)); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("bit flipped inside a piece: %v", err)
+	}
+}
+
+// TestBulkRunDamageEitherHalf: a bit flipped in, or a file cut inside,
+// the first or the second half of a bulk run is ErrChecksum or
+// io.ErrUnexpectedEOF, whichever way the run is read — the hash of each
+// piece runs on the helper goroutine, so a fault must still reach Close
+// from either side of the join — and no read leaves the helper running.
+func TestBulkRunDamageEitherHalf(t *testing.T) {
+	n := 3*filePiece + 8*1001
+	raw := make([]byte, n)
+	rand.New(rand.NewSource(46)).Read(raw)
+	file := bulkFile(raw)
+	const head = len(testMagic) + 4 + 1 + 8 // the run's offset in file
+	reads := map[string]func(*FileReader){
+		"Float32s": func(fr *FileReader) { fr.Float32s(make([]float32, n/4)) },
+		"Float32sCheck": func(fr *FileReader) {
+			fr.Float32sCheck(make([]float32, n/4), func([]float32) error { return nil })
+		},
+		"Float64s": func(fr *FileReader) { fr.Float64s(make([]float64, n/8)) },
+	}
+	before := runtime.NumGoroutine()
+	for kind, readRun := range reads {
+		read := func(r io.Reader) error {
+			fr, err := NewFileReader(r, testMagic, 7)
+			if err != nil {
+				return err
+			}
+			fr.Byte()
+			fr.Uint64()
+			readRun(fr)
+			fr.Uint32()
+			return fr.Close()
+		}
+		if err := read(bytes.NewReader(file)); err != nil {
+			t.Fatalf("%s: intact file: %v", kind, err)
+		}
+		for _, at := range []int{n / 4, 3 * n / 4} {
+			flipped := append([]byte(nil), file...)
+			flipped[head+at] ^= 0x08
+			if err := read(bytes.NewReader(flipped)); !errors.Is(err, ErrChecksum) {
+				t.Fatalf("%s: bit flipped at %d of %d: %v", kind, at, n, err)
+			}
+			if err := read(bytes.NewReader(file[:head+at])); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("%s: file cut at %d of %d: %v", kind, at, n, err)
+			}
+			if err := read(lyingLen{bytes.NewReader(file[:head+at]), len(file)}); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("%s: stream ending at %d of %d: %v", kind, at, n, err)
+			}
+		}
+	}
+	settled(t, before)
+}
+
+// failAfter is a writer that takes n bytes and then fails every Write.
+type failAfter struct {
+	n   int
+	err error
+}
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		k := f.n
+		f.n = 0
+		return k, f.err
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
+// failingReader serves the first n bytes of a file, then fails.
+type failingReader struct {
+	*bytes.Reader
+	n   int
+	err error
+}
+
+func (f *failingReader) Read(p []byte) (int, error) {
+	if f.n == 0 {
+		return 0, f.err
+	}
+	k, err := f.Reader.Read(p[:min(len(p), f.n)])
+	f.n -= k
+	return k, err
+}
+
+// TestBulkRunIOErrorLeavesNoHasher: a writer or a reader that fails in
+// the middle of a bulk run, and a check that refuses a piece there, end
+// the run with their error, and the helper goroutine hashing the run is
+// gone when the call returns.
+func TestBulkRunIOErrorLeavesNoHasher(t *testing.T) {
+	n := 3*filePiece + 8*1001
+	raw := make([]byte, n)
+	rand.New(rand.NewSource(47)).Read(raw)
+	f32 := make([]float32, n/4)
+	Float32s(f32, raw)
+	file := bulkFile(raw)
+	broken := errors.New("device gone")
+	before := runtime.NumGoroutine()
+
+	for _, at := range []int{filePiece / 2, 2*filePiece + 3} {
+		fw := NewFileWriter(&failAfter{n: at, err: broken}, testMagic, 7)
+		fw.Byte(0xab)
+		fw.Uint64(uint64(n))
+		fw.Float32s(f32)
+		fw.Uint32(0xc0ffee)
+		if err := fw.Close(); !errors.Is(err, broken) {
+			t.Fatalf("writer failing at %d: Close = %v", at, err)
+		}
+
+		fr, err := NewFileReader(&failingReader{bytes.NewReader(file), at, broken}, testMagic, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr.Byte()
+		fr.Uint64()
+		fr.Float32s(make([]float32, n/4))
+		if err := fr.Close(); !errors.Is(err, broken) {
+			t.Fatalf("reader failing at %d: Close = %v", at, err)
+		}
+
+		refused := errors.New("refused")
+		fr, err = NewFileReader(bytes.NewReader(file), testMagic, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr.Byte()
+		fr.Uint64()
+		seen := 0
+		fr.Float32sCheck(make([]float32, n/4), func(part []float32) error {
+			if seen += 4 * len(part); seen > at {
+				return refused
+			}
+			return nil
+		})
+		if err := fr.Close(); !errors.Is(err, refused) {
+			t.Fatalf("check refusing past %d: Close = %v", at, err)
+		}
+	}
+	settled(t, before)
+}
+
+// settled fails unless the goroutine count is back to at most want
+// within a few seconds.
+func settled(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines running, %d before", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
