@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"capes/internal/tensor"
 )
 
 func TestRunTable1(t *testing.T) {
@@ -74,6 +76,42 @@ func TestRunWritesDeterministicJSON(t *testing.T) {
 		}
 		if !bytes.HasSuffix(a, []byte("}\n")) {
 			t.Fatalf("%s does not end in a newline", name)
+		}
+	}
+}
+
+// TestConvergenceJSONSameOnAVX512AsAVX2 runs the same test-scale
+// convergence harness on the avx2 and the avx512 kernel tier: the
+// avx512 bodies keep avx2's operation order, so every trajectory file
+// must come out byte-identical. Hosts without AVX-512F skip it.
+func TestConvergenceJSONSameOnAVX512AsAVX2(t *testing.T) {
+	orig := tensor.KernelTier()
+	defer tensor.SetKernelTier(orig)
+	if applied, _ := tensor.SetKernelTier("avx512"); applied != "avx512" {
+		t.Skip("host has no AVX-512F: no avx512 tier to hold to avx2")
+	}
+	dir := t.TempDir()
+	for _, tier := range []string{"avx2", "avx512"} {
+		if applied, err := tensor.SetKernelTier(tier); err != nil || applied != tier {
+			t.Fatalf("SetKernelTier(%q) = %q, %v", tier, applied, err)
+		}
+		err := run([]string{"-experiment", "convergence", "-scale", "0.002", "-json-dir", filepath.Join(dir, tier)}, io.Discard)
+		if err != nil && !strings.Contains(err.Error(), "did not reach") {
+			t.Fatal(err)
+		}
+	}
+	for _, sc := range []string{"randrw-1-9", "randrw-1-4", "fileserver"} {
+		name := "BENCH_convergence_" + sc + ".json"
+		a, err := os.ReadFile(filepath.Join(dir, "avx2", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(dir, "avx512", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("%s: avx512 trajectory differs from avx2's", name)
 		}
 	}
 }

@@ -13,7 +13,7 @@
 //	capes-inspect -watch 127.0.0.1:8080 mysession [interval]
 //
 // -tier prints the SIMD kernel tier the tensor kernels run at on this
-// host (scalar|avx2, honoring CAPES_SIMD) and exits — perf triage
+// host (scalar|avx2|avx512, honoring CAPES_SIMD) and exits — perf triage
 // uses it to tell hosts apart, and CI records it next to benchmark
 // baselines.
 //

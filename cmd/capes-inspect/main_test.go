@@ -52,11 +52,11 @@ func TestInspectorsDoNotPanic(t *testing.T) {
 }
 
 // TestKernelTierIsReportable: the -tier mode prints tensor.KernelTier,
-// which must be one of the two documented names so scripts (the CI
+// which must be one of the three documented names so scripts (the CI
 // bench job records it next to baselines) can match on it.
 func TestKernelTierIsReportable(t *testing.T) {
 	switch tier := tensor.KernelTier(); tier {
-	case "scalar", "avx2":
+	case "scalar", "avx2", "avx512":
 	default:
 		t.Fatalf("KernelTier() = %q, not a documented tier name", tier)
 	}

@@ -103,13 +103,14 @@ func (s *engineSource) SkipFloat64(n int) {
 }
 
 // float64Retries counts the outputs in b that Float64 would draw again
-// for.
+// for. x&int63Mask + (2⁶³ − float64Retry) carries into bit 63 exactly
+// when x&int63Mask ≥ float64Retry, and cannot overflow since
+// x&int63Mask < 2⁶³; summing that bit keeps the loop free of a
+// per-output compare chained through the count.
 func float64Retries(b []uint64) int {
-	n := 0
+	var n uint64
 	for _, x := range b {
-		if x&int63Mask >= float64Retry {
-			n++
-		}
+		n += (x&int63Mask + (1<<63 - float64Retry)) >> 63
 	}
-	return n
+	return int(n)
 }

@@ -226,8 +226,8 @@ func (m *Manager) CheckpointAll() ([]string, map[string]error) {
 }
 
 // AggregateStats is the whole-process control-plane view. KernelTier
-// names the SIMD tier the process's tensor kernels run on (scalar or
-// avx2) so perf numbers scraped from /stats can be compared across
+// names the SIMD tier the process's tensor kernels run on (scalar, avx2
+// or avx512) so perf numbers scraped from /stats can be compared across
 // hosts — bench baselines are only meaningful within one tier.
 type AggregateStats struct {
 	Sessions   []SessionStats `json:"sessions"`

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -10,10 +11,10 @@ import (
 // TestFusedStepBitIdenticalAcrossTiers pins the kernel-tier contract at
 // the optimizer level: a float32 FusedStep trajectory — all three
 // target modes, several steps deep, moments included — must be bit-
-// identical on both tiers when the host has avx2, because VSQRTPS/VDIVPS
-// round exactly like the scalar loops. Combined with the sharded-vs-serial
-// test this means neither worker count nor CAPES_SIMD can change a
-// training run.
+// identical on every tier the host has, because VSQRTPS/VDIVPS round
+// exactly like the scalar loops and the avx512 tier keeps avx2's
+// bodies. Combined with the sharded-vs-serial test this means neither
+// worker count nor CAPES_SIMD can change a training run.
 func TestFusedStepBitIdenticalAcrossTiers(t *testing.T) {
 	const n = 10_000 // odd tails exercised via n-1 slices below
 	run := func(tier string, mode int) (params, target, fm []float32) {
@@ -63,6 +64,21 @@ func TestFusedStepBitIdenticalAcrossTiers(t *testing.T) {
 			t.Fatalf("avx2/%s touched the element beyond the sweep", name)
 		}
 	}
+	t.Run("avx512=avx2", func(t *testing.T) {
+		if applied, _ := tensor.SetKernelTier("avx512"); applied != "avx512" {
+			t.Skip("host has no AVX-512F: no avx512 tier to hold to avx2")
+		}
+		for mode, name := range []string{"plain", "soft", "alpha1"} {
+			refP, refT, refM := run("avx2", mode)
+			p, tg, fm := run("avx512", mode)
+			for i := range p {
+				if math.Float32bits(p[i]) != math.Float32bits(refP[i]) || math.Float32bits(tg[i]) != math.Float32bits(refT[i]) ||
+					(i < len(refM) && math.Float32bits(fm[i]) != math.Float32bits(refM[i])) {
+					t.Fatalf("avx512/%s deviates from avx2 at %d", name, i)
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkFusedStep isolates the fused Adam/clip/soft-update sweep at

@@ -12,6 +12,14 @@ func (m *MLP[E]) ForwardVec(obs []E) []E {
 	return m.ForwardVecInto(make([]E, m.OutputSize()), obs)
 }
 
+// CopyParamsFrom copies all parameters from src in one flat pass.
+func (m *MLP[E]) CopyParamsFrom(src *MLP[E]) {
+	if len(m.paramData) != len(src.paramData) {
+		panic("nn: CopyParamsFrom shape mismatch")
+	}
+	copy(m.paramData, src.paramData)
+}
+
 // CheckpointInfo reports a checkpoint's precision tag and layer sizes
 // from its header alone, without reading the arena or verifying the
 // checksum.

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"capes/internal/tensor"
 )
@@ -72,14 +73,20 @@ func arenaLen(sizes []int) int {
 // NewMLP[E](rng, ActTanh, in, in, in, nActions): two hidden layers the
 // same size as the input (Table 1 "number of hidden layers"=2, "hidden
 // layer size"=input size). A nil rng leaves the weights zero, for a model
-// whose parameters are about to be overwritten (checkpoint load, Clone).
+// whose parameters are about to be overwritten (checkpoint load).
 func NewMLP[E tensor.Element](rng *rand.Rand, act Activation, sizes ...int) *MLP[E] {
 	if len(sizes) < 2 {
 		panic("nn: MLP needs at least input and output sizes")
 	}
-	m := &MLP[E]{Sizes: append([]int(nil), sizes...), Activation: act}
-	total := arenaLen(sizes)
-	m.paramData = make([]E, total)
+	return newMLPOver(make([]E, arenaLen(sizes)), rng, act, sizes)
+}
+
+// newMLPOver builds the MLP over a given parameter arena of
+// arenaLen(sizes) values, laid out layer by layer as weights then
+// biases. A nil rng keeps the arena's values; otherwise each layer's
+// weights are Xavier-filled over them.
+func newMLPOver[E tensor.Element](arena []E, rng *rand.Rand, act Activation, sizes []int) *MLP[E] {
+	m := &MLP[E]{Sizes: append([]int(nil), sizes...), Activation: act, paramData: arena}
 	off := 0
 	for i := 0; i+1 < len(sizes); i++ {
 		in, out := sizes[i], sizes[i+1]
@@ -208,17 +215,7 @@ func (m *MLP[E]) Precision() string { return precisionName[E]() }
 // Clone returns a deep copy with identical weights (used to spawn the
 // target network from the online network).
 func (m *MLP[E]) Clone() *MLP[E] {
-	c := NewMLP[E](nil, m.Activation, m.Sizes...)
-	c.CopyParamsFrom(m)
-	return c
-}
-
-// CopyParamsFrom copies all parameters from src in one flat pass.
-func (m *MLP[E]) CopyParamsFrom(src *MLP[E]) {
-	if len(m.paramData) != len(src.paramData) {
-		panic("nn: CopyParamsFrom shape mismatch")
-	}
-	copy(m.paramData, src.paramData)
+	return newMLPOver(slices.Clone(m.paramData), nil, m.Activation, m.Sizes)
 }
 
 // CheckFinite returns an error if any parameter is NaN/Inf, scanning the

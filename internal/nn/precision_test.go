@@ -138,7 +138,7 @@ func TestFusedStepHardUpdateCopiesExactly(t *testing.T) {
 	}
 	orig := tensor.KernelTier()
 	defer tensor.SetKernelTier(orig)
-	for _, tier := range []string{"scalar", "avx2"} {
+	for _, tier := range []string{"scalar", "avx2", "avx512"} {
 		if applied, _ := tensor.SetKernelTier(tier); applied != tier {
 			continue
 		}

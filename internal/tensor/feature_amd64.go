@@ -13,7 +13,10 @@ func xgetbv() (ax, dx uint32)
 // when the CPU has AVX2 and the OS has enabled YMM state saving
 // (OSXSAVE + XCR0 bits 1-2), since without the latter the registers
 // would be corrupted across context switches no matter what the CPU
-// supports; scalar otherwise.
+// supports; avx512 when the CPU also has AVX512F and the OS saves the
+// opmask and both halves of the ZMM file too (XCR0 bits 5-7); scalar
+// otherwise. The avx512 bodies use AVX512F instructions only, so that
+// one CPUID bit is the whole requirement.
 func detectBestTier() int32 {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
@@ -27,12 +30,18 @@ func detectBestTier() int32 {
 	if cx1&osxsave == 0 || cx1&avx == 0 {
 		return tierScalar
 	}
-	if ax, _ := xgetbv(); ax&0x6 != 0x6 { // XMM and YMM state OS-enabled
+	xcr0, _ := xgetbv()
+	if xcr0&0x6 != 0x6 { // XMM and YMM state OS-enabled
 		return tierScalar
 	}
 	_, bx7, _, _ := cpuid(7, 0)
 	if bx7&(1<<5) == 0 { // AVX2
 		return tierScalar
 	}
-	return tierAVX2
+	// AVX512F, with XMM, YMM, opmask, ZMM0-15 upper halves and ZMM16-31
+	// state all OS-enabled.
+	if bx7&(1<<16) == 0 || xcr0&0xE6 != 0xE6 {
+		return tierAVX2
+	}
+	return tierAVX512
 }

@@ -4,8 +4,8 @@ package tensor
 // dispatch here when the element type is exactly float32 (named
 // ~float32 types keep the generic scalar path): same cache blocking,
 // but the innermost loops run on the tier-dispatched vector primitives
-// of simd_amd64.go (8 AVX2 float32 lanes per instruction, scalar
-// elsewhere — the wrappers handle ragged tails). Each element's
+// of simd_amd64.go (8 AVX2 or 16 AVX-512 float32 lanes per instruction,
+// scalar elsewhere — the wrappers handle ragged tails). Each element's
 // arithmetic is independent of the tile sizes, of the row pairing and
 // of whether the operand tile was packed.
 
@@ -114,10 +114,11 @@ func mulTransAF32(dst, a, b *Matrix[float32]) {
 //
 // At depths of a vector or more, b is cut into blockTB-row column
 // blocks and one sdotTile call sweeps every row of a over a block — on
-// avx2 a 2 × 2 register tile in one assembly call, elsewhere one sdot
-// per output. Both operand rows are unit-stride, so nothing is packed.
+// avx2 a 2 × 2 and on avx512 a 4 × 4 register tile in one assembly
+// call, on scalar one sdot per output. Both operand rows are
+// unit-stride, so nothing is packed.
 //
-// Below the avx2 vector width (the 5-wide Q head's ∂L/∂in), sdot is
+// Below the 8-lane vector width (the 5-wide Q head's ∂L/∂in), sdot is
 // the ascending chain of its products, which saxpy1 computes a whole
 // row at a time: bᵀ is packed into the pooled panel and each output row
 // is zeroed and accumulates k saxpy1s — rows·k calls where the per-dot

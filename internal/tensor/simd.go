@@ -10,20 +10,24 @@ import (
 //
 // The vector primitives behind the float32 matmul kernels, the fused
 // Adam sweep, the bias+tanh activation sweep and the gradient-norm
-// reduction come in two tiers, selected once at process start:
+// reduction come in three tiers, selected once at process start:
 //
 //	scalar  portable Go loops (every architecture, and amd64 hosts
 //	        without AVX2)
 //	avx2    8 float32 lanes per YMM register, used only when CPUID+XGETBV
 //	        confirm the CPU *and* the OS support AVX state
+//	avx512  16 float32 lanes per ZMM register in the two GEMM tiles
+//	        (AVX512F only, with the OS saving opmask and ZMM state);
+//	        every other routine runs its avx2 body. Every output is
+//	        bit-identical to the avx2 tier's (simd_amd64.go)
 //
 // Only float32 — the engine's precision — has vector kernels. float64
-// matrices run the generic Go loops in matmul.go on both tiers; they
+// matrices run the generic Go loops in matmul.go on every tier; they
 // are the reference the precision tests hold float32 to.
 //
 // Detection happens in init (feature_amd64.go); the CAPES_SIMD
-// environment variable (scalar|avx2) overrides it for testing and perf
-// triage, clamped to what the host actually supports. KernelTier
+// environment variable (scalar|avx2|avx512) overrides it for testing
+// and perf triage, clamped to what the host actually supports. KernelTier
 // reports the active tier — capesd's /stats and /healthz payloads and
 // `capes-inspect -tier` surface it so profiles from different hosts can
 // be told apart.
@@ -32,19 +36,20 @@ import (
 // the tier is read per wrapper call, vector bodies run on the largest
 // lane-aligned prefix, and the remainder always falls through to the
 // scalar loops below. Every vector operation used is IEEE-exact
-// (mul/add/sub/sqrt/div are correctly rounded, and the AVX2 kernels
+// (mul/add/sub/sqrt/div are correctly rounded, and the vector kernels
 // deliberately use separate VMULPS+VADDPS rather than FMA), so for the
 // elementwise primitives — the saxpy family, the Adam sweep and
-// BiasTanh32 — both tiers produce bit-identical results element for
+// BiasTanh32 — every tier produces bit-identical results element for
 // element, and SumSquares32 does because its summation order is fixed
-// by definition. Only the dot-product reduction differs across tiers
-// (wider accumulators change the summation order), which the
-// precision-scaled equivalence tolerances already cover.
+// by definition. Only the dot-product reduction differs between scalar
+// and avx2 (wider accumulators change the summation order), which the
+// precision-scaled equivalence tolerances already cover; avx512 keeps
+// avx2's order, so the two vector tiers agree on every bit.
 //
 // Dot-order contract: within a tier, every float32 MulTransBInto output
 // is bit-identical to one lone sdot over its two rows, whichever kernel
-// computed it (sdot, the avx2 tile body or the chain below). Below
-// k = 8, sdot is sdotScalar on both tiers, and each of its four partial
+// computed it (sdot, a vector tile body or the chain below). Below
+// k = 8, sdot is sdotScalar on every tier, and each of its four partial
 // sums holds at most one product, sᵢ = +0 + pᵢ. Its result
 // ((s0 + s1) + s2) + s3, then + p4 … in ascending order, is then the
 // plain chain ((+0 + p0) + p1) + … : the two differ only where a partial
@@ -61,9 +66,10 @@ import (
 const (
 	tierScalar int32 = iota
 	tierAVX2
+	tierAVX512
 )
 
-var tierNames = [...]string{"scalar", "avx2"}
+var tierNames = [...]string{"scalar", "avx2", "avx512"}
 
 // activeTier is the tier the wrapper functions dispatch on. bestTier is
 // the host ceiling established at init; forced tiers are clamped to it.
@@ -74,17 +80,19 @@ var (
 
 func init() {
 	bestTier = detectBestTier()
-	tier := bestTier
-	if env := os.Getenv("CAPES_SIMD"); env != "" {
-		if forced, ok := tierByName(env); ok && forced < tier {
-			tier = forced
-		}
-		// Unknown names and tiers above the host ceiling keep the
-		// detected best: a daemon must not lose its vector units to a
-		// typo, and CAPES_SIMD=avx2 on a host without AVX2 stays
-		// "scalar".
+	activeTier.Store(startTier(os.Getenv("CAPES_SIMD"), bestTier))
+}
+
+// startTier is the tier a process starts on: the host ceiling best, or
+// the lower tier the CAPES_SIMD value env names. Unknown names and
+// tiers above the ceiling keep best: a daemon must not lose its vector
+// units to a typo, and CAPES_SIMD=avx512 on a host without AVX-512F
+// stays "avx2".
+func startTier(env string, best int32) int32 {
+	if forced, ok := tierByName(env); ok && forced < best {
+		return forced
 	}
-	activeTier.Store(tier)
+	return best
 }
 
 func tierByName(name string) (int32, bool) {
@@ -96,7 +104,8 @@ func tierByName(name string) (int32, bool) {
 	return 0, false
 }
 
-// KernelTier reports the active SIMD tier ("scalar" or "avx2").
+// KernelTier reports the active SIMD tier ("scalar", "avx2" or
+// "avx512").
 // Perf triage uses it to tell hosts apart: bench baselines are only
 // comparable within one tier.
 func KernelTier() string { return tierNames[activeTier.Load()] }
@@ -109,7 +118,7 @@ func KernelTier() string { return tierNames[activeTier.Load()] }
 func SetKernelTier(name string) (applied string, err error) {
 	t, ok := tierByName(name)
 	if !ok {
-		return KernelTier(), fmt.Errorf("tensor: unknown kernel tier %q (want scalar|avx2)", name)
+		return KernelTier(), fmt.Errorf("tensor: unknown kernel tier %q (want scalar|avx2|avx512)", name)
 	}
 	if t > bestTier {
 		t = bestTier
@@ -159,7 +168,8 @@ func saxpy4x2(dst0, dst1, x0, x1, x2, x3 []float32, a00, a01, a02, a03, a10, a11
 // one routine serve a row-major left operand (aRow = its width, aK = 1)
 // and a transposed one (aRow = 1, aK = its width); skipZero drops quads
 // whose eight multipliers are all zero. This is saxpy4x2Tile on the
-// scalar tier, and the reference the tests hold the avx2 tile body to.
+// scalar tier, and the reference the tests hold the vector tile bodies
+// to.
 func saxpy4x2TileCalls(d []float32, dPitch int, a []float32, aRow, aK int, b []float32, bPitch, pairs, quads, seg int, skipZero bool) {
 	for p := 0; p < pairs; p++ {
 		d0 := d[2*p*dPitch:][:seg]
@@ -181,7 +191,8 @@ func saxpy4x2TileCalls(d []float32, dPitch int, a []float32, aRow, aK int, b []f
 
 // sdotTileCalls writes one column block of a·bᵀ: for i < rows and
 // j < cols, d[i·dPitch + j] = sdot(a[i·k:][:k], b[j·k:][:k]). This is
-// sdotTile on the scalar tier, and on avx2 for depths below 8.
+// sdotTile on the scalar tier, and on the vector tiers for depths below
+// 8.
 func sdotTileCalls(d []float32, dPitch int, a, b []float32, k, rows, cols int) {
 	for i := 0; i < rows; i++ {
 		arow, drow := a[i*k:(i+1)*k], d[i*dPitch:]

@@ -33,7 +33,7 @@ func forEachTier(t *testing.T, f func(t *testing.T)) {
 func TestSetKernelTier(t *testing.T) {
 	orig := KernelTier()
 	defer SetKernelTier(orig)
-	for _, name := range []string{"avx512", "sse"} {
+	for _, name := range []string{"avx1024", "sse", "AVX512"} {
 		if _, err := SetKernelTier(name); err == nil {
 			t.Fatalf("unknown tier name %q did not error", name)
 		}
@@ -43,13 +43,76 @@ func TestSetKernelTier(t *testing.T) {
 		t.Fatalf("force scalar: applied=%q tier=%q err=%v", applied, KernelTier(), err)
 	}
 	// Forcing above the host ceiling clamps instead of erroring.
-	applied, err = SetKernelTier("avx2")
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"avx2", "avx512"} {
+		applied, err = SetKernelTier(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if applied != KernelTier() {
+			t.Fatalf("applied %q but KernelTier reports %q", applied, KernelTier())
+		}
 	}
-	if applied != KernelTier() {
-		t.Fatalf("applied %q but KernelTier reports %q", applied, KernelTier())
+}
+
+// TestForcedTierClampsToHost: CAPES_SIMD and SetKernelTier may lower
+// the tier but never raise it past the host's ceiling — a forced avx512
+// on an AVX2-only host runs avx2, and on a host without AVX2 scalar —
+// and an unknown or empty CAPES_SIMD keeps the detected best. The host
+// ceiling is lowered by hand, so this runs on every host.
+func TestForcedTierClampsToHost(t *testing.T) {
+	for _, c := range []struct {
+		env        string
+		best, want int32
+	}{
+		{"avx512", tierAVX2, tierAVX2},
+		{"avx512", tierScalar, tierScalar},
+		{"avx2", tierAVX512, tierAVX2},
+		{"avx2", tierScalar, tierScalar},
+		{"scalar", tierAVX512, tierScalar},
+		{"avx512", tierAVX512, tierAVX512},
+		{"", tierAVX512, tierAVX512},
+		{"avx3", tierAVX2, tierAVX2},
+	} {
+		if got := startTier(c.env, c.best); got != c.want {
+			t.Errorf("CAPES_SIMD=%q on a %s host starts on %s, want %s", c.env, tierNames[c.best], tierNames[got], tierNames[c.want])
+		}
 	}
+
+	orig, origBest := KernelTier(), bestTier
+	defer func() { bestTier = origBest; SetKernelTier(orig) }()
+	bestTier = min(bestTier, tierAVX2)
+	applied, err := SetKernelTier("avx512")
+	if err != nil || applied != tierNames[bestTier] || KernelTier() != applied {
+		t.Fatalf("SetKernelTier(avx512) below an AVX-512 ceiling: applied=%q tier=%q err=%v, want %q",
+			applied, KernelTier(), err, tierNames[bestTier])
+	}
+}
+
+// sameBitsOnAVX512 runs run on the avx2 tier and then on the avx512
+// tier, as subtest "avx512=avx2", and fails unless both return the same
+// bits: the avx512 bodies keep avx2's operation order, so no output may
+// move, not even a NaN payload. Hosts without AVX-512F skip it.
+func sameBitsOnAVX512(t *testing.T, run func(t *testing.T) []float32) {
+	t.Helper()
+	t.Run("avx512=avx2", func(t *testing.T) {
+		if bestTier < tierAVX512 {
+			t.Skip("host has no AVX-512F: no avx512 tier to hold to avx2")
+		}
+		orig := KernelTier()
+		defer SetKernelTier(orig)
+		SetKernelTier("avx2")
+		want := run(t)
+		SetKernelTier("avx512")
+		got := run(t)
+		if len(got) != len(want) {
+			t.Fatalf("avx512 returned %d outputs, avx2 %d", len(got), len(want))
+		}
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("output %d: avx512 gives %x, avx2 %x", i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+			}
+		}
+	})
 }
 
 // simdLens covers empty and len<lane-count slices, exact lane
@@ -204,6 +267,18 @@ func TestAdamSweepBitIdenticalAcrossTiers(t *testing.T) {
 			}
 		}
 	})
+	sameBitsOnAVX512(t, func(t *testing.T) []float32 {
+		var out []float32
+		for _, n := range append(simdLens, 500) {
+			plain, soft := mk(n, int64(200+n)), mk(n, int64(200+n))
+			AdamSweep32(plain.p, plain.g, plain.fm, plain.fv, lrT, b1, 1-b1, b2, 1-b2, eps, scale)
+			AdamSweepSoft32(soft.p, soft.g, soft.fm, soft.fv, soft.tg, lrT, b1, 1-b1, b2, 1-b2, eps, scale, al, 1-al)
+			for _, x := range [][]float32{plain.p, plain.fm, plain.fv, soft.p, soft.fm, soft.fv, soft.tg} {
+				out = append(out, x...)
+			}
+		}
+		return out
+	})
 }
 
 // tanhEdgeInputs are the inputs where FastTanh32 changes branch or an
@@ -285,6 +360,20 @@ func TestBiasTanh32BitIdenticalAcrossTiers(t *testing.T) {
 		if row[19] != after {
 			t.Fatal("BiasTanh32 wrote past the row")
 		}
+	})
+	sameBitsOnAVX512(t, func(t *testing.T) []float32 {
+		rng := rand.New(rand.NewSource(72))
+		var out []float32
+		for _, n := range lens {
+			row, bias := make([]float32, n), make([]float32, n)
+			for j := range row {
+				row[j] = float32(rng.NormFloat64() * 4)
+				bias[j] = edges[rng.Intn(len(edges))]
+			}
+			BiasTanh32(row, bias)
+			out = append(out, row...)
+		}
+		return out
 	})
 }
 
@@ -492,11 +581,12 @@ func tileOperand(rng *rand.Rand, r, c int, sparse, byRow, edges bool) *Matrix[fl
 
 // TestMulKernelsBitIdenticalToQuadOrder: the float32 MulInto and
 // MulTransAInto must equal their quad-order definitions bit for bit on
-// every tier — the avx2 tile body, the scalar tier's per-call saxpy4x2
-// path, the 4-lane and single-lane steps, the odd row and the
-// leftover k's all land on one answer. Widths cover every column
-// remainder, one full and one 244-wide block (the rig's second) and a
-// packed two-block product; k covers every remainder up to one k block
+// every tier — the vector tile bodies, the scalar tier's per-call
+// saxpy4x2 path, the 16-, 8-, 4-lane and single-lane steps, the odd row
+// and the leftover k's all land on one answer — and avx512 must equal
+// avx2 outright. Widths cover every column remainder mod 16, one full
+// and one 244-wide block (the rig's second) and a packed two-block
+// product; k covers every remainder up to one k block (every k % 16)
 // and two ragged multiples of it.
 func TestMulKernelsBitIdenticalToQuadOrder(t *testing.T) {
 	widths := []int{244, blockJ, blockJ + 244}
@@ -507,37 +597,55 @@ func TestMulKernelsBitIdenticalToQuadOrder(t *testing.T) {
 	for k := 1; k <= blockK; k++ {
 		depths = append(depths, k)
 	}
-	forEachTier(t, func(t *testing.T) {
+	// each calls f once per width × depth with that case's operands: a
+	// (rows × k) for MulInto, at (k × rows) for MulTransAInto, and b.
+	each := func(f func(mode int, a, at, b *Matrix[float32])) {
 		rng := rand.New(rand.NewSource(83))
 		for _, n := range widths {
 			for _, k := range depths {
 				rows := []int{1, 2, 5, panelMinRows}[rng.Intn(4)]
 				mode := rng.Intn(3) // plain, sparse, sparse with edge values
 				sparse, edges := mode > 0, mode > 1
-
 				a := tileOperand(rng, rows, k, sparse, false, edges)
 				b := tileOperand(rng, k, n, false, false, edges)
-				got, want := New[float32](rows, n), New[float32](rows, n)
-				MulInto(got, a, b)
-				quadOrderMul(want, a, b)
-				for i := range want.Data {
-					if !sameFloat32(got.Data[i], want.Data[i]) {
-						t.Fatalf("MulInto %dx%dx%d mode %d: element %d is %x, quad order gives %x", rows, k, n, mode, i,
-							math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
-					}
-				}
-
 				at := tileOperand(rng, k, rows, sparse, true, edges) // aᵀ·b shares dimension k
-				MulTransAInto(got, at, b)
-				quadOrderMulTransA(want, at, b)
-				for i := range want.Data {
-					if !sameFloat32(got.Data[i], want.Data[i]) {
-						t.Fatalf("MulTransAInto %dx%dx%d mode %d: element %d is %x, quad order gives %x", rows, k, n, mode, i,
-							math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
-					}
-				}
+				f(mode, a, at, b)
 			}
 		}
+	}
+	forEachTier(t, func(t *testing.T) {
+		each(func(mode int, a, at, b *Matrix[float32]) {
+			rows, k, n := a.Rows, a.Cols, b.Cols
+			got, want := New[float32](rows, n), New[float32](rows, n)
+			MulInto(got, a, b)
+			quadOrderMul(want, a, b)
+			for i := range want.Data {
+				if !sameFloat32(got.Data[i], want.Data[i]) {
+					t.Fatalf("MulInto %dx%dx%d mode %d: element %d is %x, quad order gives %x", rows, k, n, mode, i,
+						math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
+				}
+			}
+
+			MulTransAInto(got, at, b)
+			quadOrderMulTransA(want, at, b)
+			for i := range want.Data {
+				if !sameFloat32(got.Data[i], want.Data[i]) {
+					t.Fatalf("MulTransAInto %dx%dx%d mode %d: element %d is %x, quad order gives %x", rows, k, n, mode, i,
+						math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
+				}
+			}
+		})
+	})
+	sameBitsOnAVX512(t, func(t *testing.T) []float32 {
+		var out []float32
+		each(func(_ int, a, at, b *Matrix[float32]) {
+			got := New[float32](a.Rows, b.Cols)
+			MulInto(got, a, b)
+			out = append(out, got.Data...)
+			MulTransAInto(got, at, b)
+			out = append(out, got.Data...)
+		})
+		return out
 	})
 }
 
@@ -551,21 +659,24 @@ var dotEdgeValues = []float32{
 
 // TestMulTransBBitIdenticalToSdot: every float32 MulTransBInto output
 // must be, bit for bit, one lone sdot of its a row and b row on every
-// tier — the avx2 2 × 2 tile with its folds and k % 8 leftovers, its odd
-// edges, the scalar tier's per-output sdot calls, and the saxpy1 chain
-// below the avx2 vector width (NaNs compared as NaN-ness). Depths cover every
-// value up to 33 and the rig's widths, rows cover 1, odd and even, and
-// the b row counts straddle the column block and end odd.
+// tier — the avx2 2 × 2 and avx512 4 × 4 tiles with their folds and
+// k % 8 leftovers, their edges, the scalar tier's per-output sdot calls,
+// and the saxpy1 chain below the vector width (NaNs compared as
+// NaN-ness) — and avx512 must equal avx2 outright. Depths cover every
+// value up to 33 (every k % 16) and the rig's widths, rows cover 1, odd
+// and even, with and without a 4-row remainder, and the b row counts
+// straddle the column block and leave every remainder mod 4.
 func TestMulTransBBitIdenticalToSdot(t *testing.T) {
 	depths := []int{244, 256, 300, 500, 640}
 	for k := 1; k <= 33; k++ {
 		depths = append(depths, k)
 	}
-	forEachTier(t, func(t *testing.T) {
+	// each calls f once per depth × row count × mode with its operands.
+	each := func(f func(mode int, a, b *Matrix[float32])) {
 		rng := rand.New(rand.NewSource(97))
 		for _, k := range depths {
-			for _, rows := range []int{1, 2, 3, 7, 8} {
-				dn := []int{1, 2, 5, 63, 64, 65, 129, 500}[rng.Intn(8)]
+			for _, rows := range []int{1, 2, 3, 4, 5, 7, 8} {
+				dn := []int{1, 2, 5, 6, 63, 64, 65, 129, 500}[rng.Intn(9)]
 				for mode := 0; mode < 3; mode++ { // plain, ±0-sparse, edge values
 					a := tileOperand(rng, rows, k, mode > 0, false, false)
 					b := tileOperand(rng, dn, k, mode > 0, false, false)
@@ -576,20 +687,35 @@ func TestMulTransBBitIdenticalToSdot(t *testing.T) {
 							}
 						}
 					}
-					got := New[float32](rows, dn)
-					MulTransBInto(got, a, b)
-					for i := 0; i < rows; i++ {
-						for j := 0; j < dn; j++ {
-							want := sdot(a.Data[i*k:(i+1)*k], b.Data[j*k:(j+1)*k])
-							if g := got.Data[i*dn+j]; !sameFloat32(g, want) {
-								t.Fatalf("%dx%d·(%dx%d)ᵀ mode %d: element (%d,%d) is %x, lone sdot gives %x",
-									rows, k, dn, k, mode, i, j, math.Float32bits(g), math.Float32bits(want))
-							}
-						}
-					}
+					f(mode, a, b)
 				}
 			}
 		}
+	}
+	forEachTier(t, func(t *testing.T) {
+		each(func(mode int, a, b *Matrix[float32]) {
+			rows, k, dn := a.Rows, a.Cols, b.Rows
+			got := New[float32](rows, dn)
+			MulTransBInto(got, a, b)
+			for i := 0; i < rows; i++ {
+				for j := 0; j < dn; j++ {
+					want := sdot(a.Data[i*k:(i+1)*k], b.Data[j*k:(j+1)*k])
+					if g := got.Data[i*dn+j]; !sameFloat32(g, want) {
+						t.Fatalf("%dx%d·(%dx%d)ᵀ mode %d: element (%d,%d) is %x, lone sdot gives %x",
+							rows, k, dn, k, mode, i, j, math.Float32bits(g), math.Float32bits(want))
+					}
+				}
+			}
+		})
+	})
+	sameBitsOnAVX512(t, func(t *testing.T) []float32 {
+		var out []float32
+		each(func(_ int, a, b *Matrix[float32]) {
+			got := New[float32](a.Rows, b.Rows)
+			MulTransBInto(got, a, b)
+			out = append(out, got.Data...)
+		})
+		return out
 	})
 }
 
@@ -600,7 +726,11 @@ func TestMulTransBBitIdenticalToSdot(t *testing.T) {
 func TestSaxpy4x2TileMatchesCalls(t *testing.T) {
 	forEachTier(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(89))
-		for _, seg := range []int{1, 3, 4, 7, 8, 12, 13, 31, 244, 256} {
+		segs := []int{48, 64, 79, 128, 200, 244, 256} // 16- and 64-column chunks
+		for seg := 1; seg <= 33; seg++ {
+			segs = append(segs, seg) // every seg % 16
+		}
+		for _, seg := range segs {
 			for _, quads := range []int{1, 2, 8} {
 				for _, pairs := range []int{1, 3} {
 					for _, transposed := range []bool{false, true} {

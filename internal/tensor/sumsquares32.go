@@ -7,7 +7,7 @@ package tensor
 // the fixed tree ((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7)). Every tier
 // computes exactly that (the products are exact in float64, so the only
 // roundings are the adds, and their order is part of the definition),
-// so the result is bit-identical on scalar and avx2. Eight
+// so the result is bit-identical on every tier. Eight
 // independent add chains are also what takes the reduction off the single
 // latency-bound chain a sequential float64 sum is.
 //
